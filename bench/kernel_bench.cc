@@ -1,6 +1,6 @@
 // Kernel-layer bench: per-kernel GB/s for the scalar reference vs every
 // ISA variant this machine can run, plus the end-to-end per-stage encode
-// breakdown (StageClock) with kernels forced to scalar vs dispatched.
+// breakdown (StageTimer) with kernels forced to scalar vs dispatched.
 // Emits BENCH_kernels.json.
 #include <cstdio>
 #include <functional>
@@ -174,7 +174,7 @@ void RunKernelSection(BenchReport& report) {
 
 void RunStageSection(BenchReport& report) {
   // End-to-end encode with the same options the paper benches use; the
-  // StageClock breakdown inside the chunk pipeline attributes the win to
+  // StageTimer breakdown inside the chunk pipeline attributes the win to
   // the stages the kernels rewired (split, frequency, id_map, isobar).
   const std::vector<double>& values = DatasetValues("num_plasma");
 

@@ -34,9 +34,9 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/chunk_pipeline.h"
 #include "service/service.h"
 #include "telemetry/metrics.h"
+#include "telemetry/stage_stack.h"
 #include "util/checksum.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -240,63 +240,41 @@ BenchReport::Entry& Report(BenchReport& report, const std::string& mode,
       .Set("verified", result.mismatches == 0);
 }
 
-/// Per-stage duration histograms at one instant, both pipelines. Captured
-/// around each mode so DeltaSince isolates that mode's distribution even
-/// though the registry accumulates across the whole process.
-struct StageHistograms {
-  std::array<primacy::telemetry::HistogramSnapshot,
-             primacy::telemetry::kStageCount>
-      encode;
-  std::array<primacy::telemetry::HistogramSnapshot,
-             primacy::telemetry::kStageCount>
-      decode;
+namespace tel = primacy::telemetry;
 
-  static StageHistograms Capture() {
-    namespace tel = primacy::telemetry;
-    StageHistograms snapshot;
-    auto& registry = tel::MetricsRegistry::Global();
-    // Bounds must match the pipeline's registration (first caller fixes
-    // the buckets) — StageSecondsBounds() is that contract.
-    const std::span<const double> bounds = primacy::StageSecondsBounds();
-    for (std::size_t s = 0; s < tel::kStageCount; ++s) {
-      const std::string label =
-          "stage=\"" +
-          std::string(tel::StageName(static_cast<tel::Stage>(s))) + "\"";
-      snapshot.encode[s] =
-          registry.GetHistogram("primacy_encode_stage_seconds", bounds, label)
-              .Snapshot();
-      snapshot.decode[s] =
-          registry.GetHistogram("primacy_decode_stage_seconds", bounds, label)
-              .Snapshot();
-    }
-    return snapshot;
-  }
-};
+/// Per-stage duration histograms at one instant, encode stages then decode
+/// stages. Captured around each mode so DeltaSince isolates that mode's
+/// distribution even though the registry accumulates across the process.
+using StageSnapshots =
+    std::array<tel::HistogramSnapshot, 2 * tel::kStageCount>;
 
-/// Adds p50/p95/p99 per-chunk stage latencies for every stage this mode
-/// exercised (flat keys, e.g. p99_encode_solver_s) to the mode's entry.
-void AddStagePercentiles(BenchReport::Entry& entry,
-                         const StageHistograms& before,
-                         const StageHistograms& after) {
-  namespace tel = primacy::telemetry;
-  const struct {
-    const char* prefix;
-    const std::array<tel::HistogramSnapshot, tel::kStageCount>& earlier;
-    const std::array<tel::HistogramSnapshot, tel::kStageCount>& later;
-  } pipelines[] = {{"encode", before.encode, after.encode},
-                   {"decode", before.decode, after.decode}};
-  for (const auto& pipeline : pipelines) {
-    for (std::size_t s = 0; s < tel::kStageCount; ++s) {
-      const tel::HistogramSnapshot delta =
-          pipeline.later[s].DeltaSince(pipeline.earlier[s]);
-      if (delta.count == 0) continue;
-      const std::string stage(tel::StageName(static_cast<tel::Stage>(s)));
-      const std::string key = std::string(pipeline.prefix) + "_" + stage;
-      entry.Set("p50_" + key + "_s", delta.Quantile(0.50))
-          .Set("p95_" + key + "_s", delta.Quantile(0.95))
-          .Set("p99_" + key + "_s", delta.Quantile(0.99));
-    }
+StageSnapshots CaptureStages() {
+  StageSnapshots snapshots;
+  for (std::size_t i = 0; i < snapshots.size(); ++i) {
+    snapshots[i] = tel::StageSecondsHistogram(
+                       static_cast<tel::Pipeline>(i / tel::kStageCount),
+                       static_cast<tel::Stage>(i % tel::kStageCount))
+                       .Snapshot();
   }
+  return snapshots;
+}
+
+/// Adds p50/p95/p99 per-chunk stage latencies for every stage run since
+/// `mark` (flat keys, e.g. p99_encode_solver_s) to the mode's entry, then
+/// advances `mark` to now.
+void AddStagePercentiles(BenchReport::Entry& entry, StageSnapshots& mark) {
+  const StageSnapshots now = CaptureStages();
+  for (std::size_t i = 0; i < now.size(); ++i) {
+    const tel::HistogramSnapshot delta = now[i].DeltaSince(mark[i]);
+    if (delta.count == 0) continue;
+    const auto stage = static_cast<tel::Stage>(i % tel::kStageCount);
+    const std::string key = (i < tel::kStageCount ? "encode_" : "decode_") +
+                            std::string(tel::StageName(stage));
+    entry.Set("p50_" + key + "_s", delta.Quantile(0.50))
+        .Set("p95_" + key + "_s", delta.Quantile(0.95))
+        .Set("p99_" + key + "_s", delta.Quantile(0.99));
+  }
+  mark = now;
 }
 
 }  // namespace
@@ -317,14 +295,9 @@ int main(int argc, char** argv) {
 
   BenchReport report("service");
 
-  StageHistograms stage_mark = StageHistograms::Capture();
+  StageSnapshots stage_mark = CaptureStages();
   const ModeResult direct = RunDirectDispatch(workloads);
-  {
-    const StageHistograms now = StageHistograms::Capture();
-    AddStagePercentiles(Report(report, "direct_dispatch", direct),
-                        stage_mark, now);
-    stage_mark = now;
-  }
+  AddStagePercentiles(Report(report, "direct_dispatch", direct), stage_mark);
 
   primacy::service::BatchOptions unbatched;
   unbatched.flush_timeout_ns = 0;  // flush on every push: no coalescing
@@ -332,12 +305,8 @@ int main(int argc, char** argv) {
   std::uint64_t unbatched_memo_hits = 0;
   const ModeResult service_unbatched = RunService(
       workloads, unbatched, &unbatched_cache_hits, &unbatched_memo_hits);
-  {
-    const StageHistograms now = StageHistograms::Capture();
-    AddStagePercentiles(Report(report, "service_unbatched", service_unbatched),
-                        stage_mark, now);
-    stage_mark = now;
-  }
+  AddStagePercentiles(Report(report, "service_unbatched", service_unbatched),
+                      stage_mark);
 
   primacy::service::BatchOptions batched;
   batched.flush_bytes = 32 * 1024;     // ~8 requests
@@ -348,7 +317,7 @@ int main(int argc, char** argv) {
   const ModeResult service_batched =
       RunService(workloads, batched, &batched_cache_hits, &batched_memo_hits);
   AddStagePercentiles(Report(report, "service_batched", service_batched),
-                      stage_mark, StageHistograms::Capture());
+                      stage_mark);
   std::printf("  service hit counts: unbatched cache=%llu memo=%llu | "
               "batched cache=%llu memo=%llu\n",
               static_cast<unsigned long long>(unbatched_cache_hits),

@@ -10,8 +10,8 @@
 #include "isobar/partitioned_codec.h"
 #include "telemetry/metrics.h"
 #include "telemetry/stage_stack.h"
-#include "telemetry/trace.h"
 #include "util/byte_matrix.h"
+#include "util/checksum.h"
 #include "util/error.h"
 #include "util/stats.h"
 
@@ -20,13 +20,8 @@ namespace {
 
 constexpr std::size_t kHighWidth = 2;
 
-/// Per-chunk per-stage durations: 1 µs up to ~1 s, one bucket per decade.
-constexpr std::array<double, 7> kStageSecondsBounds = {
-    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0};
-
 /// Registry handles for the encode/decode pipelines, resolved once. The
-/// per-stage counters live in one family keyed by a `stage` label so a
-/// Prometheus scrape can compute stage shares with a single sum().
+/// per-stage histograms are StageTimer's (telemetry/stage_stack.h).
 struct PipelineMetrics {
   telemetry::Counter& encode_chunks;
   telemetry::Counter& encode_input_bytes;
@@ -34,12 +29,6 @@ struct PipelineMetrics {
   telemetry::Counter& decode_chunks;
   telemetry::Counter& decode_output_bytes;
   telemetry::Histogram& encode_chunk_bytes;
-  std::array<telemetry::Counter*, telemetry::kStageCount> encode_stage_ns;
-  std::array<telemetry::Counter*, telemetry::kStageCount> decode_stage_ns;
-  std::array<telemetry::Histogram*, telemetry::kStageCount>
-      encode_stage_seconds;
-  std::array<telemetry::Histogram*, telemetry::kStageCount>
-      decode_stage_seconds;
 
   static PipelineMetrics& Get() {
     static PipelineMetrics* metrics = [] {
@@ -47,49 +36,18 @@ struct PipelineMetrics {
       static constexpr std::array<double, 7> kChunkBytesBounds = {
           1024.0, 4096.0, 16384.0, 65536.0, 262144.0, 1048576.0, 4194304.0};
       auto& registry = telemetry::MetricsRegistry::Global();
-      auto* m = new PipelineMetrics{
+      return new PipelineMetrics{
           registry.GetCounter("primacy_encode_chunks_total"),
           registry.GetCounter("primacy_encode_input_bytes_total"),
           registry.GetCounter("primacy_encode_output_bytes_total"),
           registry.GetCounter("primacy_decode_chunks_total"),
           registry.GetCounter("primacy_decode_output_bytes_total"),
-          registry.GetHistogram("primacy_encode_chunk_bytes", kChunkBytesBounds),
-          {},
-          {},
-          {},
-          {}};
-      for (std::size_t s = 0; s < telemetry::kStageCount; ++s) {
-        const auto stage = static_cast<telemetry::Stage>(s);
-        const std::string label =
-            "stage=\"" + std::string(telemetry::StageName(stage)) + "\"";
-        m->encode_stage_ns[s] =
-            &registry.GetCounter("primacy_encode_stage_ns_total", label);
-        m->decode_stage_ns[s] =
-            &registry.GetCounter("primacy_decode_stage_ns_total", label);
-        m->encode_stage_seconds[s] = &registry.GetHistogram(
-            "primacy_encode_stage_seconds", kStageSecondsBounds, label);
-        m->decode_stage_seconds[s] = &registry.GetHistogram(
-            "primacy_decode_stage_seconds", kStageSecondsBounds, label);
-      }
-      return m;
+          registry.GetHistogram("primacy_encode_chunk_bytes",
+                                kChunkBytesBounds)};
     }();
     return *metrics;
   }
 };
-
-/// Publishes one chunk's stage laps to the registry counter family and the
-/// matching per-chunk duration histograms.
-void PublishStageNs(
-    const std::array<telemetry::Counter*, telemetry::kStageCount>& counters,
-    const std::array<telemetry::Histogram*, telemetry::kStageCount>& seconds,
-    const telemetry::StageBreakdown& breakdown) {
-  for (std::size_t s = 0; s < telemetry::kStageCount; ++s) {
-    if (breakdown.ns[s] != 0) {
-      counters[s]->Increment(breakdown.ns[s]);
-      seconds[s]->Observe(static_cast<double>(breakdown.ns[s]) * 1e-9);
-    }
-  }
-}
 
 Bytes ToBigEndianRows(ByteSpan chunk, std::size_t width) {
   if (width == 8) return DoublesToBigEndianRows(FromBytes<double>(chunk));
@@ -104,8 +62,6 @@ double FrequencyCorrelation(const PairFrequency& a, const PairFrequency& b) {
 }
 
 }  // namespace
-
-std::span<const double> StageSecondsBounds() { return kStageSecondsBounds; }
 
 void AccumulateChunkStats(PrimacyStats& totals, const ChunkRecordStats& chunk) {
   totals.chunks += 1;
@@ -146,20 +102,16 @@ ChunkRecordStats ChunkEncoder::EncodeChunk(ByteSpan chunk, Bytes& out) {
   }
   const std::size_t record_start = out.size();
   const std::size_t count = chunk.size() / width;
-  telemetry::TraceSpan span("primacy.encode_chunk", "elements",
-                            static_cast<std::uint64_t>(count));
   ChunkRecordStats stats;
   stats.elements = count;
-  telemetry::StageClock clock;
-  // Marks the worker's live stage for the sampling profiler; retargeted at
-  // each stage boundary alongside the lap-timer charge.
-  telemetry::StageScope profile(telemetry::Stage::kSplit);
+  telemetry::StageTimer timer(telemetry::Pipeline::kEncode,
+                              telemetry::Stage::kSplit, "primacy.encode_chunk",
+                              "elements", static_cast<std::uint64_t>(count));
 
   // 1. Big-endian byte significance, then the high/low split.
   const Bytes rows = ToBigEndianRows(chunk, width);
   const SplitBytes split = SplitHighLow(rows, width, kHighWidth);
-  clock.Lap(stats.stage, telemetry::Stage::kSplit);
-  profile.Switch(telemetry::Stage::kFrequency);
+  timer.Lap(telemetry::Stage::kFrequency);
 
   // 2. Frequency analysis + index selection. Under kReuseWhenCorrelated, a
   // chunk whose frequency vector correlates with the previous chunk's keeps
@@ -193,22 +145,18 @@ ChunkRecordStats ChunkEncoder::EncodeChunk(ByteSpan chunk, Bytes& out) {
   if (!prev_freq_.has_value()) prev_freq_.emplace();
   std::swap(prev_freq_->counts, freq_scratch_.counts);
   const IdIndex& index = *prev_index_;
-  clock.Lap(stats.stage, telemetry::Stage::kFrequency);
-  profile.Switch(telemetry::Stage::kIdMap);
+  timer.Lap(telemetry::Stage::kIdMap);
 
   // 3-4. ID mapping, linearization, solver compression.
   const Bytes id_bytes = MapToIds(split.high, index, options_.linearization);
-  clock.Lap(stats.stage, telemetry::Stage::kIdMap);
-  profile.Switch(telemetry::Stage::kSolver);
+  timer.Lap(telemetry::Stage::kSolver);
   const Bytes id_compressed = solver_.Compress(id_bytes);
-  clock.Lap(stats.stage, telemetry::Stage::kSolver);
-  profile.Switch(telemetry::Stage::kIsobar);
+  timer.Lap(telemetry::Stage::kIsobar);
 
   // 5. ISOBAR on the mantissa matrix.
   const IsobarCompressed mantissa =
       IsobarCompress(split.low, width - kHighWidth, solver_, options_.isobar);
-  clock.Lap(stats.stage, telemetry::Stage::kIsobar);
-  profile.Switch(telemetry::Stage::kSerialize);
+  timer.Lap(telemetry::Stage::kSerialize);
 
   // 6. Chunk record.
   PutVarint(out, count);
@@ -243,18 +191,13 @@ ChunkRecordStats ChunkEncoder::EncodeChunk(ByteSpan chunk, Bytes& out) {
   stats.compressible_fraction = mantissa.plan.CompressibleFraction();
   stats.top_byte_frequency_before = TopByteFrequency(split.high);
   stats.top_byte_frequency_after = TopByteFrequency(id_bytes);
-  clock.Lap(stats.stage, telemetry::Stage::kSerialize);
+  stats.stage = timer.Commit();
 
-  if constexpr (telemetry::kEnabled) {
-    PipelineMetrics& metrics = PipelineMetrics::Get();
-    metrics.encode_chunks.Increment();
-    metrics.encode_input_bytes.Increment(chunk.size());
-    metrics.encode_output_bytes.Increment(stats.record_bytes);
-    metrics.encode_chunk_bytes.Observe(
-        static_cast<double>(stats.record_bytes));
-    PublishStageNs(metrics.encode_stage_ns, metrics.encode_stage_seconds,
-                   stats.stage);
-  }
+  PipelineMetrics& metrics = PipelineMetrics::Get();
+  metrics.encode_chunks.Increment();
+  metrics.encode_input_bytes.Increment(chunk.size());
+  metrics.encode_output_bytes.Increment(stats.record_bytes);
+  metrics.encode_chunk_bytes.Observe(static_cast<double>(stats.record_bytes));
   return stats;
 }
 
@@ -281,17 +224,13 @@ void ChunkDecoder::DecodeChunk(ByteReader& reader, std::uint64_t count,
   DecodeChunkInto(reader, count, MutableByteSpan(out).subspan(old_size));
 }
 
-void ChunkDecoder::AddStageNs(telemetry::Stage stage, std::uint64_t ns) {
-  if constexpr (telemetry::kEnabled) {
-    if (ns == 0) return;
-    stage_[stage] += ns;
-    PipelineMetrics::Get()
-        .decode_stage_ns[static_cast<std::size_t>(stage)]
-        ->Increment(ns);
-  } else {
-    (void)stage;
-    (void)ns;
-  }
+bool ChunkDecoder::VerifyRecord(ByteSpan record, std::uint64_t expected) {
+  telemetry::StageTimer timer(telemetry::Pipeline::kDecode,
+                              telemetry::Stage::kChecksum,
+                              "primacy.verify_record", "bytes", record.size());
+  if (Xxh64(record) != expected) return false;
+  stage_.Accumulate(timer.Commit());
+  return true;
 }
 
 void ChunkDecoder::DecodeChunkInto(ByteReader& reader, std::uint64_t count,
@@ -305,10 +244,9 @@ void ChunkDecoder::DecodeChunkInto(ByteReader& reader, std::uint64_t count,
   if (out.size() % width_ != 0 || out.size() / width_ != count) {
     throw CorruptStreamError("primacy: chunk element count mismatch");
   }
-  telemetry::TraceSpan span("primacy.decode_chunk", "elements", count);
-  telemetry::StageBreakdown laps;
-  telemetry::StageClock clock;
-  telemetry::StageScope profile(telemetry::Stage::kFrequency);
+  telemetry::StageTimer timer(telemetry::Pipeline::kDecode,
+                              telemetry::Stage::kFrequency,
+                              "primacy.decode_chunk", "elements", count);
   const std::uint8_t index_flag = reader.GetU8();
   if (index_flag == 1) {
     index_ = DeserializeIndex(reader.GetBlock());
@@ -322,20 +260,16 @@ void ChunkDecoder::DecodeChunkInto(ByteReader& reader, std::uint64_t count,
   }
   // Index deserialization restores the frequency-ranked ID table, so it is
   // charged to the frequency stage (its encode-side dual).
-  clock.Lap(laps, telemetry::Stage::kFrequency);
-  profile.Switch(telemetry::Stage::kSolver);
+  timer.Lap(telemetry::Stage::kSolver);
   const Bytes id_bytes = solver_.Decompress(reader.GetBlock());
-  clock.Lap(laps, telemetry::Stage::kSolver);
+  timer.Lap(telemetry::Stage::kIdMap);
   if (id_bytes.size() != count * kHighWidth) {
     throw CorruptStreamError("primacy: ID byte count mismatch");
   }
-  profile.Switch(telemetry::Stage::kIdMap);
   const Bytes high = MapFromIds(id_bytes, *index_, linearization_);
-  clock.Lap(laps, telemetry::Stage::kIdMap);
-  profile.Switch(telemetry::Stage::kIsobar);
+  timer.Lap(telemetry::Stage::kIsobar);
   const Bytes low = IsobarDecompress(reader.GetBlock(), solver_);
-  clock.Lap(laps, telemetry::Stage::kIsobar);
-  profile.Switch(telemetry::Stage::kMerge);
+  timer.Lap(telemetry::Stage::kMerge);
   const std::size_t low_width = width_ - kHighWidth;
   if (low.size() != count * low_width) {
     throw CorruptStreamError("primacy: mantissa byte count mismatch");
@@ -369,16 +303,11 @@ void ChunkDecoder::DecodeChunkInto(ByteReader& reader, std::uint64_t count,
       std::memcpy(dst, &value, 4);
     }
   }
-  clock.Lap(laps, telemetry::Stage::kMerge);
+  stage_.Accumulate(timer.Commit());
 
-  if constexpr (telemetry::kEnabled) {
-    stage_.Accumulate(laps);
-    PipelineMetrics& metrics = PipelineMetrics::Get();
-    metrics.decode_chunks.Increment();
-    metrics.decode_output_bytes.Increment(out.size());
-    PublishStageNs(metrics.decode_stage_ns, metrics.decode_stage_seconds,
-                   laps);
-  }
+  PipelineMetrics& metrics = PipelineMetrics::Get();
+  metrics.decode_chunks.Increment();
+  metrics.decode_output_bytes.Increment(out.size());
 }
 
 }  // namespace primacy

@@ -10,7 +10,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 
 #include "bitstream/byte_io.h"
 #include "compress/codec.h"
@@ -19,12 +18,6 @@
 #include "telemetry/stage.h"
 
 namespace primacy {
-
-/// Bucket bounds of the primacy_{encode,decode}_stage_seconds histogram
-/// families. Registry histograms fix their buckets at first registration,
-/// so anyone resolving those series (the service_load bench's percentile
-/// reporter) must pass exactly these bounds.
-std::span<const double> StageSecondsBounds();
 
 /// Accounting for a single encoded chunk.
 struct ChunkRecordStats {
@@ -103,9 +96,10 @@ class ChunkDecoder {
   /// decoded (zero when telemetry is off).
   const telemetry::StageBreakdown& stage_breakdown() const { return stage_; }
 
-  /// Charges externally measured work (e.g. the caller's checksum pass over
-  /// the record bytes) to one of this decoder's stages, registry included.
-  void AddStageNs(telemetry::Stage stage, std::uint64_t ns);
+  /// Checks a v3 chunk record's bytes against their directory XXH64 and
+  /// returns whether they match. A matching pass is charged to this
+  /// decoder's checksum stage, registry included.
+  bool VerifyRecord(ByteSpan record, std::uint64_t expected);
 
  private:
   const Codec& solver_;

@@ -16,7 +16,6 @@
 #include "util/checksum.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace primacy {
 namespace {
@@ -61,16 +60,14 @@ std::vector<std::uint64_t> ElementStarts(
 }
 
 /// Verifies chunk `c`'s record bytes against its directory checksum (v3
-/// streams with verification enabled). Returns true when a checksum was
-/// actually checked.
-bool VerifyChunkChecksum(ByteSpan record,
+/// streams with verification enabled).
+void VerifyChunkChecksum(ByteSpan record,
                          const internal::ChunkDirectory& directory,
                          std::size_t c, bool verify) {
-  if (!verify || !directory.has_checksums) return false;
+  if (!verify || !directory.has_checksums) return;
   if (Xxh64(record) != directory.chunks[c].checksum) {
     ThrowChunkError(c, directory.chunks[c].offset, "checksum mismatch");
   }
-  return true;
 }
 
 /// View of chunk `c`'s record bytes, bounded by the next record (or the
@@ -95,16 +92,9 @@ bool DecodeDirectoryChunk(ByteSpan stream,
                           std::size_t c, ChunkDecoder& decoder,
                           MutableByteSpan out, bool verify) {
   const ByteSpan record = RecordSpan(stream, directory, c);
-  bool verified = false;
-  if constexpr (telemetry::kEnabled) {
-    const WallTimer checksum_timer;
-    verified = VerifyChunkChecksum(record, directory, c, verify);
-    if (verified) {
-      decoder.AddStageNs(telemetry::Stage::kChecksum,
-                         checksum_timer.ElapsedNs());
-    }
-  } else {
-    verified = VerifyChunkChecksum(record, directory, c, verify);
+  const bool verified = verify && directory.has_checksums;
+  if (verified && !decoder.VerifyRecord(record, directory.chunks[c].checksum)) {
+    ThrowChunkError(c, directory.chunks[c].offset, "checksum mismatch");
   }
   try {
     ByteReader reader(record);

@@ -4,7 +4,6 @@
 #include "telemetry/trace.h"
 #include "util/checksum.h"
 #include "util/error.h"
-#include "util/timer.h"
 
 namespace primacy {
 
@@ -174,7 +173,6 @@ bool PrimacyStreamReader::NextChunk(Bytes& out) {
       return false;
     }
     if (verify_ && directory_.has_value()) {
-      const WallTimer checksum_timer;
       if (chunk_index_ >= directory_->chunks.size()) {
         throw CorruptStreamError(
             "primacy: more chunk records than directory entries");
@@ -190,14 +188,12 @@ bool PrimacyStreamReader::NextChunk(Bytes& out) {
       const ByteSpan record = stream_.subspan(
           static_cast<std::size_t>(entry.offset),
           static_cast<std::size_t>(end - entry.offset));
-      if (Xxh64(record) != entry.checksum) {
+      if (!decoder_->VerifyRecord(record, entry.checksum)) {
         throw CorruptStreamError(
             "primacy: chunk " + std::to_string(chunk_index_) +
             " (record at byte " + std::to_string(entry.offset) +
             "): checksum mismatch");
       }
-      decoder_->AddStageNs(telemetry::Stage::kChecksum,
-                           checksum_timer.ElapsedNs());
     }
     const std::uint64_t count = reader_.GetVarint();
     if (count == 0 ||

@@ -8,13 +8,12 @@
 // frequency (index restore) + id_map + merge the inverse preconditioner.
 // checksum is the v3 integrity pass, outside the paper's model.
 //
-// StageBreakdown is plain data and exists in every build; StageClock is the
-// collection primitive and compiles to a no-op when PRIMACY_TELEMETRY=OFF,
-// leaving every breakdown zero at zero cost.
+// StageBreakdown is plain data and exists in every build; StageTimer
+// (stage_stack.h) is the collection primitive and compiles to a no-op when
+// PRIMACY_TELEMETRY=OFF, leaving every breakdown zero at zero cost.
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -39,6 +38,10 @@ enum class Stage : std::uint8_t {
   kSerialize,   // record framing: varints, blocks, index serialization
 };
 inline constexpr std::size_t kStageCount = 8;
+
+/// Which chunk pipeline a stage runs in; selects the
+/// primacy_{encode,decode}_stage_seconds family a lap is published to.
+enum class Pipeline : std::uint8_t { kEncode = 0, kDecode };
 
 constexpr std::string_view StageName(Stage stage) {
   constexpr std::array<std::string_view, kStageCount> kNames = {
@@ -68,41 +71,10 @@ struct StageBreakdown {
     for (const std::uint64_t v : ns) total += v;
     return total;
   }
-  double TotalSeconds() const { return static_cast<double>(TotalNs()) * 1e-9; }
 
   void Accumulate(const StageBreakdown& other) {
     for (std::size_t i = 0; i < kStageCount; ++i) ns[i] += other.ns[i];
   }
-};
-
-/// Lap timer for sequential stage attribution: each Lap() charges the time
-/// since the previous Lap()/construction to one stage. One clock read per
-/// stage boundary; a no-op (and no clock reads) when telemetry is off.
-class StageClock {
- public:
-#if PRIMACY_TELEMETRY_ENABLED
-  StageClock() : last_(std::chrono::steady_clock::now()) {}
-
-  /// Forgets any time since the last lap (e.g. across untimed sections).
-  void Restart() { last_ = std::chrono::steady_clock::now(); }
-
-  void Lap(StageBreakdown& breakdown, Stage stage) {
-    const auto now = std::chrono::steady_clock::now();
-    const auto delta = now - last_;
-    if (delta.count() > 0) {
-      breakdown[stage] += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(delta).count());
-    }
-    last_ = now;
-  }
-
- private:
-  std::chrono::steady_clock::time_point last_;
-#else
-  StageClock() = default;
-  void Restart() {}
-  void Lap(StageBreakdown&, Stage) {}
-#endif
 };
 
 }  // namespace primacy::telemetry

@@ -1,23 +1,23 @@
-// Per-thread live stage stacks for the sampling profiler.
+// StageTimer, the one stage-boundary primitive, and the per-thread live
+// stage stacks it keeps for the sampling profiler.
 //
-// A StageScope marks "this thread is currently inside stage X" for its
-// lifetime; scopes nest (a service batch slot can hold an outer scope while
-// the chunk pipeline pushes per-stage inner ones), and linear pipelines use
-// Switch() to retarget the innermost frame without re-entering a scope per
-// section. The exporter's sampling pass (SampleStageStacks) walks every
-// registered thread's stack at its own cadence and attributes the sample to
-// the innermost frame — a statistical profile with no per-stage clock reads
-// on the instrumented path.
+// One timer instruments one chunk. Each Lap() reads the clock once,
+// charges the stage that just ended and retargets the thread's live stage
+// frame. Commit() ends the last stage, then publishes each non-zero stage to
+// primacy_{encode,decode}_stage_seconds{stage} and, with tracing on, records
+// the chunk span plus one child span per lap from the same timestamps — so
+// stats, /metrics, trace and profiler agree, and no registry or ring write
+// falls inside a timed stage.
 //
-// Cost discipline: with sampling disabled (the default) a StageScope is one
-// relaxed atomic load. Enabled, push/pop/switch are one or two relaxed
-// atomic stores into thread-local slots — no locks, no allocation after a
-// thread's first scope. Every shared field is an atomic, so a sample taken
-// mid push/pop reads a torn-but-valid stack (each frame byte is clamped to
-// the stage enum), never undefined behavior.
+// Timers nest, one stack frame each; the exporter's sampling pass
+// (SampleStageStacks) attributes each sample to the innermost frame. With
+// sampling disabled (the default) the stack costs one relaxed atomic load
+// per timer; enabled, push/pop/retarget are relaxed atomic stores into
+// thread-local slots. A sample taken mid push/pop reads a torn-but-valid
+// stack (frames are clamped to the stage enum), never undefined behavior.
 //
-// When the build is configured with PRIMACY_TELEMETRY=OFF everything here
-// compiles to an inline no-op, mirroring the rest of src/telemetry.
+// With PRIMACY_TELEMETRY=OFF everything here is an inline no-op that reads
+// no clock.
 #pragma once
 
 #include <array>
@@ -25,7 +25,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "telemetry/metrics.h"
 #include "telemetry/stage.h"
+
+#if PRIMACY_TELEMETRY_ENABLED
+#include <atomic>
+#include <chrono>
+#endif
 
 namespace primacy::telemetry {
 
@@ -49,20 +55,49 @@ struct StageStackSample {
 bool StageSamplingEnabled();
 void SetStageSamplingEnabled(bool enabled);
 
-class StageScope {
+/// The histogram StageTimer publishes `stage` of `pipeline` to (per-chunk
+/// seconds, decade buckets 1 µs..1 s), resolved once.
+Histogram& StageSecondsHistogram(Pipeline pipeline, Stage stage);
+
+class StageTimer {
  public:
-  explicit StageScope(Stage stage);
-  ~StageScope();
+  /// Starts timing `first`. `span_name`/`arg_name` (string literals) name
+  /// the chunk's trace span and its argument.
+  StageTimer(Pipeline pipeline, Stage first, const char* span_name,
+             const char* arg_name = nullptr, std::uint64_t arg_value = 0);
+  ~StageTimer();
 
-  StageScope(const StageScope&) = delete;
-  StageScope& operator=(const StageScope&) = delete;
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
 
-  /// Retargets the innermost frame (the one this scope pushed) to `stage`.
-  /// For linear pipelines: one scope per chunk, one Switch per section.
-  void Switch(Stage stage);
+  /// Charges the time since the last boundary to the current stage and
+  /// makes `next` current.
+  void Lap(Stage next);
+
+  /// Last boundary, then publish; returns the chunk's breakdown. Call once,
+  /// on success only: an uncommitted timer publishes nothing.
+  StageBreakdown Commit();
 
  private:
-  bool active_;
+  using Clock = std::chrono::steady_clock;
+
+  Clock::time_point start_;
+  Clock::time_point last_;
+  StageBreakdown laps_;
+  // The first kStageCount laps in order, for the trace's child spans.
+  std::array<Stage, kStageCount> lap_stage_{};
+  std::array<std::uint64_t, kStageCount> lap_ns_{};
+  std::size_t lap_count_ = 0;
+  const char* span_name_;
+  const char* arg_name_;
+  std::uint64_t arg_value_;
+  // Own stack frame (null if unsampled or past the recorded window) and the
+  // thread's stack depth (null if nothing was pushed).
+  std::atomic<std::uint8_t>* frame_ = nullptr;
+  std::atomic<std::uint32_t>* depth_ = nullptr;
+  Pipeline pipeline_;
+  Stage current_;
+  bool tracing_;
 };
 
 /// Snapshot of every registered thread's live stack (threads with empty
@@ -74,12 +109,19 @@ std::vector<StageStackSample> SampleStageStacks();
 inline bool StageSamplingEnabled() { return false; }
 inline void SetStageSamplingEnabled(bool) {}
 
-class StageScope {
+inline Histogram& StageSecondsHistogram(Pipeline, Stage) {
+  static Histogram stub;
+  return stub;
+}
+
+class StageTimer {
  public:
-  explicit StageScope(Stage) {}
-  StageScope(const StageScope&) = delete;
-  StageScope& operator=(const StageScope&) = delete;
-  void Switch(Stage) {}
+  StageTimer(Pipeline, Stage, const char*, const char* = nullptr,
+             std::uint64_t = 0) {}
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
+  void Lap(Stage) {}
+  StageBreakdown Commit() { return {}; }
 };
 
 inline std::vector<StageStackSample> SampleStageStacks() { return {}; }

@@ -17,12 +17,13 @@
 namespace primacy::telemetry {
 namespace {
 
-std::uint64_t NowNs() {
-  // Rebased so exported timestamps are small and stable within a run.
-  static const auto base = std::chrono::steady_clock::now();
-  const auto delta = std::chrono::steady_clock::now() - base;
+// Exported timestamps are rebased to roughly process start.
+const std::chrono::steady_clock::time_point kTraceEpoch =
+    std::chrono::steady_clock::now();
+
+std::uint64_t Nanos(std::chrono::steady_clock::duration d) {
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(delta).count());
+      std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
 }
 
 /// Ring slot with individually atomic fields: the owner thread overwrites
@@ -187,17 +188,23 @@ TraceSpan::TraceSpan(const char* name, const char* arg_name,
     : name_(name),
       arg_name_(arg_name),
       arg_value_(arg_value),
-      start_ns_(0),
       active_(TracingEnabled()) {
-  if (active_) {
-    EnsureExitFlushRegistered();
-    start_ns_ = NowNs();
-  }
+  if (active_) start_ = std::chrono::steady_clock::now();
 }
 
 TraceSpan::~TraceSpan() {
   if (!active_) return;
-  const std::uint64_t end_ns = NowNs();
+  internal::RecordTraceEvent(name_, arg_name_, arg_value_, start_,
+                             Nanos(std::chrono::steady_clock::now() - start_));
+}
+
+namespace internal {
+
+void RecordTraceEvent(const char* name, const char* arg_name,
+                      std::uint64_t arg_value,
+                      std::chrono::steady_clock::time_point start,
+                      std::uint64_t dur_ns) {
+  EnsureExitFlushRegistered();
   ThreadTraceBuffer& buffer = LocalBuffer();
   const std::uint64_t n = buffer.pushed.load(std::memory_order_relaxed);
   if (n >= kTraceRingCapacity) {
@@ -213,13 +220,15 @@ TraceSpan::~TraceSpan() {
     }
   }
   AtomicTraceEvent& slot = buffer.events[n % kTraceRingCapacity];
-  slot.name.store(name_, std::memory_order_relaxed);
-  slot.arg_name.store(arg_name_, std::memory_order_relaxed);
-  slot.arg_value.store(arg_value_, std::memory_order_relaxed);
-  slot.start_ns.store(start_ns_, std::memory_order_relaxed);
-  slot.dur_ns.store(end_ns - start_ns_, std::memory_order_relaxed);
+  slot.name.store(name, std::memory_order_relaxed);
+  slot.arg_name.store(arg_name, std::memory_order_relaxed);
+  slot.arg_value.store(arg_value, std::memory_order_relaxed);
+  slot.start_ns.store(Nanos(start - kTraceEpoch), std::memory_order_relaxed);
+  slot.dur_ns.store(dur_ns, std::memory_order_relaxed);
   buffer.pushed.store(n + 1, std::memory_order_release);
 }
+
+}  // namespace internal
 
 std::vector<TraceEvent> SnapshotTraceEvents() {
   BufferRegistry& registry = Registry();

@@ -32,6 +32,7 @@
 // of vanishing silently.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -73,7 +74,7 @@ class TraceSpan {
   const char* name_;
   const char* arg_name_;
   std::uint64_t arg_value_;
-  std::uint64_t start_ns_;
+  std::chrono::steady_clock::time_point start_;
   bool active_;
 };
 
@@ -131,6 +132,19 @@ inline std::string RenderChromeTraceEvents(const std::vector<TraceEvent>&) {
 inline bool WriteChromeTrace(const std::string&) { return false; }
 inline void ClearTraceBuffers() {}
 
+#endif  // PRIMACY_TELEMETRY_ENABLED
+
+#if PRIMACY_TELEMETRY_ENABLED
+namespace internal {
+
+/// TraceSpan's ring write, shared with StageTimer: appends one completed
+/// span to this thread's ring. ON-build telemetry sources only (no stub).
+void RecordTraceEvent(const char* name, const char* arg_name,
+                      std::uint64_t arg_value,
+                      std::chrono::steady_clock::time_point start,
+                      std::uint64_t dur_ns);
+
+}  // namespace internal
 #endif  // PRIMACY_TELEMETRY_ENABLED
 
 }  // namespace primacy::telemetry

@@ -51,10 +51,11 @@ TEST(ExporterStressTest, ConcurrentProducersScrapersAndClockAdvances) {
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([p] {
       for (int i = 0; i < kProducerIters; ++i) {
-        StageScope scope(static_cast<Stage>(i % kStageCount));
-        TraceSpan span("stress.producer", "p",
-                       static_cast<std::uint64_t>(p));
-        scope.Switch(static_cast<Stage>((i + 1) % kStageCount));
+        const std::size_t stage = static_cast<std::size_t>(i) % kStageCount;
+        StageTimer timer(Pipeline::kEncode, static_cast<Stage>(stage),
+                         "stress.producer", "p", static_cast<std::uint64_t>(p));
+        timer.Lap(static_cast<Stage>((stage + 1) % kStageCount));
+        timer.Commit();
       }
     });
   }

@@ -164,15 +164,15 @@ TEST_F(ExporterTest, ProfilerAttributesSamplesToLiveStageStacks) {
   ObservabilityHub hub(options);
   hub.Start();
 
-  // A worker parks inside solver (under a split scope) while the clock
+  // A worker parks inside solver (under a split timer) while the clock
   // advances through five sampling deadlines.
   std::mutex mu;
   std::condition_variable cv;
   bool scoped = false;
   bool done = false;
   std::thread worker([&] {
-    StageScope outer(Stage::kSplit);
-    StageScope inner(Stage::kSolver);
+    StageTimer outer(Pipeline::kEncode, Stage::kSplit, "exporter_test.outer");
+    StageTimer inner(Pipeline::kEncode, Stage::kSolver, "exporter_test.inner");
     std::unique_lock<std::mutex> lock(mu);
     scoped = true;
     cv.notify_all();

@@ -1,38 +1,68 @@
 // End-to-end checks that the pipeline's telemetry agrees with itself: the
 // PrimacyStats/PrimacyDecodeStats stage breakdowns must match the registry's
-// per-stage counter family exactly, and serial vs parallel decode must
-// produce identical data-dependent stats and metric deltas (only timing and
-// threads_used may differ).
+// per-stage histograms and the trace exactly (one StageTimer feeds all
+// three), and serial vs parallel decode must produce identical
+// data-dependent stats and metric deltas (only timing and threads_used may
+// differ).
 #include <array>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "compress/registry.h"
+#include "core/builtin_codecs.h"
+#include "core/chunk_pipeline.h"
 #include "core/primacy_codec.h"
+#include "core/streaming.h"
 #include "datasets/datasets.h"
 #include "telemetry/metrics.h"
 #include "telemetry/stage.h"
+#include "telemetry/stage_stack.h"
+#include "telemetry/trace.h"
 
 namespace primacy {
 namespace {
 
+using telemetry::HistogramSnapshot;
 using telemetry::kStageCount;
 using telemetry::MetricsRegistry;
+using telemetry::Pipeline;
+using telemetry::Stage;
 using telemetry::StageName;
 
 std::uint64_t CounterValue(const char* name, std::string labels = {}) {
   return MetricsRegistry::Global().GetCounter(name, labels).Value();
 }
 
-std::array<std::uint64_t, kStageCount> StageCounters(const char* family) {
-  std::array<std::uint64_t, kStageCount> values{};
+using StageSnapshots = std::array<HistogramSnapshot, kStageCount>;
+
+StageSnapshots StageHistograms(Pipeline pipeline) {
+  StageSnapshots snapshots;
   for (std::size_t s = 0; s < kStageCount; ++s) {
-    const std::string label =
-        "stage=\"" +
-        std::string(StageName(static_cast<telemetry::Stage>(s))) + "\"";
-    values[s] = CounterValue(family, label);
+    snapshots[s] =
+        telemetry::StageSecondsHistogram(pipeline, static_cast<Stage>(s))
+            .Snapshot();
   }
-  return values;
+  return snapshots;
+}
+
+/// Per stage, the histogram gained one observation per chunk that ran it
+/// and its _sum grew by the stats' seconds (to within double rounding).
+/// Under PRIMACY_TELEMETRY=OFF both stay zero.
+void ExpectStagesMatchRegistry(Pipeline pipeline, const StageSnapshots& before,
+                               const telemetry::StageBreakdown& stage,
+                               std::size_t chunks) {
+  EXPECT_EQ(stage.TotalNs() != 0, telemetry::kEnabled);
+  const StageSnapshots after = StageHistograms(pipeline);
+  for (std::size_t s = 0; s < kStageCount; ++s) {
+    const HistogramSnapshot delta = after[s].DeltaSince(before[s]);
+    const Stage id = static_cast<Stage>(s);
+    EXPECT_EQ(delta.count, stage[id] == 0 ? 0u : chunks) << StageName(id);
+    EXPECT_NEAR(delta.sum, stage.Seconds(id),
+                1e-9 * static_cast<double>(chunks))
+        << StageName(id);
+  }
 }
 
 std::vector<double> TestValues() {
@@ -47,7 +77,7 @@ PrimacyOptions SmallChunkOptions() {
 
 TEST(PipelineMetricsTest, EncodeStageStatsMatchRegistryExactly) {
   const std::vector<double> values = TestValues();
-  const auto before = StageCounters("primacy_encode_stage_ns_total");
+  const StageSnapshots before = StageHistograms(Pipeline::kEncode);
   const std::uint64_t chunks_before =
       CounterValue("primacy_encode_chunks_total");
   const std::uint64_t input_before =
@@ -56,19 +86,9 @@ TEST(PipelineMetricsTest, EncodeStageStatsMatchRegistryExactly) {
   PrimacyStats stats;
   PrimacyCompressor(SmallChunkOptions()).Compress(values, &stats);
 
-  const auto after = StageCounters("primacy_encode_stage_ns_total");
-  if (!telemetry::kEnabled) {
-    EXPECT_EQ(stats.stage.TotalNs(), 0u);
-    EXPECT_EQ(after, before);
-    return;
-  }
-  // Every lap the encoder charged to its stats was also published, and
-  // nothing else ran in between.
-  for (std::size_t s = 0; s < kStageCount; ++s) {
-    EXPECT_EQ(after[s] - before[s], stats.stage.ns[s])
-        << "stage " << StageName(static_cast<telemetry::Stage>(s));
-  }
-  EXPECT_GT(stats.stage.TotalNs(), 0u);
+  ExpectStagesMatchRegistry(Pipeline::kEncode, before, stats.stage,
+                            stats.chunks);
+  if (!telemetry::kEnabled) return;
   EXPECT_EQ(CounterValue("primacy_encode_chunks_total") - chunks_before,
             stats.chunks);
   EXPECT_EQ(CounterValue("primacy_encode_input_bytes_total") - input_before,
@@ -79,23 +99,76 @@ TEST(PipelineMetricsTest, DecodeStageStatsMatchRegistryExactly) {
   const std::vector<double> values = TestValues();
   const Bytes stream = PrimacyCompressor(SmallChunkOptions()).Compress(values);
 
-  const auto before = StageCounters("primacy_decode_stage_ns_total");
+  const StageSnapshots before = StageHistograms(Pipeline::kDecode);
   PrimacyDecodeStats stats;
   const std::vector<double> restored =
       PrimacyDecompressor(SmallChunkOptions()).Decompress(stream, &stats);
-  const auto after = StageCounters("primacy_decode_stage_ns_total");
 
   ASSERT_EQ(restored, values);
-  if (!telemetry::kEnabled) {
-    EXPECT_EQ(stats.stage.TotalNs(), 0u);
-    EXPECT_EQ(after, before);
-    return;
-  }
+  ExpectStagesMatchRegistry(Pipeline::kDecode, before, stats.stage,
+                            stats.chunks_decoded);
+}
+
+TEST(PipelineMetricsTest, DecodeChecksumTimeReachesTheHistogram) {
+  // Regression: checksum time used to miss the decode stage histogram.
+  const Bytes stream =
+      PrimacyCompressor(SmallChunkOptions()).Compress(TestValues());
+  const telemetry::Histogram& checksum =
+      telemetry::StageSecondsHistogram(Pipeline::kDecode, Stage::kChecksum);
+
+  const std::uint64_t count0 = checksum.Count();
+  PrimacyDecodeStats stats;
+  PrimacyDecompressor(SmallChunkOptions()).DecompressBytes(stream, &stats);
+  const std::uint64_t count1 = checksum.Count();
+  PrimacyStreamReader reader(stream);
+  Bytes out;
+  std::size_t reader_chunks = 0;
+  while (reader.NextChunk(out)) ++reader_chunks;
+
+  ASSERT_GT(stats.chunks_verified, 1u);
+  ASSERT_EQ(reader_chunks, stats.chunks_verified);
+  const std::uint64_t published = telemetry::kEnabled ? reader_chunks : 0;
+  EXPECT_EQ(count1 - count0, published);
+  EXPECT_EQ(checksum.Count() - count1, published);
+  EXPECT_EQ(reader.stage_breakdown()[Stage::kChecksum] != 0,
+            telemetry::kEnabled);
+}
+
+TEST(PipelineMetricsTest, TraceSpansEqualTheChunkStageLaps) {
+  RegisterBuiltinCodecs();
+  const auto solver = CreateCodec("deflate");
+  const std::vector<double> values = TestValues();
+  telemetry::ClearTraceBuffers();
+  telemetry::SetTracingEnabled(true);
+  Bytes record;
+  const ChunkRecordStats stats =
+      ChunkEncoder(SmallChunkOptions(), *solver)
+          .EncodeChunk(AsBytes(std::span<const double>(values).first(8192)),
+                       record);
+  telemetry::SetTracingEnabled(false);
+
+  // One child span per non-zero stage, lasting exactly its lap (encode laps
+  // run in Stage order), then the chunk span covering them all.
+  std::vector<std::string> expected_names;
+  std::vector<std::uint64_t> expected_ns;
   for (std::size_t s = 0; s < kStageCount; ++s) {
-    EXPECT_EQ(after[s] - before[s], stats.stage.ns[s])
-        << "stage " << StageName(static_cast<telemetry::Stage>(s));
+    if (stats.stage.ns[s] == 0) continue;
+    expected_names.push_back("primacy.stage." +
+                             std::string(StageName(static_cast<Stage>(s))));
+    expected_ns.push_back(stats.stage.ns[s]);
   }
-  EXPECT_GT(stats.stage.TotalNs(), 0u);
+  if (telemetry::kEnabled) {
+    expected_names.emplace_back("primacy.encode_chunk");
+    expected_ns.push_back(stats.stage.TotalNs());
+  }
+  std::vector<std::string> names;
+  std::vector<std::uint64_t> durations;
+  for (const telemetry::TraceEvent& e : telemetry::SnapshotTraceEvents()) {
+    names.emplace_back(e.name);
+    durations.push_back(e.dur_ns);
+  }
+  EXPECT_EQ(names, expected_names);
+  EXPECT_EQ(durations, expected_ns);
 }
 
 TEST(PipelineMetricsTest, SerialAndParallelDecodeIdenticalStatsAndMetrics) {

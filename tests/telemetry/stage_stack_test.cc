@@ -1,6 +1,7 @@
-// Per-thread live stage stacks (the sampling profiler's data source):
-// scopes push/pop/switch, samples see the innermost frame, disabled
-// sampling records nothing, and deep nesting clamps instead of corrupting.
+// Per-thread live stage stacks (the sampling profiler's data source), as
+// StageTimer maintains them: timers push/pop, Lap retargets, samples see
+// the innermost frame, disabled sampling records nothing, and deep nesting
+// clamps instead of corrupting.
 #include "telemetry/stage_stack.h"
 
 #include <gtest/gtest.h>
@@ -17,8 +18,9 @@ namespace {
 TEST(StageStackTest, StubsRecordNothing) {
   SetStageSamplingEnabled(true);
   EXPECT_FALSE(StageSamplingEnabled());
-  StageScope scope(Stage::kSolver);
-  scope.Switch(Stage::kMerge);
+  StageTimer timer(Pipeline::kDecode, Stage::kSolver, "stub.timer");
+  timer.Lap(Stage::kMerge);
+  EXPECT_EQ(timer.Commit().TotalNs(), 0u);
   EXPECT_TRUE(SampleStageStacks().empty());
 }
 
@@ -29,9 +31,9 @@ class StageStackTest : public ::testing::Test {
   void SetUp() override { SetStageSamplingEnabled(true); }
   void TearDown() override { SetStageSamplingEnabled(false); }
 
-  /// This thread's sample, or nullopt if its stack is empty. Other test
-  /// threads in the binary never hold live scopes, so at most one sample
-  /// belongs to us; filtering by depth keeps the lookup robust anyway.
+  /// Live samples. Other test threads in the binary never hold live
+  /// timers, so at most one sample belongs to us; filtering by depth keeps
+  /// the lookup robust anyway.
   static std::vector<StageStackSample> LiveSamples() {
     std::vector<StageStackSample> live;
     for (const StageStackSample& sample : SampleStageStacks()) {
@@ -41,16 +43,22 @@ class StageStackTest : public ::testing::Test {
   }
 };
 
+/// A timer for stack tests; never committed, so it publishes nothing.
+StageTimer Timer(Stage first) {
+  return StageTimer(Pipeline::kEncode, first, "stage_stack_test.timer");
+}
+
 TEST_F(StageStackTest, DisabledSamplingRecordsNothing) {
   SetStageSamplingEnabled(false);
-  StageScope scope(Stage::kSolver);
+  StageTimer timer = Timer(Stage::kSolver);
+  timer.Lap(Stage::kMerge);
   EXPECT_TRUE(LiveSamples().empty());
 }
 
 TEST_F(StageStackTest, ScopePushesAndPops) {
   EXPECT_TRUE(LiveSamples().empty());
   {
-    StageScope scope(Stage::kIdMap);
+    StageTimer timer = Timer(Stage::kIdMap);
     const std::vector<StageStackSample> live = LiveSamples();
     ASSERT_EQ(live.size(), 1u);
     EXPECT_EQ(live[0].depth, 1u);
@@ -60,8 +68,8 @@ TEST_F(StageStackTest, ScopePushesAndPops) {
 }
 
 TEST_F(StageStackTest, ScopesNestBottomFirst) {
-  StageScope outer(Stage::kSplit);
-  StageScope inner(Stage::kSolver);
+  StageTimer outer = Timer(Stage::kSplit);
+  StageTimer inner = Timer(Stage::kSolver);
   const std::vector<StageStackSample> live = LiveSamples();
   ASSERT_EQ(live.size(), 1u);
   ASSERT_EQ(live[0].depth, 2u);
@@ -71,36 +79,44 @@ TEST_F(StageStackTest, ScopesNestBottomFirst) {
 }
 
 TEST_F(StageStackTest, SwitchRetargetsInnermostFrame) {
-  StageScope outer(Stage::kSplit);
-  StageScope inner(Stage::kFrequency);
-  inner.Switch(Stage::kIsobar);
-  const std::vector<StageStackSample> live = LiveSamples();
+  StageTimer outer = Timer(Stage::kSplit);
+  StageTimer inner = Timer(Stage::kFrequency);
+  inner.Lap(Stage::kIsobar);
+  std::vector<StageStackSample> live = LiveSamples();
   ASSERT_EQ(live.size(), 1u);
   EXPECT_EQ(live[0].frames[0], Stage::kSplit);  // outer frame untouched
+  EXPECT_EQ(live[0].Top(), Stage::kIsobar);
+  // Each timer retargets its own frame, even under a live inner timer.
+  outer.Lap(Stage::kMerge);
+  live = LiveSamples();
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0].frames[0], Stage::kMerge);
   EXPECT_EQ(live[0].Top(), Stage::kIsobar);
 }
 
 TEST_F(StageStackTest, DeepNestingClampsToRecordedDepth) {
-  // kStageStackDepth + 2 nested scopes: the overflow frames are not
-  // recorded, and unwinding restores a consistent stack.
+  // kStageStackDepth + 2 nested timers: the overflow frames are not
+  // recorded (nor retargeted by Lap), and unwinding restores a consistent
+  // stack.
   {
-    StageScope s0(Stage::kSplit);
-    StageScope s1(Stage::kFrequency);
-    StageScope s2(Stage::kIdMap);
-    StageScope s3(Stage::kSolver);
-    StageScope s4(Stage::kIsobar);
-    StageScope s5(Stage::kChecksum);
-    StageScope s6(Stage::kMerge);
-    StageScope s7(Stage::kSerialize);
-    StageScope s8(Stage::kSolver);  // beyond the recorded window
-    StageScope s9(Stage::kMerge);
+    StageTimer s0 = Timer(Stage::kSplit);
+    StageTimer s1 = Timer(Stage::kFrequency);
+    StageTimer s2 = Timer(Stage::kIdMap);
+    StageTimer s3 = Timer(Stage::kSolver);
+    StageTimer s4 = Timer(Stage::kIsobar);
+    StageTimer s5 = Timer(Stage::kChecksum);
+    StageTimer s6 = Timer(Stage::kMerge);
+    StageTimer s7 = Timer(Stage::kSerialize);
+    StageTimer s8 = Timer(Stage::kSolver);  // beyond the recorded window
+    StageTimer s9 = Timer(Stage::kMerge);
+    s9.Lap(Stage::kIdMap);
     const std::vector<StageStackSample> live = LiveSamples();
     ASSERT_EQ(live.size(), 1u);
     EXPECT_EQ(live[0].depth, kStageStackDepth);
     EXPECT_EQ(live[0].Top(), Stage::kSerialize);
   }
   {
-    StageScope again(Stage::kFrequency);
+    StageTimer again = Timer(Stage::kFrequency);
     const std::vector<StageStackSample> live = LiveSamples();
     ASSERT_EQ(live.size(), 1u);
     EXPECT_EQ(live[0].depth, 1u);
@@ -109,13 +125,13 @@ TEST_F(StageStackTest, DeepNestingClampsToRecordedDepth) {
 }
 
 TEST_F(StageStackTest, SamplesSeeOtherThreadsWithDistinctTids) {
-  StageScope mine(Stage::kSplit);
+  StageTimer mine = Timer(Stage::kSplit);
   std::mutex mu;
   std::condition_variable cv;
   bool scoped = false;
   bool done = false;
   std::thread worker([&] {
-    StageScope theirs(Stage::kSolver);
+    StageTimer theirs = Timer(Stage::kSolver);
     std::unique_lock<std::mutex> lock(mu);
     scoped = true;
     cv.notify_all();
