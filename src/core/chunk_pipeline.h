@@ -39,8 +39,8 @@ struct ChunkRecordStats {
 /// Folds one chunk's accounting into per-stream totals. The per-chunk mean
 /// fields (top-byte frequencies, compressible fraction) are accumulated as
 /// running sums; call FinalizeChunkStatMeans once after the last chunk to
-/// divide them through. Shared by the one-shot compressor, the streaming
-/// writer, and the in-situ driver.
+/// divide them through. Shared by the one-shot compressor and the streaming
+/// writer.
 void AccumulateChunkStats(PrimacyStats& totals, const ChunkRecordStats& chunk);
 void FinalizeChunkStatMeans(PrimacyStats& totals);
 

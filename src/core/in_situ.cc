@@ -16,26 +16,12 @@ namespace {
 std::uint64_t ShardElements(ByteSpan shard) {
   ByteReader reader(shard);
   const internal::StreamHeader header = internal::ReadStreamHeader(reader);
-  if (header.total_bytes == ~std::uint64_t{0}) {
+  if (header.total_bytes == kStreamingTotal) {
     throw InvalidArgumentError(
         "InSituDecompressRange: streamed shard has no element count");
   }
-  if (header.width != 8) {
-    throw InvalidArgumentError("InSituDecompressRange: shard is not doubles");
-  }
+  CheckElementWidth(sizeof(double), header.width);
   return header.total_bytes / header.width;
-}
-
-void Accumulate(PrimacyDecodeStats& totals, const PrimacyDecodeStats& s) {
-  totals.chunks_decoded += s.chunks_decoded;
-  totals.index_loads += s.index_loads;
-  totals.output_bytes += s.output_bytes;
-  totals.used_directory = totals.used_directory || s.used_directory;
-  totals.chunks_verified += s.chunks_verified;
-  totals.cache_hits += s.cache_hits;
-  totals.cache_misses += s.cache_misses;
-  totals.prefetch_issued += s.prefetch_issued;
-  totals.stage.Accumulate(s.stage);
 }
 
 }  // namespace
@@ -122,7 +108,7 @@ InSituDecodeResult InSituDecompressWithStats(const std::vector<Bytes>& shards,
   for (const auto& piece : pieces) {
     result.values.insert(result.values.end(), piece.begin(), piece.end());
   }
-  for (const PrimacyDecodeStats& s : stats) Accumulate(result.totals, s);
+  for (const PrimacyDecodeStats& s : stats) result.totals.Accumulate(s);
   return result;
 }
 
@@ -185,7 +171,7 @@ InSituDecodeResult InSituDecompressRange(const std::vector<Bytes>& shards,
                   result.values.begin() +
                       static_cast<std::ptrdiff_t>(range.result_offset));
       });
-  for (const PrimacyDecodeStats& s : stats) Accumulate(result.totals, s);
+  for (const PrimacyDecodeStats& s : stats) result.totals.Accumulate(s);
   return result;
 }
 

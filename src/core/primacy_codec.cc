@@ -27,111 +27,23 @@ std::size_t EffectiveSlots(std::size_t threads_option) {
                              : threads_option;
 }
 
-/// Per-chunk element offsets within the decoded output; validates the
-/// directory's element total against the header.
-std::vector<std::uint64_t> ElementStarts(
-    const internal::ChunkDirectory& directory, std::uint64_t total_elements) {
-  std::vector<std::uint64_t> starts(directory.chunks.size());
-  std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < directory.chunks.size(); ++i) {
-    starts[i] = sum;
-    // Overflow-safe running total: a tampered entry may not push the sum
-    // past the header's element count (the wrapped sum could otherwise land
-    // back on the expected total and drive out-of-bounds output slices).
-    if (directory.chunks[i].elements > total_elements - sum) {
-      throw CorruptStreamError("primacy: directory element total mismatch");
-    }
-    sum += directory.chunks[i].elements;
-  }
-  if (sum != total_elements) {
-    throw CorruptStreamError("primacy: directory element total mismatch");
-  }
-  return starts;
-}
-
-/// Re-throws a chunk-local decode failure as CorruptStreamError carrying
-/// the chunk index and record byte offset — the context a restart tool
-/// needs to localize damage in a checkpoint.
-[[noreturn]] void ThrowChunkError(std::size_t chunk, std::uint64_t offset,
-                                  const std::string& what) {
-  throw CorruptStreamError("primacy: chunk " + std::to_string(chunk) +
-                           " (record at byte " + std::to_string(offset) +
-                           "): " + what);
-}
-
-/// Verifies chunk `c`'s record bytes against its directory checksum (v3
-/// streams with verification enabled).
-void VerifyChunkChecksum(ByteSpan record,
-                         const internal::ChunkDirectory& directory,
-                         std::size_t c, bool verify) {
-  if (!verify || !directory.has_checksums) return;
-  if (Xxh64(record) != directory.chunks[c].checksum) {
-    ThrowChunkError(c, directory.chunks[c].offset, "checksum mismatch");
-  }
-}
-
-/// View of chunk `c`'s record bytes, bounded by the next record (or the
-/// tail block).
-ByteSpan RecordSpan(ByteSpan stream, const internal::ChunkDirectory& directory,
-                    std::size_t c) {
-  const std::uint64_t begin = directory.chunks[c].offset;
-  const std::uint64_t end = c + 1 < directory.chunks.size()
-                                ? directory.chunks[c + 1].offset
-                                : directory.tail_offset;
-  return stream.subspan(static_cast<std::size_t>(begin),
-                        static_cast<std::size_t>(end - begin));
-}
-
-/// Decodes chunk `c` through `decoder` into `out` (exactly the chunk's
-/// extent), cross-checking the record's element count against the directory
-/// and (v3 + verify) the record bytes against their checksum first. Any
-/// decode failure is rethrown with the chunk index and byte offset.
-/// Returns true when the record checksum was verified.
-bool DecodeDirectoryChunk(ByteSpan stream,
-                          const internal::ChunkDirectory& directory,
-                          std::size_t c, ChunkDecoder& decoder,
-                          MutableByteSpan out, bool verify) {
-  const ByteSpan record = RecordSpan(stream, directory, c);
-  const bool verified = verify && directory.has_checksums;
-  if (verified && !decoder.VerifyRecord(record, directory.chunks[c].checksum)) {
-    ThrowChunkError(c, directory.chunks[c].offset, "checksum mismatch");
-  }
-  try {
-    ByteReader reader(record);
-    const std::uint64_t count = reader.GetVarint();
-    if (count != directory.chunks[c].elements) {
-      throw CorruptStreamError("primacy: directory element count mismatch");
-    }
-    decoder.DecodeChunkInto(reader, count, out);
-  } catch (const InternalError&) {
-    throw;  // library invariant failure, not stream damage — keep the type
-  } catch (const Error& e) {
-    ThrowChunkError(c, directory.chunks[c].offset, e.what());
-  }
-  return verified;
-}
-
 /// Reads only the index block of chunk `c`'s record (for range-read index
 /// chain resolution), validating the flag against the directory and (v3 +
 /// verify) the record checksum.
-ByteSpan ReadIndexBlock(ByteSpan stream,
-                        const internal::ChunkDirectory& directory,
-                        std::size_t c, bool verify) {
-  const ByteSpan record = RecordSpan(stream, directory, c);
-  VerifyChunkChecksum(record, directory, c, verify);
-  try {
+ByteSpan ReadIndexBlock(const internal::OpenedStream& opened, std::size_t c) {
+  const internal::ChunkDirectoryEntry& entry = opened.directory->chunks[c];
+  const ByteSpan record = opened.Record(c);
+  if (opened.verify_records && Xxh64(record) != entry.checksum) {
+    internal::ThrowChunkError(c, entry.offset, "checksum mismatch");
+  }
+  return internal::WithChunkContext(c, entry.offset, [&] {
     ByteReader reader(record);
     reader.GetVarint();  // element count
-    const std::uint8_t flag = reader.GetU8();
-    if (flag != directory.chunks[c].index_flag) {
+    if (reader.GetU8() != entry.index_flag) {
       throw CorruptStreamError("primacy: directory index flag mismatch");
     }
     return reader.GetBlock();
-  } catch (const InternalError&) {
-    throw;
-  } catch (const Error& e) {
-    ThrowChunkError(c, directory.chunks[c].offset, e.what());
-  }
+  });
 }
 
 /// Content-derived 64-bit identity of a seekable stream: the stream half of
@@ -142,16 +54,15 @@ ByteSpan ReadIndexBlock(ByteSpan stream,
 /// sample of each record's bytes is mixed in as well. Streams with equal
 /// content hash equal (correct: their decoded chunks are identical);
 /// distinct streams colliding requires a 64-bit XXH64 collision.
-std::uint64_t StreamCacheIdentity(ByteSpan stream,
-                                  const internal::ChunkDirectory& directory,
-                                  std::size_t chunks_begin) {
+std::uint64_t StreamCacheIdentity(const internal::OpenedStream& opened) {
+  const internal::ChunkDirectory& directory = *opened.directory;
   Xxh64State state;
-  state.Update(stream.first(chunks_begin));
-  state.Update(
-      stream.subspan(static_cast<std::size_t>(directory.directory_offset)));
+  state.Update(opened.stream.first(opened.chunks_begin));
+  state.Update(opened.stream.subspan(
+      static_cast<std::size_t>(directory.directory_offset)));
   if (!directory.has_checksums) {
     for (std::size_t c = 0; c < directory.chunks.size(); ++c) {
-      const ByteSpan record = RecordSpan(stream, directory, c);
+      const ByteSpan record = opened.Record(c);
       const std::size_t sample = std::min<std::size_t>(record.size(), 16);
       state.Update(record.first(sample));
       state.Update(record.last(sample));
@@ -166,24 +77,22 @@ std::uint64_t StreamCacheIdentity(ByteSpan stream,
 /// index, then replay the delta extensions up to (but not including) `c`.
 /// Only index blocks are read (counted in accounting.index_loads); no chunk
 /// payload is decoded.
-void PrimeDecoderIndex(ByteSpan stream,
-                       const internal::ChunkDirectory& directory,
-                       std::size_t c, ChunkDecoder& decoder, bool verify,
-                       PrimacyDecodeStats& accounting) {
-  if (directory.chunks[c].index_flag == 1) return;
+void PrimeDecoderIndex(const internal::OpenedStream& opened, std::size_t c,
+                       ChunkDecoder& decoder, PrimacyDecodeStats& accounting) {
+  const auto& chunks = opened.directory->chunks;
+  if (chunks[c].index_flag == 1) return;
   std::size_t base = c;
-  while (base > 0 && directory.chunks[base].index_flag != 1) --base;
-  if (directory.chunks[base].index_flag != 1) {
-    ThrowChunkError(c, directory.chunks[c].offset,
-                    "no full index precedes chunk");
+  while (base > 0 && chunks[base].index_flag != 1) --base;
+  if (chunks[base].index_flag != 1) {
+    internal::ThrowChunkError(c, chunks[c].offset,
+                              "no full index precedes chunk");
   }
-  IdIndex index =
-      DeserializeIndex(ReadIndexBlock(stream, directory, base, verify));
+  IdIndex index = DeserializeIndex(ReadIndexBlock(opened, base));
   ++accounting.index_loads;
   for (std::size_t i = base + 1; i < c; ++i) {
-    if (directory.chunks[i].index_flag == 2) {
-      index = index.Extended(DeserializeSequenceList(
-          ReadIndexBlock(stream, directory, i, verify)));
+    if (chunks[i].index_flag == 2) {
+      index =
+          index.Extended(DeserializeSequenceList(ReadIndexBlock(opened, i)));
       ++accounting.index_loads;
     }
   }
@@ -197,8 +106,8 @@ constexpr std::size_t kNoIndexState = static_cast<std::size_t>(-1);
 /// Decodes directory chunks through the decoded-block cache: a hit is a
 /// memcpy of the cached bytes, a miss decodes and inserts the result. With
 /// a null cache this degenerates to exactly the uncached sequential decode
-/// (every chunk a plain DecodeDirectoryChunk, no lookups, no priming beyond
-/// what the caller's first chunk needs).
+/// (every chunk a plain DecodeChunkRecord, no lookups, no priming beyond
+/// what the first chunk needs).
 ///
 /// The subtlety is IndexMode::kReuseWhenCorrelated: skipping a chunk whose
 /// record would have (re)built the decoder's index (flag 1 or 2) leaves the
@@ -206,27 +115,26 @@ constexpr std::size_t kNoIndexState = static_cast<std::size_t>(-1);
 /// which chunk the state is currently valid for; a miss on a reuse/delta
 /// chunk whose state is stale re-primes via PrimeDecoderIndex first.
 struct CachedChunkReader {
-  ByteSpan stream;
-  const internal::ChunkDirectory& directory;
+  const internal::OpenedStream& opened;
   DecodedBlockCache* cache;  // null = uncached
   std::uint64_t stream_id;
-  bool verify;
-  std::size_t state_for;  // chunk the decoder's index state decodes
+  std::size_t state_for = kNoIndexState;  // chunk the index state decodes
 
   /// Decodes chunk `c` into `out`, which must be exactly the chunk's
-  /// decoded extent. Returns true when the record checksum was verified
-  /// (always false for a cache hit — the bytes never re-enter the decoder).
-  bool DecodeChunk(std::size_t c, ChunkDecoder& decoder, MutableByteSpan out,
+  /// decoded extent. A cache hit never re-enters the decoder, so it is
+  /// neither decoded nor verified.
+  void DecodeChunk(std::size_t c, ChunkDecoder& decoder, MutableByteSpan out,
                    PrimacyDecodeStats& accounting) {
+    const internal::ChunkDirectoryEntry& entry = opened.directory->chunks[c];
     if (cache != nullptr) {
       if (DecodedBlockCache::Handle handle = cache->Lookup(stream_id, c)) {
         if (handle.data().size() != out.size()) {
-          ThrowChunkError(c, directory.chunks[c].offset,
-                          "cached chunk size mismatch");
+          internal::ThrowChunkError(c, entry.offset,
+                                    "cached chunk size mismatch");
         }
         std::memcpy(out.data(), handle.data().data(), out.size());
         ++accounting.cache_hits;
-        if (directory.chunks[c].index_flag == 0) {
+        if (entry.index_flag == 0) {
           // A reuse chunk leaves the index untouched: state valid for c is
           // equally valid for c + 1. Full/delta chunks rebuild state their
           // record carries — skipping them leaves the decoder stale.
@@ -234,59 +142,52 @@ struct CachedChunkReader {
         } else {
           state_for = kNoIndexState;
         }
-        return false;
+        return;
       }
       ++accounting.cache_misses;
     }
-    if (directory.chunks[c].index_flag != 1 && state_for != c) {
-      PrimeDecoderIndex(stream, directory, c, decoder, verify, accounting);
+    if (entry.index_flag != 1 && state_for != c) {
+      PrimeDecoderIndex(opened, c, decoder, accounting);
     }
-    const bool verified =
-        DecodeDirectoryChunk(stream, directory, c, decoder, out, verify);
+    accounting.chunks_verified += internal::DecodeChunkRecord(
+        decoder, opened.Record(c), c, entry, opened.verify_records, out);
     state_for = c + 1;
     ++accounting.chunks_decoded;
     if (cache != nullptr) cache->Insert(stream_id, c, ToBytes(ByteSpan(out)));
-    return verified;
   }
 };
 
-/// Best-effort adjacent-chunk prefetch after a range read: decodes up to
-/// `prefetch_chunks` chunks past `clast` on the shared pool and inserts
-/// them into `cache`, so a sequential scan's next range call finds them
-/// warm. Only full-index chunks qualify (reuse/delta chunks would need the
-/// caller's chain state), already-resident chunks are skipped, and each
-/// task owns a copy of its record bytes — the caller's stream span may
-/// dangle once the range call returns. Failures (corrupt record, solver
-/// error) are swallowed: the chunk just stays cold, and the demand path
-/// re-verifies and reports there.
-void PrefetchAdjacentChunks(ByteSpan stream,
-                            const internal::ChunkDirectory& directory,
-                            const internal::StreamHeader& header,
+/// Best-effort adjacent-chunk prefetch after the last covered chunk
+/// `clast`: decodes up to `prefetch_chunks` chunks past it on the shared
+/// pool and inserts them into `cache`, so a sequential scan's next range
+/// call finds them warm. Only full-index chunks qualify (reuse/delta chunks
+/// would need the caller's chain state), already-resident chunks are
+/// skipped, and each task owns a copy of its record bytes — the caller's
+/// stream span may dangle once the call returns. Failures (corrupt record,
+/// solver error) are swallowed: the chunk just stays cold, and the demand
+/// path re-verifies and reports there.
+void PrefetchAdjacentChunks(const internal::OpenedStream& opened,
                             const std::shared_ptr<DecodedBlockCache>& cache,
                             std::uint64_t stream_id, std::size_t clast,
-                            std::size_t prefetch_chunks, bool verify,
+                            std::size_t prefetch_chunks,
                             PrimacyDecodeStats& accounting) {
-  const std::size_t after = directory.chunks.size() - clast - 1;
+  const auto& chunks = opened.directory->chunks;
+  const std::size_t after = chunks.size() - clast - 1;
   const std::size_t limit = clast + 1 + std::min(prefetch_chunks, after);
   for (std::size_t c = clast + 1; c < limit; ++c) {
-    if (directory.chunks[c].index_flag != 1) continue;
+    if (chunks[c].index_flag != 1) continue;
     if (cache->Contains(stream_id, c)) continue;
-    Bytes record = ToBytes(RecordSpan(stream, directory, c));
     SharedThreadPool().Submit(
-        [record = std::move(record), cache, stream_id, c,
-         solver_name = header.solver_name,
-         linearization = header.linearization, width = header.width,
-         elements = directory.chunks[c].elements,
-         checksum = directory.chunks[c].checksum, verify] {
+        [record = ToBytes(opened.Record(c)), cache, stream_id, c,
+         entry = chunks[c], solver_name = opened.header.solver_name,
+         linearization = opened.header.linearization,
+         width = opened.header.width, verify = opened.verify_records] {
           try {
-            if (verify && Xxh64(record) != checksum) return;
             const auto solver = CreateCodec(solver_name);
             ChunkDecoder decoder(*solver, linearization, width);
-            ByteReader reader(record);
-            const std::uint64_t n = reader.GetVarint();
-            if (n != elements) return;
-            Bytes decoded(static_cast<std::size_t>(n * width));
-            decoder.DecodeChunkInto(reader, n, decoded);
+            Bytes decoded(static_cast<std::size_t>(entry.elements * width));
+            internal::DecodeChunkRecord(decoder, record, c, entry, verify,
+                                        decoded);
             cache->Insert(stream_id, c, std::move(decoded));
           } catch (...) {
             // Best effort by contract; the demand path surfaces errors.
@@ -302,33 +203,16 @@ void PrefetchAdjacentChunks(ByteSpan stream,
   }
 }
 
-/// The tail block of a v2 stream (bytes beyond a whole number of elements),
-/// which sits between the last chunk record and the directory.
-ByteSpan ReadV2Tail(ByteSpan stream, const internal::ChunkDirectory& directory,
-                    std::uint64_t expected_element_bytes,
-                    std::uint64_t total_bytes) {
-  ByteReader reader(stream.subspan(
-      static_cast<std::size_t>(directory.tail_offset),
-      static_cast<std::size_t>(directory.directory_offset -
-                               directory.tail_offset)));
-  const ByteSpan tail = reader.GetBlock();
-  if (!reader.AtEnd()) {
-    throw CorruptStreamError("primacy: bytes between tail and directory");
-  }
-  if (expected_element_bytes + tail.size() != total_bytes) {
-    throw CorruptStreamError("primacy: tail size mismatch");
-  }
-  return tail;
-}
-
-/// Maximal runs of chunks starting at a full index: within a group chunks
-/// depend on the running index state (flags 0/2); across groups they are
-/// independent, which is the unit of parallel decode. Under kPerChunk every
-/// chunk is flag 1 and thus its own group.
+/// Maximal runs of chunks in [cfirst, clast] starting at a full index (or
+/// at cfirst): within a group chunks depend on the running index state
+/// (flags 0/2); across groups they are independent, which is the unit of
+/// parallel decode. Under kPerChunk every chunk is flag 1 and thus its own
+/// group.
 std::vector<std::pair<std::size_t, std::size_t>> IndexGroups(
-    const internal::ChunkDirectory& directory) {
+    const internal::ChunkDirectory& directory, std::size_t cfirst,
+    std::size_t clast) {
   std::vector<std::pair<std::size_t, std::size_t>> groups;
-  for (std::size_t c = 0; c < directory.chunks.size(); ++c) {
+  for (std::size_t c = cfirst; c <= clast; ++c) {
     if (directory.chunks[c].index_flag == 1 || groups.empty()) {
       groups.emplace_back(c, 1);
     } else {
@@ -338,78 +222,80 @@ std::vector<std::pair<std::size_t, std::size_t>> IndexGroups(
   return groups;
 }
 
-/// Directory-driven decode of a v2/v3 stream body (everything but the
-/// header). For v3 with verification on, the header/tail checksum is
-/// checked up front and every chunk record against its directory checksum
-/// before decoding.
-Bytes DecodeSeekable(ByteSpan stream, const internal::StreamHeader& header,
-                     std::size_t chunks_begin, const PrimacyOptions& options,
-                     DecodedBlockCache* cache,
-                     PrimacyDecodeStats& accounting) {
-  const std::size_t threads_option = options.threads;
-  const internal::ChunkDirectory directory =
-      internal::ReadChunkDirectory(stream, chunks_begin, header.version);
+/// The one directory decoder, behind full decodes and range reads alike:
+/// decodes elements [first, first + count) of a v2/v3 stream into `out`
+/// (exactly count elements). Only the covering chunks are decoded, as index
+/// groups — in parallel when `options.threads` allows, with one solver and
+/// one decoder per slot. Chunks wholly inside the range decode straight
+/// into `out`; a range read's partial edge chunks go through a scratch
+/// buffer. Prefetch (cache configured) runs after the last covered chunk.
+void DecodeElements(const internal::OpenedStream& opened, std::uint64_t first,
+                    std::uint64_t count, const PrimacyOptions& options,
+                    const std::shared_ptr<DecodedBlockCache>& cache,
+                    MutableByteSpan out, PrimacyDecodeStats& accounting) {
   accounting.used_directory = true;
-  const bool verify = options.verify_checksums && directory.has_checksums;
-  if (verify &&
-      internal::ComputeHeaderTailChecksum(stream, directory, chunks_begin) !=
-          directory.header_tail_checksum) {
-    throw CorruptStreamError("primacy: header/tail checksum mismatch");
-  }
-  const std::uint64_t total_elements = header.total_bytes / header.width;
-  const std::vector<std::uint64_t> starts =
-      ElementStarts(directory, total_elements);
-  const std::uint64_t element_bytes = total_elements * header.width;
-  const ByteSpan tail =
-      ReadV2Tail(stream, directory, element_bytes, header.total_bytes);
+  if (count == 0) return;
+  const internal::StreamHeader& header = opened.header;
+  const auto& chunks = opened.directory->chunks;
+  const std::vector<std::uint64_t>& starts = opened.starts;
+  const std::uint64_t width = header.width;
+  const auto chunk_of = [&](std::uint64_t element) {
+    return static_cast<std::size_t>(
+        std::upper_bound(starts.begin(), starts.end(), element) -
+        starts.begin() - 1);
+  };
+  const std::size_t clast = chunk_of(first + count - 1);
+  const auto groups = IndexGroups(*opened.directory, chunk_of(first), clast);
   const std::uint64_t stream_id =
-      cache != nullptr ? StreamCacheIdentity(stream, directory, chunks_begin)
-                       : 0;
+      cache != nullptr ? StreamCacheIdentity(opened) : 0;
 
-  Bytes out(static_cast<std::size_t>(header.total_bytes));
-  const auto groups = IndexGroups(directory);
-  // Per-group accounting (chunks decoded/verified, cache hits/misses),
-  // folded in after the (possibly parallel) decode — workers never touch
-  // shared counters.
+  // Per-group accounting (chunks decoded/verified, cache hits/misses, index
+  // loads), folded in after the (possibly parallel) decode — workers never
+  // touch shared counters.
   std::vector<PrimacyDecodeStats> per_group(groups.size());
-  const auto decode_group = [&](ChunkDecoder& decoder, std::size_t g) {
-    const auto [first, n] = groups[g];
-    // state_for starts at the group's first chunk: groups begin at a full
-    // index (or chunk 0), so the decoder needs no priming there, and a
-    // corrupt flag-0 chunk 0 must fail in the decoder as it always has.
-    CachedChunkReader chunks{stream, directory, cache,
-                             stream_id, verify, first};
-    for (std::size_t c = first; c < first + n; ++c) {
-      per_group[g].chunks_verified += chunks.DecodeChunk(
-          c, decoder,
-          MutableByteSpan(out).subspan(
-              static_cast<std::size_t>(starts[c] * header.width),
-              static_cast<std::size_t>(directory.chunks[c].elements *
-                                       header.width)),
-          per_group[g]);
+  const auto decode_group = [&](ChunkDecoder& decoder, Bytes& scratch,
+                                std::size_t g) {
+    const auto [begin, n] = groups[g];
+    CachedChunkReader reader{opened, cache.get(), stream_id};
+    for (std::size_t c = begin; c < begin + n; ++c) {
+      const std::uint64_t chunk_first = starts[c];
+      const std::uint64_t lo = std::max(chunk_first, first);
+      const std::uint64_t hi =
+          std::min(chunk_first + chunks[c].elements, first + count);
+      const MutableByteSpan dest =
+          out.subspan(static_cast<std::size_t>((lo - first) * width),
+                      static_cast<std::size_t>((hi - lo) * width));
+      if (hi - lo == chunks[c].elements) {
+        reader.DecodeChunk(c, decoder, dest, per_group[g]);
+        continue;
+      }
+      scratch.resize(static_cast<std::size_t>(chunks[c].elements * width));
+      reader.DecodeChunk(c, decoder, scratch, per_group[g]);
+      std::memcpy(dest.data(),
+                  scratch.data() + (lo - chunk_first) * width, dest.size());
     }
   };
 
   const std::size_t slots =
-      std::min(EffectiveSlots(threads_option), std::max<std::size_t>(
-                                                   groups.size(), 1));
-  if (slots > 1 && groups.size() > 1) {
-    // One solver + decoder per slot, reused across that slot's groups
-    // instead of constructed per chunk. Slots never run two groups at once,
-    // so the per-slot state needs no locking.
+      std::min(EffectiveSlots(options.threads), groups.size());
+  if (slots > 1) {
+    // One solver + decoder (+ edge-chunk scratch) per slot, reused across
+    // that slot's groups instead of constructed per chunk. Slots never run
+    // two groups at once, so the per-slot state needs no locking.
     struct Slot {
       std::unique_ptr<const Codec> solver;
       std::optional<ChunkDecoder> decoder;
+      Bytes scratch;
     };
     std::vector<Slot> slot_state(slots);
     SharedThreadPool().ParallelForSlots(
-        groups.size(), threads_option, [&](std::size_t slot, std::size_t g) {
+        groups.size(), options.threads, [&](std::size_t slot, std::size_t g) {
           Slot& s = slot_state[slot];
           if (!s.decoder) {
             s.solver = CreateCodec(header.solver_name);
             s.decoder.emplace(*s.solver, header.linearization, header.width);
           }
-          decode_group(*s.decoder, g);
+          decode_group(*s.decoder, s.scratch, g);
         });
     accounting.threads_used = slots;
     // Stage times fold after the barrier — workers never share counters.
@@ -419,24 +305,41 @@ Bytes DecodeSeekable(ByteSpan stream, const internal::StreamHeader& header,
   } else {
     const auto solver = CreateCodec(header.solver_name);
     ChunkDecoder decoder(*solver, header.linearization, header.width);
-    for (std::size_t g = 0; g < groups.size(); ++g) decode_group(decoder, g);
+    Bytes scratch;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      decode_group(decoder, scratch, g);
+    }
     accounting.stage.Accumulate(decoder.stage_breakdown());
   }
-  for (const PrimacyDecodeStats& g : per_group) {
-    accounting.chunks_decoded += g.chunks_decoded;
-    accounting.chunks_verified += g.chunks_verified;
-    accounting.cache_hits += g.cache_hits;
-    accounting.cache_misses += g.cache_misses;
-    accounting.index_loads += g.index_loads;
+  for (const PrimacyDecodeStats& g : per_group) accounting.Accumulate(g);
+  if (cache != nullptr && options.cache.prefetch_chunks > 0) {
+    PrefetchAdjacentChunks(opened, cache, stream_id, clast,
+                           options.cache.prefetch_chunks, accounting);
   }
-
-  if (!tail.empty()) {
-    std::memcpy(out.data() + element_bytes, tail.data(), tail.size());
-  }
-  return out;
 }
 
 }  // namespace
+
+void CheckElementWidth(std::size_t element_size, std::size_t width) {
+  if (element_size != width) {
+    throw InvalidArgumentError(
+        "primacy: element type is " + std::to_string(element_size) +
+        " bytes wide, but the stream or options hold " +
+        std::to_string(width) + "-byte elements");
+  }
+}
+
+void PrimacyDecodeStats::Accumulate(const PrimacyDecodeStats& other) {
+  chunks_decoded += other.chunks_decoded;
+  index_loads += other.index_loads;
+  output_bytes += other.output_bytes;
+  used_directory = used_directory || other.used_directory;
+  chunks_verified += other.chunks_verified;
+  cache_hits += other.cache_hits;
+  cache_misses += other.cache_misses;
+  prefetch_issued += other.prefetch_issued;
+  stage.Accumulate(other.stage);
+}
 
 PrimacyCompressor::PrimacyCompressor(PrimacyOptions options)
     : options_(std::move(options)),
@@ -446,37 +349,8 @@ PrimacyCompressor::PrimacyCompressor(PrimacyOptions options)
   }
 }
 
-Bytes PrimacyCompressor::Compress(std::span<const double> values,
-                                  PrimacyStats* stats) const {
-  if (options_.precision != Precision::kDouble) {
-    throw InvalidArgumentError(
-        "PrimacyCompressor: double input requires Precision::kDouble");
-  }
-  return CompressBytes(AsBytes(values), stats);
-}
-
-Bytes PrimacyCompressor::Compress(std::span<const float> values,
-                                  PrimacyStats* stats) const {
-  if (options_.precision != Precision::kSingle) {
-    throw InvalidArgumentError(
-        "PrimacyCompressor: float input requires Precision::kSingle");
-  }
-  return CompressBytes(AsBytes(values), stats);
-}
-
-Bytes PrimacyCompressor::CompressBytes(ByteSpan data,
-                                       PrimacyStats* stats) const {
-  return CompressBytesImpl(data, /*reuse=*/nullptr, stats);
-}
-
-Bytes PrimacyCompressor::CompressBytesWith(ChunkEncoder& encoder,
-                                           ByteSpan data,
-                                           PrimacyStats* stats) const {
-  return CompressBytesImpl(data, &encoder, stats);
-}
-
-Bytes PrimacyCompressor::CompressBytesImpl(ByteSpan data, ChunkEncoder* reuse,
-                                           PrimacyStats* stats) const {
+Bytes PrimacyCompressor::CompressBytes(ByteSpan data, PrimacyStats* stats,
+                                       ChunkEncoder* encoder) const {
   telemetry::TraceSpan span("primacy.compress", "bytes",
                             static_cast<std::uint64_t>(data.size()));
   const std::size_t width = ElementWidth(options_.precision);
@@ -502,7 +376,7 @@ Bytes PrimacyCompressor::CompressBytesImpl(ByteSpan data, ChunkEncoder* reuse,
   // A caller-supplied encoder pins the serial path: reuse exists to keep
   // one worker's scratch hot, and its output must stay byte-identical to a
   // fresh serial encode.
-  const bool parallel = reuse == nullptr && options_.threads != 1 &&
+  const bool parallel = encoder == nullptr && options_.threads != 1 &&
                         options_.index_mode == IndexMode::kPerChunk &&
                         chunk_count > 1;
   if (parallel) {
@@ -536,7 +410,6 @@ Bytes PrimacyCompressor::CompressBytesImpl(ByteSpan data, ChunkEncoder* reuse,
     }
   } else {
     std::optional<ChunkEncoder> local;
-    ChunkEncoder* encoder = reuse;
     if (encoder == nullptr) {
       local.emplace(options_, *solver_);
       encoder = &*local;
@@ -597,61 +470,76 @@ PrimacyDecompressor::PrimacyDecompressor(PrimacyOptions options)
 
 Bytes PrimacyDecompressor::DecompressBytes(ByteSpan stream,
                                            PrimacyDecodeStats* stats) const {
-  telemetry::TraceSpan span("primacy.decompress", "bytes",
-                            static_cast<std::uint64_t>(stream.size()));
-  PrimacyDecodeStats accounting;
-  ByteReader reader(stream);
-  const internal::StreamHeader header = internal::ReadStreamHeader(reader);
-  if (header.total_bytes == ~std::uint64_t{0}) {
+  return Decode(stream, std::nullopt, /*element_size=*/0, stats);
+}
+
+Bytes PrimacyDecompressor::DecompressBytesRange(
+    ByteSpan stream, std::uint64_t first_element, std::uint64_t count,
+    PrimacyDecodeStats* stats) const {
+  return Decode(stream, ElementRange{first_element, count},
+                /*element_size=*/0, stats);
+}
+
+Bytes PrimacyDecompressor::Decode(ByteSpan stream,
+                                  std::optional<ElementRange> range,
+                                  std::size_t element_size,
+                                  PrimacyDecodeStats* stats) const {
+  telemetry::TraceSpan span(range ? "primacy.range_read" : "primacy.decompress",
+                            range ? "elements" : "bytes",
+                            range ? range->count : stream.size());
+  const internal::OpenedStream opened =
+      internal::OpenStream(stream, options_.verify_checksums);
+  const internal::StreamHeader& header = opened.header;
+  if (opened.streamed) {
     throw CorruptStreamError(
         "primacy: streamed stream; use PrimacyStreamReader");
   }
+  if (element_size != 0) {
+    CheckElementWidth(element_size, header.width);
+    if (!range && header.total_bytes % header.width != 0) {
+      throw CorruptStreamError("primacy: stream is not a whole element array");
+    }
+  }
+  const std::uint64_t total_elements = opened.total_elements();
+  const std::uint64_t first = range ? range->first : 0;
+  const std::uint64_t count = range ? range->count : total_elements;
+  if (first > total_elements || count > total_elements - first) {
+    throw InvalidArgumentError("primacy: element range out of bounds");
+  }
+  const std::uint64_t width = header.width;
+  PrimacyDecodeStats accounting;
   Bytes out;
-  if (header.stored) {
-    const ByteSpan raw = reader.GetBlock();
-    if (raw.size() != header.total_bytes) {
-      throw CorruptStreamError("primacy: stored payload size mismatch");
+  if (range && count == 0) {
+    // An empty range reads nothing.
+  } else if (header.stored) {
+    out = ToBytes(range ? opened.stored.subspan(
+                              static_cast<std::size_t>(first * width),
+                              static_cast<std::size_t>(count * width))
+                        : opened.stored);
+  } else if (opened.directory) {
+    // A full decode is the element range [0, total) plus the tail block.
+    out.resize(static_cast<std::size_t>(range ? count * width
+                                              : header.total_bytes));
+    const MutableByteSpan elements =
+        MutableByteSpan(out).first(static_cast<std::size_t>(count * width));
+    DecodeElements(opened, first, count, options_, cache_, elements,
+                   accounting);
+    if (!range && !opened.tail.empty()) {
+      std::memcpy(out.data() + elements.size(), opened.tail.data(),
+                  opened.tail.size());
     }
-    if (header.version >= internal::kFormatVersion3) {
-      const std::size_t covered = reader.Offset();
-      const std::uint64_t checksum = reader.GetU64();
-      if (options_.verify_checksums &&
-          Xxh64(stream.first(covered)) != checksum) {
-        throw CorruptStreamError("primacy: stored stream checksum mismatch");
-      }
-    }
-    out = ToBytes(raw);
-  } else if (header.version >= internal::kFormatVersion2) {
-    out = DecodeSeekable(stream, header, reader.Offset(), options_,
-                         cache_.get(), accounting);
+  } else if (range) {
+    throw InvalidArgumentError(
+        "primacy: DecompressRange requires a v2+ stream with a chunk "
+        "directory (v1 streams decode sequentially only)");
   } else {
-    const auto solver = CreateCodec(header.solver_name);
-    const std::uint64_t total_elements = header.total_bytes / header.width;
+    // v1 one-shot: no directory, so drain the sequential reader.
+    PrimacyStreamReader reader(stream, options_.verify_checksums);
     out.reserve(std::min<std::uint64_t>(header.total_bytes, 1u << 26));
-    ChunkDecoder decoder(*solver, header.linearization, header.width);
-    std::uint64_t decoded_elements = 0;
-    while (decoded_elements < total_elements) {
-      const std::size_t record_offset = reader.Offset();
-      try {
-        const std::uint64_t count = reader.GetVarint();
-        if (count == 0 || decoded_elements + count > total_elements) {
-          throw CorruptStreamError("primacy: bad chunk element count");
-        }
-        decoder.DecodeChunk(reader, count, out);
-        decoded_elements += count;
-      } catch (const InternalError&) {
-        throw;
-      } catch (const Error& e) {
-        ThrowChunkError(accounting.chunks_decoded, record_offset, e.what());
-      }
-      ++accounting.chunks_decoded;
+    while (reader.NextChunk(out)) {
     }
-    accounting.stage.Accumulate(decoder.stage_breakdown());
-    const ByteSpan tail = reader.GetBlock();
-    if (out.size() + tail.size() != header.total_bytes) {
-      throw CorruptStreamError("primacy: tail size mismatch");
-    }
-    AppendBytes(out, tail);
+    accounting.chunks_decoded = reader.chunks_decoded();
+    accounting.stage.Accumulate(reader.stage_breakdown());
   }
   if (stats != nullptr) {
     accounting.output_bytes = out.size();
@@ -660,215 +548,37 @@ Bytes PrimacyDecompressor::DecompressBytes(ByteSpan stream,
   return out;
 }
 
-std::vector<double> PrimacyDecompressor::Decompress(
-    ByteSpan stream, PrimacyDecodeStats* stats) const {
-  const Bytes raw = DecompressBytes(stream, stats);
-  if (raw.size() % 8 != 0) {
-    throw CorruptStreamError("primacy: stream is not a whole double array");
-  }
-  return FromBytes<double>(raw);
-}
-
-std::vector<float> PrimacyDecompressor::DecompressSingle(
-    ByteSpan stream, PrimacyDecodeStats* stats) const {
-  const Bytes raw = DecompressBytes(stream, stats);
-  if (raw.size() % 4 != 0) {
-    throw CorruptStreamError("primacy: stream is not a whole float array");
-  }
-  return FromBytes<float>(raw);
-}
-
-Bytes PrimacyDecompressor::DecompressRangeImpl(ByteSpan stream,
-                                               std::uint64_t first_element,
-                                               std::uint64_t count,
-                                               std::size_t expected_width,
-                                               PrimacyDecodeStats* stats) const {
-  telemetry::TraceSpan span("primacy.range_read", "elements", count);
-  PrimacyDecodeStats accounting;
-  ByteReader reader(stream);
-  const internal::StreamHeader header = internal::ReadStreamHeader(reader);
-  if (header.total_bytes == ~std::uint64_t{0}) {
-    throw CorruptStreamError(
-        "primacy: streamed stream; use PrimacyStreamReader");
-  }
-  if (expected_width != 0 && header.width != expected_width) {
-    throw InvalidArgumentError(
-        "primacy: stream element width does not match the requested type");
-  }
-  const std::uint64_t width = header.width;
-  const std::uint64_t total_elements = header.total_bytes / width;
-  if (first_element > total_elements ||
-      count > total_elements - first_element) {
-    throw InvalidArgumentError("primacy: element range out of bounds");
-  }
-  const auto finish = [&](Bytes result) {
-    if (stats != nullptr) {
-      accounting.output_bytes = result.size();
-      *stats = accounting;
-    }
-    return result;
-  };
-  if (count == 0) return finish(Bytes{});
-
-  if (header.stored) {
-    const ByteSpan raw = reader.GetBlock();
-    if (raw.size() != header.total_bytes) {
-      throw CorruptStreamError("primacy: stored payload size mismatch");
-    }
-    return finish(ToBytes(
-        raw.subspan(static_cast<std::size_t>(first_element * width),
-                    static_cast<std::size_t>(count * width))));
-  }
-  if (header.version < internal::kFormatVersion2) {
-    throw InvalidArgumentError(
-        "primacy: DecompressRange requires a v2+ stream with a chunk "
-        "directory (v1 streams decode sequentially only)");
-  }
-
-  const internal::ChunkDirectory directory =
-      internal::ReadChunkDirectory(stream, reader.Offset(), header.version);
-  accounting.used_directory = true;
-  const bool verify = options_.verify_checksums && directory.has_checksums;
-  // The header and tail block are small; verifying them keeps every byte a
-  // range read depends on covered without hashing untouched chunk records.
-  if (verify && internal::ComputeHeaderTailChecksum(stream, directory,
-                                                    reader.Offset()) !=
-                    directory.header_tail_checksum) {
-    throw CorruptStreamError("primacy: header/tail checksum mismatch");
-  }
-  const std::vector<std::uint64_t> starts =
-      ElementStarts(directory, total_elements);
-  // total_elements >= count > 0, so there is at least one chunk.
-  const auto chunk_of = [&](std::uint64_t element) {
-    return static_cast<std::size_t>(
-        std::upper_bound(starts.begin(), starts.end(), element) -
-        starts.begin() - 1);
-  };
-  const std::size_t cfirst = chunk_of(first_element);
-  const std::size_t clast = chunk_of(first_element + count - 1);
-  const std::uint64_t stream_id =
-      cache_ != nullptr ? StreamCacheIdentity(stream, directory,
-                                              reader.Offset())
-                        : 0;
-
-  const auto solver = CreateCodec(header.solver_name);
-  ChunkDecoder decoder(*solver, header.linearization, header.width);
-  // state_for starts unknown: the first decoded chunk primes the decoder's
-  // index chain (a no-op when it carries a full index).
-  CachedChunkReader chunks{stream,    directory, cache_.get(),
-                           stream_id, verify,    kNoIndexState};
-
-  Bytes result(static_cast<std::size_t>(count * width));
-  Bytes scratch;
-  for (std::size_t c = cfirst; c <= clast; ++c) {
-    const std::uint64_t chunk_first = starts[c];
-    const std::uint64_t chunk_count = directory.chunks[c].elements;
-    const bool fully_inside = chunk_first >= first_element &&
-                              chunk_first + chunk_count <=
-                                  first_element + count;
-    if (fully_inside) {
-      accounting.chunks_verified += chunks.DecodeChunk(
-          c, decoder,
-          MutableByteSpan(result).subspan(
-              static_cast<std::size_t>((chunk_first - first_element) * width),
-              static_cast<std::size_t>(chunk_count * width)),
-          accounting);
-    } else {
-      scratch.resize(static_cast<std::size_t>(chunk_count * width));
-      accounting.chunks_verified +=
-          chunks.DecodeChunk(c, decoder, scratch, accounting);
-      const std::uint64_t overlap_first =
-          std::max(chunk_first, first_element);
-      const std::uint64_t overlap_end =
-          std::min(chunk_first + chunk_count, first_element + count);
-      std::memcpy(
-          result.data() + (overlap_first - first_element) * width,
-          scratch.data() + (overlap_first - chunk_first) * width,
-          static_cast<std::size_t>((overlap_end - overlap_first) * width));
-    }
-  }
-  accounting.stage.Accumulate(decoder.stage_breakdown());
-  if (cache_ != nullptr && options_.cache.prefetch_chunks > 0) {
-    PrefetchAdjacentChunks(stream, directory, header, cache_, stream_id,
-                           clast, options_.cache.prefetch_chunks, verify,
-                           accounting);
-  }
-  return finish(std::move(result));
-}
-
-Bytes PrimacyDecompressor::DecompressBytesRange(
-    ByteSpan stream, std::uint64_t first_element, std::uint64_t count,
-    PrimacyDecodeStats* stats) const {
-  return DecompressRangeImpl(stream, first_element, count, /*expected_width=*/0,
-                             stats);
-}
-
-std::vector<double> PrimacyDecompressor::DecompressRange(
-    ByteSpan stream, std::uint64_t first_element, std::uint64_t count,
-    PrimacyDecodeStats* stats) const {
-  return FromBytes<double>(
-      DecompressRangeImpl(stream, first_element, count, 8, stats));
-}
-
-std::vector<float> PrimacyDecompressor::DecompressRangeSingle(
-    ByteSpan stream, std::uint64_t first_element, std::uint64_t count,
-    PrimacyDecodeStats* stats) const {
-  return FromBytes<float>(
-      DecompressRangeImpl(stream, first_element, count, 4, stats));
-}
-
 StreamVerifyResult VerifyStream(ByteSpan stream) {
   StreamVerifyResult result;
   try {
     ByteReader reader(stream);
     const internal::StreamHeader header = internal::ReadStreamHeader(reader);
     result.version = header.version;
-    if (header.stored) {
-      const ByteSpan raw = reader.GetBlock();
-      if (raw.size() != header.total_bytes) {
-        throw CorruptStreamError("primacy: stored payload size mismatch");
-      }
-      if (header.version >= internal::kFormatVersion3) {
-        result.has_checksums = true;
-        const std::size_t covered = reader.Offset();
-        if (Xxh64(stream.first(covered)) != reader.GetU64()) {
-          throw CorruptStreamError("primacy: stored stream checksum mismatch");
+    result.has_checksums =
+        header.version >= internal::kFormatVersion3 &&
+        (header.stored || header.total_bytes != kStreamingTotal);
+    // OpenStream verifies a v3 stored payload or header/tail block itself.
+    const internal::OpenedStream opened =
+        internal::OpenStream(stream, /*verify=*/true);
+    if (opened.verify_records) {
+      // Hash-only pass: every chunk record has a directory checksum, so no
+      // decompression is needed.
+      const auto& chunks = opened.directory->chunks;
+      for (std::size_t c = 0; c < chunks.size(); ++c) {
+        if (Xxh64(opened.Record(c)) != chunks[c].checksum) {
+          internal::ThrowChunkError(c, chunks[c].offset, "checksum mismatch");
         }
-      }
-      result.ok = true;
-      return result;
-    }
-    if (header.version >= internal::kFormatVersion3 &&
-        header.total_bytes != kStreamingTotal) {
-      // Hash-only pass: every byte before the footer is covered by a
-      // checksum, so no decompression is needed.
-      result.has_checksums = true;
-      const std::size_t chunks_begin = reader.Offset();
-      const internal::ChunkDirectory directory =
-          internal::ReadChunkDirectory(stream, chunks_begin, header.version);
-      (void)ElementStarts(directory, header.total_bytes / header.width);
-      if (internal::ComputeHeaderTailChecksum(stream, directory,
-                                              chunks_begin) !=
-          directory.header_tail_checksum) {
-        throw CorruptStreamError("primacy: header/tail checksum mismatch");
-      }
-      for (std::size_t c = 0; c < directory.chunks.size(); ++c) {
-        VerifyChunkChecksum(RecordSpan(stream, directory, c), directory, c,
-                            /*verify=*/true);
         ++result.chunks_checked;
       }
-      result.ok = true;
-      return result;
-    }
-    if (header.total_bytes == kStreamingTotal) {
+    } else if (opened.streamed) {
       // Streamed v1: sequential structural decode, one chunk resident.
       PrimacyStreamReader stream_reader(stream);
       Bytes sink;
       while (stream_reader.NextChunk(sink)) {
         sink.clear();
-        ++result.chunks_checked;
       }
-    } else {
+      result.chunks_checked = stream_reader.chunks_decoded();
+    } else if (!header.stored) {
       // v1/v2 one-shot: no checksums to hash, so the only integrity signal
       // is a clean full decode.
       PrimacyDecodeStats stats;

@@ -54,9 +54,18 @@
 // versions by the version byte. Streamed (unknown-length) streams are
 // always v1: the writer cannot seek back, and PrimacyStreamReader is
 // sequential by construction.
+//
+// API shape: one byte-level core (CompressBytes, DecompressBytes,
+// DecompressBytesRange) plus thin typed templates (Compress, Decompress<T>,
+// DecompressRange<T>, PrimacyStreamWriter::Append) whose element type is
+// checked in one place, CheckElementWidth.
 #pragma once
 
+#include <concepts>
 #include <memory>
+#include <optional>
+#include <ranges>
+#include <span>
 #include <string>
 
 #include "cache/block_cache.h"
@@ -89,6 +98,15 @@ constexpr std::size_t ElementWidth(Precision precision) {
   return precision == Precision::kDouble ? 8 : 4;
 }
 
+/// The element types the typed entry points accept.
+template <typename T>
+concept FloatElement = std::same_as<T, float> || std::same_as<T, double>;
+
+/// The one element-type check behind every typed entry point: throws
+/// InvalidArgumentError unless `element_size` (sizeof the caller's type)
+/// equals `width`, the element width of the options or stream in use.
+void CheckElementWidth(std::size_t element_size, std::size_t width);
+
 struct PrimacyOptions {
   /// Chunk size in bytes of input data; the paper settles on 3 MB.
   std::size_t chunk_bytes = 3 * 1024 * 1024;
@@ -106,16 +124,18 @@ struct PrimacyOptions {
   /// Compression: only kPerChunk indexing parallelizes (chunks are then
   /// independent, and the output is byte-identical to a serial run);
   /// kReuseWhenCorrelated has a serial cross-chunk dependency and ignores
-  /// this knob. Decompression: v2 streams decode index-chain groups in
-  /// parallel (every chunk is its own group under kPerChunk), byte-identical
-  /// to serial; v1 streams always decode serially.
+  /// this knob. Decompression: v2+ streams decode the index-chain groups a
+  /// full decode or range read covers in parallel (every chunk is its own
+  /// group under kPerChunk), byte-identical to serial; v1 streams always
+  /// decode serially.
   std::size_t threads = 1;
   /// Decode-side integrity knob: verify the per-chunk and header/tail
   /// checksums of v3 streams before trusting their bytes (full decodes
-  /// check every chunk; range reads check only the chunks they touch).
-  /// Ignored for v1/v2 streams, which carry no checksums. The directory
-  /// payload's own checksum is always verified — it drives every bounds
-  /// computation — regardless of this setting.
+  /// check every chunk; range reads check only the chunks they touch), and
+  /// the trailing checksum of v3 stored streams on every read, range reads
+  /// included. Ignored for v1/v2 streams, which carry no checksums. The
+  /// directory payload's own checksum is always verified — it drives every
+  /// bounds computation — regardless of this setting.
   bool verify_checksums = true;
   /// Decoded-chunk cache knobs (off by default). When enabled, the
   /// decompressor constructed from these options builds a private
@@ -167,34 +187,29 @@ class PrimacyCompressor {
  public:
   explicit PrimacyCompressor(PrimacyOptions options = {});
 
-  /// Compresses `values`; `stats` (optional) receives per-stage accounting.
-  /// The double overload requires Precision::kDouble options, the float
-  /// overload Precision::kSingle.
-  Bytes Compress(std::span<const double> values,
-                 PrimacyStats* stats = nullptr) const;
-  Bytes Compress(std::span<const float> values,
-                 PrimacyStats* stats = nullptr) const;
+  /// Compresses float or double `values` (a vector or span); their width
+  /// must match options.precision. `stats` (optional) receives per-stage
+  /// accounting.
+  template <std::ranges::contiguous_range Values>
+    requires FloatElement<std::ranges::range_value_t<Values>>
+  Bytes Compress(const Values& values, PrimacyStats* stats = nullptr) const {
+    using T = std::ranges::range_value_t<Values>;
+    CheckElementWidth(sizeof(T), ElementWidth(options_.precision));
+    return CompressBytes(AsBytes(std::span<const T>(values)), stats);
+  }
 
-  /// Raw-byte interface: any trailing bytes beyond a whole number of
-  /// elements are stored verbatim.
-  Bytes CompressBytes(ByteSpan data, PrimacyStats* stats = nullptr) const;
-
-  /// As CompressBytes, but encodes through a caller-owned ChunkEncoder
-  /// instead of constructing one per call, so long-lived callers (the
-  /// service layer's batch workers) amortize encoder scratch allocation
-  /// across requests. The encoder is Reset() first and must have been built
-  /// with the same options/solver as this compressor. Always takes the
-  /// serial path; output is byte-identical to CompressBytes with
-  /// threads == 1.
-  Bytes CompressBytesWith(ChunkEncoder& encoder, ByteSpan data,
-                          PrimacyStats* stats = nullptr) const;
+  /// The byte-level core: any trailing bytes beyond a whole number of
+  /// elements are stored verbatim. With `encoder` (built from the same
+  /// options), encoding reuses that caller-owned ChunkEncoder instead of
+  /// constructing one, so long-lived callers (the service's batch workers)
+  /// amortize encoder scratch across requests; the encoder is Reset() first
+  /// and the encode is serial, byte-identical to threads == 1.
+  Bytes CompressBytes(ByteSpan data, PrimacyStats* stats = nullptr,
+                      ChunkEncoder* encoder = nullptr) const;
 
   const PrimacyOptions& options() const { return options_; }
 
  private:
-  Bytes CompressBytesImpl(ByteSpan data, ChunkEncoder* reuse,
-                          PrimacyStats* stats) const;
-
   PrimacyOptions options_;
   std::shared_ptr<const Codec> solver_;
 };
@@ -224,39 +239,49 @@ struct PrimacyDecodeStats {
   /// Wall time per decode stage, summed across chunks and decode slots (CPU
   /// time under parallel decode). All-zero when PRIMACY_TELEMETRY=OFF.
   telemetry::StageBreakdown stage;
+
+  /// Folds another call's counters into this one (threads_used is left
+  /// alone: slots are per call, not additive).
+  void Accumulate(const PrimacyDecodeStats& other);
 };
 
 class PrimacyDecompressor {
  public:
   /// The solver is recovered from the stream header; `options` supplies the
-  /// decode-side knobs (threads).
+  /// decode-side knobs (threads, verify_checksums, cache).
   explicit PrimacyDecompressor(PrimacyOptions options = {});
 
-  std::vector<double> Decompress(ByteSpan stream,
-                                 PrimacyDecodeStats* stats = nullptr) const;
-  std::vector<float> DecompressSingle(ByteSpan stream,
-                                      PrimacyDecodeStats* stats = nullptr) const;
+  /// Full decode. The byte form is width-agnostic; the typed form requires
+  /// the stream's element width to match T (InvalidArgumentError otherwise)
+  /// and the stream to hold whole elements (CorruptStreamError otherwise).
   Bytes DecompressBytes(ByteSpan stream,
                         PrimacyDecodeStats* stats = nullptr) const;
+  template <FloatElement T = double>
+  std::vector<T> Decompress(ByteSpan stream,
+                            PrimacyDecodeStats* stats = nullptr) const {
+    return FromBytes<T>(Decode(stream, std::nullopt, sizeof(T), stats));
+  }
 
   /// Random-access range read: decodes elements [first_element,
   /// first_element + count) touching only the chunks that cover the range
   /// (plus, under IndexMode::kReuseWhenCorrelated, the index blocks of the
   /// chain back to the nearest full index — counted in stats->index_loads,
-  /// never decoded). Requires a v2 stream (or a stored stream, which is
-  /// sliced directly); v1 streams throw InvalidArgumentError. An empty range
-  /// is valid anywhere within [0, element_count]. Bytes beyond the last
-  /// whole element (the stored tail) are not element-addressable.
-  std::vector<double> DecompressRange(ByteSpan stream,
-                                      std::uint64_t first_element,
-                                      std::uint64_t count,
-                                      PrimacyDecodeStats* stats = nullptr) const;
-  std::vector<float> DecompressRangeSingle(
-      ByteSpan stream, std::uint64_t first_element, std::uint64_t count,
-      PrimacyDecodeStats* stats = nullptr) const;
+  /// never decoded). It runs through the same directory decoder as a full
+  /// decode, so a range spanning several index groups honours `threads`.
+  /// Requires a v2+ stream (or a stored stream, which is sliced after its
+  /// checksum is verified); v1 streams throw InvalidArgumentError. An empty
+  /// range is valid anywhere within [0, element_count]. Bytes beyond the
+  /// last whole element (the stored tail) are not element-addressable.
   Bytes DecompressBytesRange(ByteSpan stream, std::uint64_t first_element,
                              std::uint64_t count,
                              PrimacyDecodeStats* stats = nullptr) const;
+  template <FloatElement T = double>
+  std::vector<T> DecompressRange(ByteSpan stream, std::uint64_t first_element,
+                                 std::uint64_t count,
+                                 PrimacyDecodeStats* stats = nullptr) const {
+    return FromBytes<T>(Decode(stream, ElementRange{first_element, count},
+                               sizeof(T), stats));
+  }
 
   /// The decoded-block cache this decompressor reads through: the instance
   /// supplied in options.block_cache, one built from options.cache, or null
@@ -264,9 +289,16 @@ class PrimacyDecompressor {
   const std::shared_ptr<DecodedBlockCache>& cache() const { return cache_; }
 
  private:
-  Bytes DecompressRangeImpl(ByteSpan stream, std::uint64_t first_element,
-                            std::uint64_t count, std::size_t expected_width,
-                            PrimacyDecodeStats* stats) const;
+  struct ElementRange {
+    std::uint64_t first = 0;
+    std::uint64_t count = 0;
+  };
+  /// The decode core behind every entry point: the whole stream (`range`
+  /// unset) or an element range. `element_size` is sizeof the caller's
+  /// element type, checked against the stream's width (0 = bytes, any
+  /// width).
+  Bytes Decode(ByteSpan stream, std::optional<ElementRange> range,
+               std::size_t element_size, PrimacyDecodeStats* stats) const;
 
   PrimacyOptions options_;
   std::shared_ptr<DecodedBlockCache> cache_;

@@ -2,6 +2,7 @@
 
 #include "compress/registry.h"
 #include "core/builtin_codecs.h"
+#include "core/chunk_pipeline.h"
 #include "util/checksum.h"
 #include "util/error.h"
 
@@ -205,6 +206,110 @@ std::uint64_t ComputeHeaderTailChecksum(ByteSpan stream,
       static_cast<std::size_t>(directory.directory_offset -
                                directory.tail_offset)));
   return state.Digest();
+}
+
+ByteSpan OpenedStream::Record(std::size_t c) const {
+  const std::uint64_t begin = directory->chunks[c].offset;
+  const std::uint64_t end = c + 1 < directory->chunks.size()
+                                ? directory->chunks[c + 1].offset
+                                : directory->tail_offset;
+  return stream.subspan(static_cast<std::size_t>(begin),
+                        static_cast<std::size_t>(end - begin));
+}
+
+OpenedStream OpenStream(ByteSpan stream, bool verify) {
+  OpenedStream opened;
+  opened.stream = stream;
+  ByteReader reader(stream);
+  opened.header = ReadStreamHeader(reader);
+  const StreamHeader& header = opened.header;
+  opened.chunks_begin = reader.Offset();
+  if (header.stored) {
+    opened.stored = reader.GetBlock();
+    if (opened.stored.size() != header.total_bytes) {
+      throw CorruptStreamError("primacy: stored payload size mismatch");
+    }
+    if (header.version >= kFormatVersion3) {
+      // v3 stored streams end with an XXH64 of every preceding byte.
+      const std::size_t covered = reader.Offset();
+      const std::uint64_t checksum = reader.GetU64();
+      if (verify && Xxh64(stream.first(covered)) != checksum) {
+        throw CorruptStreamError("primacy: stored stream checksum mismatch");
+      }
+    }
+    return opened;
+  }
+  if (header.total_bytes == kStreamingTotal) {
+    opened.streamed = true;
+    return opened;
+  }
+  if (header.version < kFormatVersion2) return opened;
+
+  opened.directory =
+      ReadChunkDirectory(stream, opened.chunks_begin, header.version);
+  const ChunkDirectory& directory = *opened.directory;
+  opened.verify_records = verify && directory.has_checksums;
+  // The header and tail block are small; verifying them keeps every byte a
+  // range read depends on covered without hashing untouched chunk records.
+  if (opened.verify_records &&
+      ComputeHeaderTailChecksum(stream, directory, opened.chunks_begin) !=
+          directory.header_tail_checksum) {
+    throw CorruptStreamError("primacy: header/tail checksum mismatch");
+  }
+  const std::uint64_t total_elements = opened.total_elements();
+  opened.starts.resize(directory.chunks.size());
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < directory.chunks.size(); ++i) {
+    opened.starts[i] = sum;
+    // Overflow-safe running total: a tampered entry may not push the sum
+    // past the header's element count (the wrapped sum could otherwise land
+    // back on the expected total and drive out-of-bounds output slices).
+    if (directory.chunks[i].elements > total_elements - sum) {
+      throw CorruptStreamError("primacy: directory element total mismatch");
+    }
+    sum += directory.chunks[i].elements;
+  }
+  if (sum != total_elements) {
+    throw CorruptStreamError("primacy: directory element total mismatch");
+  }
+  // The tail block (bytes beyond a whole number of elements) sits between
+  // the last chunk record and the directory.
+  ByteReader tail(stream.subspan(
+      static_cast<std::size_t>(directory.tail_offset),
+      static_cast<std::size_t>(directory.directory_offset -
+                               directory.tail_offset)));
+  opened.tail = tail.GetBlock();
+  if (!tail.AtEnd()) {
+    throw CorruptStreamError("primacy: bytes between tail and directory");
+  }
+  if (total_elements * header.width + opened.tail.size() !=
+      header.total_bytes) {
+    throw CorruptStreamError("primacy: tail size mismatch");
+  }
+  return opened;
+}
+
+void ThrowChunkError(std::size_t chunk, std::uint64_t offset,
+                     const std::string& what) {
+  throw CorruptStreamError("primacy: chunk " + std::to_string(chunk) +
+                           " (record at byte " + std::to_string(offset) +
+                           "): " + what);
+}
+
+bool DecodeChunkRecord(ChunkDecoder& decoder, ByteSpan record,
+                       std::size_t chunk, const ChunkDirectoryEntry& entry,
+                       bool verify, MutableByteSpan out) {
+  if (verify && !decoder.VerifyRecord(record, entry.checksum)) {
+    ThrowChunkError(chunk, entry.offset, "checksum mismatch");
+  }
+  WithChunkContext(chunk, entry.offset, [&] {
+    ByteReader reader(record);
+    if (reader.GetVarint() != entry.elements) {
+      throw CorruptStreamError("primacy: directory element count mismatch");
+    }
+    decoder.DecodeChunkInto(reader, entry.elements, out);
+  });
+  return verify;
 }
 
 std::shared_ptr<const Codec> ResolveSolver(const std::string& name) {

@@ -1,6 +1,7 @@
 // PRIMACY stream header framing shared by the one-shot codec and the
-// streaming writer/reader, plus the v2/v3 seekable chunk directory. Internal
-// API (namespace primacy::internal).
+// streaming writer/reader, the v2/v3 seekable chunk directory, and
+// OpenStream — everything a reader learns before it touches a chunk record.
+// Internal API (namespace primacy::internal).
 //
 // Version history:
 //   v1 — header, chunk records, tail block. Decoding is a sequential scan.
@@ -19,12 +20,23 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bitstream/byte_io.h"
 #include "compress/codec.h"
 #include "core/primacy_codec.h"
+#include "util/error.h"
+
+namespace primacy {
+
+class ChunkDecoder;  // chunk_pipeline.h
+
+/// Header total-byte sentinel marking a streamed (unknown-size) stream.
+inline constexpr std::uint64_t kStreamingTotal = ~std::uint64_t{0};
+
+}  // namespace primacy
 
 namespace primacy::internal {
 
@@ -118,6 +130,72 @@ ChunkDirectory ReadChunkDirectory(ByteSpan stream, std::size_t chunks_begin,
 std::uint64_t ComputeHeaderTailChecksum(ByteSpan stream,
                                         const ChunkDirectory& directory,
                                         std::size_t chunks_begin);
+
+/// Everything a reader learns about a stream before it touches a chunk
+/// record. Produced by OpenStream; views into the stream, which must outlive
+/// it.
+struct OpenedStream {
+  ByteSpan stream;
+  StreamHeader header;
+  /// Offset of the first chunk record (= header size).
+  std::size_t chunks_begin = 0;
+  /// The header carries the kStreamingTotal sentinel: v1 records run until a
+  /// zero element count, followed by the tail block and the real total.
+  bool streamed = false;
+  /// Stored fallback: the raw payload (header.total_bytes bytes).
+  ByteSpan stored;
+  /// v2/v3 one-shot streams only (unset for v1, streamed and stored
+  /// streams): the validated directory, each chunk's first element index,
+  /// and the tail block's bytes.
+  std::optional<ChunkDirectory> directory;
+  std::vector<std::uint64_t> starts;
+  ByteSpan tail;
+  /// Chunk records must match their directory checksums (a v3 directory and
+  /// verification requested).
+  bool verify_records = false;
+
+  std::uint64_t total_elements() const {
+    return header.total_bytes / header.width;
+  }
+  /// Chunk `c`'s record bytes, bounded by the next record or the tail block.
+  ByteSpan Record(std::size_t c) const;
+};
+
+/// Parses and validates everything outside the chunk records: the header,
+/// the streamed-stream sentinel, the stored payload (and, v3 with `verify`,
+/// its trailing checksum), the v2/v3 directory, the header/tail checksum (v3
+/// with `verify`), the per-chunk element starts against the header total,
+/// and the tail block. Throws CorruptStreamError on any inconsistency.
+OpenedStream OpenStream(ByteSpan stream, bool verify);
+
+/// Re-throws a chunk-local decode failure as CorruptStreamError carrying the
+/// chunk index and record byte offset — the context a restart tool needs to
+/// localize damage in a checkpoint.
+[[noreturn]] void ThrowChunkError(std::size_t chunk, std::uint64_t offset,
+                                  const std::string& what);
+
+/// Runs `fn`, re-throwing stream damage through ThrowChunkError. Library
+/// invariant failures (InternalError) keep their type.
+template <typename Fn>
+decltype(auto) WithChunkContext(std::size_t chunk, std::uint64_t offset,
+                                Fn&& fn) {
+  try {
+    return fn();
+  } catch (const InternalError&) {
+    throw;
+  } catch (const Error& e) {
+    ThrowChunkError(chunk, offset, e.what());
+  }
+}
+
+/// Decodes one directory chunk record into `out` (exactly the chunk's
+/// extent): the record checksum first (when `verify`), then its element
+/// count against the directory entry, then the payload. Every failure is
+/// rethrown with the chunk's context. Returns whether the checksum was
+/// verified.
+bool DecodeChunkRecord(ChunkDecoder& decoder, ByteSpan record,
+                       std::size_t chunk, const ChunkDirectoryEntry& entry,
+                       bool verify, MutableByteSpan out);
 
 /// Registers builtin codecs and instantiates the named solver.
 std::shared_ptr<const Codec> ResolveSolver(const std::string& name);

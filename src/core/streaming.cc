@@ -2,7 +2,6 @@
 
 #include "compress/registry.h"
 #include "telemetry/trace.h"
-#include "util/checksum.h"
 #include "util/error.h"
 
 namespace primacy {
@@ -31,22 +30,6 @@ PrimacyStreamWriter::PrimacyStreamWriter(Sink sink, PrimacyOptions options)
 void PrimacyStreamWriter::Emit(ByteSpan data) {
   stats_.output_bytes += data.size();
   sink_(data);
-}
-
-void PrimacyStreamWriter::Append(std::span<const double> values) {
-  if (options_.precision != Precision::kDouble) {
-    throw InvalidArgumentError(
-        "PrimacyStreamWriter: double input requires Precision::kDouble");
-  }
-  AppendBytes(AsBytes(values));
-}
-
-void PrimacyStreamWriter::Append(std::span<const float> values) {
-  if (options_.precision != Precision::kSingle) {
-    throw InvalidArgumentError(
-        "PrimacyStreamWriter: float input requires Precision::kSingle");
-  }
-  AppendBytes(AsBytes(values));
 }
 
 void PrimacyStreamWriter::AppendBytes(ByteSpan data) {
@@ -107,127 +90,80 @@ PrimacyStats PrimacyStreamWriter::Finish() {
 
 PrimacyStreamReader::PrimacyStreamReader(ByteSpan stream,
                                          bool verify_checksums)
-    : stream_(stream),
-      reader_(stream),
-      header_(internal::ReadStreamHeader(reader_)) {
-  solver_ = CreateCodec(header_.solver_name);
-  decoder_ = std::make_unique<ChunkDecoder>(*solver_, header_.linearization,
-                                            header_.width);
-  if (header_.version >= internal::kFormatVersion3 && !header_.stored &&
-      header_.total_bytes != kStreamingTotal) {
-    // One-shot v3: the directory at the end holds the record checksums. It
-    // is always loaded (its own checksum is verified inside
-    // ReadChunkDirectory — corrupt bounds must never be trusted); the
-    // per-record and header/tail checks respect `verify_checksums`.
-    directory_ = internal::ReadChunkDirectory(stream_, reader_.Offset(),
-                                              header_.version);
-    verify_ = verify_checksums;
-    if (verify_ &&
-        internal::ComputeHeaderTailChecksum(stream_, *directory_,
-                                            reader_.Offset()) !=
-            directory_->header_tail_checksum) {
-      throw CorruptStreamError("primacy: header/tail checksum mismatch");
-    }
-  } else if (header_.version >= internal::kFormatVersion3) {
-    verify_ = verify_checksums;
-  }
+    : opened_(internal::OpenStream(stream, verify_checksums)),
+      reader_(stream) {
+  reader_.GetRaw(opened_.chunks_begin);  // v1 records follow the header
+  solver_ = CreateCodec(opened_.header.solver_name);
+  decoder_ = std::make_unique<ChunkDecoder>(
+      *solver_, opened_.header.linearization, opened_.header.width);
 }
 
 const telemetry::StageBreakdown& PrimacyStreamReader::stage_breakdown() const {
   return decoder_->stage_breakdown();
 }
 
+bool PrimacyStreamReader::Finish(Bytes& out, ByteSpan last) {
+  AppendBytes(out, last);
+  saw_trailer_ = true;
+  return false;
+}
+
 bool PrimacyStreamReader::NextChunk(Bytes& out) {
   if (saw_trailer_) return false;
   telemetry::TraceSpan span("primacy.stream_next_chunk", "chunk",
                             static_cast<std::uint64_t>(chunk_index_));
-  if (header_.stored) {
-    const ByteSpan raw = reader_.GetBlock();
-    if (raw.size() != header_.total_bytes) {
-      throw CorruptStreamError("primacy: stored payload size mismatch");
-    }
-    if (header_.version >= internal::kFormatVersion3) {
-      // v3 stored streams end with an XXH64 of every preceding byte.
-      const std::size_t covered = reader_.Offset();
-      const std::uint64_t stored_checksum = reader_.GetU64();
-      if (verify_ && Xxh64(stream_.first(covered)) != stored_checksum) {
-        throw CorruptStreamError("primacy: stored stream checksum mismatch");
-      }
-    }
-    AppendBytes(out, raw);
-    decoded_bytes_ += raw.size();
-    saw_trailer_ = true;
-    return false;
-  }
-  if (header_.total_bytes != kStreamingTotal) {
-    // One-shot stream: chunk records until total_bytes are produced.
-    const std::uint64_t total_elements = header_.total_bytes / header_.width;
-    if (decoded_bytes_ / header_.width >= total_elements) {
-      const ByteSpan tail = reader_.GetBlock();
-      if (decoded_bytes_ + tail.size() != header_.total_bytes) {
-        throw CorruptStreamError("primacy: tail size mismatch");
-      }
-      AppendBytes(out, tail);
-      decoded_bytes_ += tail.size();
-      saw_trailer_ = true;
-      return false;
-    }
-    if (verify_ && directory_.has_value()) {
-      if (chunk_index_ >= directory_->chunks.size()) {
-        throw CorruptStreamError(
-            "primacy: more chunk records than directory entries");
-      }
-      const internal::ChunkDirectoryEntry& entry =
-          directory_->chunks[chunk_index_];
-      const std::uint64_t end = chunk_index_ + 1 < directory_->chunks.size()
-                                    ? directory_->chunks[chunk_index_ + 1].offset
-                                    : directory_->tail_offset;
-      if (reader_.Offset() != entry.offset) {
-        throw CorruptStreamError("primacy: chunk record offset mismatch");
-      }
-      const ByteSpan record = stream_.subspan(
-          static_cast<std::size_t>(entry.offset),
-          static_cast<std::size_t>(end - entry.offset));
-      if (!decoder_->VerifyRecord(record, entry.checksum)) {
-        throw CorruptStreamError(
-            "primacy: chunk " + std::to_string(chunk_index_) +
-            " (record at byte " + std::to_string(entry.offset) +
-            "): checksum mismatch");
-      }
-    }
-    const std::uint64_t count = reader_.GetVarint();
-    if (count == 0 ||
-        decoded_bytes_ / header_.width + count > total_elements) {
-      throw CorruptStreamError("primacy: bad chunk element count");
-    }
-    decoder_->DecodeChunk(reader_, count, out);
-    decoded_bytes_ += count * header_.width;
+  const internal::StreamHeader& header = opened_.header;
+  if (header.stored) return Finish(out, opened_.stored);
+  if (opened_.directory) {
+    // v2/v3: the directory locates each record and its element count.
+    const auto& chunks = opened_.directory->chunks;
+    if (chunk_index_ == chunks.size()) return Finish(out, opened_.tail);
+    const internal::ChunkDirectoryEntry& entry = chunks[chunk_index_];
+    const std::size_t old_size = out.size();
+    out.resize(old_size +
+               static_cast<std::size_t>(entry.elements * header.width));
+    internal::DecodeChunkRecord(*decoder_, opened_.Record(chunk_index_),
+                                chunk_index_, entry, opened_.verify_records,
+                                MutableByteSpan(out).subspan(old_size));
     ++chunk_index_;
     return true;
   }
-  // Streaming stream: records until the 0 sentinel, then tail + total.
-  const std::uint64_t count = reader_.GetVarint();
-  if (count == 0) {
+  // v1: records until total_bytes are produced (one-shot) or until the 0
+  // sentinel (streamed), then the tail block (and, streamed, the total).
+  const std::uint64_t total_elements = opened_.total_elements();
+  if (!opened_.streamed && decoded_bytes_ / header.width >= total_elements) {
     const ByteSpan tail = reader_.GetBlock();
-    AppendBytes(out, tail);
-    decoded_bytes_ += tail.size();
-    const std::uint64_t declared_total = reader_.GetVarint();
-    if (declared_total != decoded_bytes_) {
-      throw CorruptStreamError("primacy: trailer total mismatch");
+    if (decoded_bytes_ + tail.size() != header.total_bytes) {
+      throw CorruptStreamError("primacy: tail size mismatch");
     }
-    saw_trailer_ = true;
-    return false;
+    return Finish(out, tail);
   }
-  decoder_->DecodeChunk(reader_, count, out);
-  decoded_bytes_ += count * header_.width;
-  return true;
+  const bool decoded = internal::WithChunkContext(
+      chunk_index_, reader_.Offset(), [&] {
+        const std::uint64_t count = reader_.GetVarint();
+        if (count == 0 && opened_.streamed) return false;
+        if (!opened_.streamed &&
+            (count == 0 ||
+             decoded_bytes_ / header.width + count > total_elements)) {
+          throw CorruptStreamError("primacy: bad chunk element count");
+        }
+        decoder_->DecodeChunk(reader_, count, out);
+        decoded_bytes_ += count * header.width;
+        return true;
+      });
+  if (decoded) {
+    ++chunk_index_;
+    return true;
+  }
+  const ByteSpan tail = reader_.GetBlock();
+  if (reader_.GetVarint() != decoded_bytes_ + tail.size()) {
+    throw CorruptStreamError("primacy: trailer total mismatch");
+  }
+  return Finish(out, tail);
 }
 
 std::vector<double> PrimacyStreamReader::ReadAllDoubles() {
-  if (header_.width != 8) {
-    throw InvalidArgumentError(
-        "PrimacyStreamReader: stream holds single-precision data");
-  }
+  CheckElementWidth(sizeof(double), opened_.header.width);
   Bytes out;
   while (NextChunk(out)) {
   }

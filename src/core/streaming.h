@@ -18,7 +18,8 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
+#include <ranges>
+#include <span>
 #include <vector>
 
 #include "core/chunk_pipeline.h"
@@ -26,9 +27,6 @@
 #include "core/stream_format.h"
 
 namespace primacy {
-
-/// Header total-byte sentinel marking a streamed (unknown-size) stream.
-inline constexpr std::uint64_t kStreamingTotal = ~std::uint64_t{0};
 
 class PrimacyStreamWriter {
  public:
@@ -38,9 +36,15 @@ class PrimacyStreamWriter {
 
   explicit PrimacyStreamWriter(Sink sink, PrimacyOptions options = {});
 
-  /// Appends values; must match the options' precision.
-  void Append(std::span<const double> values);
-  void Append(std::span<const float> values);
+  /// Appends float or double values; their width must match the options'
+  /// precision.
+  template <std::ranges::contiguous_range Values>
+    requires FloatElement<std::ranges::range_value_t<Values>>
+  void Append(const Values& values) {
+    using T = std::ranges::range_value_t<Values>;
+    CheckElementWidth(sizeof(T), ElementWidth(options_.precision));
+    AppendBytes(AsBytes(std::span<const T>(values)));
+  }
 
   /// Appends raw native-layout bytes (any size; a trailing partial element
   /// is only allowed immediately before Finish()).
@@ -70,39 +74,42 @@ class PrimacyStreamWriter {
 class PrimacyStreamReader {
  public:
   /// Reads from an in-memory stream view (the common in-situ case: the
-  /// staged buffer); the view must outlive the reader. For v3 streams the
-  /// chunk directory is loaded up front and each record is verified against
-  /// its checksum before decoding (disable with `verify_checksums` for raw
-  /// speed); v1/v2 streams carry no checksums and decode as before.
+  /// staged buffer); the view must outlive the reader. The stream is opened
+  /// up front (internal::OpenStream): a v2/v3 directory is validated and
+  /// drives the chunk order, and v3 records are verified against their
+  /// checksums before decoding (disable with `verify_checksums` for raw
+  /// speed). v1 streams carry neither and are scanned sequentially.
   explicit PrimacyStreamReader(ByteSpan stream, bool verify_checksums = true);
 
   /// Element width of the stream (4 or 8).
-  std::size_t element_width() const { return header_.width; }
+  std::size_t element_width() const { return opened_.header.width; }
 
   /// Decodes the next chunk into `out` (appending native-layout bytes).
   /// Returns false when the stream is exhausted — at which point the tail
-  /// bytes (if any) have been appended too.
+  /// bytes (if any) have been appended too. A failing chunk throws
+  /// CorruptStreamError naming the chunk and its record offset.
   bool NextChunk(Bytes& out);
 
   /// Convenience: drain the remaining chunks as doubles.
   std::vector<double> ReadAllDoubles();
+
+  /// Chunk records decoded so far.
+  std::size_t chunks_decoded() const { return chunk_index_; }
 
   /// Per-stage decode time accumulated over the chunks read so far (zero
   /// when telemetry is off).
   const telemetry::StageBreakdown& stage_breakdown() const;
 
  private:
-  ByteSpan stream_;
-  ByteReader reader_;
-  internal::StreamHeader header_;
+  /// End of stream: appends the last bytes (tail block or stored payload).
+  bool Finish(Bytes& out, ByteSpan last);
+
+  internal::OpenedStream opened_;
+  ByteReader reader_;  // v1 record cursor
   std::unique_ptr<const Codec> solver_;
   std::unique_ptr<ChunkDecoder> decoder_;
-  /// Loaded for one-shot v3 streams when verifying: supplies the per-chunk
-  /// record checksums the sequential decode checks against.
-  std::optional<internal::ChunkDirectory> directory_;
   std::size_t chunk_index_ = 0;
-  std::uint64_t decoded_bytes_ = 0;
-  bool verify_ = false;
+  std::uint64_t decoded_bytes_ = 0;  // v1 records decoded so far
   bool saw_trailer_ = false;
 };
 

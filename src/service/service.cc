@@ -219,23 +219,6 @@ struct CodecContext {
   }
 };
 
-// --- UploadSession ---------------------------------------------------------
-
-void UploadSession::Append(ByteSpan data) {
-  if (finished_) {
-    throw InvalidArgumentError("UploadSession: Append after Finish");
-  }
-  primacy::AppendBytes(buffer_, data);
-}
-
-std::future<ServiceResponse> UploadSession::Finish() {
-  if (finished_) {
-    throw InvalidArgumentError("UploadSession: double Finish");
-  }
-  finished_ = true;
-  return service_->SubmitCompress(tenant_, std::move(buffer_));
-}
-
 // --- CompressionService ----------------------------------------------------
 
 CompressionService::CompressionService(ServiceOptions options)
@@ -334,20 +317,6 @@ std::future<ServiceResponse> CompressionService::SubmitDecompressRange(
     std::uint64_t element_count) {
   return Submit(RequestType::kDecompressRange, tenant, std::move(stream),
                 first_element, element_count);
-}
-
-UploadSession CompressionService::BeginUpload(std::string_view tenant,
-                                              UploadSink sink) {
-  FindTenant(tenant);  // unknown tenants fail at session open, not Finish
-  if (sink == UploadSink::kNonSeekableStream) {
-    throw InvalidArgumentError(
-        "CompressionService: streamed upload to a non-seekable sink is not "
-        "supported: the streaming writer still emits format v1 only (no "
-        "v2/v3 chunk directory, footer, or checksums — ROADMAP 'streaming "
-        "writer parity'), which would silently lose random access and "
-        "integrity verification; buffer to a seekable target instead");
-  }
-  return UploadSession(this, std::string(tenant));
 }
 
 std::size_t CompressionService::DrainTenant(std::string_view tenant_name) {
@@ -616,8 +585,8 @@ std::future<ServiceResponse> CompressionService::Submit(
       try {
         if (type == RequestType::kCompress) {
           if (!tenant.MemoLookup(payload, response.payload)) {
-            response.payload =
-                context.compressor.CompressBytesWith(context.encoder, payload);
+            response.payload = context.compressor.CompressBytes(
+                payload, /*stats=*/nullptr, &context.encoder);
             tenant.MemoInsert(payload, response.payload);
           }
         } else if (type == RequestType::kDecompressRange) {

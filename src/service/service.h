@@ -134,53 +134,6 @@ struct ServiceStatsSnapshot {
   BatchQueue::Stats batch;
 };
 
-class CompressionService;
-
-/// Streamed-upload session: a tenant appends payload bytes incrementally
-/// and Finish() routes the whole upload through the normal admission +
-/// batching path, producing a one-shot (seekable, v3 checksummed) stream
-/// byte-identical to a direct CompressBytes of the concatenation.
-///
-/// Only seekable output targets are supported: a non-seekable sink would
-/// silently degrade to format v1 — PrimacyStreamWriter cannot seek back to
-/// write the v2/v3 chunk directory + footer (ROADMAP "streaming writer
-/// parity") — losing random access and checksums. BeginUpload rejects that
-/// with InvalidArgumentError instead of degrading.
-class UploadSession {
- public:
-  UploadSession(UploadSession&&) = default;
-  UploadSession& operator=(UploadSession&&) = default;
-
-  /// Buffers upload bytes; throws after Finish().
-  void Append(ByteSpan data);
-
-  /// Submits the buffered upload as one compress request (admission rules
-  /// apply: quota, in-flight cap, batching). The session is spent.
-  std::future<ServiceResponse> Finish();
-
-  std::size_t buffered_bytes() const { return buffer_.size(); }
-
- private:
-  friend class CompressionService;
-  UploadSession(CompressionService* service, std::string tenant)
-      : service_(service), tenant_(std::move(tenant)) {}
-
-  CompressionService* service_;
-  std::string tenant_;
-  Bytes buffer_;
-  bool finished_ = false;
-};
-
-/// How an upload's output will be consumed; see UploadSession.
-enum class UploadSink : std::uint8_t {
-  /// Output lands somewhere rewritable (memory, a regular file): the
-  /// service can emit a complete seekable v3 stream.
-  kSeekableBuffer,
-  /// Output is write-once/append-only (a socket, a pipe): would force the
-  /// v1-only streaming writer. Rejected.
-  kNonSeekableStream,
-};
-
 class CompressionService {
  public:
   explicit CompressionService(ServiceOptions options);
@@ -213,10 +166,6 @@ class CompressionService {
   std::future<ServiceResponse> SubmitDecompressRange(
       std::string_view tenant, Bytes stream, std::uint64_t first_element,
       std::uint64_t element_count);
-
-  /// Opens a streamed-upload session; sink must be seekable (see
-  /// UploadSession).
-  UploadSession BeginUpload(std::string_view tenant, UploadSink sink);
 
   /// Cancels the tenant's admitted-but-not-executed requests (their futures
   /// resolve kCancelled) and flushes the queue so the cancellations land

@@ -184,7 +184,7 @@ std::vector<float> CheckpointReader::ReadFloats(const std::string& name,
     throw InvalidArgumentError("checkpoint: " + name + " is double precision");
   }
   std::vector<float> values =
-      decompressor_.DecompressSingle(StreamOf(info), stats);
+      decompressor_.Decompress<float>(StreamOf(info), stats);
   if (values.size() != info.elements) {
     throw CorruptStreamError("checkpoint: element count mismatch for " + name);
   }
@@ -209,8 +209,8 @@ std::vector<float> CheckpointReader::ReadFloatsRange(
   if (info.element_width != 4) {
     throw InvalidArgumentError("checkpoint: " + name + " is double precision");
   }
-  return decompressor_.DecompressRangeSingle(StreamOf(info), first_element,
-                                             count, stats);
+  return decompressor_.DecompressRange<float>(StreamOf(info), first_element,
+                                              count, stats);
 }
 
 std::vector<Bytes> CheckpointReader::ReadAllRaw(
@@ -234,17 +234,7 @@ std::vector<Bytes> CheckpointReader::ReadAllRaw(
       });
   if (stats != nullptr) {
     PrimacyDecodeStats totals;
-    for (const PrimacyDecodeStats& s : per_variable) {
-      totals.chunks_decoded += s.chunks_decoded;
-      totals.index_loads += s.index_loads;
-      totals.output_bytes += s.output_bytes;
-      totals.used_directory = totals.used_directory || s.used_directory;
-      totals.chunks_verified += s.chunks_verified;
-      totals.cache_hits += s.cache_hits;
-      totals.cache_misses += s.cache_misses;
-      totals.prefetch_issued += s.prefetch_issued;
-      totals.stage.Accumulate(s.stage);
-    }
+    for (const PrimacyDecodeStats& s : per_variable) totals.Accumulate(s);
     *stats = totals;
   }
   return raw;

@@ -177,13 +177,13 @@ TEST_F(CacheDecodeTest, WarmSinglePrecisionRangeRead) {
   const std::size_t first = kChunkElements + 5;
   PrimacyDecodeStats cold;
   const auto cold_values =
-      decompressor.DecompressRangeSingle(stream, first, 100, &cold);
+      decompressor.DecompressRange<float>(stream, first, 100, &cold);
   EXPECT_EQ(cold_values,
             std::vector<float>(floats.begin() + static_cast<std::ptrdiff_t>(first),
                                floats.begin() + static_cast<std::ptrdiff_t>(first + 100)));
   EXPECT_EQ(cold.cache_misses, 1u);
   PrimacyDecodeStats warm;
-  EXPECT_EQ(decompressor.DecompressRangeSingle(stream, first, 100, &warm),
+  EXPECT_EQ(decompressor.DecompressRange<float>(stream, first, 100, &warm),
             cold_values);
   EXPECT_EQ(warm.cache_hits, 1u);
   EXPECT_EQ(warm.chunks_decoded, 0u);

@@ -281,12 +281,22 @@ TEST_F(CorruptionFuzzTest, MutatedStreamsFailCleanlyAcrossVersions) {
       }
       // Sampled extra surfaces: range reads and the never-throwing verifier.
       if (i % 5 == 0) {
-        DecodesCleanly(
+        const std::uint64_t first = rng.NextBelow(2048);
+        const std::uint64_t count = rng.NextBelow(512);
+        Bytes slice;
+        const bool range_clean = DecodesCleanly(
             [&] {
-              decompressor.DecompressBytesRange(
-                  mutated, rng.NextBelow(2048), rng.NextBelow(512));
+              slice = decompressor.DecompressBytesRange(mutated, first, count);
             },
             context + " (range)");
+        if (range_clean && corpus.checksummed) {
+          // Same bar as full decodes: a checksummed range read is either
+          // rejected or exact.
+          const ByteSpan expected = ByteSpan(corpus.payload).subspan(
+              static_cast<std::size_t>(first * 8),
+              static_cast<std::size_t>(count * 8));
+          EXPECT_EQ(slice, ToBytes(expected)) << context << " (range)";
+        }
         const StreamVerifyResult verdict = VerifyStream(mutated);
         if (!verdict.ok) {
           EXPECT_FALSE(verdict.error.empty()) << context;

@@ -121,7 +121,7 @@ TEST_F(DecompressRangeTest, OutOfBoundsThrows) {
 }
 
 TEST_F(DecompressRangeTest, WidthMismatchThrows) {
-  EXPECT_THROW(decompressor_.DecompressRangeSingle(stream_, 0, 1),
+  EXPECT_THROW(decompressor_.DecompressRange<float>(stream_, 0, 1),
                InvalidArgumentError);
 }
 
@@ -161,6 +161,28 @@ TEST_F(DecompressRangeTest, CorruptedChunkInsideRangeThrows) {
   EXPECT_THROW(
       decompressor_.DecompressRange(mutated, 2 * kChunkElements - 5, 10),
       CorruptStreamError);
+}
+
+TEST_F(DecompressRangeTest, RangeReadsValidateTheTailBlock) {
+  // A stream with a 3-byte tail block whose length varint is damaged: with
+  // checksums off, only the structural tail check can catch it, and range
+  // reads make that check just as full decodes do.
+  Bytes raw = ToBytes(AsBytes(values_));
+  raw.insert(raw.end(), {1_b, 2_b, 3_b});
+  Bytes stream = PrimacyCompressor(SmallChunks()).CompressBytes(raw);
+  ByteReader reader(stream);
+  const internal::StreamHeader header = internal::ReadStreamHeader(reader);
+  const internal::ChunkDirectory directory =
+      internal::ReadChunkDirectory(stream, reader.Offset(), header.version);
+  const auto tail = static_cast<std::size_t>(directory.tail_offset);
+  ASSERT_EQ(stream[tail], 3_b);  // varint length of the tail block
+  stream[tail] = 2_b;
+
+  PrimacyOptions off = SmallChunks();
+  off.verify_checksums = false;
+  const PrimacyDecompressor unverified(off);
+  EXPECT_THROW(unverified.DecompressBytes(stream), CorruptStreamError);
+  EXPECT_THROW(unverified.DecompressRange(stream, 0, 10), CorruptStreamError);
 }
 
 TEST(DecompressRangeV1Test, OneShotV1WithoutDirectoryRejected) {
@@ -258,8 +280,8 @@ TEST(DecompressRangeFloatTest, SinglePrecisionRangeRoundTrips) {
   const Bytes stream = PrimacyCompressor(options).Compress(values);
   PrimacyDecodeStats stats;
   const auto range =
-      PrimacyDecompressor(options).DecompressRangeSingle(stream, 5000, 3000,
-                                                         &stats);
+      PrimacyDecompressor(options).DecompressRange<float>(stream, 5000, 3000,
+                                                          &stats);
   EXPECT_EQ(range, std::vector<float>(values.begin() + 5000,
                                       values.begin() + 8000));
   EXPECT_EQ(stats.chunks_decoded, 1u);  // [5000, 8000) sits in chunk 1

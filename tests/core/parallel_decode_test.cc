@@ -7,7 +7,9 @@
 #include <span>
 #include <vector>
 
+#include "bitstream/byte_io.h"
 #include "core/primacy_codec.h"
+#include "core/stream_format.h"
 #include "datasets/datasets.h"
 #include "util/rng.h"
 
@@ -67,6 +69,55 @@ TEST(ParallelDecodeTest, GroupParallelDecodeOfCorrelatedStream) {
   const auto parallel = PrimacyDecompressor(ManyChunks(4)).Decompress(stream);
   EXPECT_EQ(serial, parallel);
   EXPECT_EQ(serial, values);
+
+  // Second input: a correlated num_plasma chain between uncorrelated
+  // gts_phi_l chunks, so the stream holds several index groups. Range reads
+  // share the full decode's decoder: one that starts mid-chain and spans
+  // several groups decodes them in parallel and matches the serial read.
+  const auto uncorrelated = GenerateDatasetByName("gts_phi_l", 8192);
+  const auto chained = GenerateDatasetByName("num_plasma", 12288);
+  std::vector<double> mixed = uncorrelated;
+  mixed.insert(mixed.end(), chained.begin(), chained.end());
+  mixed.insert(mixed.end(), uncorrelated.begin(), uncorrelated.end());
+  const Bytes mixed_stream = PrimacyCompressor(write_options).Compress(mixed);
+  PrimacyDecodeStats full_stats;
+  EXPECT_EQ(PrimacyDecompressor(ManyChunks(4)).Decompress(mixed_stream,
+                                                           &full_stats),
+            mixed);
+  EXPECT_GT(full_stats.threads_used, 1u);
+  ByteReader reader(mixed_stream);
+  const internal::StreamHeader header = internal::ReadStreamHeader(reader);
+  const auto chunks = internal::ReadChunkDirectory(
+                          mixed_stream, reader.Offset(), header.version)
+                          .chunks;
+  std::size_t start = 0;  // three chunks into the first reuse/delta chain
+  while (start < chunks.size() && chunks[start].index_flag == 1) ++start;
+  start += 3;
+  ASSERT_LT(start, chunks.size());
+  ASSERT_NE(chunks[start].index_flag, 1) << "chain shorter than expected";
+  std::size_t end = start;  // through the third full index after it
+  for (std::size_t full = 0; end < chunks.size() && full < 3; ++end) {
+    full += chunks[end].index_flag == 1;
+  }
+  ASSERT_LT(end, chunks.size()) << "too few index groups after the chain";
+  const std::uint64_t first = start * 1024 + 100;
+  const std::uint64_t count = (end - start) * 1024 - 200;
+  PrimacyDecodeStats serial_stats;
+  PrimacyDecodeStats parallel_stats;
+  const auto serial_range = PrimacyDecompressor(ManyChunks(1)).DecompressRange(
+      mixed_stream, first, count, &serial_stats);
+  const auto parallel_range =
+      PrimacyDecompressor(ManyChunks(4))
+          .DecompressRange(mixed_stream, first, count, &parallel_stats);
+  EXPECT_EQ(parallel_range, serial_range);
+  const auto slice = mixed.begin() + static_cast<std::ptrdiff_t>(first);
+  EXPECT_EQ(serial_range, std::vector<double>(
+                              slice, slice + static_cast<std::ptrdiff_t>(count)));
+  EXPECT_EQ(serial_stats.threads_used, 1u);
+  EXPECT_GT(parallel_stats.threads_used, 1u);
+  EXPECT_GT(serial_stats.index_loads, 0u);
+  EXPECT_EQ(parallel_stats.index_loads, serial_stats.index_loads);
+  EXPECT_EQ(parallel_stats.chunks_decoded, end - start);
 }
 
 TEST(ParallelDecodeTest, SinglePrecisionParallelDecode) {
@@ -78,9 +129,9 @@ TEST(ParallelDecodeTest, SinglePrecisionParallelDecode) {
   std::vector<float> values(30000);
   for (auto& v : values) v = static_cast<float>(rng.NextGaussian());
   const Bytes stream = PrimacyCompressor(options).Compress(values);
-  const auto serial = PrimacyDecompressor().DecompressSingle(stream);
+  const auto serial = PrimacyDecompressor().Decompress<float>(stream);
   const auto parallel =
-      PrimacyDecompressor(options).DecompressSingle(stream);
+      PrimacyDecompressor(options).Decompress<float>(stream);
   EXPECT_EQ(serial, parallel);
   EXPECT_EQ(serial, values);
 }

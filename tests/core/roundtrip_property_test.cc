@@ -170,7 +170,7 @@ TEST(RoundTripPropertyTest, SinglePrecisionSpecialsRoundTrip) {
     }
   }
   const Bytes stream = PrimacyCompressor(options).Compress(values);
-  const auto restored = PrimacyDecompressor(options).DecompressSingle(stream);
+  const auto restored = PrimacyDecompressor(options).Decompress<float>(stream);
   ASSERT_EQ(restored.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint32_t>(restored[i]),

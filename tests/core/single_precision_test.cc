@@ -77,7 +77,7 @@ TEST(SinglePrecisionTest, RoundTripsFloatDatasetBitExactly) {
   const PrimacyCompressor compressor(SingleOptions());
   const PrimacyDecompressor decompressor(SingleOptions());
   const Bytes stream = compressor.Compress(values);
-  const auto restored = decompressor.DecompressSingle(stream);
+  const auto restored = decompressor.Decompress<float>(stream);
   ASSERT_EQ(restored.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     ASSERT_EQ(std::bit_cast<std::uint32_t>(restored[i]),
@@ -106,6 +106,18 @@ TEST(SinglePrecisionTest, PrecisionMismatchRejected) {
                InvalidArgumentError);
   EXPECT_THROW(dbl.Compress(std::span<const float>(floats)),
                InvalidArgumentError);
+
+  // The decode side checks the stream's element width the same way; the
+  // byte-level decode stays width-agnostic.
+  const Bytes float_stream = single.Compress(floats);
+  const Bytes double_stream = dbl.Compress(doubles);
+  const PrimacyDecompressor decompressor;
+  EXPECT_THROW(decompressor.Decompress<double>(float_stream),
+               InvalidArgumentError);
+  EXPECT_THROW(decompressor.Decompress<float>(double_stream),
+               InvalidArgumentError);
+  EXPECT_EQ(decompressor.DecompressBytes(float_stream),
+            ToBytes(AsBytes(floats)));
 }
 
 TEST(SinglePrecisionTest, WidthIsSelfDescribing) {
@@ -115,7 +127,7 @@ TEST(SinglePrecisionTest, WidthIsSelfDescribing) {
   const PrimacyCompressor compressor(SingleOptions());
   const Bytes stream = compressor.Compress(values);
   const PrimacyDecompressor decompressor;  // double-default options
-  const auto restored = decompressor.DecompressSingle(stream);
+  const auto restored = decompressor.Decompress<float>(stream);
   EXPECT_EQ(restored, values);
 }
 
@@ -135,7 +147,7 @@ TEST(SinglePrecisionTest, ChunkingWorksAtFloatWidth) {
   const auto values = FloatDataset("flash_velx", 50000);
   const PrimacyCompressor compressor(options);
   const PrimacyDecompressor decompressor(options);
-  EXPECT_EQ(decompressor.DecompressSingle(compressor.Compress(values)),
+  EXPECT_EQ(decompressor.Decompress<float>(compressor.Compress(values)),
             values);
 }
 

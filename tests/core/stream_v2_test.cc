@@ -123,6 +123,14 @@ TEST(StreamV2Test, V2StreamsStillDecode) {
   const auto slice = PrimacyDecompressor().DecompressRange(v2, 9000, 100);
   EXPECT_EQ(slice, std::vector<double>(values.begin() + 9000,
                                        values.begin() + 9100));
+  // The sequential reader opens a v2 stream the way the decompressor does:
+  // a damaged directory is rejected even though every record is intact.
+  EXPECT_EQ(PrimacyStreamReader(v2).ReadAllDoubles(), values);
+  Bytes mutated = v2;
+  mutated[mutated.size() - 1] ^= 0x01_b;  // footer magic
+  EXPECT_THROW(PrimacyDecompressor().Decompress(mutated), CorruptStreamError);
+  EXPECT_THROW(PrimacyStreamReader(mutated).ReadAllDoubles(),
+               CorruptStreamError);
 }
 
 TEST(StreamV2Test, V1V2AndV3PayloadsMatchByteForByte) {

@@ -4,6 +4,7 @@
 // the streaming reader, and VerifyStream).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/stream_format.h"
 #include "core/streaming.h"
 #include "datasets/datasets.h"
+#include "store/checkpoint_store.h"
 #include "util/checksum.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -253,6 +255,28 @@ TEST(StreamV3Test, StoredStreamsCarryATrailingChecksum) {
   PrimacyOptions off;
   off.verify_checksums = false;
   EXPECT_NO_THROW(PrimacyDecompressor(off).Decompress(mutated));
+
+  // Range reads check the same whole-stream checksum, even when the range
+  // misses the damaged element — directly and through a checkpoint.
+  const std::vector<double> head(values.begin(), values.begin() + 100);
+  EXPECT_THROW(PrimacyDecompressor().DecompressRange(mutated, 0, 100),
+               CorruptStreamError);
+  EXPECT_THROW(PrimacyDecompressor().DecompressBytesRange(mutated, 0, 100),
+               CorruptStreamError);
+  EXPECT_EQ(PrimacyDecompressor(off).DecompressRange(mutated, 0, 100), head);
+  EXPECT_EQ(PrimacyDecompressor(off).DecompressBytesRange(mutated, 0, 100),
+            ToBytes(AsBytes(head)));
+
+  CheckpointWriter writer;
+  writer.Add("noise", values);
+  Bytes checkpoint = writer.Finish();
+  // The first variable's stream follows the 5-byte checkpoint header.
+  ASSERT_TRUE(std::equal(stream.begin(), stream.end(), checkpoint.begin() + 5));
+  checkpoint[5 + stream.size() / 2] ^= 0x08_b;
+  EXPECT_THROW(CheckpointReader(checkpoint).ReadDoublesRange("noise", 0, 100),
+               CorruptStreamError);
+  EXPECT_EQ(CheckpointReader(checkpoint, off).ReadDoublesRange("noise", 0, 100),
+            head);
 }
 
 TEST(StreamV3Test, StreamReaderVerifiesOneShotV3Streams) {

@@ -203,6 +203,42 @@ TEST(StreamingTest, SinglePrecisionStreamsRoundTrip) {
   EXPECT_EQ(FromBytes<float>(restored), values);
 }
 
+// Pins the streaming-writer format gap (ROADMAP "Streaming writer emits
+// v3"): even with default (v3-capable) options, the streaming writer
+// downgrades to v1 — no chunk directory, no footer, no checksums, and the
+// seekable decompressor refuses the stream. If this test starts failing
+// because stream[4] != 1, streaming parity has landed: flip it alongside.
+TEST(StreamingTest, StreamWriterStillEmitsV1OnlyStreams) {
+  Bytes stream;
+  PrimacyOptions options;  // defaults request the current (v3) format
+  PrimacyStreamWriter writer(
+      [&stream](ByteSpan data) { primacy::AppendBytes(stream, data); },
+      options);
+  std::vector<double> values(512);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = 1.5 + static_cast<double>(i) * 0.125;
+  }
+  writer.Append(values);
+  writer.Finish();
+
+  ASSERT_GT(stream.size(), 5u);
+  // Byte 4 is the format version (after the 4-byte magic).
+  EXPECT_EQ(static_cast<std::uint8_t>(stream[4]),
+            primacy::internal::kFormatVersion1)
+      << "streaming writer now emits v" << static_cast<int>(stream[4])
+      << " — parity landed; update this pin and the streaming-writer docs";
+
+  // Consequence of v1-with-sentinel: no random access. The one-shot
+  // decompressor (and with it DecompressRange) refuses streamed streams.
+  PrimacyDecompressor decompressor;
+  EXPECT_THROW(decompressor.DecompressBytes(stream), CorruptStreamError);
+  EXPECT_THROW(decompressor.DecompressRange(stream, 0, 16),
+               CorruptStreamError);
+  // The sequential reader still handles it fine — that is all v1 offers.
+  PrimacyStreamReader reader{ByteSpan(stream)};
+  EXPECT_EQ(reader.ReadAllDoubles(), values);
+}
+
 TEST(StreamingTest, TruncatedStreamedStreamDetected) {
   Collector collector;
   PrimacyStreamWriter writer(collector.AsSink(), SmallChunks());
