@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
       const auto m = bench::MeasurePrimacy(values, options);
       std::printf("%9zuKB %10.3f %12.1f %12.1f %12.2f\n", chunk / 1024,
                   m.CompressionRatio(), m.CompressMBps(), m.DecompressMBps(),
-                  m.stats.index_bytes / 1e3);
+                  static_cast<double>(m.stats.index_bytes) / 1e3);
       report.AddEntry(name)
           .Set("chunk_bytes", chunk)
           .Set("ratio", m.CompressionRatio())

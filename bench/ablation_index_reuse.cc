@@ -38,8 +38,9 @@ int main(int argc, char** argv) {
     }
     std::printf("%-15s | %7.3f %9.2f %9.1f | %7.3f %9.2f %9.1f %7zu | %9.2f\n",
                 spec.name.c_str(), a.CompressionRatio(),
-                a.stats.index_bytes / 1e3, a.CompressMBps(),
-                b.CompressionRatio(), b.stats.index_bytes / 1e3,
+                static_cast<double>(a.stats.index_bytes) / 1e3,
+                a.CompressMBps(), b.CompressionRatio(),
+                static_cast<double>(b.stats.index_bytes) / 1e3,
                 b.CompressMBps(), b.stats.delta_indexes, cr_loss);
     report.AddEntry(spec.name)
         .Set("per_chunk_ratio", a.CompressionRatio())

@@ -77,7 +77,7 @@ void Init(int argc, char** argv) {
   }
   // Any bench becomes scrapeable/traceable/profilable without code changes:
   // PRIMACY_METRICS_PORT / PRIMACY_TRACE_DIR / PRIMACY_PROFILE_HZ. No-op
-  // when none are set (and when telemetry is compiled out).
+  // when none are set.
   telemetry::MaybeStartHubFromEnv();
 }
 

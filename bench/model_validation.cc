@@ -100,7 +100,6 @@ int main(int argc, char** argv) {
   const std::span<const double> cal_half(cal_values.data(),
                                          cal_values.size() / 2);
   const PathMeasurement cal = Measure(cal_half);
-  const bool have_stages = telemetry::kEnabled && cal.stats.stage.TotalNs() > 0;
 
   const double cal_bytes = static_cast<double>(cal.stats.input_bytes);
   const double cal_alpha1 = 0.25;  // 2 of 8 bytes are high-order
@@ -111,35 +110,24 @@ int main(int argc, char** argv) {
   const double comp_work =
       (cal_alpha1 + cal_alpha2 * (1.0 - cal_alpha1)) * cal_bytes;
 
-  double precondition_bps, compress_bps, decompress_bps, postcondition_bps;
-  if (have_stages) {
-    precondition_bps =
-        ImpliedRate(prec_work, EncodePrecSeconds(cal.stats.stage));
-    compress_bps = ImpliedRate(comp_work, EncodeCompSeconds(cal.stats.stage));
-    decompress_bps =
-        ImpliedRate(comp_work, DecodeDecompSeconds(cal.dstats.stage));
-    postcondition_bps =
-        ImpliedRate(prec_work, DecodePostSeconds(cal.dstats.stage));
-  } else {
-    // PRIMACY_TELEMETRY=OFF: no stage attribution. Fold the whole measured
-    // wall time into the solver term so the aggregate prediction still holds.
-    precondition_bps = 1e15;
-    compress_bps = ImpliedRate(comp_work, cal.compress_seconds);
-    decompress_bps = ImpliedRate(comp_work, cal.decompress_seconds);
-    postcondition_bps = 1e15;
-  }
+  const double precondition_bps =
+      ImpliedRate(prec_work, EncodePrecSeconds(cal.stats.stage));
+  const double compress_bps =
+      ImpliedRate(comp_work, EncodeCompSeconds(cal.stats.stage));
+  const double decompress_bps =
+      ImpliedRate(comp_work, DecodeDecompSeconds(cal.dstats.stage));
+  const double postcondition_bps =
+      ImpliedRate(prec_work, DecodePostSeconds(cal.dstats.stage));
 
   std::printf("calibration (num_plasma, %zu elements): Tprec %.0f MB/s, "
-              "Tcomp %.0f MB/s, Tdecomp %.0f MB/s, Tpost %.0f MB/s%s\n\n",
+              "Tcomp %.0f MB/s, Tdecomp %.0f MB/s, Tpost %.0f MB/s\n\n",
               cal_half.size(), precondition_bps / 1e6, compress_bps / 1e6,
-              decompress_bps / 1e6, postcondition_bps / 1e6,
-              have_stages ? "" : "  [no stage telemetry: aggregate only]");
+              decompress_bps / 1e6, postcondition_bps / 1e6);
 
   bench::BenchReport report("model_validation");
   report.AddEntry("calibration")
       .Set("dataset", "num_plasma")
       .Set("elements", cal_half.size())
-      .Set("stage_telemetry", have_stages)
       .Set("byte_entropy_bits", ByteEntropyBits(bench::DatasetBytes("num_plasma")))
       .Set("precondition_bps", precondition_bps)
       .Set("compress_bps", compress_bps)
@@ -179,20 +167,14 @@ int main(int argc, char** argv) {
     const double err_read = RelativeErrorPct(r.ThroughputMBps(), meas_read);
 
     // Per-stage comparison: model stage seconds vs telemetry stage seconds.
-    double prec_err = std::numeric_limits<double>::quiet_NaN();
-    double comp_err = std::numeric_limits<double>::quiet_NaN();
-    double decomp_err = std::numeric_limits<double>::quiet_NaN();
-    double post_err = std::numeric_limits<double>::quiet_NaN();
-    if (have_stages) {
-      prec_err = RelativeErrorPct(w.t_prec1 + w.t_prec2,
-                                  EncodePrecSeconds(m.stats.stage));
-      comp_err = RelativeErrorPct(w.t_compress1 + w.t_compress2,
-                                  EncodeCompSeconds(m.stats.stage));
-      decomp_err = RelativeErrorPct(r.t_compress1 + r.t_compress2,
-                                    DecodeDecompSeconds(m.dstats.stage));
-      post_err = RelativeErrorPct(r.t_prec1 + r.t_prec2,
-                                  DecodePostSeconds(m.dstats.stage));
-    }
+    const double prec_err = RelativeErrorPct(w.t_prec1 + w.t_prec2,
+                                             EncodePrecSeconds(m.stats.stage));
+    const double comp_err = RelativeErrorPct(
+        w.t_compress1 + w.t_compress2, EncodeCompSeconds(m.stats.stage));
+    const double decomp_err = RelativeErrorPct(
+        r.t_compress1 + r.t_compress2, DecodeDecompSeconds(m.dstats.stage));
+    const double post_err = RelativeErrorPct(r.t_prec1 + r.t_prec2,
+                                             DecodePostSeconds(m.dstats.stage));
     for (const double e : {err_write, err_read}) {
       if (std::isfinite(e)) max_abs_err = std::max(max_abs_err, std::abs(e));
     }

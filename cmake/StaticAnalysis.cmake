@@ -7,7 +7,7 @@
 #                 notice) when clang-tidy is not installed.
 #   lint          tools/primacy_lint — project-specific invariants clang-tidy
 #                 cannot know (byte_io discipline, writer/reader symmetry,
-#                 telemetry no-op parity, pool exception containment).
+#                 pool exception containment).
 #   check-format  clang-format --dry-run over the tree (check-only). Skips
 #                 when clang-format is not installed.
 #   static-analysis  umbrella target running all of the above.

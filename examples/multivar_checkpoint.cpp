@@ -46,7 +46,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("checkpoint: %zu variables, %.2f MB raw -> %.2f MB (%.3fx) in %.2fs\n\n",
-              static_cast<std::size_t>(3), raw_bytes / 1e6, file.size() / 1e6,
+              static_cast<std::size_t>(3), static_cast<double>(raw_bytes) / 1e6,
+              static_cast<double>(file.size()) / 1e6,
               static_cast<double>(raw_bytes) / static_cast<double>(file.size()),
               write_seconds);
 

@@ -149,11 +149,6 @@ int Verify(primacy::ByteSpan stream) {
 /// With a file: a full decode of that stream. Without: a demo roundtrip.
 int Metrics(const char* path) {
   using namespace primacy;
-  if (!telemetry::kEnabled) {
-    std::fprintf(stderr,
-                 "note: built with PRIMACY_TELEMETRY=OFF; all metrics "
-                 "read zero\n");
-  }
   // threads = 2 engages the process-wide SharedThreadPool so the
   // primacy_pool_* series (labeled pool="shared") show up in the dump.
   PrimacyOptions options;
@@ -221,11 +216,6 @@ int CacheStats(const char* path, bool use_cache) {
               snapshot.hits, snapshot.misses, snapshot.HitRatio(),
               snapshot.insertions, snapshot.evictions, snapshot.rejected);
 
-  if (!telemetry::kEnabled) {
-    std::fprintf(stderr, "note: built with PRIMACY_TELEMETRY=OFF; no "
-                         "primacy_cache_* series\n");
-    return 0;
-  }
   std::printf("\n");
   std::istringstream render(
       telemetry::MetricsRegistry::Global().RenderPrometheus());
@@ -244,12 +234,6 @@ int CacheStats(const char* path, bool use_cache) {
 /// finish-the-round-then-stop drain path.
 int Serve(int port) {
   using namespace primacy;
-  if (!telemetry::kEnabled) {
-    std::fprintf(stderr,
-                 "error: built with PRIMACY_TELEMETRY=OFF; there is no "
-                 "endpoint to serve\n");
-    return 2;
-  }
   auto& shutdown_signal = transport::ShutdownSignal::Instance();
   std::string signal_error;
   if (!shutdown_signal.Install(&signal_error)) {

@@ -40,9 +40,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  const auto mb = [](std::size_t bytes) {
+    return static_cast<double>(bytes) / 1e6;
+  };
   std::printf("\nRoundtrip OK (bit-exact).\n\n");
-  std::printf("  input               : %10.2f MB\n", raw_bytes / 1e6);
-  std::printf("  compressed          : %10.2f MB\n", stream.size() / 1e6);
+  std::printf("  input               : %10.2f MB\n", mb(raw_bytes));
+  std::printf("  compressed          : %10.2f MB\n", mb(stream.size()));
   std::printf("  compression ratio   : %10.3f\n", stats.CompressionRatio());
   std::printf("  compress throughput : %10.1f MB/s\n",
               primacy::ThroughputMBps(raw_bytes, compress_seconds));
@@ -50,12 +53,12 @@ int main(int argc, char** argv) {
               primacy::ThroughputMBps(raw_bytes, decompress_seconds));
   std::printf("\nPer-stage breakdown:\n");
   std::printf("  chunks              : %10zu\n", stats.chunks);
-  std::printf("  index metadata      : %10.2f KB\n", stats.index_bytes / 1e3);
+  std::printf("  index metadata      : %10.2f KB\n",
+              static_cast<double>(stats.index_bytes) / 1e3);
   std::printf("  compressed ID bytes : %10.2f MB\n",
-              stats.id_compressed_bytes / 1e6);
+              mb(stats.id_compressed_bytes));
   std::printf("  mantissa stream     : %10.2f MB (%.2f MB stored raw)\n",
-              stats.mantissa_stream_bytes / 1e6,
-              stats.mantissa_raw_bytes / 1e6);
+              mb(stats.mantissa_stream_bytes), mb(stats.mantissa_raw_bytes));
   std::printf("  ISOBAR compressible : %10.1f %% of mantissa columns\n",
               100.0 * stats.mean_compressible_fraction);
   std::printf("  top-byte frequency  : %10.3f -> %.3f (ID mapping gain)\n",

@@ -151,9 +151,7 @@ DecodedBlockCache::DecodedBlockCache(CacheOptions options)
   shards_.reserve(options_.shard_count);
   for (std::size_t i = 0; i < options_.shard_count; ++i) {
     auto shard = std::make_unique<internal::CacheShard>();
-    if constexpr (telemetry::kEnabled) {
-      shard->metrics = internal::CacheShardMetrics::ForShard(i);
-    }
+    shard->metrics = internal::CacheShardMetrics::ForShard(i);
     shards_.push_back(std::move(shard));
   }
 }
@@ -161,11 +159,9 @@ DecodedBlockCache::DecodedBlockCache(CacheOptions options)
 DecodedBlockCache::~DecodedBlockCache() {
   // The registry gauge outlives this cache; give back this instance's
   // resident bytes so concurrent caches keep aggregating correctly.
-  if constexpr (telemetry::kEnabled) {
-    for (const auto& shard : shards_) {
-      primacy::MutexLock lock(shard->mutex);
-      shard->metrics->bytes.Add(-static_cast<std::int64_t>(shard->bytes));
-    }
+  for (const auto& shard : shards_) {
+    primacy::MutexLock lock(shard->mutex);
+    shard->metrics->bytes.Add(-static_cast<std::int64_t>(shard->bytes));
   }
 }
 
@@ -183,10 +179,8 @@ DecodedBlockCache::Handle DecodedBlockCache::Lookup(std::uint64_t stream_id,
   primacy::MutexLock lock(shard.mutex);
   const auto it = shard.index.find({stream_id, chunk_index});
   const bool hit = it != shard.index.end();
-  if constexpr (telemetry::kEnabled) {
-    (hit ? shard.metrics->hits : shard.metrics->misses).Increment();
-    internal::CacheGlobalMetrics::Get().RecordLookup(hit);
-  }
+  (hit ? shard.metrics->hits : shard.metrics->misses).Increment();
+  internal::CacheGlobalMetrics::Get().RecordLookup(hit);
   if (!hit) {
     ++shard.stats.misses;
     return Handle();
@@ -218,18 +212,14 @@ bool DecodedBlockCache::Insert(std::uint64_t stream_id,
       --it;
       if (it->pins > 0) continue;
       shard.bytes -= it->data.size();
-      if constexpr (telemetry::kEnabled) {
-        shard.metrics->evictions.Increment();
-        shard.metrics->bytes.Add(-static_cast<std::int64_t>(it->data.size()));
-      }
+      shard.metrics->evictions.Increment();
+      shard.metrics->bytes.Add(-static_cast<std::int64_t>(it->data.size()));
       ++shard.stats.evictions;
       shard.index.erase({it->stream_id, it->chunk_index});
       it = shard.lru.erase(it);
     }
-    if constexpr (telemetry::kEnabled) {
-      internal::CacheGlobalMetrics::Get().evict_us.Observe(
-          static_cast<double>(evict_timer.ElapsedNs()) / 1e3);
-    }
+    internal::CacheGlobalMetrics::Get().evict_us.Observe(
+        static_cast<double>(evict_timer.ElapsedNs()) / 1e3);
   }
   const std::size_t size = data.size();
   shard.lru.push_front(internal::CacheEntry{stream_id, chunk_index,
@@ -238,11 +228,9 @@ bool DecodedBlockCache::Insert(std::uint64_t stream_id,
                       shard.lru.begin());
   shard.bytes += size;
   ++shard.stats.insertions;
-  if constexpr (telemetry::kEnabled) {
-    shard.metrics->bytes.Add(static_cast<std::int64_t>(size));
-    internal::CacheGlobalMetrics::Get().fill_us.Observe(
-        static_cast<double>(fill_timer.ElapsedNs()) / 1e3);
-  }
+  shard.metrics->bytes.Add(static_cast<std::int64_t>(size));
+  internal::CacheGlobalMetrics::Get().fill_us.Observe(
+      static_cast<double>(fill_timer.ElapsedNs()) / 1e3);
   return true;
 }
 
@@ -262,9 +250,7 @@ void DecodedBlockCache::Clear() {
         continue;
       }
       shard->bytes -= it->data.size();
-      if constexpr (telemetry::kEnabled) {
-        shard->metrics->bytes.Add(-static_cast<std::int64_t>(it->data.size()));
-      }
+      shard->metrics->bytes.Add(-static_cast<std::int64_t>(it->data.size()));
       shard->index.erase({it->stream_id, it->chunk_index});
       it = shard->lru.erase(it);
     }

@@ -52,9 +52,9 @@ struct CacheOptions {
   std::size_t prefetch_chunks = 0;
 };
 
-/// Counters snapshot from DecodedBlockCache::Stats. Maintained internally
-/// under the shard locks, so the snapshot is exact even when the build has
-/// telemetry compiled out.
+/// Counters snapshot from DecodedBlockCache::Stats. Maintained under the
+/// shard locks, so the snapshot is exact (the registry series are relaxed
+/// atomics).
 struct CacheStatsSnapshot {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;

@@ -58,30 +58,7 @@ InSituResult InSituCompress(std::span<const double> values,
             compressor.Compress(values.subspan(first, count), &stats[shard]);
       });
 
-  for (const PrimacyStats& s : stats) {
-    result.totals.chunks += s.chunks;
-    result.totals.indexes_emitted += s.indexes_emitted;
-    result.totals.delta_indexes += s.delta_indexes;
-    result.totals.input_bytes += s.input_bytes;
-    result.totals.output_bytes += s.output_bytes;
-    result.totals.index_bytes += s.index_bytes;
-    result.totals.id_compressed_bytes += s.id_compressed_bytes;
-    result.totals.mantissa_stream_bytes += s.mantissa_stream_bytes;
-    result.totals.mantissa_raw_bytes += s.mantissa_raw_bytes;
-    result.totals.stage.Accumulate(s.stage);
-  }
-  if (shard_count > 0) {
-    const auto n = static_cast<double>(shard_count);
-    double before = 0.0, after = 0.0, fraction = 0.0;
-    for (const PrimacyStats& s : stats) {
-      before += s.top_byte_frequency_before;
-      after += s.top_byte_frequency_after;
-      fraction += s.mean_compressible_fraction;
-    }
-    result.totals.top_byte_frequency_before = before / n;
-    result.totals.top_byte_frequency_after = after / n;
-    result.totals.mean_compressible_fraction = fraction / n;
-  }
+  for (const PrimacyStats& s : stats) result.totals.Accumulate(s);
   return result;
 }
 

@@ -194,12 +194,10 @@ void PrefetchAdjacentChunks(const internal::OpenedStream& opened,
           }
         });
     ++accounting.prefetch_issued;
-    if constexpr (telemetry::kEnabled) {
-      static telemetry::Counter& prefetch_total =
-          telemetry::MetricsRegistry::Global().GetCounter(
-              "primacy_cache_prefetch_total");
-      prefetch_total.Increment();
-    }
+    static telemetry::Counter& prefetch_total =
+        telemetry::MetricsRegistry::Global().GetCounter(
+            "primacy_cache_prefetch_total");
+    prefetch_total.Increment();
   }
 }
 
@@ -327,6 +325,33 @@ void CheckElementWidth(std::size_t element_size, std::size_t width) {
         " bytes wide, but the stream or options hold " +
         std::to_string(width) + "-byte elements");
   }
+}
+
+void PrimacyStats::Accumulate(const PrimacyStats& other) {
+  const std::size_t total = chunks + other.chunks;
+  if (total > 0) {
+    const auto weighted = [&](double mine, double theirs) {
+      return (mine * static_cast<double>(chunks) +
+              theirs * static_cast<double>(other.chunks)) /
+             static_cast<double>(total);
+    };
+    mean_compressible_fraction = weighted(mean_compressible_fraction,
+                                          other.mean_compressible_fraction);
+    top_byte_frequency_before =
+        weighted(top_byte_frequency_before, other.top_byte_frequency_before);
+    top_byte_frequency_after =
+        weighted(top_byte_frequency_after, other.top_byte_frequency_after);
+  }
+  chunks = total;
+  indexes_emitted += other.indexes_emitted;
+  delta_indexes += other.delta_indexes;
+  input_bytes += other.input_bytes;
+  output_bytes += other.output_bytes;
+  index_bytes += other.index_bytes;
+  id_compressed_bytes += other.id_compressed_bytes;
+  mantissa_stream_bytes += other.mantissa_stream_bytes;
+  mantissa_raw_bytes += other.mantissa_raw_bytes;
+  stage.Accumulate(other.stage);
 }
 
 void PrimacyDecodeStats::Accumulate(const PrimacyDecodeStats& other) {

@@ -171,8 +171,12 @@ struct PrimacyStats {
   double top_byte_frequency_after = 0.0;
   /// Wall time spent in each encode stage, summed across chunks (and across
   /// workers when chunk-parallel — i.e. CPU time, which can exceed the call's
-  /// wall time). All-zero when built with PRIMACY_TELEMETRY=OFF.
+  /// wall time).
   telemetry::StageBreakdown stage;
+
+  /// Folds another stream's stats into this one: counts add, and the three
+  /// per-chunk means stay per chunk (weighted by each side's chunk count).
+  void Accumulate(const PrimacyStats& other);
 
   double CompressionRatio() const {
     return output_bytes == 0
@@ -237,7 +241,7 @@ struct PrimacyDecodeStats {
   /// (best effort; completion is not awaited).
   std::size_t prefetch_issued = 0;
   /// Wall time per decode stage, summed across chunks and decode slots (CPU
-  /// time under parallel decode). All-zero when PRIMACY_TELEMETRY=OFF.
+  /// time under parallel decode).
   telemetry::StageBreakdown stage;
 
   /// Folds another call's counters into this one (threads_used is left

@@ -32,8 +32,7 @@ std::vector<std::unique_ptr<IoGroup>> BuildGroups(const ClusterConfig& cfg) {
   return out;
 }
 
-StagingResult Finalize(const ClusterConfig& cfg,
-                       std::span<const CompressionProfile> profiles,
+StagingResult Finalize(std::span<const CompressionProfile> profiles,
                        std::vector<std::unique_ptr<IoGroup>>& groups,
                        std::vector<NodeTrace> nodes, SimTime total,
                        std::size_t events, bool write_path) {
@@ -118,7 +117,7 @@ StagingResult SimulateWrite(const ClusterConfig& config,
     }
   }
   const SimTime total = queue.Run();
-  return Finalize(config, profiles, groups, std::move(nodes), total,
+  return Finalize(profiles, groups, std::move(nodes), total,
                   queue.ProcessedEvents(), /*write_path=*/true);
 }
 
@@ -175,7 +174,7 @@ StagingResult SimulateRead(const ClusterConfig& config,
     }
   }
   const SimTime total = queue.Run();
-  return Finalize(config, profiles, groups, std::move(nodes), total,
+  return Finalize(profiles, groups, std::move(nodes), total,
                   queue.ProcessedEvents(), /*write_path=*/false);
 }
 
@@ -223,7 +222,7 @@ StagingResult SimulateWriteAtIoNode(const ClusterConfig& config,
   const SimTime total = queue.Run();
   const std::vector<CompressionProfile> profiles(config.compute_nodes,
                                                  profile);
-  return Finalize(config, profiles, groups, std::move(nodes), total,
+  return Finalize(profiles, groups, std::move(nodes), total,
                   queue.ProcessedEvents(), /*write_path=*/true);
 }
 

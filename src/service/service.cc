@@ -82,8 +82,7 @@ void AppendJsonField(std::string& out, const char* key, std::uint64_t value,
 
 namespace internal {
 
-/// Per-tenant telemetry handles, resolved once at AddTenant (stubs when the
-/// build compiles telemetry out).
+/// Per-tenant telemetry handles, resolved once at AddTenant.
 struct TenantMetrics {
   telemetry::Counter* admitted_bytes = nullptr;
   telemetry::Counter* rejected_bytes = nullptr;

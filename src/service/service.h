@@ -119,9 +119,8 @@ struct SlowRequestEvent {
   std::size_t tenant_inflight = 0;
 };
 
-/// Service-wide exact counters (functional, kept under the service mutex —
-/// meaningful even when telemetry is compiled out). Batch counters come
-/// from the admission queue.
+/// Service-wide exact counters (functional, kept under the service mutex).
+/// Batch counters come from the admission queue.
 struct ServiceStatsSnapshot {
   std::uint64_t admitted_requests = 0;
   std::uint64_t admitted_bytes = 0;

@@ -1,7 +1,5 @@
 #include "telemetry/exporter/http_server.h"
 
-#if PRIMACY_TELEMETRY_ENABLED
-
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -157,5 +155,3 @@ void HttpServer::Stop() {
 int HttpServer::Port() const { return impl_->port; }
 
 }  // namespace primacy::telemetry
-
-#endif  // PRIMACY_TELEMETRY_ENABLED

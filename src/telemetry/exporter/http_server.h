@@ -17,20 +17,15 @@
 // the accept thread through thread creation/join. Nothing here appears in
 // the thread-safety-annotation layer (util/thread_annotations.h) because
 // there is no capability to annotate.
-//
-// Compiles to an inline no-op under PRIMACY_TELEMETRY=OFF: Start() reports
-// failure and no socket ever opens, so the endpoint is simply absent.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <string>
 
-#include "telemetry/stage.h"
-
 namespace primacy::telemetry {
 
-/// One rendered response. Plain data, exists in every build.
+/// One rendered response.
 struct HttpResponse {
   int status = 200;
   std::string content_type = "text/plain; charset=utf-8";
@@ -40,8 +35,6 @@ struct HttpResponse {
 /// Maps a request path ("/metrics") to a response; query strings are
 /// stripped before dispatch.
 using HttpHandler = std::function<HttpResponse(const std::string& path)>;
-
-#if PRIMACY_TELEMETRY_ENABLED
 
 class HttpServer {
  public:
@@ -67,16 +60,5 @@ class HttpServer {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-#else  // !PRIMACY_TELEMETRY_ENABLED — inline no-op stubs.
-
-class HttpServer {
- public:
-  bool Start(int, HttpHandler) { return false; }
-  void Stop() {}
-  int Port() const { return -1; }
-};
-
-#endif  // PRIMACY_TELEMETRY_ENABLED
 
 }  // namespace primacy::telemetry

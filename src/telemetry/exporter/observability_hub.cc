@@ -1,7 +1,5 @@
 #include "telemetry/exporter/observability_hub.h"
 
-#if PRIMACY_TELEMETRY_ENABLED
-
 #include <sys/stat.h>
 
 #include <algorithm>
@@ -443,5 +441,3 @@ ObservabilityHub* MaybeStartHubFromEnv() {
 }
 
 }  // namespace primacy::telemetry
-
-#endif  // PRIMACY_TELEMETRY_ENABLED

@@ -14,8 +14,8 @@
 // wall-clock sleeps. The HTTP accept thread is the only wall-time blocking
 // part, and it blocks in poll(), not on the clock.
 //
-// Under PRIMACY_TELEMETRY=OFF the hub compiles to an inline no-op: no
-// threads, no socket, HandleRequest answers 404 — the endpoint is absent.
+// Nothing runs until Start(): a constructed hub owns no thread and no
+// socket, and the HTTP endpoint opens only when http_port >= 0.
 #pragma once
 
 #include <cstddef>
@@ -26,11 +26,10 @@
 
 #include "service/clock.h"
 #include "telemetry/exporter/http_server.h"
-#include "telemetry/stage.h"
 
 namespace primacy::telemetry {
 
-/// Hub configuration. Plain data, exists in every build.
+/// Hub configuration.
 struct ObservabilityHubOptions {
   /// HTTP endpoint port on 127.0.0.1: -1 disables the endpoint entirely,
   /// 0 binds a kernel-assigned ephemeral port (read back with HttpPort()).
@@ -71,8 +70,6 @@ struct ObservabilityHubStats {
   std::uint64_t profile_samples = 0;
 };
 
-#if PRIMACY_TELEMETRY_ENABLED
-
 class ObservabilityHub {
  public:
   explicit ObservabilityHub(ObservabilityHubOptions options = {});
@@ -104,8 +101,7 @@ class ObservabilityHub {
   void SetReadyCheck(std::function<bool()> check);
 
   /// Endpoint dispatch. This is the handler the HTTP thread calls, exposed
-  /// so tests (and the OFF-build stub contract) exercise endpoints without
-  /// a socket.
+  /// so tests exercise endpoints without a socket.
   HttpResponse HandleRequest(const std::string& path);
 
   ObservabilityHubStats GetStats() const;
@@ -136,31 +132,5 @@ class ObservabilityHub {
 /// the variables are set. Called from the bench reporters and serving
 /// tools so any run can be made scrapeable without code changes.
 ObservabilityHub* MaybeStartHubFromEnv();
-
-#else  // !PRIMACY_TELEMETRY_ENABLED — inline no-op stubs.
-
-class ObservabilityHub {
- public:
-  explicit ObservabilityHub(ObservabilityHubOptions = {}) {}
-  void Start() {}
-  void Stop() {}
-  int HttpPort() const { return -1; }
-  using StatusSource = std::function<std::string()>;
-  void AddStatusSource(std::string, StatusSource) {}
-  void SetReadyCheck(std::function<bool()>) {}
-  HttpResponse HandleRequest(const std::string&) {
-    return HttpResponse{404, "text/plain; charset=utf-8",
-                        "telemetry disabled\n"};
-  }
-  ObservabilityHubStats GetStats() const { return {}; }
-  void WaitForTicks(std::uint64_t) {}
-  std::string RenderCollapsedStacks() const { return {}; }
-  bool ShutdownRequested() const { return false; }
-  void WaitForShutdownRequest() {}
-};
-
-inline ObservabilityHub* MaybeStartHubFromEnv() { return nullptr; }
-
-#endif  // PRIMACY_TELEMETRY_ENABLED
 
 }  // namespace primacy::telemetry

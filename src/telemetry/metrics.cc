@@ -1,7 +1,5 @@
 #include "telemetry/metrics.h"
 
-#if PRIMACY_TELEMETRY_ENABLED
-
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -83,14 +81,6 @@ void Histogram::Observe(double value) {
 }
 
 double Histogram::Sum() const { return sum_.load(std::memory_order_relaxed); }
-
-std::uint64_t Histogram::CumulativeCount(std::size_t i) const {
-  std::uint64_t total = 0;
-  for (std::size_t b = 0; b <= i && b <= bounds_.size(); ++b) {
-    total += buckets_[b].load(std::memory_order_relaxed);
-  }
-  return total;
-}
 
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot snapshot;
@@ -209,19 +199,21 @@ std::string MetricsRegistry::RenderPrometheus() const {
       AppendSeries(out, entry.name, entry.labels,
                    static_cast<double>(entry.gauge->Value()));
     } else if (entry.histogram) {
-      const Histogram& h = *entry.histogram;
-      for (std::size_t i = 0; i < h.bounds().size(); ++i) {
+      // One snapshot per series, so the buckets never decrease and _count
+      // is the +Inf bucket even while other threads Observe.
+      const HistogramSnapshot h = entry.histogram->Snapshot();
+      for (std::size_t i = 0; i < h.bounds.size(); ++i) {
         AppendSeries(out, entry.name + "_bucket",
                      WithLabel(entry.labels,
-                               "le=\"" + FormatNumber(h.bounds()[i]) + "\""),
-                     static_cast<double>(h.CumulativeCount(i)));
+                               "le=\"" + FormatNumber(h.bounds[i]) + "\""),
+                     static_cast<double>(h.cumulative[i]));
       }
       AppendSeries(out, entry.name + "_bucket",
                    WithLabel(entry.labels, "le=\"+Inf\""),
-                   static_cast<double>(h.Count()));
-      AppendSeries(out, entry.name + "_sum", entry.labels, h.Sum());
+                   static_cast<double>(h.count));
+      AppendSeries(out, entry.name + "_sum", entry.labels, h.sum);
       AppendSeries(out, entry.name + "_count", entry.labels,
-                   static_cast<double>(h.Count()));
+                   static_cast<double>(h.count));
     }
   }
   return out;
@@ -238,5 +230,3 @@ void MetricsRegistry::ResetAllForTest() {
 }
 
 }  // namespace primacy::telemetry
-
-#endif  // PRIMACY_TELEMETRY_ENABLED

@@ -5,31 +5,22 @@
 // is taken only at registration) and then update through relaxed atomics —
 // no locks, no allocation. Metric objects are never destroyed or moved, so
 // cached pointers stay valid for the life of the process.
-//
-// When the build is configured with PRIMACY_TELEMETRY=OFF every operation
-// here compiles to an inline no-op (the stub half of this header), so
-// instrumented code needs no #ifdefs of its own.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "telemetry/stage.h"
-
-#if PRIMACY_TELEMETRY_ENABLED
-#include <atomic>
-#include <memory>
-#endif
-
 namespace primacy::telemetry {
 
-/// Point-in-time copy of a Histogram's state. Plain data, exists in every
-/// build (an OFF-build snapshot is empty), so benches and the exporter can
-/// compute per-window percentiles without touching live atomics twice.
+/// Point-in-time copy of a Histogram's state. Plain data, so benches and
+/// the exporter can compute per-window percentiles without touching live
+/// atomics twice.
 struct HistogramSnapshot {
   std::vector<double> bounds;  // ascending finite upper bounds
   /// Cumulative counts; bounds.size() + 1 entries, the last is the +Inf
@@ -76,8 +67,6 @@ struct HistogramSnapshot {
   }
 };
 
-#if PRIMACY_TELEMETRY_ENABLED
-
 /// Monotonically increasing counter.
 class Counter {
  public:
@@ -115,13 +104,11 @@ class Histogram {
 
   std::uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
   double Sum() const;
-  /// Cumulative count of observations <= bounds()[i]; i == bounds().size()
-  /// is the +Inf bucket (== Count()).
-  std::uint64_t CumulativeCount(std::size_t i) const;
-  /// Consistent-enough copy for percentile math (bucket reads are relaxed;
-  /// a snapshot taken mid-Observe may be off by the in-flight observation).
+  /// Copy for rendering and percentile math. Its count is the bucket total,
+  /// so cumulative counts never decrease and count is the +Inf bucket; reads
+  /// are relaxed, so a snapshot taken mid-Observe may miss the in-flight
+  /// observation.
   HistogramSnapshot Snapshot() const;
-  std::span<const double> bounds() const { return bounds_; }
   void Reset();
 
  private:
@@ -157,58 +144,5 @@ class MetricsRegistry {
   struct Impl;
   Impl& impl() const;
 };
-
-#else  // !PRIMACY_TELEMETRY_ENABLED — inline no-op stubs.
-
-class Counter {
- public:
-  void Increment(std::uint64_t = 1) {}
-  std::uint64_t Value() const { return 0; }
-  void Reset() {}
-};
-
-class Gauge {
- public:
-  void Set(std::int64_t) {}
-  void Add(std::int64_t) {}
-  std::int64_t Value() const { return 0; }
-  void Reset() {}
-};
-
-class Histogram {
- public:
-  void Observe(double) {}
-  std::uint64_t Count() const { return 0; }
-  double Sum() const { return 0.0; }
-  std::uint64_t CumulativeCount(std::size_t) const { return 0; }
-  HistogramSnapshot Snapshot() const { return {}; }
-  std::span<const double> bounds() const { return {}; }
-  void Reset() {}
-};
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& Global() {
-    static MetricsRegistry registry;
-    return registry;
-  }
-  Counter& GetCounter(std::string_view, std::string_view = {}) {
-    static Counter stub;
-    return stub;
-  }
-  Gauge& GetGauge(std::string_view, std::string_view = {}) {
-    static Gauge stub;
-    return stub;
-  }
-  Histogram& GetHistogram(std::string_view, std::span<const double>,
-                          std::string_view = {}) {
-    static Histogram stub;
-    return stub;
-  }
-  std::string RenderPrometheus() const { return std::string(); }
-  void ResetAllForTest() {}
-};
-
-#endif  // PRIMACY_TELEMETRY_ENABLED
 
 }  // namespace primacy::telemetry

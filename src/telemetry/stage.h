@@ -8,9 +8,8 @@
 // frequency (index restore) + id_map + merge the inverse preconditioner.
 // checksum is the v3 integrity pass, outside the paper's model.
 //
-// StageBreakdown is plain data and exists in every build; StageTimer
-// (stage_stack.h) is the collection primitive and compiles to a no-op when
-// PRIMACY_TELEMETRY=OFF, leaving every breakdown zero at zero cost.
+// StageBreakdown is plain data; StageTimer (stage_stack.h) is the
+// collection primitive that fills it.
 #pragma once
 
 #include <array>
@@ -18,14 +17,7 @@
 #include <cstdint>
 #include <string_view>
 
-#ifndef PRIMACY_TELEMETRY_ENABLED
-#define PRIMACY_TELEMETRY_ENABLED 1
-#endif
-
 namespace primacy::telemetry {
-
-/// True when telemetry collection is compiled in (PRIMACY_TELEMETRY=ON).
-inline constexpr bool kEnabled = PRIMACY_TELEMETRY_ENABLED != 0;
 
 enum class Stage : std::uint8_t {
   kSplit = 0,   // big-endian rows + high/low byte split (encode only)

@@ -1,7 +1,5 @@
 #include "telemetry/stage_stack.h"
 
-#if PRIMACY_TELEMETRY_ENABLED
-
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -196,5 +194,3 @@ std::vector<StageStackSample> SampleStageStacks() {
 }
 
 }  // namespace primacy::telemetry
-
-#endif  // PRIMACY_TELEMETRY_ENABLED

@@ -15,12 +15,11 @@
 // per timer; enabled, push/pop/retarget are relaxed atomic stores into
 // thread-local slots. A sample taken mid push/pop reads a torn-but-valid
 // stack (frames are clamped to the stage enum), never undefined behavior.
-//
-// With PRIMACY_TELEMETRY=OFF everything here is an inline no-op that reads
-// no clock.
 #pragma once
 
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -28,18 +27,13 @@
 #include "telemetry/metrics.h"
 #include "telemetry/stage.h"
 
-#if PRIMACY_TELEMETRY_ENABLED
-#include <atomic>
-#include <chrono>
-#endif
-
 namespace primacy::telemetry {
 
 /// Frames retained per thread; deeper nesting keeps counting depth but the
 /// overflow frames are not recorded (samples clamp to this many frames).
 inline constexpr std::size_t kStageStackDepth = 8;
 
-/// One thread's stack at sampling time. Plain data, exists in every build.
+/// One thread's stack at sampling time. Plain data.
 struct StageStackSample {
   std::uint32_t tid = 0;
   /// Live frames (clamped to kStageStackDepth), bottom-first.
@@ -49,8 +43,6 @@ struct StageStackSample {
   /// Innermost frame; only meaningful when depth > 0.
   Stage Top() const { return frames[depth == 0 ? 0 : depth - 1]; }
 };
-
-#if PRIMACY_TELEMETRY_ENABLED
 
 bool StageSamplingEnabled();
 void SetStageSamplingEnabled(bool enabled);
@@ -103,29 +95,5 @@ class StageTimer {
 /// Snapshot of every registered thread's live stack (threads with empty
 /// stacks are omitted). Takes the registry mutex; sampler-side cost only.
 std::vector<StageStackSample> SampleStageStacks();
-
-#else  // !PRIMACY_TELEMETRY_ENABLED — inline no-op stubs.
-
-inline bool StageSamplingEnabled() { return false; }
-inline void SetStageSamplingEnabled(bool) {}
-
-inline Histogram& StageSecondsHistogram(Pipeline, Stage) {
-  static Histogram stub;
-  return stub;
-}
-
-class StageTimer {
- public:
-  StageTimer(Pipeline, Stage, const char*, const char* = nullptr,
-             std::uint64_t = 0) {}
-  StageTimer(const StageTimer&) = delete;
-  StageTimer& operator=(const StageTimer&) = delete;
-  void Lap(Stage) {}
-  StageBreakdown Commit() { return {}; }
-};
-
-inline std::vector<StageStackSample> SampleStageStacks() { return {}; }
-
-#endif  // PRIMACY_TELEMETRY_ENABLED
 
 }  // namespace primacy::telemetry

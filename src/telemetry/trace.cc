@@ -1,7 +1,5 @@
 #include "telemetry/trace.h"
 
-#if PRIMACY_TELEMETRY_ENABLED
-
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -116,8 +114,9 @@ void EnsureExitFlushRegistered() {
 /// Copies this buffer's retained events (indices >= `begin`) into `out`,
 /// discarding any entry the writer invalidated while we copied. Returns the
 /// `pushed` value the copy covered. Holding the registry mutex keeps the
-/// buffer list stable while we walk a buffer it owns.
-std::uint64_t CopyBufferEvents(BufferRegistry& registry,
+/// buffer list stable while we walk a buffer it owns; `registry` is named
+/// only by that lock annotation, which compiles away outside Clang.
+std::uint64_t CopyBufferEvents([[maybe_unused]] BufferRegistry& registry,
                                ThreadTraceBuffer& buffer, std::uint64_t begin,
                                std::vector<TraceEvent>& out)
     PRIMACY_REQUIRES(registry.mutex) {
@@ -317,5 +316,3 @@ void ClearTraceBuffers() {
 }
 
 }  // namespace primacy::telemetry
-
-#endif  // PRIMACY_TELEMETRY_ENABLED

@@ -5,10 +5,9 @@
 //   telemetry::TraceSpan span("primacy.encode_chunk", "bytes", chunk.size());
 //   ... work ...   // the event is recorded when `span` goes out of scope
 //
-// Recording is gated twice: at compile time (PRIMACY_TELEMETRY=OFF makes
-// TraceSpan an empty struct) and at run time (tracing defaults off; enable
-// with SetTracingEnabled(true) or the PRIMACY_TRACE=1 environment variable).
-// A disabled span costs one relaxed atomic load.
+// Recording is gated at run time: tracing defaults off; enable it with
+// SetTracingEnabled(true) or the PRIMACY_TRACE=1 environment variable. A
+// disabled span costs one relaxed atomic load.
 //
 // Each thread records into its own fixed-size ring buffer (no locks, no
 // allocation after the first span on a thread; the newest kTraceRingCapacity
@@ -38,8 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "telemetry/stage.h"
-
 namespace primacy::telemetry {
 
 /// One completed span. Timestamps are nanoseconds on the steady clock,
@@ -55,8 +52,6 @@ struct TraceEvent {
 
 /// Events retained per thread (newest win once the ring wraps).
 inline constexpr std::size_t kTraceRingCapacity = 8192;
-
-#if PRIMACY_TELEMETRY_ENABLED
 
 bool TracingEnabled();
 void SetTracingEnabled(bool enabled);
@@ -107,44 +102,15 @@ bool WriteChromeTrace(const std::string& path);
 /// (test isolation; call at quiescence).
 void ClearTraceBuffers();
 
-#else  // !PRIMACY_TELEMETRY_ENABLED — inline no-op stubs.
-
-inline bool TracingEnabled() { return false; }
-inline void SetTracingEnabled(bool) {}
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*) {}
-  TraceSpan(const char*, const char*, std::uint64_t) {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-};
-
-inline std::vector<TraceEvent> SnapshotTraceEvents() { return {}; }
-inline std::vector<TraceEvent> DrainTraceEvents() { return {}; }
-inline std::uint64_t TraceDroppedSpans() { return 0; }
-inline std::string RenderChromeTrace() {
-  return std::string("{\"traceEvents\": []}\n");
-}
-inline std::string RenderChromeTraceEvents(const std::vector<TraceEvent>&) {
-  return std::string("{\"traceEvents\": []}\n");
-}
-inline bool WriteChromeTrace(const std::string&) { return false; }
-inline void ClearTraceBuffers() {}
-
-#endif  // PRIMACY_TELEMETRY_ENABLED
-
-#if PRIMACY_TELEMETRY_ENABLED
 namespace internal {
 
 /// TraceSpan's ring write, shared with StageTimer: appends one completed
-/// span to this thread's ring. ON-build telemetry sources only (no stub).
+/// span to this thread's ring.
 void RecordTraceEvent(const char* name, const char* arg_name,
                       std::uint64_t arg_value,
                       std::chrono::steady_clock::time_point start,
                       std::uint64_t dur_ns);
 
 }  // namespace internal
-#endif  // PRIMACY_TELEMETRY_ENABLED
 
 }  // namespace primacy::telemetry

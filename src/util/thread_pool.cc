@@ -80,10 +80,8 @@ ThreadPool::ThreadPool(std::size_t num_threads, std::string_view name)
   if (num_threads == 0) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  if constexpr (telemetry::kEnabled) {
-    metrics_ = internal::PoolMetrics::ForName(name_);
-    metrics_->workers.Add(static_cast<std::int64_t>(num_threads));
-  }
+  metrics_ = internal::PoolMetrics::ForName(name_);
+  metrics_->workers.Add(static_cast<std::int64_t>(num_threads));
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -97,28 +95,24 @@ ThreadPool::~ThreadPool() {
   }
   cv_.NotifyAll();
   for (auto& worker : workers_) worker.join();
-  if constexpr (telemetry::kEnabled) {
-    metrics_->workers.Add(-static_cast<std::int64_t>(workers_.size()));
-  }
+  metrics_->workers.Add(-static_cast<std::int64_t>(workers_.size()));
 }
 
 void ThreadPool::Enqueue(std::function<void()> task) {
-  if constexpr (telemetry::kEnabled) {
-    internal::PoolMetrics* metrics = metrics_;
-    metrics->queue_depth.Add(1);
-    metrics->tasks.Increment();
-    WallTimer enqueue_timer;
-    task = [inner = std::move(task), enqueue_timer, metrics] {
-      metrics->queue_depth.Add(-1);
-      metrics->wait_us.Observe(static_cast<double>(enqueue_timer.ElapsedNs()) /
-                               1e3);
-      WallTimer run_timer;
-      inner();
-      const std::uint64_t run_ns = run_timer.ElapsedNs();
-      metrics->busy_ns.Increment(run_ns);
-      metrics->run_us.Observe(static_cast<double>(run_ns) / 1e3);
-    };
-  }
+  internal::PoolMetrics* metrics = metrics_;
+  metrics->queue_depth.Add(1);
+  metrics->tasks.Increment();
+  WallTimer enqueue_timer;
+  task = [inner = std::move(task), enqueue_timer, metrics] {
+    metrics->queue_depth.Add(-1);
+    metrics->wait_us.Observe(static_cast<double>(enqueue_timer.ElapsedNs()) /
+                             1e3);
+    WallTimer run_timer;
+    inner();
+    const std::uint64_t run_ns = run_timer.ElapsedNs();
+    metrics->busy_ns.Increment(run_ns);
+    metrics->run_us.Observe(static_cast<double>(run_ns) / 1e3);
+  };
   {
     primacy::MutexLock lock(mutex_);
     tasks_.emplace(std::move(task));

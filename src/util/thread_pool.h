@@ -80,7 +80,7 @@ class ThreadPool {
   void WorkerLoop() PRIMACY_EXCLUDES(mutex_);
 
   /// Queues one type-erased task, wrapping it with telemetry accounting
-  /// (queue depth, enqueue-to-start wait, run time) when compiled in.
+  /// (queue depth, enqueue-to-start wait, run time).
   void Enqueue(std::function<void()> task) PRIMACY_EXCLUDES(mutex_);
 
   /// Pops and runs one queued task on the calling thread; false if the

@@ -73,15 +73,14 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{4096},
                                          std::size_t{100000})),
     [](const ::testing::TestParamInfo<std::tuple<int, int, std::size_t>>&
-           info) {
+           param_info) {
       const auto codecs = AllCodecFactories();
       const auto generators = AllInputGenerators();
+      const auto& param = param_info.param;
       std::string name =
-          codecs[static_cast<std::size_t>(std::get<0>(info.param))].label +
-          "_" +
-          generators[static_cast<std::size_t>(std::get<1>(info.param))]
-              .label +
-          "_" + std::to_string(std::get<2>(info.param));
+          codecs[static_cast<std::size_t>(std::get<0>(param))].label + "_" +
+          generators[static_cast<std::size_t>(std::get<1>(param))].label +
+          "_" + std::to_string(std::get<2>(param));
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
@@ -135,10 +134,10 @@ TEST_P(CodecCorruption, RandomFlipsNeverReturnWrongData) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecCorruption, ::testing::Range(0, 7),
-                         [](const ::testing::TestParamInfo<int>& info) {
+                         [](const ::testing::TestParamInfo<int>& param_info) {
                            std::string name =
                                AllCodecFactories()
-                                   [static_cast<std::size_t>(info.param)]
+                                   [static_cast<std::size_t>(param_info.param)]
                                        .label;
                            std::replace(name.begin(), name.end(), '-', '_');
                            return name;

@@ -49,9 +49,9 @@ TEST_P(ZlibCrossCheck, RatioWithinBandOfZlib) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllInputs, ZlibCrossCheck, ::testing::Range(0, 8),
-                         [](const ::testing::TestParamInfo<int>& info) {
+                         [](const ::testing::TestParamInfo<int>& param_info) {
                            return testing::AllInputGenerators()
-                               [static_cast<std::size_t>(info.param)]
+                               [static_cast<std::size_t>(param_info.param)]
                                    .label;
                          });
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "datasets/datasets.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace primacy {
 namespace {
@@ -28,6 +32,37 @@ TEST(InSituTest, TotalsAggregateAcrossShards) {
   EXPECT_EQ(result.totals.input_bytes, values.size() * 8);
   EXPECT_EQ(result.totals.output_bytes, result.TotalCompressedBytes());
   EXPECT_GT(result.totals.chunks, 0u);
+
+  // Shards of unequal chunk counts: 3 smooth chunks, then 1 noise chunk.
+  // The chunk records match a one-shot compress, so the totals must too —
+  // the means are per chunk, not per shard.
+  constexpr std::size_t kChunkElements = 1024;
+  std::vector<double> mixed(4 * kChunkElements);
+  Rng rng(41);
+  for (std::size_t i = 0; i < mixed.size(); ++i) {
+    mixed[i] = i < 3 * kChunkElements
+                   ? std::sin(static_cast<double>(i) * 1e-3)
+                   : rng.NextGaussian() * 1e3;
+  }
+  InSituOptions sharded;
+  sharded.primacy.chunk_bytes = kChunkElements * sizeof(double);
+  sharded.shard_elements = 3 * kChunkElements;
+  const PrimacyStats totals = InSituCompress(mixed, sharded).totals;
+  PrimacyStats one_shot;
+  PrimacyCompressor(sharded.primacy).Compress(mixed, &one_shot);
+  ASSERT_EQ(totals.chunks, 4u);
+  EXPECT_EQ(totals.chunks, one_shot.chunks);
+  EXPECT_EQ(totals.indexes_emitted, one_shot.indexes_emitted);
+  EXPECT_EQ(totals.index_bytes, one_shot.index_bytes);
+  EXPECT_EQ(totals.id_compressed_bytes, one_shot.id_compressed_bytes);
+  EXPECT_EQ(totals.mantissa_stream_bytes, one_shot.mantissa_stream_bytes);
+  EXPECT_EQ(totals.mantissa_raw_bytes, one_shot.mantissa_raw_bytes);
+  EXPECT_NEAR(totals.mean_compressible_fraction,
+              one_shot.mean_compressible_fraction, 1e-12);
+  EXPECT_NEAR(totals.top_byte_frequency_before,
+              one_shot.top_byte_frequency_before, 1e-12);
+  EXPECT_NEAR(totals.top_byte_frequency_after,
+              one_shot.top_byte_frequency_after, 1e-12);
 }
 
 TEST(InSituTest, ShardOutputIndependentOfThreadCount) {

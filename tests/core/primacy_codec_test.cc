@@ -56,13 +56,14 @@ INSTANTIATE_TEST_SUITE_P(
                                          Linearization::kColumn),
                        ::testing::Values(IndexMode::kPerChunk,
                                          IndexMode::kReuseWhenCorrelated)),
-    [](const auto& info) {
-      return std::get<0>(info.param) +
-             std::string(std::get<1>(info.param) == Linearization::kRow
+    [](const auto& param_info) {
+      return std::get<0>(param_info.param) +
+             std::string(std::get<1>(param_info.param) == Linearization::kRow
                              ? "_row"
                              : "_col") +
-             (std::get<2>(info.param) == IndexMode::kPerChunk ? "_perchunk"
-                                                              : "_reuse");
+             (std::get<2>(param_info.param) == IndexMode::kPerChunk
+                  ? "_perchunk"
+                  : "_reuse");
     });
 
 TEST(PrimacyCodecTest, StatsAccountForAllStages) {

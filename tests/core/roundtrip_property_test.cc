@@ -107,7 +107,7 @@ TEST(RoundTripPropertyTest, DanglingTailBytesRoundTrip) {
   const PrimacyCompressor compressor(options);
   const PrimacyDecompressor decompressor(options);
   Rng rng(77);
-  for (const std::size_t extra : {1, 3, 7}) {
+  for (const std::size_t extra : {1u, 3u, 7u}) {
     const auto values = RandomInput(rng, 300);
     Bytes input = ToBytes(AsBytes(std::span(values)));
     for (std::size_t i = 0; i < extra; ++i) {

@@ -114,8 +114,8 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenStream{"stream_v2.bin", "input.bin", 2, false},
         GoldenStream{"stream_v3.bin", "input.bin", 3, false},
         GoldenStream{"stored_v3.bin", "noise.bin", 3, true}),
-    [](const ::testing::TestParamInfo<GoldenStream>& info) {
-      std::string name = info.param.file;
+    [](const ::testing::TestParamInfo<GoldenStream>& param_info) {
+      std::string name = param_info.param.file;
       name.resize(name.size() - 4);  // drop ".bin"
       return name;
     });

@@ -38,9 +38,9 @@ TEST_P(PerDataset, PrimacyRoundTripsEveryDataset) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTwenty, PerDataset, ::testing::Range(0, 20),
-                         [](const ::testing::TestParamInfo<int>& info) {
+                         [](const ::testing::TestParamInfo<int>& param_info) {
                            return AllDatasets()
-                               [static_cast<std::size_t>(info.param)]
+                               [static_cast<std::size_t>(param_info.param)]
                                    .name;
                          });
 

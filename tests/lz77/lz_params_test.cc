@@ -30,7 +30,7 @@ Bytes MixedData(std::size_t n, std::uint64_t seed) {
 std::size_t ParseCost(const std::vector<LzToken>& tokens) {
   // Rough coded size proxy: 1 byte per literal, 3 per match.
   std::size_t cost = 0;
-  for (const LzToken& token : tokens) cost += token.IsLiteral() ? 1 : 3;
+  for (const LzToken& token : tokens) cost += token.IsLiteral() ? 1u : 3u;
   return cost;
 }
 
@@ -53,10 +53,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 3, 7, 10),
                        ::testing::Values(8, 64, 258),
                        ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<int, int, bool>>& info) {
-      return "chain" + std::to_string(1 << std::get<0>(info.param)) +
-             "_nice" + std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_lazy" : "_greedy");
+    [](const ::testing::TestParamInfo<std::tuple<int, int, bool>>& param_info) {
+      return "chain" + std::to_string(1 << std::get<0>(param_info.param)) +
+             "_nice" + std::to_string(std::get<1>(param_info.param)) +
+             (std::get<2>(param_info.param) ? "_lazy" : "_greedy");
     });
 
 TEST(LzParamQualityTest, DeeperChainsNeverParseWorse) {

@@ -367,14 +367,12 @@ TEST(ServiceTest, TelemetryExportsServiceSeries) {
   auto future = service.SubmitCompress("telemetry_tenant", MakePayload(64));
   service.Flush();
   ASSERT_TRUE(future.get().ok());
-#if PRIMACY_TELEMETRY_ENABLED
   const std::string rendered =
       telemetry::MetricsRegistry::Global().RenderPrometheus();
   EXPECT_NE(rendered.find("primacy_service_requests_total"), std::string::npos);
   EXPECT_NE(rendered.find("tenant=\"telemetry_tenant\""), std::string::npos);
   EXPECT_NE(rendered.find("primacy_service_batch_fill_ratio"),
             std::string::npos);
-#endif
 }
 
 // Delegates to a VirtualClock but flags the first no-deadline WaitUntil
@@ -410,9 +408,7 @@ class WaitObservingClock final : public ServiceClock {
 };
 
 TEST(ServiceTest, RejectionReasonLabelSetIsPinned) {
-#if PRIMACY_TELEMETRY_ENABLED
   telemetry::MetricsRegistry::Global().ResetAllForTest();
-#endif
   VirtualClock virtual_clock;
   WaitObservingClock clock(&virtual_clock);
   ServiceOptions options;
@@ -456,7 +452,6 @@ TEST(ServiceTest, RejectionReasonLabelSetIsPinned) {
     EXPECT_EQ(drained.get().status, ServiceStatus::kShuttingDown);
     EXPECT_TRUE(held.get().ok());
   }
-#if PRIMACY_TELEMETRY_ENABLED
   auto& registry = telemetry::MetricsRegistry::Global();
   EXPECT_EQ(registry
                 .GetCounter("primacy_service_rejections_total",
@@ -486,13 +481,10 @@ TEST(ServiceTest, RejectionReasonLabelSetIsPinned) {
                 reason == "draining")
         << "unexpected rejection reason label: " << reason;
   }
-#endif
 }
 
 TEST(ServiceTest, SlowRequestWatchdogCapturesSloBreaches) {
-#if PRIMACY_TELEMETRY_ENABLED
   telemetry::MetricsRegistry::Global().ResetAllForTest();
-#endif
   VirtualClock clock;
   ServiceOptions options;
   options.batch = ManualFlushBatching();
@@ -536,13 +528,11 @@ TEST(ServiceTest, SlowRequestWatchdogCapturesSloBreaches) {
   EXPECT_EQ(events[1].type, "decompress");
   EXPECT_EQ(events[1].status, ServiceStatus::kError);
 
-#if PRIMACY_TELEMETRY_ENABLED
   EXPECT_EQ(telemetry::MetricsRegistry::Global()
                 .GetCounter("primacy_slow_requests_total",
                             "tenant=\"alpha\"")
                 .Value(),
             4u);
-#endif
 }
 
 TEST(ServiceTest, WatchdogDisabledByDefault) {

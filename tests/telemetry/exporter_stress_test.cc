@@ -21,8 +21,6 @@
 namespace primacy::telemetry {
 namespace {
 
-#if PRIMACY_TELEMETRY_ENABLED
-
 TEST(ExporterStressTest, ConcurrentProducersScrapersAndClockAdvances) {
   MetricsRegistry::Global().ResetAllForTest();
   ClearTraceBuffers();
@@ -89,8 +87,6 @@ TEST(ExporterStressTest, ConcurrentProducersScrapersAndClockAdvances) {
   // dropped spans (the same invariant the nominal suite pins).
   EXPECT_EQ(TraceDroppedSpans(), 0u);
 }
-
-#endif  // PRIMACY_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace primacy::telemetry

@@ -29,27 +29,6 @@
 namespace primacy::telemetry {
 namespace {
 
-#if !PRIMACY_TELEMETRY_ENABLED
-
-TEST(ExporterOffBuildTest, HubIsAnInertStub) {
-  ObservabilityHubOptions options;
-  options.http_port = 0;
-  options.enable_quit_endpoint = true;
-  ObservabilityHub hub(options);
-  hub.Start();
-  EXPECT_EQ(hub.HttpPort(), -1);  // the endpoint is absent, not just empty
-  const HttpResponse response = hub.HandleRequest("/metrics");
-  EXPECT_EQ(response.status, 404);
-  EXPECT_EQ(response.body, "telemetry disabled\n");
-  EXPECT_EQ(hub.GetStats().ticks, 0u);
-  EXPECT_FALSE(hub.ShutdownRequested());
-  EXPECT_TRUE(hub.RenderCollapsedStacks().empty());
-  hub.Stop();
-  EXPECT_EQ(MaybeStartHubFromEnv(), nullptr);
-}
-
-#else
-
 class ExporterTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -325,8 +304,6 @@ TEST_F(ExporterTest, LiveHttpScrapeServesMetrics) {
   hub.Stop();
   EXPECT_EQ(hub.HttpPort(), -1);
 }
-
-#endif  // PRIMACY_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace primacy::telemetry

@@ -10,18 +10,6 @@
 namespace primacy::telemetry {
 namespace {
 
-#if !PRIMACY_TELEMETRY_ENABLED
-
-// The stub half has no behaviour to test beyond compiling and reading zero.
-TEST(MetricsTest, StubsReadZero) {
-  Counter counter;
-  counter.Increment(5);
-  EXPECT_EQ(counter.Value(), 0u);
-  EXPECT_TRUE(MetricsRegistry::Global().RenderPrometheus().empty());
-}
-
-#else
-
 class MetricsTest : public ::testing::Test {
  protected:
   void SetUp() override { MetricsRegistry::Global().ResetAllForTest(); }
@@ -71,10 +59,11 @@ TEST_F(MetricsTest, HistogramBucketBoundariesAreInclusive) {
   histogram.Observe(100.5);  // +Inf only
   EXPECT_EQ(histogram.Count(), 4u);
   EXPECT_DOUBLE_EQ(histogram.Sum(), 113.0);
-  EXPECT_EQ(histogram.CumulativeCount(0), 1u);  // <= 1
-  EXPECT_EQ(histogram.CumulativeCount(1), 3u);  // <= 10
-  EXPECT_EQ(histogram.CumulativeCount(2), 3u);  // <= 100
-  EXPECT_EQ(histogram.CumulativeCount(3), 4u);  // +Inf
+  const HistogramSnapshot snapshot = histogram.Snapshot();
+  EXPECT_EQ(snapshot.cumulative[0], 1u);  // <= 1
+  EXPECT_EQ(snapshot.cumulative[1], 3u);  // <= 10
+  EXPECT_EQ(snapshot.cumulative[2], 3u);  // <= 100
+  EXPECT_EQ(snapshot.cumulative[3], 4u);  // +Inf
 }
 
 TEST_F(MetricsTest, ConcurrentHistogramObservationsCountExactly) {
@@ -93,7 +82,7 @@ TEST_F(MetricsTest, ConcurrentHistogramObservationsCountExactly) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(histogram.Count(), kThreads * kObservations);
-  EXPECT_EQ(histogram.CumulativeCount(2), kThreads * kObservations);
+  EXPECT_EQ(histogram.Snapshot().cumulative[2], kThreads * kObservations);
 }
 
 TEST_F(MetricsTest, RegistryReturnsStableSeriesIdentity) {
@@ -139,8 +128,6 @@ TEST_F(MetricsTest, ResetAllForTestZeroesButKeepsRegistrations) {
   counter.Increment();
   EXPECT_EQ(registry.GetCounter("metrics_test_reset_total").Value(), 1u);
 }
-
-#endif  // PRIMACY_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace primacy::telemetry

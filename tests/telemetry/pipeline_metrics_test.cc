@@ -49,11 +49,10 @@ StageSnapshots StageHistograms(Pipeline pipeline) {
 
 /// Per stage, the histogram gained one observation per chunk that ran it
 /// and its _sum grew by the stats' seconds (to within double rounding).
-/// Under PRIMACY_TELEMETRY=OFF both stay zero.
 void ExpectStagesMatchRegistry(Pipeline pipeline, const StageSnapshots& before,
                                const telemetry::StageBreakdown& stage,
                                std::size_t chunks) {
-  EXPECT_EQ(stage.TotalNs() != 0, telemetry::kEnabled);
+  EXPECT_NE(stage.TotalNs(), 0u);
   const StageSnapshots after = StageHistograms(pipeline);
   for (std::size_t s = 0; s < kStageCount; ++s) {
     const HistogramSnapshot delta = after[s].DeltaSince(before[s]);
@@ -88,7 +87,6 @@ TEST(PipelineMetricsTest, EncodeStageStatsMatchRegistryExactly) {
 
   ExpectStagesMatchRegistry(Pipeline::kEncode, before, stats.stage,
                             stats.chunks);
-  if (!telemetry::kEnabled) return;
   EXPECT_EQ(CounterValue("primacy_encode_chunks_total") - chunks_before,
             stats.chunks);
   EXPECT_EQ(CounterValue("primacy_encode_input_bytes_total") - input_before,
@@ -127,11 +125,9 @@ TEST(PipelineMetricsTest, DecodeChecksumTimeReachesTheHistogram) {
 
   ASSERT_GT(stats.chunks_verified, 1u);
   ASSERT_EQ(reader_chunks, stats.chunks_verified);
-  const std::uint64_t published = telemetry::kEnabled ? reader_chunks : 0;
-  EXPECT_EQ(count1 - count0, published);
-  EXPECT_EQ(checksum.Count() - count1, published);
-  EXPECT_EQ(reader.stage_breakdown()[Stage::kChecksum] != 0,
-            telemetry::kEnabled);
+  EXPECT_EQ(count1 - count0, reader_chunks);
+  EXPECT_EQ(checksum.Count() - count1, reader_chunks);
+  EXPECT_NE(reader.stage_breakdown()[Stage::kChecksum], 0u);
 }
 
 TEST(PipelineMetricsTest, TraceSpansEqualTheChunkStageLaps) {
@@ -157,10 +153,8 @@ TEST(PipelineMetricsTest, TraceSpansEqualTheChunkStageLaps) {
                              std::string(StageName(static_cast<Stage>(s))));
     expected_ns.push_back(stats.stage.ns[s]);
   }
-  if (telemetry::kEnabled) {
-    expected_names.emplace_back("primacy.encode_chunk");
-    expected_ns.push_back(stats.stage.TotalNs());
-  }
+  expected_names.emplace_back("primacy.encode_chunk");
+  expected_ns.push_back(stats.stage.TotalNs());
   std::vector<std::string> names;
   std::vector<std::uint64_t> durations;
   for (const telemetry::TraceEvent& e : telemetry::SnapshotTraceEvents()) {
@@ -210,21 +204,19 @@ TEST(PipelineMetricsTest, SerialAndParallelDecodeIdenticalStatsAndMetrics) {
   // Both runs publish identical metric deltas (timing counters aside).
   EXPECT_EQ(chunks1 - chunks0, chunks2 - chunks1);
   EXPECT_EQ(bytes1 - bytes0, bytes2 - bytes1);
-  if (telemetry::kEnabled) {
-    EXPECT_EQ(chunks1 - chunks0, serial_stats.chunks_decoded);
-    EXPECT_EQ(bytes1 - bytes0, serial_stats.output_bytes);
-    // Both modes run the same decode stages; the heavy ones must register
-    // time in each (exact ns differ — they are timings, not byte counts).
-    for (const telemetry::Stage s :
-         {telemetry::Stage::kSolver, telemetry::Stage::kIsobar,
-          telemetry::Stage::kMerge}) {
-      EXPECT_GT(serial_stats.stage[s], 0u) << StageName(s);
-      EXPECT_GT(parallel_stats.stage[s], 0u) << StageName(s);
-    }
-    // Encode-only stages stay untouched on the decode path.
-    EXPECT_EQ(serial_stats.stage[telemetry::Stage::kSplit], 0u);
-    EXPECT_EQ(parallel_stats.stage[telemetry::Stage::kSplit], 0u);
+  EXPECT_EQ(chunks1 - chunks0, serial_stats.chunks_decoded);
+  EXPECT_EQ(bytes1 - bytes0, serial_stats.output_bytes);
+  // Both modes run the same decode stages; the heavy ones must register
+  // time in each (exact ns differ — they are timings, not byte counts).
+  for (const telemetry::Stage s :
+       {telemetry::Stage::kSolver, telemetry::Stage::kIsobar,
+        telemetry::Stage::kMerge}) {
+    EXPECT_GT(serial_stats.stage[s], 0u) << StageName(s);
+    EXPECT_GT(parallel_stats.stage[s], 0u) << StageName(s);
   }
+  // Encode-only stages stay untouched on the decode path.
+  EXPECT_EQ(serial_stats.stage[telemetry::Stage::kSplit], 0u);
+  EXPECT_EQ(parallel_stats.stage[telemetry::Stage::kSplit], 0u);
 }
 
 TEST(PipelineMetricsTest, StatsMeansSurviveStreamingAccumulation) {

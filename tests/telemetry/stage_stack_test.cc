@@ -13,19 +13,6 @@
 namespace primacy::telemetry {
 namespace {
 
-#if !PRIMACY_TELEMETRY_ENABLED
-
-TEST(StageStackTest, StubsRecordNothing) {
-  SetStageSamplingEnabled(true);
-  EXPECT_FALSE(StageSamplingEnabled());
-  StageTimer timer(Pipeline::kDecode, Stage::kSolver, "stub.timer");
-  timer.Lap(Stage::kMerge);
-  EXPECT_EQ(timer.Commit().TotalNs(), 0u);
-  EXPECT_TRUE(SampleStageStacks().empty());
-}
-
-#else
-
 class StageStackTest : public ::testing::Test {
  protected:
   void SetUp() override { SetStageSamplingEnabled(true); }
@@ -163,8 +150,6 @@ TEST_F(StageStackTest, StageNamesCoverTheTaxonomy) {
   EXPECT_EQ(StageName(Stage::kSolver), "solver");
   EXPECT_EQ(StageName(Stage::kSerialize), "serialize");
 }
-
-#endif  // PRIMACY_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace primacy::telemetry

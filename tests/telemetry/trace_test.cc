@@ -8,17 +8,6 @@
 namespace primacy::telemetry {
 namespace {
 
-#if !PRIMACY_TELEMETRY_ENABLED
-
-TEST(TraceTest, StubsRecordNothing) {
-  SetTracingEnabled(true);
-  { TraceSpan span("stub.span"); }
-  EXPECT_TRUE(SnapshotTraceEvents().empty());
-  EXPECT_EQ(RenderChromeTrace(), "{\"traceEvents\": []}\n");
-}
-
-#else
-
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -121,8 +110,6 @@ TEST_F(TraceTest, OverwrittenUnconsumedEventsCountAsDropped) {
   EXPECT_EQ(DrainTraceEvents().size(), 1u);
   EXPECT_EQ(TraceDroppedSpans(), 100u);  // cumulative, not re-counted
 }
-
-#endif  // PRIMACY_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace primacy::telemetry

@@ -27,7 +27,6 @@ TEST(ThreadPoolTest, RejectsNamesThatCannotBePrometheusLabelValues) {
 }
 
 TEST(ThreadPoolTest, PerPoolMetricsAreKeyedByName) {
-  if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   auto& registry = telemetry::MetricsRegistry::Global();
   const auto tasks_for = [&](const std::string& pool) {
     return registry
