@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -76,23 +77,35 @@ void Inspect(primacy::ByteSpan stream) {
                 static_cast<unsigned long long>(header.total_bytes));
     return;
   }
-  const bool streamed = header.total_bytes == ~std::uint64_t{0};
+  const bool streamed = header.total_bytes == kStreamingTotal;
   if (streamed) {
-    std::printf("  total bytes   : (streamed; recorded in trailer)\n");
+    std::printf("  total bytes   : (streamed; %s)\n",
+                header.version >= internal::kFormatVersion2
+                    ? "taken from the directory"
+                    : "recorded in trailer");
   } else {
     std::printf("  total bytes   : %llu\n",
                 static_cast<unsigned long long>(header.total_bytes));
   }
+  // v2/v3 list the records their directory counts; v1 scans them until the
+  // header total (one-shot) or the 0-count sentinel (streamed).
+  std::optional<internal::ChunkDirectory> directory;
+  if (header.version >= internal::kFormatVersion2) {
+    directory =
+        internal::ReadChunkDirectory(stream, chunks_begin, header.version);
+  }
 
   std::printf("\n%6s %12s %8s %10s %12s %12s\n", "chunk", "elements", "index",
               "idx(B)", "IDs(B)", "mantissa(B)");
-  const std::uint64_t total_elements =
-      streamed ? ~std::uint64_t{0} : header.total_bytes / header.width;
+  const std::uint64_t total_elements = header.total_bytes / header.width;
   std::uint64_t decoded = 0;
-  std::size_t chunk_no = 0;
-  while (decoded < total_elements) {
+  for (std::size_t chunk_no = 0;; ++chunk_no) {
+    if (directory ? chunk_no == directory->chunks.size()
+                  : !streamed && decoded >= total_elements) {
+      break;
+    }
     const std::uint64_t count = reader.GetVarint();
-    if (count == 0) break;  // streamed end-of-chunks sentinel
+    if (count == 0 && !directory) break;  // streamed v1 end of chunks
     const std::uint8_t flag = reader.GetU8();
     std::size_t index_bytes = 0;
     const char* mode = "reuse";
@@ -107,26 +120,23 @@ void Inspect(primacy::ByteSpan stream) {
     }
     const std::size_t id_bytes = reader.GetBlock().size();
     const std::size_t mantissa_bytes = reader.GetBlock().size();
-    std::printf("%6zu %12llu %8s %10zu %12zu %12zu\n", chunk_no++,
+    std::printf("%6zu %12llu %8s %10zu %12zu %12zu\n", chunk_no,
                 static_cast<unsigned long long>(count), mode, index_bytes,
                 id_bytes, mantissa_bytes);
     decoded += count;
-    if (!streamed && decoded >= total_elements) break;
   }
   const ByteSpan tail = reader.GetBlock();
   std::printf("\ntail bytes: %zu\n", tail.size());
-  if (streamed) {
+  if (streamed && !directory) {
     std::printf("trailer total: %llu bytes\n",
                 static_cast<unsigned long long>(reader.GetVarint()));
   }
-  if (header.version >= internal::kFormatVersion2 && !streamed) {
-    const internal::ChunkDirectory directory =
-        internal::ReadChunkDirectory(stream, chunks_begin, header.version);
+  if (directory) {
     std::printf("directory: %zu entries, %zu bytes incl. footer (seekable%s)\n",
-                directory.chunks.size(),
+                directory->chunks.size(),
                 stream.size() -
-                    static_cast<std::size_t>(directory.directory_offset),
-                directory.has_checksums ? ", checksummed" : "");
+                    static_cast<std::size_t>(directory->directory_offset),
+                directory->has_checksums ? ", checksummed" : "");
   }
 }
 

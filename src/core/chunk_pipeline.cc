@@ -63,29 +63,6 @@ double FrequencyCorrelation(const PairFrequency& a, const PairFrequency& b) {
 
 }  // namespace
 
-void AccumulateChunkStats(PrimacyStats& totals, const ChunkRecordStats& chunk) {
-  totals.chunks += 1;
-  if (chunk.emitted_full_index) totals.indexes_emitted += 1;
-  if (chunk.emitted_delta_index) totals.delta_indexes += 1;
-  totals.index_bytes += chunk.index_bytes;
-  totals.id_compressed_bytes += chunk.id_compressed_bytes;
-  totals.mantissa_stream_bytes += chunk.mantissa_stream_bytes;
-  totals.mantissa_raw_bytes += chunk.mantissa_raw_bytes;
-  // Accumulated as running sums; FinalizeChunkStatMeans divides by chunks.
-  totals.mean_compressible_fraction += chunk.compressible_fraction;
-  totals.top_byte_frequency_before += chunk.top_byte_frequency_before;
-  totals.top_byte_frequency_after += chunk.top_byte_frequency_after;
-  totals.stage.Accumulate(chunk.stage);
-}
-
-void FinalizeChunkStatMeans(PrimacyStats& totals) {
-  if (totals.chunks == 0) return;
-  const double n = static_cast<double>(totals.chunks);
-  totals.mean_compressible_fraction /= n;
-  totals.top_byte_frequency_before /= n;
-  totals.top_byte_frequency_after /= n;
-}
-
 ChunkEncoder::ChunkEncoder(const PrimacyOptions& options, const Codec& solver)
     : options_(options), solver_(solver) {}
 

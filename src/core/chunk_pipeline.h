@@ -4,8 +4,9 @@
 // A ChunkEncoder carries the cross-chunk state (previous frequency vector +
 // index for IndexMode::kReuseWhenCorrelated) and turns one chunk of
 // *native-layout element bytes* into one self-delimiting chunk record; a
-// ChunkDecoder mirrors it. The surrounding stream header/tail framing lives
-// with the callers.
+// ChunkDecoder mirrors it. The surrounding stream framing (header, tail
+// block, directory, footer) and the per-stream stats fold live in
+// internal::StreamAssembler (stream_format.h).
 #pragma once
 
 #include <memory>
@@ -35,14 +36,6 @@ struct ChunkRecordStats {
   /// Per-stage encode time for this chunk (zero when telemetry is off).
   telemetry::StageBreakdown stage;
 };
-
-/// Folds one chunk's accounting into per-stream totals. The per-chunk mean
-/// fields (top-byte frequencies, compressible fraction) are accumulated as
-/// running sums; call FinalizeChunkStatMeans once after the last chunk to
-/// divide them through. Shared by the one-shot compressor and the streaming
-/// writer.
-void AccumulateChunkStats(PrimacyStats& totals, const ChunkRecordStats& chunk);
-void FinalizeChunkStatMeans(PrimacyStats& totals);
 
 class ChunkEncoder {
  public:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "bitstream/byte_io.h"
 #include "core/stream_format.h"
 #include "telemetry/trace.h"
 #include "util/error.h"
@@ -11,17 +10,18 @@
 namespace primacy {
 namespace {
 
-/// Element count of a self-contained shard stream, read from its header
-/// without decoding any payload.
+/// Element count of a self-contained shard stream, read from its header or
+/// directory without decoding any payload. Range reads need a directory (or
+/// a stored payload), so a v1 shard is rejected here.
 std::uint64_t ShardElements(ByteSpan shard) {
-  ByteReader reader(shard);
-  const internal::StreamHeader header = internal::ReadStreamHeader(reader);
-  if (header.total_bytes == kStreamingTotal) {
+  const internal::OpenedStream opened =
+      internal::OpenStream(shard, /*verify=*/false);
+  if (!opened.directory && !opened.header.stored) {
     throw InvalidArgumentError(
-        "InSituDecompressRange: streamed shard has no element count");
+        "InSituDecompressRange: v1 shard has no chunk directory");
   }
-  CheckElementWidth(sizeof(double), header.width);
-  return header.total_bytes / header.width;
+  CheckElementWidth(sizeof(double), opened.header.width);
+  return opened.total_elements();
 }
 
 }  // namespace

@@ -56,7 +56,8 @@ InSituDecodeResult InSituDecompressWithStats(const std::vector<Bytes>& shards,
 /// Partial restore: decodes elements [first_element, first_element + count)
 /// of the sharded array, touching only the shards — and within each shard,
 /// via PrimacyDecompressor::DecompressRange, only the chunks — that cover
-/// the range. Shards must be v2 (or stored) streams of doubles.
+/// the range. Shards must be v2+ (one-shot or streamed) or stored streams
+/// of doubles; a v1 shard throws InvalidArgumentError.
 InSituDecodeResult InSituDecompressRange(const std::vector<Bytes>& shards,
                                          std::uint64_t first_element,
                                          std::uint64_t count,

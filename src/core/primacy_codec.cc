@@ -382,21 +382,21 @@ Bytes PrimacyCompressor::CompressBytes(ByteSpan data, PrimacyStats* stats,
   const std::size_t tail_bytes = data.size() % width;
   const ByteSpan body = data.first(data.size() - tail_bytes);
   const std::size_t chunk_elements = options_.chunk_bytes / width;
-
-  Bytes out;
-  internal::WriteStreamHeader(out, options_, data.size());
-
-  PrimacyStats accounting;
-  accounting.input_bytes = data.size();
-
   const std::size_t total_elements = body.size() / width;
   const std::size_t chunk_count =
       total_elements == 0
           ? 0
           : (total_elements + chunk_elements - 1) / chunk_elements;
-  std::vector<ChunkRecordStats> chunk_stats(chunk_count);
-  internal::ChunkDirectory directory;
-  directory.chunks.resize(chunk_count);
+  const auto chunk = [&](std::size_t i) {
+    const std::size_t first = i * chunk_elements;
+    const std::size_t count = std::min(chunk_elements, total_elements - first);
+    return body.subspan(first * width, count * width);
+  };
+
+  Bytes out;
+  internal::StreamAssembler assembler(
+      options_, data.size(),
+      [&out](ByteSpan bytes) { AppendBytes(out, bytes); });
 
   // A caller-supplied encoder pins the serial path: reuse exists to keep
   // one worker's scratch hot, and its output must stay byte-identical to a
@@ -406,10 +406,11 @@ Bytes PrimacyCompressor::CompressBytes(ByteSpan data, PrimacyStats* stats,
                         chunk_count > 1;
   if (parallel) {
     // Chunks are independent under kPerChunk indexing: encode them into
-    // per-chunk buffers across the shared pool, then concatenate in order.
+    // per-chunk buffers across the shared pool, then append them in order.
     // Each *slot* (not each chunk) owns a solver + encoder instance, reused
     // for every chunk that slot claims.
     std::vector<Bytes> records(chunk_count);
+    std::vector<ChunkRecordStats> chunk_stats(chunk_count);
     struct Slot {
       std::unique_ptr<const Codec> solver;
       std::optional<ChunkEncoder> encoder;
@@ -423,15 +424,10 @@ Bytes PrimacyCompressor::CompressBytes(ByteSpan data, PrimacyStats* stats,
             s.solver = CreateCodec(options_.solver);
             s.encoder.emplace(options_, *s.solver);
           }
-          const std::size_t first = i * chunk_elements;
-          const std::size_t count =
-              std::min(chunk_elements, total_elements - first);
-          chunk_stats[i] = s.encoder->EncodeChunk(
-              body.subspan(first * width, count * width), records[i]);
+          chunk_stats[i] = s.encoder->EncodeChunk(chunk(i), records[i]);
         });
     for (std::size_t i = 0; i < chunk_count; ++i) {
-      directory.chunks[i].offset = out.size();
-      AppendBytes(out, records[i]);
+      assembler.AppendRecord(records[i], chunk_stats[i]);
     }
   } else {
     std::optional<ChunkEncoder> local;
@@ -441,28 +437,15 @@ Bytes PrimacyCompressor::CompressBytes(ByteSpan data, PrimacyStats* stats,
     } else {
       encoder->Reset();  // clear cross-chunk index state from prior streams
     }
+    Bytes record;
     for (std::size_t i = 0; i < chunk_count; ++i) {
-      const std::size_t first = i * chunk_elements;
-      const std::size_t count =
-          std::min(chunk_elements, total_elements - first);
-      directory.chunks[i].offset = out.size();
-      chunk_stats[i] =
-          encoder->EncodeChunk(body.subspan(first * width, count * width), out);
+      record.clear();
+      const ChunkRecordStats encoded = encoder->EncodeChunk(chunk(i), record);
+      assembler.AppendRecord(record, encoded);
     }
   }
-
-  for (std::size_t i = 0; i < chunk_count; ++i) {
-    const ChunkRecordStats& cs = chunk_stats[i];
-    directory.chunks[i].elements = cs.elements;
-    directory.chunks[i].index_flag =
-        cs.emitted_full_index ? 1 : (cs.emitted_delta_index ? 2 : 0);
-    AccumulateChunkStats(accounting, cs);
-  }
-  FinalizeChunkStatMeans(accounting);
-
-  directory.tail_offset = out.size();
-  PutBlock(out, data.subspan(data.size() - tail_bytes, tail_bytes));
-  internal::AppendChunkDirectory(out, directory);
+  assembler.Finish(data.last(tail_bytes));
+  PrimacyStats accounting = assembler.stats();
 
   // Whole-stream stored fallback: adversarial inputs (near-unique high-order
   // pairs) would otherwise pay index metadata with no compression to show
@@ -515,16 +498,7 @@ Bytes PrimacyDecompressor::Decode(ByteSpan stream,
   const internal::OpenedStream opened =
       internal::OpenStream(stream, options_.verify_checksums);
   const internal::StreamHeader& header = opened.header;
-  if (opened.streamed) {
-    throw CorruptStreamError(
-        "primacy: streamed stream; use PrimacyStreamReader");
-  }
-  if (element_size != 0) {
-    CheckElementWidth(element_size, header.width);
-    if (!range && header.total_bytes % header.width != 0) {
-      throw CorruptStreamError("primacy: stream is not a whole element array");
-    }
-  }
+  if (element_size != 0) CheckElementWidth(element_size, header.width);
   const std::uint64_t total_elements = opened.total_elements();
   const std::uint64_t first = range ? range->first : 0;
   const std::uint64_t count = range ? range->count : total_elements;
@@ -544,7 +518,7 @@ Bytes PrimacyDecompressor::Decode(ByteSpan stream,
   } else if (opened.directory) {
     // A full decode is the element range [0, total) plus the tail block.
     out.resize(static_cast<std::size_t>(range ? count * width
-                                              : header.total_bytes));
+                                              : opened.total_bytes));
     const MutableByteSpan elements =
         MutableByteSpan(out).first(static_cast<std::size_t>(count * width));
     DecodeElements(opened, first, count, options_, cache_, elements,
@@ -558,13 +532,17 @@ Bytes PrimacyDecompressor::Decode(ByteSpan stream,
         "primacy: DecompressRange requires a v2+ stream with a chunk "
         "directory (v1 streams decode sequentially only)");
   } else {
-    // v1 one-shot: no directory, so drain the sequential reader.
+    // v1, one-shot or streamed: no directory, so drain the sequential
+    // reader (a streamed total is unknown, so nothing is reserved for it).
     PrimacyStreamReader reader(stream, options_.verify_checksums);
-    out.reserve(std::min<std::uint64_t>(header.total_bytes, 1u << 26));
+    out.reserve(std::min<std::uint64_t>(opened.total_bytes, 1u << 26));
     while (reader.NextChunk(out)) {
     }
     accounting.chunks_decoded = reader.chunks_decoded();
     accounting.stage.Accumulate(reader.stage_breakdown());
+  }
+  if (element_size != 0 && !range && out.size() % header.width != 0) {
+    throw CorruptStreamError("primacy: stream is not a whole element array");
   }
   if (stats != nullptr) {
     accounting.output_bytes = out.size();
@@ -579,9 +557,7 @@ StreamVerifyResult VerifyStream(ByteSpan stream) {
     ByteReader reader(stream);
     const internal::StreamHeader header = internal::ReadStreamHeader(reader);
     result.version = header.version;
-    result.has_checksums =
-        header.version >= internal::kFormatVersion3 &&
-        (header.stored || header.total_bytes != kStreamingTotal);
+    result.has_checksums = header.version >= internal::kFormatVersion3;
     // OpenStream verifies a v3 stored payload or header/tail block itself.
     const internal::OpenedStream opened =
         internal::OpenStream(stream, /*verify=*/true);
@@ -595,17 +571,9 @@ StreamVerifyResult VerifyStream(ByteSpan stream) {
         }
         ++result.chunks_checked;
       }
-    } else if (opened.streamed) {
-      // Streamed v1: sequential structural decode, one chunk resident.
-      PrimacyStreamReader stream_reader(stream);
-      Bytes sink;
-      while (stream_reader.NextChunk(sink)) {
-        sink.clear();
-      }
-      result.chunks_checked = stream_reader.chunks_decoded();
     } else if (!header.stored) {
-      // v1/v2 one-shot: no checksums to hash, so the only integrity signal
-      // is a clean full decode.
+      // v1/v2: no checksums to hash, so the only integrity signal is a
+      // clean full decode.
       PrimacyDecodeStats stats;
       PrimacyDecompressor().DecompressBytes(stream, &stats);
       result.chunks_checked = stats.chunks_decoded;

@@ -13,7 +13,10 @@
 // and v2, which lacks the checksum fields):
 //   u32 magic "PRY1", u8 version (1, 2 or 3), u8 flags (bit 0 = column
 //   linearization, bit 1 = stored fallback), u8 element_width,
-//   block(solver name), varint byte_count
+//   block(solver name), varint byte_count (the kStreamingTotal sentinel
+//   when a streaming writer did not know it up front: v3 readers then sum
+//   the directory, v1 streams end their records with a 0 count and carry
+//   the real count after the tail)
 //   per chunk:
 //     varint chunk_elements
 //     u8 index_flag (1 = full index follows, 0 = reuse previous index,
@@ -51,9 +54,10 @@
 // unknown versions are rejected. v3 readers decode v1/v2 streams (v1
 // serially — no directory to parallelize over; both without checksum
 // verification — there is nothing to verify); older readers reject newer
-// versions by the version byte. Streamed (unknown-length) streams are
-// always v1: the writer cannot seek back, and PrimacyStreamReader is
-// sequential by construction.
+// versions by the version byte. Every writer, one-shot or streamed, frames
+// v3 through one assembler (internal::StreamAssembler): the directory sits
+// after the records, so a streaming writer never needs to seek back, and a
+// streamed stream differs from a one-shot one only in its header total.
 //
 // API shape: one byte-level core (CompressBytes, DecompressBytes,
 // DecompressBytesRange) plus thin typed templates (Compress, Decompress<T>,

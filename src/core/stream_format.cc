@@ -67,41 +67,18 @@ StreamHeader ReadStreamHeader(ByteReader& reader) {
 void AppendChunkDirectory(Bytes& out, const ChunkDirectory& directory,
                           std::uint8_t version) {
   const bool checksums = version >= kFormatVersion3;
-  const std::size_t directory_begin = out.size();
   Bytes payload;
   PutVarint(payload, directory.chunks.size());
   std::uint64_t prev_offset = 0;
-  for (std::size_t i = 0; i < directory.chunks.size(); ++i) {
-    const ChunkDirectoryEntry& entry = directory.chunks[i];
+  for (const ChunkDirectoryEntry& entry : directory.chunks) {
     PutVarint(payload, entry.offset - prev_offset);
     PutVarint(payload, entry.elements);
     PutU8(payload, entry.index_flag);
-    if (checksums) {
-      // Record extent = [this offset, next offset or the tail block).
-      const std::uint64_t end = i + 1 < directory.chunks.size()
-                                    ? directory.chunks[i + 1].offset
-                                    : directory.tail_offset;
-      PutU64(payload, Xxh64(ByteSpan(out).subspan(
-                          static_cast<std::size_t>(entry.offset),
-                          static_cast<std::size_t>(end - entry.offset))));
-    }
+    if (checksums) PutU64(payload, entry.checksum);
     prev_offset = entry.offset;
   }
   PutVarint(payload, directory.tail_offset - prev_offset);
-  if (checksums) {
-    // Everything the per-chunk checksums do not cover: the header bytes
-    // [0, first record) and the tail block [tail_offset, directory).
-    const std::size_t chunks_begin =
-        directory.chunks.empty()
-            ? static_cast<std::size_t>(directory.tail_offset)
-            : static_cast<std::size_t>(directory.chunks.front().offset);
-    Xxh64State state;
-    state.Update(ByteSpan(out).first(chunks_begin));
-    state.Update(ByteSpan(out).subspan(
-        static_cast<std::size_t>(directory.tail_offset),
-        directory_begin - static_cast<std::size_t>(directory.tail_offset)));
-    PutU64(payload, state.Digest());
-  }
+  if (checksums) PutU64(payload, directory.header_tail_checksum);
   AppendBytes(out, payload);
   if (checksums) {
     PutU64(out, Xxh64(payload));
@@ -224,6 +201,7 @@ OpenedStream OpenStream(ByteSpan stream, bool verify) {
   opened.header = ReadStreamHeader(reader);
   const StreamHeader& header = opened.header;
   opened.chunks_begin = reader.Offset();
+  opened.total_bytes = header.total_bytes;
   if (header.stored) {
     opened.stored = reader.GetBlock();
     if (opened.stored.size() != header.total_bytes) {
@@ -239,11 +217,17 @@ OpenedStream OpenStream(ByteSpan stream, bool verify) {
     }
     return opened;
   }
-  if (header.total_bytes == kStreamingTotal) {
-    opened.streamed = true;
+  // The sentinel leaves the total to what follows the records: the v1
+  // trailer, or the v3 directory. v2 writers never streamed.
+  const bool streamed = header.total_bytes == kStreamingTotal;
+  if (header.version < kFormatVersion2) {
+    opened.streamed = streamed;
+    if (streamed) opened.total_bytes = 0;
     return opened;
   }
-  if (header.version < kFormatVersion2) return opened;
+  if (streamed && header.version < kFormatVersion3) {
+    throw CorruptStreamError("primacy: streamed total in a v2 header");
+  }
 
   opened.directory =
       ReadChunkDirectory(stream, opened.chunks_begin, header.version);
@@ -256,7 +240,10 @@ OpenedStream OpenStream(ByteSpan stream, bool verify) {
           directory.header_tail_checksum) {
     throw CorruptStreamError("primacy: header/tail checksum mismatch");
   }
-  const std::uint64_t total_elements = opened.total_elements();
+  // A streamed total is bounded only so that its byte count cannot wrap.
+  const std::uint64_t total_elements =
+      streamed ? kStreamingTotal / header.width - 1
+               : header.total_bytes / header.width;
   opened.starts.resize(directory.chunks.size());
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < directory.chunks.size(); ++i) {
@@ -269,7 +256,7 @@ OpenedStream OpenStream(ByteSpan stream, bool verify) {
     }
     sum += directory.chunks[i].elements;
   }
-  if (sum != total_elements) {
+  if (!streamed && sum != total_elements) {
     throw CorruptStreamError("primacy: directory element total mismatch");
   }
   // The tail block (bytes beyond a whole number of elements) sits between
@@ -282,11 +269,62 @@ OpenedStream OpenStream(ByteSpan stream, bool verify) {
   if (!tail.AtEnd()) {
     throw CorruptStreamError("primacy: bytes between tail and directory");
   }
-  if (total_elements * header.width + opened.tail.size() !=
-      header.total_bytes) {
+  if (opened.tail.size() >= header.width) {
+    throw CorruptStreamError("primacy: tail size mismatch");
+  }
+  opened.total_bytes = sum * header.width + opened.tail.size();
+  if (!streamed && opened.total_bytes != header.total_bytes) {
     throw CorruptStreamError("primacy: tail size mismatch");
   }
   return opened;
+}
+
+StreamAssembler::StreamAssembler(const PrimacyOptions& options,
+                                 std::uint64_t total_bytes, Sink sink)
+    : sink_(std::move(sink)), width_(ElementWidth(options.precision)) {
+  Bytes header;
+  WriteStreamHeader(header, options, total_bytes);
+  header_tail_.Update(header);
+  Emit(header);
+}
+
+void StreamAssembler::Emit(ByteSpan data) {
+  stats_.output_bytes += data.size();
+  sink_(data);
+}
+
+void StreamAssembler::AppendRecord(ByteSpan record,
+                                   const ChunkRecordStats& chunk) {
+  const std::uint8_t index_flag =
+      chunk.emitted_full_index ? 1 : (chunk.emitted_delta_index ? 2 : 0);
+  directory_.chunks.push_back(
+      {stats_.output_bytes, chunk.elements, index_flag, Xxh64(record)});
+  PrimacyStats one;
+  one.chunks = 1;
+  one.indexes_emitted = chunk.emitted_full_index ? 1 : 0;
+  one.delta_indexes = chunk.emitted_delta_index ? 1 : 0;
+  one.input_bytes = chunk.elements * width_;
+  one.index_bytes = chunk.index_bytes;
+  one.id_compressed_bytes = chunk.id_compressed_bytes;
+  one.mantissa_stream_bytes = chunk.mantissa_stream_bytes;
+  one.mantissa_raw_bytes = chunk.mantissa_raw_bytes;
+  one.mean_compressible_fraction = chunk.compressible_fraction;
+  one.top_byte_frequency_before = chunk.top_byte_frequency_before;
+  one.top_byte_frequency_after = chunk.top_byte_frequency_after;
+  one.stage = chunk.stage;
+  stats_.Accumulate(one);
+  Emit(record);
+}
+
+void StreamAssembler::Finish(ByteSpan tail) {
+  directory_.tail_offset = stats_.output_bytes;
+  Bytes out;
+  PutBlock(out, tail);
+  header_tail_.Update(out);
+  directory_.header_tail_checksum = header_tail_.Digest();
+  stats_.input_bytes += tail.size();
+  AppendChunkDirectory(out, directory_);
+  Emit(out);
 }
 
 void ThrowChunkError(std::size_t chunk, std::uint64_t offset,

@@ -1,7 +1,7 @@
-// PRIMACY stream header framing shared by the one-shot codec and the
-// streaming writer/reader, the v2/v3 seekable chunk directory, and
-// OpenStream — everything a reader learns before it touches a chunk record.
-// Internal API (namespace primacy::internal).
+// PRIMACY stream framing: the header, the v2/v3 seekable chunk directory,
+// StreamAssembler (the one writer, behind the one-shot codec and the
+// streaming writer), and OpenStream — everything a reader learns before it
+// touches a chunk record. Internal API (namespace primacy::internal).
 //
 // Version history:
 //   v1 — header, chunk records, tail block. Decoding is a sequential scan.
@@ -13,12 +13,15 @@
 //        block, and a checksum of the directory payload itself in the
 //        footer. Every byte before the footer is covered by exactly one
 //        checksum, so any single flipped bit is detected, and a range read
-//        can verify just the chunks it touches. One-shot streams are
-//        written as v3; the streaming writer still emits v1 (it never holds
-//        the whole stream, and its reader is sequential by construction).
-//        Readers accept all three versions.
+//        can verify just the chunks it touches. Every writer emits v3
+//        through StreamAssembler. A streamed v3 stream (unknown size up
+//        front) carries the kStreamingTotal sentinel in its header and
+//        takes its totals from the directory. Readers accept all three
+//        versions, and v1 streamed streams (sentinel header, records ended
+//        by a 0 count, tail block, real total) from older writers.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,11 +30,13 @@
 #include "bitstream/byte_io.h"
 #include "compress/codec.h"
 #include "core/primacy_codec.h"
+#include "util/checksum.h"
 #include "util/error.h"
 
 namespace primacy {
 
-class ChunkDecoder;  // chunk_pipeline.h
+class ChunkDecoder;        // chunk_pipeline.h
+struct ChunkRecordStats;  // chunk_pipeline.h
 
 /// Header total-byte sentinel marking a streamed (unknown-size) stream.
 inline constexpr std::uint64_t kStreamingTotal = ~std::uint64_t{0};
@@ -81,7 +86,7 @@ struct ChunkDirectory {
   bool has_checksums = false;
   /// XXH64 of the stream header bytes followed by the tail-block bytes —
   /// everything before the footer that the per-chunk checksums do not cover
-  /// (v3 only). Computed by AppendChunkDirectory.
+  /// (v3 only). StreamAssembler takes it as the stream is framed.
   std::uint64_t header_tail_checksum = 0;
 };
 
@@ -96,10 +101,10 @@ void WriteStreamHeader(Bytes& out, const PrimacyOptions& options,
 /// Accepts versions 1, 2 and 3.
 StreamHeader ReadStreamHeader(ByteReader& reader);
 
-/// Appends the chunk directory and its footer for a v2 or v3 stream. `out`
-/// must hold the complete stream prefix (header, chunk records, tail
-/// block): for v3 the per-chunk, header/tail, and directory checksums are
-/// computed from it. Layout:
+/// Appends the chunk directory and its footer for a v2 or v3 stream. For v3
+/// the entries' record checksums and header_tail_checksum are written as
+/// given (taken while the stream was framed, so no stream prefix needs to be
+/// held), and the directory payload is checksummed here. Layout:
 ///   varint chunk_count
 ///   per chunk: varint offset_delta (first entry: from stream start;
 ///              later entries: from the previous record start),
@@ -139,14 +144,19 @@ struct OpenedStream {
   StreamHeader header;
   /// Offset of the first chunk record (= header size).
   std::size_t chunks_begin = 0;
-  /// The header carries the kStreamingTotal sentinel: v1 records run until a
-  /// zero element count, followed by the tail block and the real total.
+  /// The decoded byte count: the header's total, or — under a
+  /// kStreamingTotal header — the v3 directory's (its element counts plus
+  /// the tail block). 0 for a v1 streamed stream, whose total trails its
+  /// records.
+  std::uint64_t total_bytes = 0;
+  /// A v1 streamed stream: records run until a zero element count, followed
+  /// by the tail block and the real total.
   bool streamed = false;
   /// Stored fallback: the raw payload (header.total_bytes bytes).
   ByteSpan stored;
-  /// v2/v3 one-shot streams only (unset for v1, streamed and stored
-  /// streams): the validated directory, each chunk's first element index,
-  /// and the tail block's bytes.
+  /// v2/v3 streams only (unset for v1 and stored streams): the validated
+  /// directory, each chunk's first element index, and the tail block's
+  /// bytes.
   std::optional<ChunkDirectory> directory;
   std::vector<std::uint64_t> starts;
   ByteSpan tail;
@@ -154,19 +164,57 @@ struct OpenedStream {
   /// verification requested).
   bool verify_records = false;
 
-  std::uint64_t total_elements() const {
-    return header.total_bytes / header.width;
-  }
+  std::uint64_t total_elements() const { return total_bytes / header.width; }
   /// Chunk `c`'s record bytes, bounded by the next record or the tail block.
   ByteSpan Record(std::size_t c) const;
 };
 
 /// Parses and validates everything outside the chunk records: the header,
-/// the streamed-stream sentinel, the stored payload (and, v3 with `verify`,
-/// its trailing checksum), the v2/v3 directory, the header/tail checksum (v3
-/// with `verify`), the per-chunk element starts against the header total,
-/// and the tail block. Throws CorruptStreamError on any inconsistency.
+/// the stored payload (and, v3 with `verify`, its trailing checksum), the
+/// v2/v3 directory, the header/tail checksum (v3 with `verify`), the
+/// per-chunk element starts against the header total (or, under the
+/// kStreamingTotal sentinel, which only v1 and v3 headers may carry, the
+/// totals the directory implies), and the tail block. Throws
+/// CorruptStreamError on any inconsistency.
 OpenedStream OpenStream(ByteSpan stream, bool verify);
+
+/// The one stream writer, behind PrimacyCompressor::CompressBytes and
+/// PrimacyStreamWriter: emits a v3 header, then each chunk record as it is
+/// appended, taking its directory entry (offset, element count, index flag,
+/// XXH64) and folding its stats on the way, then the tail block, the chunk
+/// directory and the footer. Bytes reach the sink as soon as they are
+/// framed; only the directory stays resident.
+class StreamAssembler {
+ public:
+  using Sink = std::function<void(ByteSpan)>;
+
+  /// Emits the header. `total_bytes` is the input size, or kStreamingTotal
+  /// when it is not known up front (readers then take it from the
+  /// directory).
+  StreamAssembler(const PrimacyOptions& options, std::uint64_t total_bytes,
+                  Sink sink);
+
+  /// Emits one encoded chunk record.
+  void AppendRecord(ByteSpan record, const ChunkRecordStats& chunk);
+
+  /// Emits the tail block (the bytes beyond a whole number of elements), the
+  /// directory and the footer. Nothing may be appended afterwards.
+  void Finish(ByteSpan tail);
+
+  /// Stats of the stream emitted so far: input and output bytes count what
+  /// has been framed, and the per-chunk means fold one chunk at a time
+  /// through PrimacyStats::Accumulate.
+  const PrimacyStats& stats() const { return stats_; }
+
+ private:
+  void Emit(ByteSpan data);
+
+  Sink sink_;
+  std::size_t width_;
+  ChunkDirectory directory_;
+  Xxh64State header_tail_;  // the header bytes, then the tail block
+  PrimacyStats stats_;
+};
 
 /// Re-throws a chunk-local decode failure as CorruptStreamError carrying the
 /// chunk index and record byte offset — the context a restart tool needs to

@@ -5,39 +5,33 @@
 #include "util/error.h"
 
 namespace primacy {
+namespace {
 
-PrimacyStreamWriter::PrimacyStreamWriter(Sink sink, PrimacyOptions options)
-    : sink_(std::move(sink)),
-      options_(std::move(options)),
-      solver_(internal::ResolveSolver(options_.solver)),
-      encoder_(options_, *solver_) {
-  if (!sink_) {
+/// Rejects a writer configuration before its header reaches the sink.
+PrimacyOptions Validated(const PrimacyStreamWriter::Sink& sink,
+                         PrimacyOptions options) {
+  if (!sink) {
     throw InvalidArgumentError("PrimacyStreamWriter: null sink");
   }
-  if (options_.chunk_bytes < ElementWidth(options_.precision)) {
+  if (options.chunk_bytes < ElementWidth(options.precision)) {
     throw InvalidArgumentError("PrimacyStreamWriter: chunk_bytes too small");
   }
-  Bytes header;
-  // Streaming mode: the total byte count is unknown up front; the header
-  // stores the sentinel and the real count follows the end-of-chunks
-  // sentinel in the trailer. Streamed streams stay v1: the writer cannot
-  // seek back to plant a directory, and the reader is sequential anyway.
-  internal::WriteStreamHeader(header, options_, kStreamingTotal,
-                              /*stored=*/false, internal::kFormatVersion1);
-  Emit(header);
+  return options;
 }
 
-void PrimacyStreamWriter::Emit(ByteSpan data) {
-  stats_.output_bytes += data.size();
-  sink_(data);
-}
+}  // namespace
+
+PrimacyStreamWriter::PrimacyStreamWriter(Sink sink, PrimacyOptions options)
+    : options_(Validated(sink, std::move(options))),
+      solver_(internal::ResolveSolver(options_.solver)),
+      encoder_(options_, *solver_),
+      assembler_(options_, kStreamingTotal, std::move(sink)) {}
 
 void PrimacyStreamWriter::AppendBytes(ByteSpan data) {
   if (finished_) {
     throw InvalidArgumentError("PrimacyStreamWriter: Append after Finish");
   }
   primacy::AppendBytes(pending_, data);
-  stats_.input_bytes += data.size();
   EncodeBufferedChunks(/*flush_partial=*/false);
 }
 
@@ -46,28 +40,23 @@ void PrimacyStreamWriter::EncodeBufferedChunks(bool flush_partial) {
   const std::size_t chunk_bytes =
       (options_.chunk_bytes / width) * width;  // whole elements per chunk
   std::size_t offset = 0;
-  Bytes records;
+  Bytes record;
+  const auto encode = [&](std::size_t bytes) {
+    record.clear();
+    const ChunkRecordStats chunk = encoder_.EncodeChunk(
+        ByteSpan(pending_).subspan(offset, bytes), record);
+    assembler_.AppendRecord(record, chunk);
+    offset += bytes;
+  };
   while (pending_.size() - offset >= chunk_bytes) {
     telemetry::TraceSpan span("primacy.stream_encode_chunk", "chunk",
-                              static_cast<std::uint64_t>(stats_.chunks));
-    AccumulateChunkStats(
-        stats_, encoder_.EncodeChunk(
-                    ByteSpan(pending_).subspan(offset, chunk_bytes), records));
-    offset += chunk_bytes;
+                              static_cast<std::uint64_t>(stats().chunks));
+    encode(chunk_bytes);
   }
-  if (flush_partial) {
-    const std::size_t remaining = pending_.size() - offset;
-    const std::size_t whole = (remaining / width) * width;
-    if (whole > 0) {
-      AccumulateChunkStats(
-          stats_, encoder_.EncodeChunk(
-                      ByteSpan(pending_).subspan(offset, whole), records));
-      offset += whole;
-    }
-  }
+  const std::size_t whole = (pending_.size() - offset) / width * width;
+  if (flush_partial && whole > 0) encode(whole);
   pending_.erase(pending_.begin(),
                  pending_.begin() + static_cast<std::ptrdiff_t>(offset));
-  if (!records.empty()) Emit(records);
 }
 
 PrimacyStats PrimacyStreamWriter::Finish() {
@@ -76,16 +65,9 @@ PrimacyStats PrimacyStreamWriter::Finish() {
   }
   finished_ = true;
   EncodeBufferedChunks(/*flush_partial=*/true);
-
-  Bytes trailer;
-  PutVarint(trailer, 0);  // end-of-chunks sentinel (chunk counts are >= 1)
-  PutBlock(trailer, pending_);  // partial-element tail bytes
-  PutVarint(trailer, stats_.input_bytes);
+  assembler_.Finish(pending_);  // partial-element tail bytes
   pending_.clear();
-  Emit(trailer);
-
-  FinalizeChunkStatMeans(stats_);
-  return stats_;
+  return stats();
 }
 
 PrimacyStreamReader::PrimacyStreamReader(ByteSpan stream,
@@ -155,8 +137,11 @@ bool PrimacyStreamReader::NextChunk(Bytes& out) {
     ++chunk_index_;
     return true;
   }
+  // The total ends the stream: bytes after it (such as the directory of a
+  // streamed v3 stream whose version byte was rewritten to 1) are damage.
   const ByteSpan tail = reader_.GetBlock();
-  if (reader_.GetVarint() != decoded_bytes_ + tail.size()) {
+  if (reader_.GetVarint() != decoded_bytes_ + tail.size() ||
+      !reader_.AtEnd()) {
     throw CorruptStreamError("primacy: trailer total mismatch");
   }
   return Finish(out, tail);

@@ -4,19 +4,21 @@
 //
 //  * PrimacyStreamWriter::Append accepts arbitrarily-sized batches of
 //    values; whole chunks are encoded and handed to the sink as soon as
-//    they are full. Finish() flushes the remainder and the stream trailer.
+//    they are full. Finish() flushes the remainder, the tail block, the
+//    chunk directory and the footer.
 //  * PrimacyStreamReader::NextChunk yields the decoded values one chunk at
 //    a time, bounding peak memory at one chunk regardless of stream size.
 //
-// The produced byte stream differs from PrimacyCompressor's only in how the
-// total size is recorded: a one-shot stream stores the byte count in the
-// header, while a streaming writer cannot know it up front and stores the
-// kStreamingTotal sentinel there and the real count in a trailer.
-// PrimacyStreamReader reads both; PrimacyDecompressor requires a one-shot
-// stream.
+// The writer frames its stream through the same internal::StreamAssembler
+// as PrimacyCompressor, so the two differ only in the header's total: a
+// streaming writer cannot know it up front and stores the kStreamingTotal
+// sentinel there, and readers take the totals from the v3 directory. Its
+// records and their checksums equal a one-shot stream's, and it gets the
+// same range reads and parallel decode. PrimacyStreamReader and
+// PrimacyDecompressor read both, and the v1 streamed streams older writers
+// emitted.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <ranges>
 #include <span>
@@ -30,9 +32,10 @@ namespace primacy {
 
 class PrimacyStreamWriter {
  public:
-  /// `sink` receives the stream bytes in order (header, chunk records,
-  /// trailer); it is called from Append/Finish on the caller's thread.
-  using Sink = std::function<void(ByteSpan)>;
+  /// `sink` receives the stream bytes in order (header, chunk records, then
+  /// tail block, directory and footer); it is called from the constructor,
+  /// Append and Finish on the caller's thread.
+  using Sink = internal::StreamAssembler::Sink;
 
   explicit PrimacyStreamWriter(Sink sink, PrimacyOptions options = {});
 
@@ -50,24 +53,22 @@ class PrimacyStreamWriter {
   /// is only allowed immediately before Finish()).
   void AppendBytes(ByteSpan data);
 
-  /// Flushes the final partial chunk and writes the trailer. No Append may
-  /// follow. Returns the cumulative stats.
+  /// Flushes the final partial chunk, the tail block, the directory and the
+  /// footer. No Append may follow. Returns the cumulative stats.
   PrimacyStats Finish();
 
-  const PrimacyStats& stats() const { return stats_; }
+  /// Stats of the stream emitted so far (input still pending a whole chunk
+  /// is not counted until it is encoded).
+  const PrimacyStats& stats() const { return assembler_.stats(); }
 
  private:
   void EncodeBufferedChunks(bool flush_partial);
-  void Emit(ByteSpan data);
 
-  Sink sink_;
-  PrimacyOptions options_;
+  PrimacyOptions options_;  // first: validated before the header is emitted
   std::shared_ptr<const Codec> solver_;
   ChunkEncoder encoder_;
-  Bytes pending_;        // not-yet-encoded input bytes
-  /// Cumulative accounting; the per-chunk mean fields hold running sums
-  /// until Finish() calls FinalizeChunkStatMeans.
-  PrimacyStats stats_;
+  internal::StreamAssembler assembler_;
+  Bytes pending_;  // not-yet-encoded input bytes
   bool finished_ = false;
 };
 

@@ -160,10 +160,15 @@ std::vector<double> SpecialValues(std::size_t n, Rng& rng) {
   return values;
 }
 
-// Hand-assembled v1 (see stream_v2_test.cc): header + records + tail.
-Bytes MakeV1(std::span<const double> values, const PrimacyOptions& options) {
+// Hand-assembled v1 (see stream_v2_test.cc): header + records + tail. The
+// streamed shape the pre-v3 PrimacyStreamWriter emitted carries the
+// kStreamingTotal sentinel instead, ends its records with a 0 count and
+// follows the tail block with the real total.
+Bytes MakeV1(std::span<const double> values, const PrimacyOptions& options,
+             bool streamed = false) {
   Bytes out;
-  internal::WriteStreamHeader(out, options, values.size() * 8,
+  internal::WriteStreamHeader(out, options,
+                              streamed ? kStreamingTotal : values.size() * 8,
                               /*stored=*/false, internal::kFormatVersion1);
   const auto solver = internal::ResolveSolver(options.solver);
   ChunkEncoder encoder(options, *solver);
@@ -174,7 +179,9 @@ Bytes MakeV1(std::span<const double> values, const PrimacyOptions& options) {
     const std::size_t count = std::min(chunk_elements, values.size() - first);
     encoder.EncodeChunk(body.subspan(first * 8, count * 8), out);
   }
+  if (streamed) PutVarint(out, 0);
   PutBlock(out, ByteSpan{});
+  if (streamed) PutVarint(out, values.size() * 8);
   return out;
 }
 
@@ -216,9 +223,10 @@ class CorruptionFuzzTest : public ::testing::Test {
   }
 };
 
-// One-shot streams of every version plus the stored fallback: 8500 seeded
-// mutations through DecompressBytes (and, sampled, DecompressRange and
-// VerifyStream).
+// One-shot streams of every version, the stored fallback and streamed
+// streams (v3 from the writer, v1 as older writers emitted them): 10200
+// seeded mutations through DecompressBytes or, for the streamed corpora,
+// PrimacyStreamReader (and, sampled, DecompressRange and VerifyStream).
 TEST_F(CorruptionFuzzTest, MutatedStreamsFailCleanlyAcrossVersions) {
   Rng seed_rng(0x5eed);
   const auto values = SpecialValues(1536, seed_rng);
@@ -242,18 +250,21 @@ TEST_F(CorruptionFuzzTest, MutatedStreamsFailCleanlyAcrossVersions) {
                        PayloadOf(noise), true});
   }
   {
-    // Streamed v1 (unknown-length trailer shape).
+    // Streamed v3: a kStreamingTotal header, totals from the directory.
     Bytes collected;
     PrimacyStreamWriter writer(
         [&](ByteSpan data) { AppendBytes(collected, data); }, Options());
     writer.Append(std::span(values));
     writer.Finish();
     corpora.push_back({"streamed", std::move(collected),
-                       PayloadOf(values), false});
+                       PayloadOf(values), true});
   }
+  corpora.push_back({"streamed_v1",
+                     MakeV1(values, Options(), /*streamed=*/true),
+                     PayloadOf(values), false});
 
   const PrimacyDecompressor decompressor(Options());
-  constexpr std::size_t kMutationsPerCorpus = 1700;  // x5 corpora = 8500
+  constexpr std::size_t kMutationsPerCorpus = 1700;  // x6 corpora = 10200
   for (const Corpus& corpus : corpora) {
     Rng rng(Xxh64(BytesFromString(corpus.name), 2026));
     for (std::size_t i = 0; i < kMutationsPerCorpus; ++i) {
@@ -263,7 +274,7 @@ TEST_F(CorruptionFuzzTest, MutatedStreamsFailCleanlyAcrossVersions) {
       Bytes decoded;
       const bool clean = DecodesCleanly(
           [&] {
-            if (corpus.name == "streamed") {
+            if (corpus.name.starts_with("streamed")) {
               PrimacyStreamReader reader(mutated);
               while (reader.NextChunk(decoded)) {
               }

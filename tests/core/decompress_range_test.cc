@@ -11,8 +11,8 @@
 #include "core/chunk_pipeline.h"
 #include "core/primacy_codec.h"
 #include "core/stream_format.h"
-#include "core/streaming.h"
 #include "datasets/datasets.h"
+#include "golden/golden_files.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -209,18 +209,15 @@ TEST(DecompressRangeV1Test, OneShotV1WithoutDirectoryRejected) {
 }
 
 TEST(DecompressRangeV1Test, V1StreamRejected) {
-  // Streamed output is v1 by construction; finish it and retarget the
-  // one-shot reader at an equivalent v1 buffer via the streaming round trip.
-  const auto values = GenerateDatasetByName("obs_temp", 10000);
-  Bytes collected;
-  PrimacyStreamWriter writer(
-      [&](ByteSpan data) { AppendBytes(collected, data); }, SmallChunks());
-  writer.Append(std::span(values));
-  writer.Finish();
-  // Streamed streams are rejected for range reads (no directory, and no
-  // total up front) — as CorruptStreamError from the sentinel total.
-  EXPECT_THROW(PrimacyDecompressor().DecompressRange(collected, 0, 1),
-               CorruptStreamError);
+  // A streamed v1 stream (the committed pre-v3 writer output) has neither a
+  // directory nor a total up front: range reads are a typed
+  // InvalidArgumentError, as for a one-shot v1 stream.
+  const Bytes streamed = ReadGolden("stream_v1_streamed.bin");
+  ASSERT_FALSE(streamed.empty());
+  EXPECT_THROW(PrimacyDecompressor().DecompressRange(streamed, 0, 1),
+               InvalidArgumentError);
+  EXPECT_THROW(PrimacyDecompressor().DecompressBytesRange(streamed, 250, 12),
+               InvalidArgumentError);
 }
 
 TEST(DecompressRangeChainTest, ReuseWhenCorrelatedResolvesIndexChain) {

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
+#include "core/streaming.h"
 #include "datasets/datasets.h"
+#include "golden/golden_files.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -139,6 +142,32 @@ TEST(InSituTest, RangeRestoreTouchesOnlyCoveringShards) {
   EXPECT_THROW(
       InSituDecompressRange(result.shards, values.size(), 1, options),
       InvalidArgumentError);
+}
+
+TEST(InSituTest, StreamedShardsRangeRestore) {
+  // Shards a streaming writer emitted are sized from their v3 directory, so
+  // they range-read like one-shot shards. A v1 shard (here the streamed
+  // shape pre-v3 writers emitted) has no directory and is rejected.
+  const auto values = GenerateDatasetByName("num_comet", 60000);
+  InSituOptions options;
+  options.primacy.chunk_bytes = 64 * 1024;
+  std::vector<Bytes> shards;
+  for (std::size_t first = 0; first < values.size(); first += 20000) {
+    Bytes shard;
+    PrimacyStreamWriter writer(
+        [&shard](ByteSpan data) { AppendBytes(shard, data); },
+        options.primacy);
+    writer.Append(std::span(values).subspan(first, 20000));
+    writer.Finish();
+    shards.push_back(std::move(shard));
+  }
+  EXPECT_EQ(InSituDecompressRange(shards, 15000, 10000, options).values,
+            std::vector<double>(values.begin() + 15000,
+                                values.begin() + 25000));
+
+  shards.push_back(ReadGolden("stream_v1_streamed.bin"));
+  EXPECT_THROW(InSituDecompressRange(shards, 0, 1, options),
+               InvalidArgumentError);
 }
 
 TEST(InSituTest, CompressionActuallyReduces) {

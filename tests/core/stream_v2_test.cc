@@ -14,6 +14,7 @@
 #include "core/stream_format.h"
 #include "core/streaming.h"
 #include "datasets/datasets.h"
+#include "golden/golden_files.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -47,11 +48,13 @@ Bytes MakeV1Stream(std::span<const double> values,
 }
 
 // Hand-assembles a one-shot v2 stream (v1 payload + checksum-free directory
-// and 12-byte footer), the way a pre-v3 writer laid it out.
+// and 12-byte footer), the way a pre-v3 writer laid it out. `streamed` puts
+// the kStreamingTotal sentinel in its header, which no v2 writer did.
 Bytes MakeV2Stream(std::span<const double> values,
-                   const PrimacyOptions& options) {
+                   const PrimacyOptions& options, bool streamed = false) {
   Bytes out;
-  internal::WriteStreamHeader(out, options, values.size() * 8,
+  internal::WriteStreamHeader(out, options,
+                              streamed ? kStreamingTotal : values.size() * 8,
                               /*stored=*/false, internal::kFormatVersion2);
   const auto solver = internal::ResolveSolver(options.solver);
   ChunkEncoder encoder(options, *solver);
@@ -209,18 +212,28 @@ TEST(StreamV2Test, StoredFallbackHasNoDirectoryAndStillRangeReads) {
   EXPECT_EQ(decode_stats.chunks_decoded, 0u);
 }
 
-TEST(StreamV2Test, StreamingWriterStaysVersion1) {
-  std::vector<double> values = GenerateDatasetByName("obs_temp", 20000);
-  Bytes collected;
-  PrimacyStreamWriter writer(
-      [&](ByteSpan data) { AppendBytes(collected, data); }, SmallChunks());
-  writer.Append(std::span(values));
-  writer.Finish();
-  ASSERT_GT(collected.size(), 5u);
-  EXPECT_EQ(static_cast<std::uint8_t>(collected[4]),
-            internal::kFormatVersion1);
-  PrimacyStreamReader reader(collected);
-  EXPECT_EQ(reader.ReadAllDoubles(), values);
+TEST(StreamV2Test, StreamedV1StreamsStillDecode) {
+  // The pre-v3 PrimacyStreamWriter's shape (v1, sentinel header, 0-count
+  // trailer), committed to the golden corpus, still streams back.
+  const Bytes stream = ReadGolden("stream_v1_streamed.bin");
+  ASSERT_GT(stream.size(), 5u);
+  EXPECT_EQ(static_cast<std::uint8_t>(stream[4]), internal::kFormatVersion1);
+  PrimacyStreamReader reader(stream);
+  Bytes restored;
+  while (reader.NextChunk(restored)) {
+  }
+  EXPECT_EQ(restored, ReadGolden("input.bin"));
+  EXPECT_EQ(reader.chunks_decoded(), 3u);
+}
+
+TEST(StreamV2Test, StreamedTotalInV2HeaderRejected) {
+  // Only v1 and v3 writers ever streamed: a v2 header carrying the
+  // kStreamingTotal sentinel is corrupt, even over a well-formed directory.
+  const auto values = GenerateDatasetByName("obs_temp", 20000);
+  const Bytes v2 = MakeV2Stream(values, SmallChunks(), /*streamed=*/true);
+  EXPECT_THROW(PrimacyDecompressor().DecompressBytes(v2), CorruptStreamError);
+  EXPECT_THROW(PrimacyStreamReader{ByteSpan(v2)}, CorruptStreamError);
+  EXPECT_FALSE(VerifyStream(v2).ok);
 }
 
 TEST(StreamV2Test, DirectoryEntriesDescribeEveryChunk) {

@@ -15,6 +15,7 @@
 #include "core/stream_format.h"
 #include "core/streaming.h"
 #include "datasets/datasets.h"
+#include "golden/golden_files.h"
 #include "store/checkpoint_store.h"
 #include "util/checksum.h"
 #include "util/error.h"
@@ -342,17 +343,14 @@ TEST(StreamV3Test, VerifyStreamReportsHealthWithoutThrowing) {
   const StreamVerifyResult garbage = VerifyStream(BytesFromString("nonsense"));
   EXPECT_FALSE(garbage.ok);
 
-  // v1 (streamed) falls back to a structural decode.
-  Bytes collected;
-  PrimacyStreamWriter writer(
-      [&](ByteSpan data) { AppendBytes(collected, data); }, SmallChunks());
-  writer.Append(std::span(values));
-  writer.Finish();
-  const StreamVerifyResult v1 = VerifyStream(collected);
+  // v1 streamed (the committed pre-v3 writer output) falls back to a
+  // structural decode.
+  const StreamVerifyResult v1 =
+      VerifyStream(ReadGolden("stream_v1_streamed.bin"));
   EXPECT_TRUE(v1.ok) << v1.error;
   EXPECT_EQ(v1.version, internal::kFormatVersion1);
   EXPECT_FALSE(v1.has_checksums);
-  EXPECT_GT(v1.chunks_checked, 0u);
+  EXPECT_EQ(v1.chunks_checked, 3u);
 }
 
 }  // namespace

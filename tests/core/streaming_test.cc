@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "datasets/datasets.h"
+#include "golden/golden_files.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -55,12 +59,106 @@ TEST(StreamingTest, StatsMatchOneShotCompressor) {
   EXPECT_EQ(streaming_stats.id_compressed_bytes,
             oneshot_stats.id_compressed_bytes);
   EXPECT_EQ(streaming_stats.input_bytes, oneshot_stats.input_bytes);
-  // Stream sizes differ only by the trailer/header shape plus the one-shot
-  // v2 chunk directory (~a dozen bytes per chunk + a 12-byte footer), which
-  // the v1 streamed format does not carry.
-  EXPECT_NEAR(static_cast<double>(streaming_stats.output_bytes),
-              static_cast<double>(oneshot_stats.output_bytes),
-              32.0 + 16.0 * static_cast<double>(oneshot_stats.chunks) + 12.0);
+  EXPECT_EQ(streaming_stats.mean_compressible_fraction,
+            oneshot_stats.mean_compressible_fraction);
+  // The streams differ only in the header's total: the kStreamingTotal
+  // sentinel is a longer varint than the byte count.
+  Bytes sentinel;
+  Bytes total;
+  PutVarint(sentinel, kStreamingTotal);
+  PutVarint(total, oneshot_stats.input_bytes);
+  EXPECT_EQ(streaming_stats.output_bytes + total.size(),
+            oneshot_stats.output_bytes + sentinel.size());
+  EXPECT_EQ(streaming_stats.output_bytes, collector.stream.size());
+}
+
+TEST(StreamingTest, StatsBeforeFinishMatchOneShotPrefix) {
+  // stats() before Finish describes the chunks emitted so far: its
+  // per-chunk fields are means, not running sums, and equal those of a
+  // one-shot compress of the same prefix.
+  constexpr std::size_t kChunks = 4;
+  constexpr std::size_t kChunkElements = 64 * 1024 / 8;
+  const auto values =
+      GenerateDatasetByName("num_plasma", (kChunks + 1) * kChunkElements);
+  const auto prefix = std::span(values).first(kChunks * kChunkElements);
+  Collector collector;
+  PrimacyStreamWriter writer(collector.AsSink(), SmallChunks());
+  writer.Append(prefix);
+  const PrimacyStats& streamed = writer.stats();
+  PrimacyStats oneshot;
+  PrimacyCompressor(SmallChunks()).Compress(prefix, &oneshot);
+  ASSERT_EQ(streamed.chunks, kChunks);
+  ASSERT_EQ(oneshot.chunks, kChunks);
+  const std::pair<double, double> means[] = {
+      {streamed.mean_compressible_fraction, oneshot.mean_compressible_fraction},
+      {streamed.top_byte_frequency_before, oneshot.top_byte_frequency_before},
+      {streamed.top_byte_frequency_after, oneshot.top_byte_frequency_after}};
+  for (const auto& [mean, expected] : means) {
+    EXPECT_GE(mean, 0.0);
+    EXPECT_LE(mean, 1.0);
+    EXPECT_NEAR(mean, expected, 1e-12);
+  }
+}
+
+// Streams `values` in uneven batches and compresses them one-shot with the
+// same options; the two streams must carry identical chunk records and
+// record checksums (one assembler frames both).
+template <typename T>
+void ExpectStreamedRecordsMatchOneShot(const std::vector<T>& values,
+                                       const PrimacyOptions& options) {
+  Collector collector;
+  PrimacyStreamWriter writer(collector.AsSink(), options);
+  for (std::size_t offset = 0; offset < values.size(); offset += 3001) {
+    writer.Append(std::span(values).subspan(
+        offset, std::min<std::size_t>(3001, values.size() - offset)));
+  }
+  writer.Finish();
+  const Bytes oneshot = PrimacyCompressor(options).Compress(values);
+
+  const internal::OpenedStream streamed_open =
+      internal::OpenStream(collector.stream, /*verify=*/true);
+  const internal::OpenedStream oneshot_open =
+      internal::OpenStream(oneshot, /*verify=*/true);
+  ASSERT_TRUE(streamed_open.directory.has_value());
+  ASSERT_TRUE(oneshot_open.directory.has_value()) << "one-shot stored fallback";
+  const auto& streamed_chunks = streamed_open.directory->chunks;
+  const auto& oneshot_chunks = oneshot_open.directory->chunks;
+  ASSERT_EQ(streamed_chunks.size(), oneshot_chunks.size());
+  ASSERT_GT(streamed_chunks.size(), 1u);
+  bool any_partial_index = false;
+  for (std::size_t c = 0; c < streamed_chunks.size(); ++c) {
+    EXPECT_EQ(streamed_chunks[c].elements, oneshot_chunks[c].elements) << c;
+    EXPECT_EQ(streamed_chunks[c].index_flag, oneshot_chunks[c].index_flag)
+        << c;
+    EXPECT_EQ(streamed_chunks[c].checksum, oneshot_chunks[c].checksum) << c;
+    EXPECT_TRUE(std::ranges::equal(streamed_open.Record(c),
+                                   oneshot_open.Record(c)))
+        << c;
+    any_partial_index |= streamed_chunks[c].index_flag != 1;
+  }
+  EXPECT_EQ(any_partial_index,
+            options.index_mode == IndexMode::kReuseWhenCorrelated);
+  EXPECT_EQ(streamed_open.tail.size(), oneshot_open.tail.size());
+  EXPECT_EQ(streamed_open.total_bytes, oneshot_open.total_bytes);
+}
+
+TEST(StreamingTest, StreamedRecordsMatchOneShotRecords) {
+  const auto doubles = GenerateDatasetByName("num_plasma", 100000);
+  const std::vector<float> floats(doubles.begin(), doubles.end());
+  for (const IndexMode mode :
+       {IndexMode::kPerChunk, IndexMode::kReuseWhenCorrelated}) {
+    PrimacyOptions options = SmallChunks();
+    options.index_mode = mode;
+    SCOPED_TRACE(mode == IndexMode::kPerChunk ? "kPerChunk"
+                                              : "kReuseWhenCorrelated");
+    {
+      SCOPED_TRACE("double");
+      ExpectStreamedRecordsMatchOneShot(doubles, options);
+    }
+    SCOPED_TRACE("float");
+    options.precision = Precision::kSingle;
+    ExpectStreamedRecordsMatchOneShot(floats, options);
+  }
 }
 
 TEST(StreamingTest, ChunksEmittedIncrementally) {
@@ -114,14 +212,19 @@ TEST(StreamingTest, ReaderAlsoReadsOneShotStreams) {
 }
 
 TEST(StreamingTest, OneShotDecompressorRejectsStreamedStream) {
-  Collector collector;
-  PrimacyStreamWriter writer(collector.AsSink(), SmallChunks());
-  const std::vector<double> hundred(100, 1.0);
-  writer.Append(std::span(hundred));
-  writer.Finish();
+  // A v1 streamed stream (the committed pre-v3 writer output) has no
+  // directory: the one-shot decompressor rejects range reads of it and
+  // drains it sequentially for a full decode.
+  const Bytes stream = ReadGolden("stream_v1_streamed.bin");
+  ASSERT_FALSE(stream.empty());
   const PrimacyDecompressor decompressor;
-  EXPECT_THROW(decompressor.DecompressBytes(collector.stream),
-               CorruptStreamError);
+  EXPECT_THROW(decompressor.DecompressBytesRange(stream, 0, 1),
+               InvalidArgumentError);
+  PrimacyDecodeStats stats;
+  EXPECT_EQ(decompressor.DecompressBytes(stream, &stats),
+            ReadGolden("input.bin"));
+  EXPECT_FALSE(stats.used_directory);
+  EXPECT_EQ(stats.chunks_decoded, 3u);
 }
 
 TEST(StreamingTest, TailBytesSurviveStreaming) {
@@ -203,40 +306,57 @@ TEST(StreamingTest, SinglePrecisionStreamsRoundTrip) {
   EXPECT_EQ(FromBytes<float>(restored), values);
 }
 
-// Pins the streaming-writer format gap (ROADMAP "Streaming writer emits
-// v3"): even with default (v3-capable) options, the streaming writer
-// downgrades to v1 — no chunk directory, no footer, no checksums, and the
-// seekable decompressor refuses the stream. If this test starts failing
-// because stream[4] != 1, streaming parity has landed: flip it alongside.
-TEST(StreamingTest, StreamWriterStillEmitsV1OnlyStreams) {
-  Bytes stream;
-  PrimacyOptions options;  // defaults request the current (v3) format
-  PrimacyStreamWriter writer(
-      [&stream](ByteSpan data) { primacy::AppendBytes(stream, data); },
-      options);
-  std::vector<double> values(512);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] = 1.5 + static_cast<double>(i) * 0.125;
-  }
-  writer.Append(values);
+// Streaming parity: the writer emits v3, so its stream carries the chunk
+// directory and checksums. Full decodes, parallel range reads and hash-only
+// verification all work on it, as on a one-shot stream.
+TEST(StreamingTest, StreamWriterEmitsV3Streams) {
+  const auto values = GenerateDatasetByName("obs_temp", 40000);  // 5 chunks
+  Collector collector;
+  PrimacyStreamWriter writer(collector.AsSink(), SmallChunks());
+  writer.Append(std::span(values));
   writer.Finish();
+  const Bytes& stream = collector.stream;
+  const Bytes raw = ToBytes(AsBytes(std::span(values)));
 
   ASSERT_GT(stream.size(), 5u);
   // Byte 4 is the format version (after the 4-byte magic).
-  EXPECT_EQ(static_cast<std::uint8_t>(stream[4]),
-            primacy::internal::kFormatVersion1)
-      << "streaming writer now emits v" << static_cast<int>(stream[4])
-      << " — parity landed; update this pin and the streaming-writer docs";
+  EXPECT_EQ(static_cast<std::uint8_t>(stream[4]), internal::kFormatVersion3);
 
-  // Consequence of v1-with-sentinel: no random access. The one-shot
-  // decompressor (and with it DecompressRange) refuses streamed streams.
-  PrimacyDecompressor decompressor;
-  EXPECT_THROW(decompressor.DecompressBytes(stream), CorruptStreamError);
-  EXPECT_THROW(decompressor.DecompressRange(stream, 0, 16),
+  EXPECT_EQ(PrimacyDecompressor().DecompressBytes(stream), raw);
+
+  // Elements [8000, 18000) span chunks 0-2: three kPerChunk index groups.
+  PrimacyOptions parallel = SmallChunks();
+  parallel.threads = 4;
+  PrimacyDecodeStats stats;
+  EXPECT_EQ(PrimacyDecompressor(parallel).DecompressBytesRange(stream, 8000,
+                                                               10000, &stats),
+            Bytes(raw.begin() + 8000 * 8, raw.begin() + 18000 * 8));
+  EXPECT_TRUE(stats.used_directory);
+  EXPECT_EQ(stats.chunks_decoded, 3u);
+  EXPECT_EQ(stats.chunks_verified, 3u);
+  EXPECT_EQ(stats.threads_used, 3u);
+
+  const StreamVerifyResult verdict = VerifyStream(stream);
+  EXPECT_TRUE(verdict.ok) << verdict.error;
+  EXPECT_EQ(verdict.version, internal::kFormatVersion3);
+  EXPECT_TRUE(verdict.has_checksums);
+  EXPECT_EQ(verdict.chunks_checked, 5u);
+}
+
+TEST(StreamingTest, StreamedStreamWithRewrittenVersionRejected) {
+  // The version byte sits outside every record checksum. Rewritten to 1, a
+  // streamed v3 stream reads as a v1 streamed one, whose trailer total must
+  // end the stream: the directory after it is damage, not tail bytes.
+  const auto values = GenerateDatasetByName("obs_temp", 20000);
+  Collector collector;
+  PrimacyStreamWriter writer(collector.AsSink(), SmallChunks());
+  writer.Append(std::span(values));
+  writer.Finish();
+  Bytes downgraded = collector.stream;
+  downgraded[4] = std::byte{1};
+  EXPECT_THROW(PrimacyDecompressor().DecompressBytes(downgraded),
                CorruptStreamError);
-  // The sequential reader still handles it fine — that is all v1 offers.
-  PrimacyStreamReader reader{ByteSpan(stream)};
-  EXPECT_EQ(reader.ReadAllDoubles(), values);
+  EXPECT_FALSE(VerifyStream(downgraded).ok);
 }
 
 TEST(StreamingTest, TruncatedStreamedStreamDetected) {

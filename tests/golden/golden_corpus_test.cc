@@ -5,29 +5,16 @@
 // (Regenerate with make_golden only when intentionally adding entries.)
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <string>
 
 #include "core/primacy_codec.h"
 #include "core/stream_format.h"
+#include "golden/golden_files.h"
 #include "store/checkpoint_store.h"
 #include "util/error.h"
 
 namespace primacy {
 namespace {
-
-Bytes ReadGolden(const std::string& name) {
-  const std::string path = std::string(PRIMACY_GOLDEN_DIR) + "/" + name;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    ADD_FAILURE() << "missing golden file " << path
-                  << " (regenerate with make_golden)";
-    return {};
-  }
-  const std::string raw((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  return BytesFromString(raw);
-}
 
 struct GoldenStream {
   const char* file;
@@ -111,8 +98,10 @@ INSTANTIATE_TEST_SUITE_P(
     AllVersions, GoldenCorpusTest,
     ::testing::Values(
         GoldenStream{"stream_v1.bin", "input.bin", 1, false},
+        GoldenStream{"stream_v1_streamed.bin", "input.bin", 1, false},
         GoldenStream{"stream_v2.bin", "input.bin", 2, false},
         GoldenStream{"stream_v3.bin", "input.bin", 3, false},
+        GoldenStream{"stream_v3_streamed.bin", "input.bin", 3, false},
         GoldenStream{"stored_v3.bin", "noise.bin", 3, true}),
     [](const ::testing::TestParamInfo<GoldenStream>& param_info) {
       std::string name = param_info.param.file;

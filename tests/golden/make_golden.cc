@@ -18,6 +18,7 @@
 #include "core/chunk_pipeline.h"
 #include "core/primacy_codec.h"
 #include "core/stream_format.h"
+#include "core/streaming.h"
 #include "datasets/datasets.h"
 #include "store/checkpoint_store.h"
 #include "util/rng.h"
@@ -58,9 +59,11 @@ Bytes GoldenNoise() {
   return ToBytes(AsBytes(noise));
 }
 
-Bytes MakeV1(ByteSpan input, const PrimacyOptions& options) {
+// A v1 header carrying `header_total`, then the chunk records.
+Bytes V1Records(ByteSpan input, const PrimacyOptions& options,
+                std::uint64_t header_total) {
   Bytes out;
-  internal::WriteStreamHeader(out, options, input.size(), /*stored=*/false,
+  internal::WriteStreamHeader(out, options, header_total, /*stored=*/false,
                               internal::kFormatVersion1);
   const auto solver = internal::ResolveSolver(options.solver);
   ChunkEncoder encoder(options, *solver);
@@ -72,7 +75,32 @@ Bytes MakeV1(ByteSpan input, const PrimacyOptions& options) {
         std::min(chunk_bytes, input.size() - tail - first);
     encoder.EncodeChunk(input.subspan(first, count), out);
   }
-  PutBlock(out, input.last(tail));
+  return out;
+}
+
+Bytes MakeV1(ByteSpan input, const PrimacyOptions& options) {
+  Bytes out = V1Records(input, options, input.size());
+  PutBlock(out, input.last(input.size() % 8));
+  return out;
+}
+
+// The v1 streamed shape PrimacyStreamWriter emitted before it wrote v3: the
+// kStreamingTotal sentinel in the header, the records, a 0 count, the tail
+// block and then the real total.
+Bytes MakeV1Streamed(ByteSpan input, const PrimacyOptions& options) {
+  Bytes out = V1Records(input, options, kStreamingTotal);
+  PutVarint(out, 0);
+  PutBlock(out, input.last(input.size() % 8));
+  PutVarint(out, input.size());
+  return out;
+}
+
+Bytes MakeV3Streamed(ByteSpan input, const PrimacyOptions& options) {
+  Bytes out;
+  PrimacyStreamWriter writer(
+      [&out](ByteSpan data) { AppendBytes(out, data); }, options);
+  writer.AppendBytes(input);
+  writer.Finish();
   return out;
 }
 
@@ -126,9 +154,11 @@ int main(int argc, char** argv) {
   const Bytes input = GoldenInput();
   WriteFile(dir + "/input.bin", input);
   WriteFile(dir + "/stream_v1.bin", MakeV1(input, options));
+  WriteFile(dir + "/stream_v1_streamed.bin", MakeV1Streamed(input, options));
   WriteFile(dir + "/stream_v2.bin", MakeV2(input, options));
   WriteFile(dir + "/stream_v3.bin",
             PrimacyCompressor(options).CompressBytes(input));
+  WriteFile(dir + "/stream_v3_streamed.bin", MakeV3Streamed(input, options));
 
   const Bytes noise = GoldenNoise();
   WriteFile(dir + "/noise.bin", noise);

@@ -220,8 +220,9 @@ TEST(PipelineMetricsTest, SerialAndParallelDecodeIdenticalStatsAndMetrics) {
 }
 
 TEST(PipelineMetricsTest, StatsMeansSurviveStreamingAccumulation) {
-  // AccumulateChunkStats/FinalizeChunkStatMeans: the mean fields reported
-  // for a multi-chunk stream must be averages, not sums.
+  // The assembler folds chunk stats through PrimacyStats::Accumulate: the
+  // mean fields reported for a multi-chunk stream must be averages, not
+  // sums.
   const std::vector<double> values = TestValues();
   PrimacyStats stats;
   PrimacyCompressor(SmallChunkOptions()).Compress(values, &stats);
