@@ -1,7 +1,8 @@
 // The "solver" abstraction of the PRIMACY pipeline: a general-purpose
 // lossless byte compressor. PRIMACY is a *preconditioner* — it rewrites data
 // so that any Codec implementing this interface compresses it better
-// (paper Section II-E).
+// (paper Section II-E). The pipeline calls CompressAdaptive, so a codec may
+// fit its parse to each call; Compress is the vanilla codec.
 #pragma once
 
 #include <memory>
@@ -26,6 +27,13 @@ class Codec {
   /// Compresses `data`. The output embeds everything needed to decompress,
   /// including the original size.
   virtual Bytes Compress(ByteSpan data) const = 0;
+
+  /// Compresses `data` for one of PRIMACY's solver calls (the ID bytes and
+  /// ISOBAR's compressible columns). A codec may choose its strategy per
+  /// call from the data here, so the bytes may differ from Compress's;
+  /// Compress stays a fixed function of the codec's settings, which is what
+  /// the comparator rows measure. Decompress inverts both. Default: Compress.
+  virtual Bytes CompressAdaptive(ByteSpan data) const { return Compress(data); }
 
   /// Exact inverse of Compress.
   virtual Bytes Decompress(ByteSpan data) const = 0;

@@ -127,7 +127,7 @@ ChunkRecordStats ChunkEncoder::EncodeChunk(ByteSpan chunk, Bytes& out) {
   // 3-4. ID mapping, linearization, solver compression.
   const Bytes id_bytes = MapToIds(split.high, index, options_.linearization);
   timer.Lap(telemetry::Stage::kSolver);
-  const Bytes id_compressed = solver_.Compress(id_bytes);
+  const Bytes id_compressed = solver_.CompressAdaptive(id_bytes);
   timer.Lap(telemetry::Stage::kIsobar);
 
   // 5. ISOBAR on the mantissa matrix.

@@ -3,6 +3,13 @@
 // tables. This is the library's zlib stand-in — the byte-level entropy-based
 // "solver" the PRIMACY preconditioner targets (paper Sections II-C/II-E).
 //
+// Compress always runs the LZ parse of the codec's LzParams: it is the
+// vanilla comparator (zlib -6 for the defaults). DeflateCodec's
+// CompressAdaptive, which PRIMACY's solver calls use, first probes a sample
+// and takes literal-only Huffman (zlib's Z_HUFFMAN_ONLY) where the parse
+// would not pay, as on noisy mantissa columns. Both write the same
+// container, and Decompress reads either.
+//
 // The container format is our own (not RFC 1950/1951 compatible):
 //   varint original_size, then blocks:
 //     u8 block_type (0 = stored, 1 = huffman)
@@ -25,7 +32,13 @@ class DeflateCodec final : public Codec {
 
   std::string_view name() const override { return "deflate"; }
   Bytes Compress(ByteSpan data) const override;
+  Bytes CompressAdaptive(ByteSpan data) const override;
   Bytes Decompress(ByteSpan data) const override;
+
+  /// Literal-only Huffman, the path CompressAdaptive takes where LZ does
+  /// not pay: the bytes DeflateCodec(LzParams{0, 3, false}).Compress
+  /// writes, coded straight from each block's byte histogram.
+  static Bytes CompressLiterals(ByteSpan data);
 
  private:
   LzParams params_;

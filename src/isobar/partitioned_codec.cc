@@ -29,7 +29,7 @@ IsobarCompressed IsobarCompress(ByteSpan rows, std::size_t width,
 
   IsobarCompressed result;
   result.plan = plan;
-  const Bytes solved = solver.Compress(compressible);
+  const Bytes solved = solver.CompressAdaptive(compressible);
   result.compressed_bytes = solved.size();
   result.raw_bytes = raw.size();
 

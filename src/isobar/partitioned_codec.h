@@ -20,7 +20,8 @@ struct IsobarCompressed {
 };
 
 /// Compresses a row-linearized `width`-byte element matrix under `plan`
-/// using `solver`. The returned stream is self-describing.
+/// using `solver`'s CompressAdaptive. The returned stream is
+/// self-describing.
 IsobarCompressed IsobarCompress(ByteSpan rows, std::size_t width,
                                 const IsobarPlan& plan, const Codec& solver);
 

@@ -102,6 +102,7 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenStream{"stream_v2.bin", "input.bin", 2, false},
         GoldenStream{"stream_v3.bin", "input.bin", 3, false},
         GoldenStream{"stream_v3_streamed.bin", "input.bin", 3, false},
+        GoldenStream{"stream_v3_literal.bin", "literal_input.bin", 3, false},
         GoldenStream{"stored_v3.bin", "noise.bin", 3, true}),
     [](const ::testing::TestParamInfo<GoldenStream>& param_info) {
       std::string name = param_info.param.file;

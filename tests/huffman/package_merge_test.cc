@@ -1,7 +1,10 @@
 // Optimality properties of the package-merge construction, checked against
-// a reference unconstrained Huffman cost computed with a priority queue.
+// a reference unconstrained Huffman cost computed with a priority queue, and
+// its exact identity with the textbook leaf-list formulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <queue>
 #include <vector>
 
@@ -88,6 +91,80 @@ TEST(PackageMergeOptimalityTest, CostMonotoneInLengthBudget) {
     const std::uint64_t cost = Cost(freq, lengths);
     EXPECT_LE(cost, previous) << "cap " << cap;
     previous = cost;
+  }
+}
+
+/// Textbook package-merge, each package carrying the leaves it covers: the
+/// construction BuildCodeLengths used before it kept only weights and merge
+/// outcomes. Callers pass at least two non-zero frequencies.
+std::vector<std::uint8_t> LeafListCodeLengths(
+    std::span<const std::uint64_t> frequencies, unsigned max_length) {
+  struct Package {
+    std::uint64_t weight = 0;
+    std::vector<std::uint32_t> leaves;
+  };
+  const auto weight_less = [](const Package& a, const Package& b) {
+    return a.weight < b.weight;
+  };
+  std::vector<Package> leaf_list;
+  for (std::uint32_t symbol = 0; symbol < frequencies.size(); ++symbol) {
+    if (frequencies[symbol] != 0) {
+      leaf_list.push_back(Package{frequencies[symbol], {symbol}});
+    }
+  }
+  std::stable_sort(leaf_list.begin(), leaf_list.end(), weight_less);
+  std::vector<Package> current = leaf_list;
+  for (unsigned level = 1; level < max_length; ++level) {
+    std::vector<Package> packaged;
+    for (std::size_t i = 0; i + 1 < current.size(); i += 2) {
+      Package merged{current[i].weight + current[i + 1].weight,
+                     current[i].leaves};
+      merged.leaves.insert(merged.leaves.end(), current[i + 1].leaves.begin(),
+                           current[i + 1].leaves.end());
+      packaged.push_back(std::move(merged));
+    }
+    std::vector<Package> next;
+    std::merge(leaf_list.begin(), leaf_list.end(), packaged.begin(),
+               packaged.end(), std::back_inserter(next), weight_less);
+    current = std::move(next);
+  }
+  std::vector<std::uint8_t> lengths(frequencies.size(), 0);
+  for (std::size_t i = 0; i < 2 * leaf_list.size() - 2; ++i) {
+    for (const std::uint32_t symbol : current[i].leaves) ++lengths[symbol];
+  }
+  return lengths;
+}
+
+TEST(PackageMergeIdentityTest, MatchesLeafListConstructionExactly) {
+  // Alphabets of 2..320 symbols and every cap from 9 to 15, over frequency
+  // shapes that stress the merge order: heavy ties (a handful of distinct
+  // values), exponential skews that make the cap bind, sparse alphabets
+  // with zeros, and wide uniform spreads.
+  Rng rng(0x9a11);
+  for (int trial = 0; trial < 10000; ++trial) {
+    const std::size_t alphabet = 2 + rng.NextBelow(319);
+    const unsigned max_length = 9 + static_cast<unsigned>(rng.NextBelow(7));
+    std::vector<std::uint64_t> freq(alphabet);
+    switch (trial % 4) {
+      case 0:
+        for (auto& f : freq) f = 1 + rng.NextBelow(3);
+        break;
+      case 1:
+        for (auto& f : freq) f = std::uint64_t{1} << rng.NextBelow(40);
+        break;
+      case 2:
+        for (auto& f : freq) f = rng.NextBool(0.5) ? 0 : rng.NextBelow(50);
+        break;
+      default:
+        for (auto& f : freq) f = 1 + rng.NextBelow(1000000);
+        break;
+    }
+    ++freq.front();  // at least two live symbols
+    ++freq.back();
+    ASSERT_EQ(BuildCodeLengths(freq, max_length),
+              LeafListCodeLengths(freq, max_length))
+        << "trial " << trial << " alphabet " << alphabet << " cap "
+        << max_length;
   }
 }
 
