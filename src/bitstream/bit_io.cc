@@ -4,15 +4,6 @@
 
 namespace primacy {
 
-void BitWriter::WriteBits(std::uint64_t value, unsigned count) {
-  if (count > 57) throw InvalidArgumentError("BitWriter: count > 57");
-  value &= (1ULL << count) - 1;  // count <= 57, so the shift cannot overflow
-  accumulator_ |= value << pending_bits_;
-  pending_bits_ += count;
-  bit_count_ += count;
-  FlushFullBytes();
-}
-
 void BitWriter::FlushFullBytes() {
   while (pending_bits_ >= 8) {
     buffer_.push_back(static_cast<std::byte>(accumulator_ & 0xff));
@@ -27,15 +18,17 @@ void BitWriter::AlignToByte() {
 }
 
 void BitWriter::WriteBytes(ByteSpan data) {
-  if (pending_bits_ != 0) {
+  if (pending_bits_ % 8 != 0) {
     throw InvalidArgumentError("BitWriter::WriteBytes: not byte-aligned");
   }
+  FlushFullBytes();
   AppendBytes(buffer_, data);
   bit_count_ += 8 * static_cast<std::uint64_t>(data.size());
 }
 
 Bytes BitWriter::Finish() {
   AlignToByte();
+  FlushFullBytes();
   return std::move(buffer_);
 }
 

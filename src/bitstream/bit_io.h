@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "util/bytes.h"
+#include "util/error.h"
 
 namespace primacy {
 
@@ -17,8 +18,25 @@ class BitWriter {
  public:
   BitWriter() = default;
 
-  /// Appends the low `count` (<= 57) bits of `value`, LSB first.
-  void WriteBits(std::uint64_t value, unsigned count);
+  /// Appends the low `count` (<= 57) bits of `value`, LSB first. Inline:
+  /// the Huffman encoders call it once per symbol.
+  void WriteBits(std::uint64_t value, unsigned count) {
+    if (count > 57) throw InvalidArgumentError("BitWriter: count > 57");
+    value &= (1ULL << count) - 1;  // count <= 57, so the shift cannot overflow
+    // A write that would not fit beside the pending bits first drains the
+    // whole bytes, leaving fewer than 8.
+    if (pending_bits_ + count > 64) FlushFullBytes();
+    accumulator_ |= value << pending_bits_;
+    pending_bits_ += count;
+    bit_count_ += count;
+    while (pending_bits_ >= 32) {
+      for (unsigned i = 0; i < 4; ++i) {
+        buffer_.push_back(static_cast<std::byte>(accumulator_ >> (8 * i)));
+      }
+      accumulator_ >>= 32;
+      pending_bits_ -= 32;
+    }
+  }
 
   /// Pads with zero bits to the next byte boundary.
   void AlignToByte();
@@ -33,10 +51,13 @@ class BitWriter {
   Bytes Finish();
 
  private:
+  /// Moves the pending whole bytes to the buffer, leaving fewer than 8 bits.
   void FlushFullBytes();
 
   Bytes buffer_;
-  std::uint64_t accumulator_ = 0;  // pending bits, LSB-first
+  // Pending bits, LSB-first: fewer than 32 between calls, stored to the
+  // buffer a 32-bit word at a time.
+  std::uint64_t accumulator_ = 0;
   unsigned pending_bits_ = 0;
   std::uint64_t bit_count_ = 0;
 };

@@ -37,9 +37,13 @@ struct LzParams {
   static LzParams Thorough() { return {1024, kLzMaxMatch, true}; }
 };
 
-/// Parses `data` into tokens. The concatenated expansion of the returned
-/// tokens reproduces `data` exactly (property-tested).
-std::vector<LzToken> LzParse(ByteSpan data, const LzParams& params);
+/// Parses data[start, end) into tokens, with data[0, start) as history its
+/// matches may reach back into, like zlib's preset dictionary. The
+/// concatenated expansion of the returned tokens reproduces data[start, end)
+/// when it follows the history bytes, so with start 0 it reproduces `data`
+/// exactly (property-tested).
+std::vector<LzToken> LzParse(ByteSpan data, const LzParams& params,
+                             std::size_t start = 0);
 
 /// Expands a token stream back into bytes (reference decoder used by tests
 /// and by the Deflate decompressor).

@@ -50,6 +50,45 @@ TEST(BitIoTest, MixedWidthValuesRoundTrip) {
   EXPECT_TRUE(reader.AtEnd());
 }
 
+TEST(BitIoTest, WordBufferedWriterMatchesBitByBitPacking) {
+  // The writer holds up to 31 bits between calls and stores whole 32-bit
+  // words. Its bytes must equal a bit-at-a-time LSB-first packing for any
+  // mix of widths (bits above a width ignored), alignments and raw bytes.
+  Rng rng(12);
+  for (int trial = 0; trial < 60; ++trial) {
+    BitWriter writer;
+    std::vector<bool> bits;
+    const std::size_t ops = rng.NextBelow(400);
+    for (std::size_t op = 0; op < ops; ++op) {
+      if (rng.NextBelow(16) == 0) {
+        writer.AlignToByte();
+        while (bits.size() % 8 != 0) bits.push_back(false);
+        Bytes raw(rng.NextBelow(6));
+        for (auto& b : raw) b = static_cast<std::byte>(rng.NextBelow(256));
+        writer.WriteBytes(raw);
+        for (const std::byte b : raw) {
+          for (unsigned k = 0; k < 8; ++k) {
+            bits.push_back(((std::to_integer<unsigned>(b) >> k) & 1) != 0);
+          }
+        }
+        continue;
+      }
+      const auto width = static_cast<unsigned>(rng.NextBelow(58));
+      const std::uint64_t value = rng.NextU64();
+      writer.WriteBits(value, width);
+      for (unsigned k = 0; k < width; ++k) {
+        bits.push_back(((value >> k) & 1) != 0);
+      }
+    }
+    EXPECT_EQ(writer.BitCount(), bits.size());
+    Bytes expected((bits.size() + 7) / 8);
+    for (std::size_t k = 0; k < bits.size(); ++k) {
+      if (bits[k]) expected[k / 8] |= std::byte{1} << (k % 8);
+    }
+    EXPECT_EQ(writer.Finish(), expected) << trial;
+  }
+}
+
 TEST(BitIoTest, ZeroWidthWriteAndReadAreNoops) {
   BitWriter writer;
   writer.WriteBits(0xff, 0);

@@ -121,6 +121,38 @@ TEST(LzParseTest, MatchesNeverCrossWindowBound) {
   EXPECT_EQ(pos, data.size());
 }
 
+TEST(LzParseTest, HistoryParseExpandsAfterTheHistoryBytes) {
+  // Parsing from `start` with the bytes before it as history: the tokens
+  // expand to the tail once the history bytes precede them as literals.
+  const Bytes data = RepetitiveData(60000, 23);
+  for (const LzParams& params : {LzParams::Fast(), LzParams::Default()}) {
+    for (const std::size_t start : {1u, 4096u, 40000u, 59999u, 60000u}) {
+      std::vector<LzToken> tokens;
+      for (std::size_t i = 0; i < start; ++i) {
+        tokens.push_back(LzToken{static_cast<std::uint8_t>(data[i]), 0, 0});
+      }
+      const auto tail = LzParse(data, params, start);
+      tokens.insert(tokens.end(), tail.begin(), tail.end());
+      EXPECT_EQ(LzExpand(tokens, data.size()), data) << start;
+    }
+  }
+}
+
+TEST(LzParseTest, HistoryParseFindsRepeatsInTheHistory) {
+  // A random block seen only in the history comes back as matches.
+  Rng rng(31);
+  Bytes block(20000);
+  for (auto& b : block) b = static_cast<std::byte>(rng.NextBelow(256));
+  Bytes data = block;
+  AppendBytes(data, block);
+  const auto tail = LzParse(data, LzParams::Fast(), block.size());
+  EXPECT_LT(tail.size(), 100u);
+  EXPECT_FALSE(tail.front().IsLiteral());
+  EXPECT_EQ(tail.front().distance, block.size());
+  EXPECT_THROW(LzParse(data, LzParams::Fast(), data.size() + 1),
+               InvalidArgumentError);
+}
+
 TEST(LzExpandTest, RejectsBadDistance) {
   const std::vector<LzToken> tokens{
       LzToken{'a', 0, 0},
