@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Local reproduction of CI's sanitizer matrix: one build tree per flavor
-# (address, undefined, thread), each running the tier-1 suite plus the
-# corruption harness and the concurrency stress tests — the same three
-# named passes the CI `sanitize` job runs.
+# (address, undefined, thread), each running the tier-1 suite and then the
+# eight named passes of the CI `sanitize` job, with the same regexes
+# (keep NAMED_PASSES in step with .github/workflows/ci.yml).
 #
 # --thread-safety adds the compile-time lock-discipline pass (the CI
 # `thread-safety` job): a Clang build with -Wthread-safety promoted to
@@ -31,6 +31,18 @@ export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 
+# CI step name, then its ctest regex.
+NAMED_PASSES=(
+  "Corruption harness" "CorruptionFuzz"
+  "Codec core" "Deflate|BuildCodeLengths|CodeLengthSerialization|PackageMerge|Huffman|Lz|BitIo|CodecRoundTrip|CodecCorruption|Isobar|Analyzer|PlanSerialization"
+  "Concurrency stress tests" "Stress|MetricsRegistry"
+  "Service suite" "Service"
+  "Decode paths" "DecompressRange|ParallelDecode|StreamV2|StreamV3|CacheDecode|SinglePrecision|Streaming|GoldenCorpus"
+  "Kernel identity suite" "KernelIdentity|KernelDispatch|DecodesUnderEveryKernelIsa"
+  "Observability exporter suite" "Exporter|StageStack"
+  "Transport suite" "Transport"
+)
+
 for flavor in "${FLAVORS[@]+"${FLAVORS[@]}"}"; do
   case "$flavor" in
     address|undefined|thread) ;;
@@ -45,8 +57,10 @@ for flavor in "${FLAVORS[@]+"${FLAVORS[@]}"}"; do
     -DPRIMACY_BUILD_EXAMPLES=OFF
   cmake --build "$build_dir" -j "$(nproc)"
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-  ctest --test-dir "$build_dir" --output-on-failure -R 'CorruptionFuzz'
-  ctest --test-dir "$build_dir" --output-on-failure -R 'Stress|MetricsRegistry'
+  for ((i = 0; i < ${#NAMED_PASSES[@]}; i += 2)); do
+    echo "--- $flavor: ${NAMED_PASSES[i]} ---"
+    ctest --test-dir "$build_dir" --output-on-failure -R "${NAMED_PASSES[i + 1]}"
+  done
 done
 
 if [ "$RUN_THREAD_SAFETY" -eq 1 ]; then

@@ -1,12 +1,9 @@
 // Runtime ISA dispatch: pick the best kernel table the CPU supports, once,
-// honoring the PRIMACY_FORCE_ISA environment override, and export the
-// selection as the telemetry gauge primacy_kernel_isa{isa="..."}.
+// and export the selection as the telemetry gauge
+// primacy_kernel_isa{isa="..."}.
 #include "kernels/kernels.h"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "kernels/tables.h"
@@ -29,58 +26,16 @@ bool CpuHasAvx2() {
 }
 #endif
 
-/// Best ISA this CPU can run (independent of any override).
-Isa BestSupportedIsa() {
-#if PRIMACY_SIMD_ENABLED
-  if (CpuHasAvx2()) return Isa::kAvx2;
-  return Isa::kSse2;  // baseline of every x86-64 CPU
-#else
-  return Isa::kScalar;
-#endif
-}
-
-bool ParseIsaName(const char* name, Isa& out) {
-  if (std::strcmp(name, "scalar") == 0) {
-    out = Isa::kScalar;
-    return true;
-  }
-  if (std::strcmp(name, "sse2") == 0) {
-    out = Isa::kSse2;
-    return true;
-  }
-  if (std::strcmp(name, "avx2") == 0) {
-    out = Isa::kAvx2;
-    return true;
-  }
-  return false;
-}
-
 void PublishIsaGauge(Isa active) {
   auto& registry = telemetry::MetricsRegistry::Global();
-  for (Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
+  for (Isa isa : kAllIsas) {
     std::string labels = std::string("isa=\"") + IsaName(isa) + "\"";
     registry.GetGauge("primacy_kernel_isa", labels).Set(isa == active ? 1 : 0);
   }
 }
 
 Selection Resolve() {
-  Isa isa = BestSupportedIsa();
-  if (const char* forced = std::getenv("PRIMACY_FORCE_ISA")) {
-    Isa wanted;
-    if (!ParseIsaName(forced, wanted)) {
-      std::fprintf(stderr,
-                   "primacy: ignoring unknown PRIMACY_FORCE_ISA=%s "
-                   "(want scalar|sse2|avx2)\n",
-                   forced);
-    } else if (TableFor(wanted) == nullptr) {
-      std::fprintf(stderr,
-                   "primacy: PRIMACY_FORCE_ISA=%s unavailable on this "
-                   "build/CPU, using %s\n",
-                   forced, IsaName(isa));
-    } else {
-      isa = wanted;
-    }
-  }
+  const Isa isa = TableFor(Isa::kAvx2) != nullptr ? Isa::kAvx2 : Isa::kScalar;
   PublishIsaGauge(isa);
   return Selection{TableFor(isa), isa};
 }
@@ -99,30 +54,16 @@ const Selection& ActiveSelection() {
 
 }  // namespace
 
-const char* IsaName(Isa isa) {
-  switch (isa) {
-    case Isa::kSse2:
-      return "sse2";
-    case Isa::kAvx2:
-      return "avx2";
-    case Isa::kScalar:
-      break;
-  }
-  return "scalar";
-}
+const char* IsaName(Isa isa) { return isa == Isa::kAvx2 ? "avx2" : "scalar"; }
 
 const KernelTable* TableFor(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return &ScalarTable();
-#if PRIMACY_SIMD_ENABLED
-    case Isa::kSse2:
-      return detail::Sse2Table();
     case Isa::kAvx2:
+#if PRIMACY_SIMD_ENABLED
       return CpuHasAvx2() ? detail::Avx2Table() : nullptr;
 #else
-    case Isa::kSse2:
-    case Isa::kAvx2:
       break;
 #endif
   }

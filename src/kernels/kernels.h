@@ -4,7 +4,7 @@
 // transpose, 16-bit pair-frequency counting, ID map/unmap, and the ISOBAR
 // column histograms — reduces to one of the narrow kernels below. Each
 // kernel has a portable scalar implementation (the semantic reference) plus
-// SSE2/AVX2 variants selected once at startup from CPUID; callers go through
+// an AVX2 variant selected once at startup from CPUID; callers go through
 // the function-pointer table returned by Active() and never name an ISA.
 //
 // Contract shared by every variant of a kernel:
@@ -17,9 +17,7 @@
 //     out == in; each block is fully loaded before it is stored).
 //
 // Dispatch:
-//   * Active() resolves once: best ISA the CPU supports, clamped by the
-//     PRIMACY_FORCE_ISA=scalar|sse2|avx2 environment override (forcing an
-//     unsupported ISA falls back to the best supported one);
+//   * Active() resolves once: AVX2 when the CPU supports it, else scalar;
 //   * builds with -DPRIMACY_SIMD=OFF (or non-x86-64 targets) compile the
 //     intrinsics out entirely and Active() is always the scalar table;
 //   * the selected ISA is exported as the telemetry gauge
@@ -28,8 +26,7 @@
 //   * ForceIsa() swaps the active table at runtime for benches and tests.
 //
 // Intrinsics headers are confined to src/kernels/ (enforced by the
-// primacy_lint simd-containment rule); this API is raw pointers + lengths so
-// the layer stays the seam a later GPU backend can slot into.
+// primacy_lint simd-containment rule); this API is raw pointers + lengths.
 #pragma once
 
 #include <cstddef>
@@ -37,9 +34,13 @@
 
 namespace primacy::kernels {
 
-enum class Isa : std::uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+/// The values are fixed: parameterized test names print them.
+enum class Isa : std::uint8_t { kScalar = 0, kAvx2 = 2 };
 
-/// Stable lowercase name ("scalar", "sse2", "avx2").
+/// Every ISA a table can exist for, scalar first.
+inline constexpr Isa kAllIsas[] = {Isa::kScalar, Isa::kAvx2};
+
+/// Stable lowercase name ("scalar", "avx2").
 const char* IsaName(Isa isa);
 
 /// ID value marking "sequence never occurred" in a map table (mirrors
@@ -103,7 +104,7 @@ const KernelTable& ScalarTable();
 /// CPU lacks the instructions. Scalar never returns nullptr.
 const KernelTable* TableFor(Isa isa);
 
-/// The dispatched table (CPUID + PRIMACY_FORCE_ISA, resolved on first call).
+/// The dispatched table (CPUID, resolved on first call).
 const KernelTable& Active();
 
 /// ISA backing Active().

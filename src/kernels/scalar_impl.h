@@ -1,8 +1,7 @@
 // Portable scalar kernel implementations. This header is internal to
-// src/kernels: scalar.cc builds the reference table from it, and the SIMD
-// translation units reuse the same functions for their vector-remainder
-// tails, which is what makes every variant byte-identical to the reference
-// at every length by construction.
+// src/kernels: scalar.cc builds the reference table from it, and avx2.cc
+// reuses the same functions for its vector-remainder tails, which is what
+// makes both tables byte-identical at every length by construction.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,6 @@
-// Internal: per-ISA table accessors wired into dispatch.cc. The SIMD
-// translation units (sse2.cc, avx2.cc) define these; when PRIMACY_SIMD is
-// OFF (or the target is not x86-64) they are compiled out and dispatch.cc
-// never references them.
+// Internal: the SIMD table accessor wired into dispatch.cc. avx2.cc defines
+// it; when PRIMACY_SIMD is OFF (or the target is not x86-64) it is compiled
+// out and dispatch.cc never references it.
 #pragma once
 
 #include "kernels/kernels.h"
@@ -13,7 +12,6 @@
 namespace primacy::kernels::detail {
 
 #if PRIMACY_SIMD_ENABLED
-const KernelTable* Sse2Table();
 const KernelTable* Avx2Table();
 #endif
 

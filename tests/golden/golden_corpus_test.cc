@@ -10,6 +10,7 @@
 #include "core/primacy_codec.h"
 #include "core/stream_format.h"
 #include "golden/golden_files.h"
+#include "kernels/kernels.h"
 #include "store/checkpoint_store.h"
 #include "util/error.h"
 
@@ -23,6 +24,40 @@ struct GoldenStream {
   bool stored;
 };
 
+/// Full decode and, where the stream has a directory, a range read (8 whole
+/// elements in from the front, spanning a chunk boundary at 256) both
+/// reproduce the committed input.
+void ExpectDecodesToInput(const GoldenStream& golden, const Bytes& stream,
+                          const Bytes& input) {
+  EXPECT_EQ(PrimacyDecompressor().DecompressBytes(stream), input)
+      << golden.file;
+  if (!golden.stored && golden.version >= internal::kFormatVersion2) {
+    EXPECT_EQ(PrimacyDecompressor().DecompressBytesRange(stream, 250, 12),
+              Bytes(input.begin() + 250 * 8, input.begin() + 262 * 8))
+        << golden.file;
+  }
+}
+
+void ExpectCheckpointRestores() {
+  const Bytes checkpoint = ReadGolden("checkpoint.bin");
+  const Bytes input = ReadGolden("input.bin");
+  const Bytes noise = ReadGolden("noise.bin");
+  ASSERT_FALSE(checkpoint.empty());
+  const CheckpointReader reader(checkpoint);
+  ASSERT_EQ(reader.variables().size(), 2u);
+
+  const auto phi = reader.ReadDoubles("phi");
+  EXPECT_EQ(ToBytes(AsBytes(std::span(phi))),
+            Bytes(input.begin(), input.end() - 1));
+  const auto restored_noise = reader.ReadDoubles("noise");
+  EXPECT_EQ(ToBytes(AsBytes(std::span(restored_noise))), noise);
+
+  for (const auto& result : reader.VerifyAll()) {
+    EXPECT_TRUE(result.stream.ok) << result.name << ": "
+                                  << result.stream.error;
+  }
+}
+
 class GoldenCorpusTest : public ::testing::TestWithParam<GoldenStream> {};
 
 TEST_P(GoldenCorpusTest, DecodesBitIdenticallyToCommittedInput) {
@@ -33,8 +68,7 @@ TEST_P(GoldenCorpusTest, DecodesBitIdenticallyToCommittedInput) {
   ASSERT_FALSE(input.empty());
   EXPECT_EQ(static_cast<std::uint8_t>(stream[4]), golden.version);
 
-  const Bytes decoded = PrimacyDecompressor().DecompressBytes(stream);
-  EXPECT_EQ(decoded, input) << golden.file;
+  ExpectDecodesToInput(golden, stream, input);
 
   // The verifier agrees the committed stream is healthy.
   const StreamVerifyResult verdict = VerifyStream(stream);
@@ -42,15 +76,29 @@ TEST_P(GoldenCorpusTest, DecodesBitIdenticallyToCommittedInput) {
   EXPECT_EQ(verdict.version, golden.version);
   EXPECT_EQ(verdict.has_checksums,
             golden.version >= internal::kFormatVersion3);
+}
 
-  if (!golden.stored && golden.version >= internal::kFormatVersion2) {
-    // Range reads work against committed directories (8 whole elements in
-    // from the front, spanning a chunk boundary at 256).
-    const Bytes slice =
-        PrimacyDecompressor().DecompressBytesRange(stream, 250, 12);
-    EXPECT_EQ(slice, Bytes(input.begin() + 250 * 8,
-                           input.begin() + 262 * 8));
+TEST_P(GoldenCorpusTest, DecodesUnderEveryKernelIsa) {
+  // Left alone, the dispatcher picks AVX2 exactly where build and CPU offer
+  // it. Every table it could pick must decode the corpus bit-identically.
+  using kernels::Isa;
+  const Isa dispatched = kernels::ActiveIsa();
+  EXPECT_EQ(dispatched == Isa::kAvx2,
+            kernels::TableFor(Isa::kAvx2) != nullptr);
+
+  const GoldenStream& golden = GetParam();
+  const Bytes stream = ReadGolden(golden.file);
+  const Bytes input = ReadGolden(golden.input);
+  ASSERT_FALSE(stream.empty());
+  ASSERT_FALSE(input.empty());
+  for (const Isa isa : kernels::kAllIsas) {
+    if (kernels::TableFor(isa) == nullptr) continue;  // not on this build/CPU
+    SCOPED_TRACE(kernels::IsaName(isa));
+    EXPECT_TRUE(kernels::ForceIsa(isa));
+    ExpectDecodesToInput(golden, stream, input);
+    ExpectCheckpointRestores();
   }
+  EXPECT_TRUE(kernels::ForceIsa(dispatched));
 }
 
 TEST_P(GoldenCorpusTest, CachedDecodeMatchesUncachedByteForByte) {
@@ -111,23 +159,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(GoldenCheckpointTest, CommittedCheckpointRestores) {
-  const Bytes checkpoint = ReadGolden("checkpoint.bin");
-  const Bytes input = ReadGolden("input.bin");
-  const Bytes noise = ReadGolden("noise.bin");
-  ASSERT_FALSE(checkpoint.empty());
-  const CheckpointReader reader(checkpoint);
-  ASSERT_EQ(reader.variables().size(), 2u);
-
-  const auto phi = reader.ReadDoubles("phi");
-  EXPECT_EQ(ToBytes(AsBytes(std::span(phi))),
-            Bytes(input.begin(), input.end() - 1));
-  const auto restored_noise = reader.ReadDoubles("noise");
-  EXPECT_EQ(ToBytes(AsBytes(std::span(restored_noise))), noise);
-
-  for (const auto& result : reader.VerifyAll()) {
-    EXPECT_TRUE(result.stream.ok) << result.name << ": "
-                                  << result.stream.error;
-  }
+  ExpectCheckpointRestores();
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // vector tails where the SIMD main loop hands over to scalar code.
 //
 // The suite is parameterized over the available ISAs via ForceIsa, so on an
-// AVX2 host one ctest run covers scalar, SSE2, and AVX2; on a scalar-only
-// build it degenerates to a self-check of the reference.
+// AVX2 host one ctest run covers scalar and AVX2; on a scalar-only build it
+// degenerates to a self-check of the reference.
 #include "kernels/kernels.h"
 
 #include <gtest/gtest.h>
@@ -33,7 +33,7 @@ const std::size_t kLengths[] = {0,  1,  2,  3,   5,   7,   8,    9,   15,
 
 std::vector<Isa> AvailableIsas() {
   std::vector<Isa> isas;
-  for (Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
+  for (Isa isa : kAllIsas) {
     if (TableFor(isa) != nullptr) isas.push_back(isa);
   }
   return isas;
@@ -65,16 +65,9 @@ class KernelIdentityTest : public ::testing::TestWithParam<Isa> {
     }
     table_ = &Active();
   }
-  void TearDown() override { ForceIsa(ActiveIsaBestEffortReset()); }
-
-  static Isa ActiveIsaBestEffortReset() {
-    // Leave the process on the best ISA so later suites in the same binary
-    // see default dispatch behavior.
-    for (Isa isa : {Isa::kAvx2, Isa::kSse2, Isa::kScalar}) {
-      if (TableFor(isa) != nullptr) return isa;
-    }
-    return Isa::kScalar;
-  }
+  // Leave the process on the best ISA so later suites in the same binary
+  // see default dispatch behavior.
+  void TearDown() override { ForceIsa(AvailableIsas().back()); }
 
   const KernelTable* table_ = nullptr;
 };
@@ -315,7 +308,6 @@ TEST(KernelDispatchTest, ActiveMatchesForcedIsa) {
 
 TEST(KernelDispatchTest, IsaNamesAreStable) {
   EXPECT_STREQ(IsaName(Isa::kScalar), "scalar");
-  EXPECT_STREQ(IsaName(Isa::kSse2), "sse2");
   EXPECT_STREQ(IsaName(Isa::kAvx2), "avx2");
 }
 
