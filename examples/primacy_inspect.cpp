@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -183,7 +184,10 @@ int Metrics(const char* path) {
 int CacheStats(const char* path, bool use_cache) {
   using namespace primacy;
   PrimacyOptions options;
-  options.cache.enabled = use_cache;
+  if (use_cache) {
+    options.block_cache =
+        std::make_shared<DecodedBlockCache>(256 * 1024 * 1024);
+  }
   Bytes stream;
   if (path != nullptr) {
     stream = ReadFile(path);
@@ -215,8 +219,8 @@ int CacheStats(const char* path, bool use_cache) {
   }
   const CacheStatsSnapshot snapshot = cache->Stats();
   if (snapshot.hits + snapshot.misses == 0) {
-    std::printf("stream not cacheable (v1 or stored fallback: no chunk "
-                "directory to key against)\n");
+    std::printf("stream not cacheable (v1, v2 or stored fallback: no "
+                "record checksums to key against)\n");
     return 0;
   }
   std::printf("cache snapshot : %zu entries, %zu bytes resident\n",

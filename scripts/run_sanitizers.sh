@@ -37,7 +37,7 @@ NAMED_PASSES=(
   "Codec core" "Deflate|BuildCodeLengths|CodeLengthSerialization|PackageMerge|Huffman|Lz|BitIo|CodecRoundTrip|CodecCorruption|Isobar|Analyzer|PlanSerialization"
   "Concurrency stress tests" "Stress|MetricsRegistry"
   "Service suite" "Service"
-  "Decode paths" "DecompressRange|ParallelDecode|StreamV2|StreamV3|CacheDecode|SinglePrecision|Streaming|GoldenCorpus"
+  "Decode paths" "DecompressRange|ParallelDecode|StreamV2|StreamV3|CacheDecode|BlockCache|SinglePrecision|Streaming|GoldenCorpus"
   "Kernel identity suite" "KernelIdentity|KernelDispatch|DecodesUnderEveryKernelIsa"
   "Observability exporter suite" "Exporter|StageStack"
   "Transport suite" "Transport"

@@ -1,5 +1,6 @@
 #include "cache/block_cache.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <list>
@@ -144,12 +145,12 @@ void DecodedBlockCache::Handle::Release() {
   shard_ = nullptr;
 }
 
-DecodedBlockCache::DecodedBlockCache(CacheOptions options)
-    : options_(options) {
-  if (options_.shard_count == 0) options_.shard_count = 1;
-  shard_budget_ = options_.capacity_bytes / options_.shard_count;
-  shards_.reserve(options_.shard_count);
-  for (std::size_t i = 0; i < options_.shard_count; ++i) {
+DecodedBlockCache::DecodedBlockCache(std::size_t capacity_bytes,
+                                     std::size_t shard_count) {
+  shard_count = std::max<std::size_t>(shard_count, 1);
+  shard_budget_ = capacity_bytes / shard_count;
+  shards_.reserve(shard_count);
+  for (std::size_t i = 0; i < shard_count; ++i) {
     auto shard = std::make_unique<internal::CacheShard>();
     shard->metrics = internal::CacheShardMetrics::ForShard(i);
     shards_.push_back(std::move(shard));
@@ -241,22 +242,6 @@ bool DecodedBlockCache::Contains(std::uint64_t stream_id,
   return shard.index.count({stream_id, chunk_index}) != 0;
 }
 
-void DecodedBlockCache::Clear() {
-  for (const auto& shard : shards_) {
-    primacy::MutexLock lock(shard->mutex);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if (it->pins > 0) {
-        ++it;
-        continue;
-      }
-      shard->bytes -= it->data.size();
-      shard->metrics->bytes.Add(-static_cast<std::int64_t>(it->data.size()));
-      shard->index.erase({it->stream_id, it->chunk_index});
-      it = shard->lru.erase(it);
-    }
-  }
-}
-
 CacheStatsSnapshot DecodedBlockCache::Stats() const {
   CacheStatsSnapshot totals;
   for (const auto& shard : shards_) {
@@ -270,11 +255,6 @@ CacheStatsSnapshot DecodedBlockCache::Stats() const {
     totals.entries += shard->lru.size();
   }
   return totals;
-}
-
-std::shared_ptr<DecodedBlockCache> MakeBlockCache(const CacheOptions& options) {
-  if (!options.enabled || options.capacity_bytes == 0) return nullptr;
-  return std::make_shared<DecodedBlockCache>(options);
 }
 
 }  // namespace primacy

@@ -16,8 +16,10 @@
 // entry in a shard is pinned the shard temporarily overshoots its budget
 // rather than blocking — eviction is deferred, never forced.
 //
-// All mutation goes through Lookup/Insert/Clear; the shard internals are
-// private to this module (enforced by the `cache-containment` lint rule).
+// Callers build one instance and pass it as PrimacyOptions::block_cache;
+// a null block_cache decodes everything. All mutation goes through
+// Lookup/Insert; the shard internals are private to this module (enforced
+// by the `cache-containment` lint rule).
 #pragma once
 
 #include <cstdint>
@@ -32,25 +34,6 @@ namespace internal {
 struct CacheShard;  // mutex + map + LRU list (block_cache.cc)
 struct CacheEntry;  // one decoded chunk + pin count (block_cache.cc)
 }  // namespace internal
-
-/// Read-path cache knobs, threaded through PrimacyOptions (and from there
-/// CheckpointReader / InSituOptions). Off by default: the cache trades
-/// memory for decode work, which only pays when reads repeat.
-struct CacheOptions {
-  /// Master switch; when false no cache is constructed and every decode is
-  /// byte-identical to the uncached path.
-  bool enabled = false;
-  /// Total decoded-byte budget across all shards. 0 behaves like a
-  /// passthrough cache: every Lookup misses, every Insert is rejected.
-  std::size_t capacity_bytes = 256 * 1024 * 1024;
-  /// Number of independently locked shards (clamped to >= 1). More shards
-  /// = less contention, slightly worse LRU fidelity (eviction is per-shard).
-  std::size_t shard_count = 8;
-  /// After a range read, decode up to this many adjacent chunks past the
-  /// range on the shared pool (best effort, full-index chunks only) so a
-  /// sequential scan finds them warm. 0 disables prefetch.
-  std::size_t prefetch_chunks = 0;
-};
 
 /// Counters snapshot from DecodedBlockCache::Stats. Maintained under the
 /// shard locks, so the snapshot is exact (the registry series are relaxed
@@ -117,7 +100,13 @@ class DecodedBlockCache {
     internal::CacheEntry* entry_ = nullptr;
   };
 
-  explicit DecodedBlockCache(CacheOptions options);
+  /// `capacity_bytes` is the decoded-byte budget across all shards (0
+  /// behaves like a passthrough: every Lookup misses, every Insert is
+  /// rejected). `shard_count` independently locked shards (clamped to >= 1):
+  /// more shards mean less contention and slightly worse LRU fidelity, as
+  /// eviction is per shard.
+  explicit DecodedBlockCache(std::size_t capacity_bytes,
+                             std::size_t shard_count = 8);
   ~DecodedBlockCache();
 
   DecodedBlockCache(const DecodedBlockCache&) = delete;
@@ -134,29 +123,17 @@ class DecodedBlockCache {
   /// exceeds the shard budget.
   bool Insert(std::uint64_t stream_id, std::uint64_t chunk_index, Bytes data);
 
-  /// True when the key is resident, without pinning or touching LRU order
-  /// (prefetch uses this to skip chunks already cached).
+  /// True when the key is resident, without pinning or touching LRU order.
   bool Contains(std::uint64_t stream_id, std::uint64_t chunk_index) const;
 
-  /// Drops every unpinned entry (pinned entries survive).
-  void Clear();
-
   CacheStatsSnapshot Stats() const;
-
-  const CacheOptions& options() const { return options_; }
 
  private:
   internal::CacheShard& ShardFor(std::uint64_t stream_id,
                                  std::uint64_t chunk_index) const;
 
-  CacheOptions options_;
   std::size_t shard_budget_ = 0;  // capacity_bytes / shard count
   std::vector<std::unique_ptr<internal::CacheShard>> shards_;
 };
-
-/// Builds a shared cache from `options`, or nullptr when the options
-/// disable caching (not enabled, zero capacity, or zero shards) — callers
-/// treat a null cache as "decode everything".
-std::shared_ptr<DecodedBlockCache> MakeBlockCache(const CacheOptions& options);
 
 }  // namespace primacy

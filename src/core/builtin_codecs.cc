@@ -17,8 +17,9 @@ void RegisterBuiltinCodecs() {
   std::call_once(once, [] {
     auto& registry = CodecRegistry::Global();
     registry.Register("deflate", [] { return std::make_unique<DeflateCodec>(); });
-    registry.Register("deflate-fast",
-                      [] { return std::make_unique<DeflateFastCodec>(); });
+    registry.Register("deflate-fast", [] {
+      return std::make_unique<DeflateCodec>(LzParams::Fast(), "deflate-fast");
+    });
     registry.Register("lzfast", [] { return std::make_unique<LzFastCodec>(); });
     registry.Register("bwt", [] { return std::make_unique<BwtCodec>(); });
     registry.Register("fpc", [] { return std::make_unique<FpcCodec>(); });

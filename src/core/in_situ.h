@@ -21,10 +21,8 @@ struct InSituResult {
 };
 
 struct InSituOptions {
-  /// Decode-side note: primacy.cache / primacy.block_cache configure the
-  /// decoded-block cache. Each decompress call shares one cache instance
-  /// across its shard tasks; supply an explicit primacy.block_cache to keep
-  /// it warm across calls.
+  /// Decode-side note: primacy.block_cache is the decoded-block cache every
+  /// shard task of every decompress call reads through.
   PrimacyOptions primacy;
   /// Elements per shard; defaults to four chunks' worth.
   std::size_t shard_elements = 4 * (3 * 1024 * 1024 / 8);

@@ -11,7 +11,6 @@
 #include "core/chunk_pipeline.h"
 #include "core/stream_format.h"
 #include "core/streaming.h"
-#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/checksum.h"
 #include "util/error.h"
@@ -46,28 +45,17 @@ ByteSpan ReadIndexBlock(const internal::OpenedStream& opened, std::size_t c) {
   });
 }
 
-/// Content-derived 64-bit identity of a seekable stream: the stream half of
-/// the decoded-block cache key. Hashes the header bytes plus the directory
-/// payload and footer — for v3 the directory embeds every record's content
-/// checksum, so the identity is a function of all payload bytes. v2
-/// directories carry only structure (offsets/counts/flags), so a bounded
-/// sample of each record's bytes is mixed in as well. Streams with equal
-/// content hash equal (correct: their decoded chunks are identical);
-/// distinct streams colliding requires a 64-bit XXH64 collision.
+/// Content-derived 64-bit identity of a v3 stream: the stream half of the
+/// decoded-block cache key. Hashes the header bytes plus the directory
+/// payload and footer; the directory embeds every record's content
+/// checksum, so the identity is a function of all payload bytes. Streams
+/// with equal content hash equal (correct: their decoded chunks are
+/// identical); distinct streams colliding requires a 64-bit XXH64 collision.
 std::uint64_t StreamCacheIdentity(const internal::OpenedStream& opened) {
-  const internal::ChunkDirectory& directory = *opened.directory;
   Xxh64State state;
   state.Update(opened.stream.first(opened.chunks_begin));
   state.Update(opened.stream.subspan(
-      static_cast<std::size_t>(directory.directory_offset)));
-  if (!directory.has_checksums) {
-    for (std::size_t c = 0; c < directory.chunks.size(); ++c) {
-      const ByteSpan record = opened.Record(c);
-      const std::size_t sample = std::min<std::size_t>(record.size(), 16);
-      state.Update(record.first(sample));
-      state.Update(record.last(sample));
-    }
-  }
+      static_cast<std::size_t>(opened.directory->directory_offset)));
   return state.Digest();
 }
 
@@ -157,50 +145,6 @@ struct CachedChunkReader {
   }
 };
 
-/// Best-effort adjacent-chunk prefetch after the last covered chunk
-/// `clast`: decodes up to `prefetch_chunks` chunks past it on the shared
-/// pool and inserts them into `cache`, so a sequential scan's next range
-/// call finds them warm. Only full-index chunks qualify (reuse/delta chunks
-/// would need the caller's chain state), already-resident chunks are
-/// skipped, and each task owns a copy of its record bytes — the caller's
-/// stream span may dangle once the call returns. Failures (corrupt record,
-/// solver error) are swallowed: the chunk just stays cold, and the demand
-/// path re-verifies and reports there.
-void PrefetchAdjacentChunks(const internal::OpenedStream& opened,
-                            const std::shared_ptr<DecodedBlockCache>& cache,
-                            std::uint64_t stream_id, std::size_t clast,
-                            std::size_t prefetch_chunks,
-                            PrimacyDecodeStats& accounting) {
-  const auto& chunks = opened.directory->chunks;
-  const std::size_t after = chunks.size() - clast - 1;
-  const std::size_t limit = clast + 1 + std::min(prefetch_chunks, after);
-  for (std::size_t c = clast + 1; c < limit; ++c) {
-    if (chunks[c].index_flag != 1) continue;
-    if (cache->Contains(stream_id, c)) continue;
-    SharedThreadPool().Submit(
-        [record = ToBytes(opened.Record(c)), cache, stream_id, c,
-         entry = chunks[c], solver_name = opened.header.solver_name,
-         linearization = opened.header.linearization,
-         width = opened.header.width, verify = opened.verify_records] {
-          try {
-            const auto solver = CreateCodec(solver_name);
-            ChunkDecoder decoder(*solver, linearization, width);
-            Bytes decoded(static_cast<std::size_t>(entry.elements * width));
-            internal::DecodeChunkRecord(decoder, record, c, entry, verify,
-                                        decoded);
-            cache->Insert(stream_id, c, std::move(decoded));
-          } catch (...) {
-            // Best effort by contract; the demand path surfaces errors.
-          }
-        });
-    ++accounting.prefetch_issued;
-    static telemetry::Counter& prefetch_total =
-        telemetry::MetricsRegistry::Global().GetCounter(
-            "primacy_cache_prefetch_total");
-    prefetch_total.Increment();
-  }
-}
-
 /// Maximal runs of chunks in [cfirst, clast] starting at a full index (or
 /// at cfirst): within a group chunks depend on the running index state
 /// (flags 0/2); across groups they are independent, which is the unit of
@@ -226,10 +170,11 @@ std::vector<std::pair<std::size_t, std::size_t>> IndexGroups(
 /// groups — in parallel when `options.threads` allows, with one solver and
 /// one decoder per slot. Chunks wholly inside the range decode straight
 /// into `out`; a range read's partial edge chunks go through a scratch
-/// buffer. Prefetch (cache configured) runs after the last covered chunk.
+/// buffer. Chunks read through options.block_cache only when the directory
+/// carries record checksums (v3): a v2 directory holds only structure, so
+/// it cannot tell two streams' records apart.
 void DecodeElements(const internal::OpenedStream& opened, std::uint64_t first,
                     std::uint64_t count, const PrimacyOptions& options,
-                    const std::shared_ptr<DecodedBlockCache>& cache,
                     MutableByteSpan out, PrimacyDecodeStats& accounting) {
   accounting.used_directory = true;
   if (count == 0) return;
@@ -242,8 +187,10 @@ void DecodeElements(const internal::OpenedStream& opened, std::uint64_t first,
         std::upper_bound(starts.begin(), starts.end(), element) -
         starts.begin() - 1);
   };
-  const std::size_t clast = chunk_of(first + count - 1);
-  const auto groups = IndexGroups(*opened.directory, chunk_of(first), clast);
+  const auto groups = IndexGroups(*opened.directory, chunk_of(first),
+                                 chunk_of(first + count - 1));
+  DecodedBlockCache* const cache =
+      opened.directory->has_checksums ? options.block_cache.get() : nullptr;
   const std::uint64_t stream_id =
       cache != nullptr ? StreamCacheIdentity(opened) : 0;
 
@@ -254,7 +201,7 @@ void DecodeElements(const internal::OpenedStream& opened, std::uint64_t first,
   const auto decode_group = [&](ChunkDecoder& decoder, Bytes& scratch,
                                 std::size_t g) {
     const auto [begin, n] = groups[g];
-    CachedChunkReader reader{opened, cache.get(), stream_id};
+    CachedChunkReader reader{opened, cache, stream_id};
     for (std::size_t c = begin; c < begin + n; ++c) {
       const std::uint64_t chunk_first = starts[c];
       const std::uint64_t lo = std::max(chunk_first, first);
@@ -310,10 +257,6 @@ void DecodeElements(const internal::OpenedStream& opened, std::uint64_t first,
     accounting.stage.Accumulate(decoder.stage_breakdown());
   }
   for (const PrimacyDecodeStats& g : per_group) accounting.Accumulate(g);
-  if (cache != nullptr && options.cache.prefetch_chunks > 0) {
-    PrefetchAdjacentChunks(opened, cache, stream_id, clast,
-                           options.cache.prefetch_chunks, accounting);
-  }
 }
 
 }  // namespace
@@ -362,7 +305,6 @@ void PrimacyDecodeStats::Accumulate(const PrimacyDecodeStats& other) {
   chunks_verified += other.chunks_verified;
   cache_hits += other.cache_hits;
   cache_misses += other.cache_misses;
-  prefetch_issued += other.prefetch_issued;
   stage.Accumulate(other.stage);
 }
 
@@ -470,9 +412,7 @@ Bytes PrimacyCompressor::CompressBytes(ByteSpan data, PrimacyStats* stats,
 }
 
 PrimacyDecompressor::PrimacyDecompressor(PrimacyOptions options)
-    : options_(std::move(options)),
-      cache_(options_.block_cache != nullptr ? options_.block_cache
-                                             : MakeBlockCache(options_.cache)) {
+    : options_(std::move(options)) {
   RegisterBuiltinCodecs();
 }
 
@@ -521,8 +461,7 @@ Bytes PrimacyDecompressor::Decode(ByteSpan stream,
                                               : opened.total_bytes));
     const MutableByteSpan elements =
         MutableByteSpan(out).first(static_cast<std::size_t>(count * width));
-    DecodeElements(opened, first, count, options_, cache_, elements,
-                   accounting);
+    DecodeElements(opened, first, count, options_, elements, accounting);
     if (!range && !opened.tail.empty()) {
       std::memcpy(out.data() + elements.size(), opened.tail.data(),
                   opened.tail.size());

@@ -141,17 +141,12 @@ struct PrimacyOptions {
   /// directory payload's own checksum is always verified — it drives every
   /// bounds computation — regardless of this setting.
   bool verify_checksums = true;
-  /// Decoded-chunk cache knobs (off by default). When enabled, the
-  /// decompressor constructed from these options builds a private
-  /// DecodedBlockCache and serves repeated chunk decodes from it; cached
-  /// results are byte-identical to a cold decode. v1 and stored streams
-  /// are never cached (no chunk directory to key against; stored payloads
-  /// are sliced directly).
-  CacheOptions cache;
-  /// Explicit cache instance, shared across decompressors (a CheckpointReader
-  /// shares one across its per-call decompressors; callers can share one
-  /// across readers). Takes precedence over `cache` — the knobs above are
-  /// only consulted when this is null.
+  /// Decoded-chunk cache (null = uncached, the default). Decompressors built
+  /// from these options serve repeated chunk decodes of v3 streams from it;
+  /// cached results are byte-identical to a cold decode. Pass one instance
+  /// to several decompressors or readers to share its budget. v1, v2 and
+  /// stored streams are never cached (v1 has no chunk directory, v2 no
+  /// record checksums to key against, stored payloads are sliced directly).
   std::shared_ptr<DecodedBlockCache> block_cache;
   IsobarOptions isobar;
 };
@@ -238,12 +233,9 @@ struct PrimacyDecodeStats {
   std::size_t chunks_verified = 0;
   /// Chunks served from the decoded-block cache (no decode work; not
   /// counted in chunks_decoded) vs. looked up but absent. Both zero when
-  /// no cache is configured.
+  /// no cache is configured or the stream is not v3.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  /// Adjacent-chunk prefetch tasks handed to the shared pool by this call
-  /// (best effort; completion is not awaited).
-  std::size_t prefetch_issued = 0;
   /// Wall time per decode stage, summed across chunks and decode slots (CPU
   /// time under parallel decode).
   telemetry::StageBreakdown stage;
@@ -256,7 +248,7 @@ struct PrimacyDecodeStats {
 class PrimacyDecompressor {
  public:
   /// The solver is recovered from the stream header; `options` supplies the
-  /// decode-side knobs (threads, verify_checksums, cache).
+  /// decode-side knobs (threads, verify_checksums, block_cache).
   explicit PrimacyDecompressor(PrimacyOptions options = {});
 
   /// Full decode. The byte form is width-agnostic; the typed form requires
@@ -291,10 +283,11 @@ class PrimacyDecompressor {
                                sizeof(T), stats));
   }
 
-  /// The decoded-block cache this decompressor reads through: the instance
-  /// supplied in options.block_cache, one built from options.cache, or null
-  /// (uncached). Exposed so callers can inspect Stats() or share it.
-  const std::shared_ptr<DecodedBlockCache>& cache() const { return cache_; }
+  /// The decoded-block cache this decompressor reads through
+  /// (options.block_cache; null = uncached).
+  const std::shared_ptr<DecodedBlockCache>& cache() const {
+    return options_.block_cache;
+  }
 
  private:
   struct ElementRange {
@@ -309,7 +302,6 @@ class PrimacyDecompressor {
                std::size_t element_size, PrimacyDecodeStats* stats) const;
 
   PrimacyOptions options_;
-  std::shared_ptr<DecodedBlockCache> cache_;
 };
 
 /// Outcome of a VerifyStream integrity pass.

@@ -329,12 +329,4 @@ Bytes DeflateCodec::Decompress(ByteSpan data) const {
   return DecompressImpl(data);
 }
 
-Bytes DeflateFastCodec::Compress(ByteSpan data) const {
-  return CompressLz(data, LzParams::Fast());
-}
-
-Bytes DeflateFastCodec::Decompress(ByteSpan data) const {
-  return DecompressImpl(data);
-}
-
 }  // namespace primacy

@@ -20,6 +20,9 @@
 //              block(bit-packed token stream)
 #pragma once
 
+#include <string>
+#include <utility>
+
 #include "compress/codec.h"
 #include "lz77/lz77.h"
 
@@ -27,10 +30,13 @@ namespace primacy {
 
 class DeflateCodec final : public Codec {
  public:
-  explicit DeflateCodec(LzParams params = LzParams::Default())
-      : params_(params) {}
+  /// `name` is the registry name frames record: "deflate" for the defaults,
+  /// "deflate-fast" for LzParams::Fast() (zlib level-1 analogue).
+  explicit DeflateCodec(LzParams params = LzParams::Default(),
+                        std::string name = "deflate")
+      : params_(params), name_(std::move(name)) {}
 
-  std::string_view name() const override { return "deflate"; }
+  std::string_view name() const override { return name_; }
   Bytes Compress(ByteSpan data) const override;
   Bytes CompressAdaptive(ByteSpan data) const override;
   Bytes Decompress(ByteSpan data) const override;
@@ -42,14 +48,7 @@ class DeflateCodec final : public Codec {
 
  private:
   LzParams params_;
-};
-
-/// "deflate-fast": weaker parse, higher throughput (zlib level-1 analogue).
-class DeflateFastCodec final : public Codec {
- public:
-  std::string_view name() const override { return "deflate-fast"; }
-  Bytes Compress(ByteSpan data) const override;
-  Bytes Decompress(ByteSpan data) const override;
+  std::string name_;
 };
 
 }  // namespace primacy

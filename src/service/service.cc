@@ -39,6 +39,9 @@ bool ValidTenantName(const std::string& name) {
   return true;
 }
 
+/// Shards per tenant cache partition.
+constexpr std::size_t kTenantCacheShards = 4;
+
 constexpr std::array<double, 8> kFillRatioBounds = {
     0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0};
 constexpr std::array<double, 7> kLatencySecondsBounds = {
@@ -211,7 +214,6 @@ struct CodecContext {
     if (slot == nullptr) {
       PrimacyOptions options = codec_options;
       options.block_cache = tenant.cache;
-      options.cache = CacheOptions{};  // partition decided above, or none
       slot = std::make_unique<PrimacyDecompressor>(std::move(options));
     }
     return *slot;
@@ -282,11 +284,8 @@ void CompressionService::AddTenant(const TenantConfig& config) {
   const std::size_t partition_bytes = static_cast<std::size_t>(
       config.cache_share * static_cast<double>(options_.cache_capacity_bytes));
   if (partition_bytes > 0) {
-    CacheOptions cache_options;
-    cache_options.enabled = true;
-    cache_options.capacity_bytes = partition_bytes;
-    cache_options.shard_count = options_.cache_shards;
-    tenant->cache = MakeBlockCache(cache_options);
+    tenant->cache = std::make_shared<DecodedBlockCache>(partition_bytes,
+                                                        kTenantCacheShards);
   }
   auto& registry = telemetry::MetricsRegistry::Global();
   const std::string label = "tenant=\"" + config.name + "\"";
@@ -740,13 +739,11 @@ void CompressionService::ExecuteBatch(BatchQueue::Batch& batch) {
     ReturnContext(context);
     return;
   }
-  const std::size_t width = SharedThreadPool().num_threads() + 1;
-  const std::size_t max_slots = options_.max_batch_parallelism == 0
-                                    ? width
-                                    : options_.max_batch_parallelism;
-  // Items execute in parallel across slots; each slot checks out one
-  // context lazily and reuses it for every item it claims, so a batch costs
-  // at most `slots` checkouts no matter how many requests it carries.
+  // Items execute in parallel across slots, one per pool worker plus the
+  // caller; each slot checks out one context lazily and reuses it for every
+  // item it claims, so a batch costs at most `slots` checkouts no matter
+  // how many requests it carries.
+  const std::size_t max_slots = SharedThreadPool().num_threads() + 1;
   std::vector<CodecContext*> slot_contexts(std::min(count, max_slots),
                                            nullptr);
   try {

@@ -82,15 +82,9 @@ struct ServiceOptions {
   /// serial path is what the reusable worker contexts accelerate.
   PrimacyOptions codec;
   BatchOptions batch;
-  /// Concurrent codec slots one batch may use (0 = shared-pool width).
-  /// Items within a batch execute in parallel across slots; each slot reuses
-  /// one checked-out worker context for every item it claims.
-  std::size_t max_batch_parallelism = 0;
   /// Total decoded-block cache budget partitioned across tenants by their
-  /// cache_share (0 = no tenant caches).
+  /// cache_share (0 = no tenant caches). Each partition has 4 shards.
   std::size_t cache_capacity_bytes = 0;
-  /// Shards per tenant cache partition.
-  std::size_t cache_shards = 4;
   /// Time source; null = the process-wide SystemServiceClock. Not owned;
   /// must outlive the service.
   ServiceClock* clock = nullptr;

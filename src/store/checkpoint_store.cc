@@ -12,17 +12,6 @@ namespace {
 constexpr std::uint32_t kMagic = 0x314b4350;  // "PCK1"
 constexpr std::uint8_t kVersion = 1;
 
-/// Materializes the reader's shared decoded-block cache: an explicit
-/// block_cache instance passes through untouched, otherwise one is built
-/// from the cache knobs (null when disabled). Every decompressor the
-/// reader constructs from these options then shares the same instance.
-PrimacyOptions WithMaterializedCache(PrimacyOptions options) {
-  if (options.block_cache == nullptr) {
-    options.block_cache = MakeBlockCache(options.cache);
-  }
-  return options;
-}
-
 PrimacyOptions SerialOptions(PrimacyOptions options) {
   options.threads = 1;
   return options;
@@ -102,7 +91,7 @@ Bytes CheckpointWriter::Finish() {
 
 CheckpointReader::CheckpointReader(ByteSpan file, PrimacyOptions decode_options)
     : file_(file),
-      decode_options_(WithMaterializedCache(std::move(decode_options))),
+      decode_options_(std::move(decode_options)),
       decompressor_(decode_options_),
       serial_decompressor_(SerialOptions(decode_options_)) {
   if (file.size() < 13) {

@@ -78,9 +78,8 @@ class CheckpointReader {
  public:
   /// `file` must outlive the reader. `decode_options` carries the decode-side
   /// knobs (threads: within-variable parallel decode for the single-variable
-  /// reads, variable-parallel fan-out for ReadAllRaw; cache: when enabled —
-  /// or when an explicit block_cache instance is supplied — every read path
-  /// of this reader decodes through one shared DecodedBlockCache, so
+  /// reads, variable-parallel fan-out for ReadAllRaw; block_cache: when set,
+  /// every read path of this reader decodes through that one cache, so
   /// repeated range reads over the same variable skip the chunk decode).
   /// The variable directory, the name-lookup index, and the decompressor
   /// state are all built here, once, not per read call.
@@ -123,8 +122,8 @@ class CheckpointReader {
   /// in footer order.
   std::vector<VariableVerifyResult> VerifyAll() const;
 
-  /// The decoded-block cache shared by this reader's decode paths; null
-  /// when caching is disabled. Exposed for stats rendering and tests.
+  /// The decoded-block cache shared by this reader's decode paths
+  /// (decode_options.block_cache; null = uncached).
   const std::shared_ptr<DecodedBlockCache>& cache() const {
     return decompressor_.cache();
   }

@@ -14,16 +14,9 @@ Bytes Filled(std::size_t n, unsigned char v) {
   return Bytes(n, static_cast<std::byte>(v));
 }
 
-CacheOptions SingleShard(std::size_t capacity) {
-  CacheOptions options;
-  options.enabled = true;
-  options.capacity_bytes = capacity;
-  options.shard_count = 1;  // deterministic LRU order for the tests
-  return options;
-}
 
 TEST(BlockCacheTest, MissThenInsertThenHit) {
-  DecodedBlockCache cache(SingleShard(1024));
+  DecodedBlockCache cache(1024, /*shard_count=*/1);
   EXPECT_FALSE(cache.Lookup(1, 0));
   EXPECT_TRUE(cache.Insert(1, 0, Filled(100, 0xab)));
   const auto handle = cache.Lookup(1, 0);
@@ -41,7 +34,7 @@ TEST(BlockCacheTest, MissThenInsertThenHit) {
 }
 
 TEST(BlockCacheTest, KeysAreStreamAndChunkScoped) {
-  DecodedBlockCache cache(SingleShard(1024));
+  DecodedBlockCache cache(1024, /*shard_count=*/1);
   ASSERT_TRUE(cache.Insert(1, 0, Filled(10, 1)));
   EXPECT_FALSE(cache.Lookup(1, 1));  // same stream, other chunk
   EXPECT_FALSE(cache.Lookup(2, 0));  // other stream, same chunk
@@ -50,7 +43,7 @@ TEST(BlockCacheTest, KeysAreStreamAndChunkScoped) {
 
 TEST(BlockCacheTest, LruEvictionDropsLeastRecentlyUsed) {
   // Four 256-byte entries fill the 1024-byte budget exactly.
-  DecodedBlockCache cache(SingleShard(1024));
+  DecodedBlockCache cache(1024, /*shard_count=*/1);
   for (std::uint64_t c = 0; c < 4; ++c) {
     ASSERT_TRUE(cache.Insert(1, c, Filled(256, static_cast<unsigned char>(c))));
   }
@@ -70,7 +63,7 @@ TEST(BlockCacheTest, LruEvictionDropsLeastRecentlyUsed) {
 }
 
 TEST(BlockCacheTest, CapacityZeroIsPassthrough) {
-  DecodedBlockCache cache(SingleShard(0));
+  DecodedBlockCache cache(0, /*shard_count=*/1);
   EXPECT_FALSE(cache.Insert(1, 0, Filled(1, 0)));
   EXPECT_FALSE(cache.Lookup(1, 0));
   const CacheStatsSnapshot stats = cache.Stats();
@@ -80,35 +73,24 @@ TEST(BlockCacheTest, CapacityZeroIsPassthrough) {
   EXPECT_EQ(stats.misses, 1u);
 }
 
-TEST(BlockCacheTest, MakeBlockCacheHonorsDisablingKnobs) {
-  CacheOptions options;
-  EXPECT_EQ(MakeBlockCache(options), nullptr);  // enabled defaults to false
-  options.enabled = true;
-  options.capacity_bytes = 0;
-  EXPECT_EQ(MakeBlockCache(options), nullptr);
-  options.capacity_bytes = 1024;
-  EXPECT_NE(MakeBlockCache(options), nullptr);
-}
-
 TEST(BlockCacheTest, ShardCountZeroClampsToOne) {
-  CacheOptions options = SingleShard(1024);
-  options.shard_count = 0;
-  const DecodedBlockCache cache(options);
-  EXPECT_EQ(cache.options().shard_count, 1u);
+  // One shard holds the whole budget, so a full-capacity entry fits.
+  DecodedBlockCache cache(1024, /*shard_count=*/0);
+  EXPECT_TRUE(cache.Insert(1, 0, Filled(1024, 0)));
+  EXPECT_TRUE(cache.Contains(1, 0));
+  EXPECT_EQ(cache.Stats().rejected, 0u);
 }
 
 TEST(BlockCacheTest, EntryLargerThanShardBudgetRejected) {
   // 1024 bytes over 4 shards = 256 bytes per shard.
-  CacheOptions options = SingleShard(1024);
-  options.shard_count = 4;
-  DecodedBlockCache cache(options);
+  DecodedBlockCache cache(1024, /*shard_count=*/4);
   EXPECT_FALSE(cache.Insert(1, 0, Filled(512, 0)));
   EXPECT_TRUE(cache.Insert(1, 0, Filled(256, 0)));
   EXPECT_EQ(cache.Stats().rejected, 1u);
 }
 
 TEST(BlockCacheTest, DuplicateKeyKeepsFirstEntry) {
-  DecodedBlockCache cache(SingleShard(1024));
+  DecodedBlockCache cache(1024, /*shard_count=*/1);
   ASSERT_TRUE(cache.Insert(1, 0, Filled(10, 0xaa)));
   EXPECT_FALSE(cache.Insert(1, 0, Filled(10, 0xbb)));
   const auto handle = cache.Lookup(1, 0);
@@ -119,7 +101,7 @@ TEST(BlockCacheTest, DuplicateKeyKeepsFirstEntry) {
 
 TEST(BlockCacheTest, PinnedEntriesDeferEviction) {
   // Budget fits two entries; pin both, then overflow the shard.
-  DecodedBlockCache cache(SingleShard(512));
+  DecodedBlockCache cache(512, /*shard_count=*/1);
   ASSERT_TRUE(cache.Insert(1, 0, Filled(256, 0)));
   ASSERT_TRUE(cache.Insert(1, 1, Filled(256, 1)));
   auto pin0 = cache.Lookup(1, 0);
@@ -149,21 +131,8 @@ TEST(BlockCacheTest, PinnedEntriesDeferEviction) {
   EXPECT_GE(stats.evictions, 1u);
 }
 
-TEST(BlockCacheTest, ClearDropsUnpinnedKeepsPinned) {
-  DecodedBlockCache cache(SingleShard(1024));
-  ASSERT_TRUE(cache.Insert(1, 0, Filled(100, 0)));
-  ASSERT_TRUE(cache.Insert(1, 1, Filled(100, 1)));
-  const auto pinned = cache.Lookup(1, 0);
-  ASSERT_TRUE(pinned);
-  cache.Clear();
-  EXPECT_TRUE(cache.Contains(1, 0));
-  EXPECT_FALSE(cache.Contains(1, 1));
-  EXPECT_EQ(pinned.data().size(), 100u);
-  EXPECT_EQ(cache.Stats().entries, 1u);
-}
-
 TEST(BlockCacheTest, MovedHandleTransfersThePin) {
-  DecodedBlockCache cache(SingleShard(1024));
+  DecodedBlockCache cache(1024, /*shard_count=*/1);
   ASSERT_TRUE(cache.Insert(1, 0, Filled(100, 7)));
   auto a = cache.Lookup(1, 0);
   ASSERT_TRUE(a);
@@ -174,11 +143,7 @@ TEST(BlockCacheTest, MovedHandleTransfersThePin) {
 }
 
 TEST(BlockCacheTest, MultiShardSpreadsEntries) {
-  CacheOptions options;
-  options.enabled = true;
-  options.capacity_bytes = 64 * 1024;
-  options.shard_count = 8;
-  DecodedBlockCache cache(options);
+  DecodedBlockCache cache(64 * 1024, /*shard_count=*/8);
   for (std::uint64_t c = 0; c < 64; ++c) {
     ASSERT_TRUE(cache.Insert(42, c, Filled(64, static_cast<unsigned char>(c))));
   }

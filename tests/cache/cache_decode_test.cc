@@ -1,15 +1,19 @@
 // Decoded-block cache wired through the decode paths: warm range reads skip
-// chunk decodes, cache-off stays byte-identical, an explicit cache instance
-// is shared across decompressors, index-chain streams stay correct when
-// cache hits punch gaps into the chain, and adjacent-chunk prefetch lands.
+// chunk decodes, cache-off stays byte-identical, one cache instance is
+// shared across decompressors, index-chain streams stay correct when cache
+// hits punch gaps into the chain, and v2 streams bypass the cache.
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <algorithm>
 #include <cstddef>
-#include <thread>
+#include <memory>
+#include <span>
 #include <vector>
 
+#include "bitstream/byte_io.h"
+#include "core/chunk_pipeline.h"
 #include "core/primacy_codec.h"
+#include "core/stream_format.h"
 #include "datasets/datasets.h"
 #include "util/rng.h"
 
@@ -26,13 +30,39 @@ PrimacyOptions SmallChunks() {
   return options;
 }
 
-PrimacyOptions Cached(std::size_t prefetch_chunks = 0) {
+PrimacyOptions Cached() {
   PrimacyOptions options = SmallChunks();
-  options.cache.enabled = true;
-  options.cache.capacity_bytes = 16 * 1024 * 1024;
-  options.cache.shard_count = 1;  // deterministic byte accounting
-  options.cache.prefetch_chunks = prefetch_chunks;
+  options.block_cache = std::make_shared<DecodedBlockCache>(
+      16 * 1024 * 1024, /*shard_count=*/1);  // deterministic byte accounting
   return options;
+}
+
+// Hand-assembles a one-shot v2 stream (v1 payload + checksum-free directory
+// and footer), the way a pre-v3 writer laid it out.
+Bytes MakeV2Stream(std::span<const double> values,
+                   const PrimacyOptions& options) {
+  Bytes out;
+  internal::WriteStreamHeader(out, options, values.size() * 8,
+                              /*stored=*/false, internal::kFormatVersion2);
+  const auto solver = internal::ResolveSolver(options.solver);
+  ChunkEncoder encoder(options, *solver);
+  const ByteSpan body = AsBytes(values);
+  const std::size_t chunk_elements = options.chunk_bytes / 8;
+  internal::ChunkDirectory directory;
+  for (std::size_t first = 0; first < values.size();
+       first += chunk_elements) {
+    const std::size_t count = std::min(chunk_elements, values.size() - first);
+    internal::ChunkDirectoryEntry entry;
+    entry.offset = out.size();
+    entry.elements = count;
+    entry.index_flag = 1;  // kPerChunk: every record carries a full index
+    encoder.EncodeChunk(body.subspan(first * 8, count * 8), out);
+    directory.chunks.push_back(entry);
+  }
+  directory.tail_offset = out.size();
+  PutBlock(out, ByteSpan{});  // empty tail
+  internal::AppendChunkDirectory(out, directory, internal::kFormatVersion2);
+  return out;
 }
 
 std::vector<double> Slice(const std::vector<double>& values, std::size_t first,
@@ -94,29 +124,33 @@ TEST_F(CacheDecodeTest, CacheOffIsByteIdenticalWithZeroCacheStats) {
     const auto expected = uncached.DecompressRange(stream_, first, count, &plain);
     EXPECT_EQ(plain.cache_hits, 0u);
     EXPECT_EQ(plain.cache_misses, 0u);
-    EXPECT_EQ(plain.prefetch_issued, 0u);
     EXPECT_EQ(cached.DecompressRange(stream_, first, count), expected)
         << "first=" << first << " count=" << count;
   }
 }
 
 TEST_F(CacheDecodeTest, CapacityZeroYieldsNoCache) {
-  PrimacyOptions options = Cached();
-  options.cache.capacity_bytes = 0;
+  // A zero-capacity instance rejects every insert: each pass misses and
+  // decodes, nothing stays resident, and the bytes are correct.
+  PrimacyOptions options = SmallChunks();
+  options.block_cache = std::make_shared<DecodedBlockCache>(0);
   const PrimacyDecompressor decompressor(options);
-  EXPECT_EQ(decompressor.cache(), nullptr);
-  PrimacyDecodeStats stats;
-  EXPECT_EQ(decompressor.DecompressRange(stream_, 10, 100, &stats),
-            Slice(values_, 10, 100));
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_misses, 0u);
+  for (int pass = 0; pass < 2; ++pass) {
+    PrimacyDecodeStats stats;
+    EXPECT_EQ(decompressor.DecompressRange(stream_, 10, 100, &stats),
+              Slice(values_, 10, 100));
+    EXPECT_EQ(stats.cache_hits, 0u) << "pass " << pass;
+    EXPECT_EQ(stats.cache_misses, 1u) << "pass " << pass;
+    EXPECT_EQ(stats.chunks_decoded, 1u) << "pass " << pass;
+  }
+  const CacheStatsSnapshot cache = options.block_cache->Stats();
+  EXPECT_EQ(cache.entries, 0u);
+  EXPECT_EQ(cache.bytes, 0u);
+  EXPECT_EQ(cache.rejected, 2u);
 }
 
 TEST_F(CacheDecodeTest, ExplicitCacheInstanceSharedAcrossDecompressors) {
-  PrimacyOptions options = SmallChunks();
-  options.block_cache = MakeBlockCache(Cached().cache);
-  ASSERT_NE(options.block_cache, nullptr);
-
+  const PrimacyOptions options = Cached();
   const PrimacyDecompressor a(options);
   const PrimacyDecompressor b(options);
   EXPECT_EQ(a.cache(), options.block_cache);
@@ -230,32 +264,37 @@ TEST_F(CacheDecodeTest, IndexChainStreamsStayCorrectAcrossCacheHitGaps) {
   EXPECT_EQ(cached.Decompress(stream), chained);
 }
 
-TEST_F(CacheDecodeTest, PrefetchFillsAdjacentChunks) {
-  const PrimacyDecompressor decompressor(Cached(/*prefetch_chunks=*/2));
-  ASSERT_NE(decompressor.cache(), nullptr);
+TEST_F(CacheDecodeTest, V2StreamsBypassTheCache) {
+  // Two v2 streams that differ in one mantissa byte mid-record. A v2
+  // directory carries no record checksums, so nothing short of the whole
+  // record tells them apart: a cache keyed on it would serve the first
+  // stream's chunk for the second.
+  const std::vector<double> first =
+      GenerateDatasetByName("num_plasma", kChunkElements);
+  std::vector<double> second = first;
+  std::span<std::byte> element = std::as_writable_bytes(
+      std::span<double>(second).subspan(kChunkElements / 2, 1));
+  element[0] ^= std::byte{0x01};  // lowest mantissa byte (little-endian)
+  const Bytes stream_a = MakeV2Stream(first, SmallChunks());
+  const Bytes stream_b = MakeV2Stream(second, SmallChunks());
+  ASSERT_EQ(stream_a.size(), stream_b.size());
+  ASSERT_NE(stream_a, stream_b);
 
-  PrimacyDecodeStats cold;
-  decompressor.DecompressRange(stream_, 0, 100, &cold);
-  EXPECT_EQ(cold.cache_misses, 1u);
-  EXPECT_EQ(cold.prefetch_issued, 2u);  // chunks 1 and 2
-
-  // Prefetch is best effort on the shared pool; poll its landing.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (decompressor.cache()->Stats().insertions < 3 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const PrimacyDecompressor decompressor(Cached());
+  for (int pass = 0; pass < 2; ++pass) {
+    PrimacyDecodeStats stats_a;
+    EXPECT_EQ(decompressor.Decompress(stream_a, &stats_a), first);
+    PrimacyDecodeStats stats_b;
+    EXPECT_EQ(decompressor.Decompress(stream_b, &stats_b), second);
+    EXPECT_EQ(decompressor.DecompressRange(stream_b, kChunkElements / 2, 1),
+              Slice(second, kChunkElements / 2, 1));
+    for (const PrimacyDecodeStats& stats : {stats_a, stats_b}) {
+      EXPECT_EQ(stats.cache_hits, 0u) << "pass " << pass;
+      EXPECT_EQ(stats.cache_misses, 0u) << "pass " << pass;
+      EXPECT_EQ(stats.chunks_decoded, 1u) << "pass " << pass;
+    }
   }
-  ASSERT_EQ(decompressor.cache()->Stats().insertions, 3u)
-      << "prefetch tasks did not land";
-
-  PrimacyDecodeStats warm;
-  const auto range = decompressor.DecompressRange(
-      stream_, kChunkElements + 3, kChunkElements, &warm);
-  EXPECT_EQ(range, Slice(values_, kChunkElements + 3, kChunkElements));
-  EXPECT_EQ(warm.cache_hits, 2u);  // prefetched chunks 1 and 2
-  EXPECT_EQ(warm.chunks_decoded, 0u);
-  EXPECT_EQ(warm.prefetch_issued, 2u);  // chunks 3 and 4 queue next
+  EXPECT_EQ(decompressor.cache()->Stats().entries, 0u);
 }
 
 }  // namespace

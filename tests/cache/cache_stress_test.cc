@@ -1,13 +1,14 @@
 // TSan-targeted stress over the decoded-block cache: many caller threads
 // hammer one shared DecodedBlockCache — through concurrent DecompressRange
 // calls with a capacity small enough to force eviction churn, through raw
-// mixed lookup/insert/Clear traffic, and through concurrent full decodes.
+// mixed lookup/insert traffic, and through concurrent full decodes.
 // Run under PRIMACY_SANITIZE=thread (the sanitizer matrix's named stress
 // pass) these catch races between shard mutation, LRU splicing, pin
 // refcounting, and eviction that single-threaded functional tests cannot.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,11 +56,9 @@ TEST_F(CacheStressTest, RangeReadStressConcurrentCallersSharedCacheChurn) {
   // each other's entries continuously while other callers hold pins.
   PrimacyOptions options = SmallChunks();
   options.threads = 2;
-  options.cache.enabled = true;
-  options.cache.capacity_bytes = 2 * kChunkElements * 8;
-  options.cache.shard_count = 2;
+  options.block_cache = std::make_shared<DecodedBlockCache>(
+      2 * kChunkElements * 8, /*shard_count=*/2);
   const PrimacyDecompressor decompressor(options);
-  ASSERT_NE(decompressor.cache(), nullptr);
 
   std::vector<std::thread> callers;
   std::vector<std::string> failures(kCallerThreads);
@@ -97,11 +96,7 @@ TEST_F(CacheStressTest, RawCacheStressMixedLookupInsertClear) {
   // Raw shard traffic with data integrity: every entry is filled with a
   // byte derived from its key, so a lookup that returns the wrong entry's
   // bytes (or bytes freed by a racing eviction) is caught immediately.
-  CacheOptions options;
-  options.enabled = true;
-  options.capacity_bytes = 64 * 1024;  // small: constant eviction
-  options.shard_count = 4;
-  DecodedBlockCache cache(options);
+  DecodedBlockCache cache(64 * 1024, /*shard_count=*/4);  // constant eviction
 
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kOpsPerThread = 400;
@@ -119,8 +114,7 @@ TEST_F(CacheStressTest, RawCacheStressMixedLookupInsertClear) {
         const std::uint64_t chunk = rng.NextBelow(kKeySpace);
         const auto fill = static_cast<std::byte>(
             (stream_id * 131 + chunk * 17) & 0xff);
-        const std::size_t op = rng.NextBelow(10);
-        if (op < 5) {
+        if (rng.NextBelow(9) < 5) {
           const auto handle = cache.Lookup(stream_id, chunk);
           if (handle) {
             const ByteSpan data = handle.data();
@@ -130,10 +124,8 @@ TEST_F(CacheStressTest, RawCacheStressMixedLookupInsertClear) {
               return;
             }
           }
-        } else if (op < 9) {
-          cache.Insert(stream_id, chunk, Bytes(kEntryBytes, fill));
         } else {
-          cache.Clear();
+          cache.Insert(stream_id, chunk, Bytes(kEntryBytes, fill));
         }
       }
     });
@@ -153,13 +145,8 @@ TEST_F(CacheStressTest, FullDecodeStressConcurrentDecodersSharedCache) {
   // concurrent inserts of the same keys.
   PrimacyOptions options = SmallChunks();
   options.threads = 2;
-  options.block_cache = MakeBlockCache([] {
-    CacheOptions cache;
-    cache.enabled = true;
-    cache.capacity_bytes = 16 * 1024 * 1024;
-    cache.shard_count = 4;
-    return cache;
-  }());
+  options.block_cache = std::make_shared<DecodedBlockCache>(
+      16 * 1024 * 1024, /*shard_count=*/4);
   const PrimacyDecompressor decompressor(options);
 
   constexpr std::size_t kDecoders = 6;

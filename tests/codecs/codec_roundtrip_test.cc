@@ -23,7 +23,11 @@ namespace primacy::testing {
 std::vector<CodecFactory> AllCodecFactories() {
   return {
       {"deflate", [] { return std::make_unique<DeflateCodec>(); }},
-      {"deflate-fast", [] { return std::make_unique<DeflateFastCodec>(); }},
+      {"deflate-fast",
+       [] {
+         return std::make_unique<DeflateCodec>(LzParams::Fast(),
+                                               "deflate-fast");
+       }},
       {"lzfast", [] { return std::make_unique<LzFastCodec>(); }},
       {"bwt", [] { return std::make_unique<BwtCodec>(); }},
       {"fpc", [] { return std::make_unique<FpcCodec>(); }},

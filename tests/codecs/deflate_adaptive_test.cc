@@ -50,10 +50,11 @@ struct PinnedDigests {
   std::uint64_t deflate_fast;
 };
 
-// XXH64 of each input and of DeflateCodec{}.Compress and
-// DeflateFastCodec{}.Compress of it, recorded before the adaptive path, the
-// lazy-lookahead memo, the input-sized chain table and the weights-only
-// package-merge existed: none of them may move these bytes.
+// XXH64 of each input and of its DeflateCodec{}.Compress and
+// DeflateCodec(LzParams::Fast()).Compress ("deflate-fast"), recorded before
+// the adaptive path, the lazy-lookahead memo, the input-sized chain table
+// and the weights-only package-merge existed: none of them may move these
+// bytes.
 constexpr PinnedDigests kPinned[] = {
     {"msg_sppm", 0xa737366751bf6425ull, 0x8f65334ea3b057d5ull,
      0xcdde621885fd3676ull},
@@ -142,7 +143,7 @@ TEST(DeflatePinTest, CompressBytesAreThePinnedVanillaCodec) {
         << input.label << ": the input generator changed, not the codec";
     EXPECT_EQ(Xxh64(DeflateCodec{}.Compress(input.bytes)), pin.deflate)
         << input.label;
-    EXPECT_EQ(Xxh64(DeflateFastCodec{}.Compress(input.bytes)),
+    EXPECT_EQ(Xxh64(DeflateCodec(LzParams::Fast()).Compress(input.bytes)),
               pin.deflate_fast)
         << input.label;
   }

@@ -41,7 +41,7 @@ TEST(DeflateTest, RandomDataFallsBackToStored) {
 
 TEST(DeflateTest, FastPresetIsFasterButNoSmaller) {
   const DeflateCodec standard;
-  const DeflateFastCodec fast;
+  const DeflateCodec fast(LzParams::Fast(), "deflate-fast");
   const Bytes input = AllInputGenerators()[4].make(500000, 4);
   const Bytes small = standard.Compress(input);
   const Bytes quick = fast.Compress(input);

@@ -5,6 +5,7 @@
 // (Regenerate with make_golden only when intentionally adding entries.)
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "core/primacy_codec.h"
@@ -103,18 +104,16 @@ TEST_P(GoldenCorpusTest, DecodesUnderEveryKernelIsa) {
 
 TEST_P(GoldenCorpusTest, CachedDecodeMatchesUncachedByteForByte) {
   // Cache-ON decode of the committed corpus must stay byte-identical to the
-  // seed's uncached decode: v2+ directory streams decode through the cache
-  // (second pass all hits), v1 and stored streams bypass it entirely.
+  // seed's uncached decode: v3 directory streams decode through the cache
+  // (second pass all hits), v1, v2 and stored streams bypass it entirely.
   const GoldenStream& golden = GetParam();
   const Bytes stream = ReadGolden(golden.file);
   const Bytes input = ReadGolden(golden.input);
   ASSERT_FALSE(stream.empty());
 
   PrimacyOptions options;
-  options.cache.enabled = true;
-  options.cache.capacity_bytes = 4 * 1024 * 1024;
+  options.block_cache = std::make_shared<DecodedBlockCache>(4 * 1024 * 1024);
   const PrimacyDecompressor cached(options);
-  ASSERT_NE(cached.cache(), nullptr);
 
   PrimacyDecodeStats cold;
   EXPECT_EQ(cached.DecompressBytes(stream, &cold), input) << golden.file;
@@ -122,7 +121,7 @@ TEST_P(GoldenCorpusTest, CachedDecodeMatchesUncachedByteForByte) {
   EXPECT_EQ(cached.DecompressBytes(stream, &warm), input) << golden.file;
 
   const bool cacheable =
-      !golden.stored && golden.version >= internal::kFormatVersion2;
+      !golden.stored && golden.version >= internal::kFormatVersion3;
   if (cacheable) {
     EXPECT_GT(warm.cache_hits, 0u);
     EXPECT_EQ(warm.chunks_decoded, 0u);
@@ -135,7 +134,7 @@ TEST_P(GoldenCorpusTest, CachedDecodeMatchesUncachedByteForByte) {
     EXPECT_EQ(range_stats.chunks_decoded, 0u);
     EXPECT_GT(range_stats.cache_hits, 0u);
   } else {
-    // v1 and stored streams are never cached.
+    // v1, v2 and stored streams are never cached.
     EXPECT_EQ(cold.cache_misses, 0u);
     EXPECT_EQ(warm.cache_hits, 0u);
     EXPECT_EQ(cached.cache()->Stats().entries, 0u);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "datasets/datasets.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -215,10 +217,9 @@ TEST(CheckpointStoreTest, CachedReaderServesWarmRangeReads) {
   const Bytes file = writer.Finish();
 
   PrimacyOptions decode;
-  decode.cache.enabled = true;
-  decode.cache.capacity_bytes = 8 * 1024 * 1024;
+  decode.block_cache = std::make_shared<DecodedBlockCache>(8 * 1024 * 1024);
   const CheckpointReader reader(file, decode);
-  ASSERT_NE(reader.cache(), nullptr);
+  ASSERT_EQ(reader.cache(), decode.block_cache);
 
   PrimacyDecodeStats cold;
   const auto first = reader.ReadDoublesRange("phi", 10000, 5000, &cold);
@@ -253,8 +254,7 @@ TEST(CheckpointStoreTest, FullReadWarmsRangeReadsThroughSharedCache) {
 
   PrimacyOptions decode;
   decode.threads = 2;
-  decode.cache.enabled = true;
-  decode.cache.capacity_bytes = 8 * 1024 * 1024;
+  decode.block_cache = std::make_shared<DecodedBlockCache>(8 * 1024 * 1024);
   const CheckpointReader reader(file, decode);
 
   // ReadAllRaw decodes through the serial twin; it must share the same
