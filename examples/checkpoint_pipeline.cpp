@@ -1,10 +1,10 @@
 // Checkpoint & restart pipeline: the paper's motivating workload.
 //
 // A simulated compute node produces a large double-precision state array
-// every "timestep"; the in-situ driver compresses it shard-parallel across a
-// thread pool, the shards are written to a checkpoint file, and a restart
-// reads and decompresses them back. Timings for every phase are printed so
-// the compression-vs-I/O trade is visible.
+// every "timestep"; a CheckpointWriter compresses it chunk-parallel across
+// the thread pool into a checkpoint file, and a restart reads the file back
+// and restores the state through a CheckpointReader. Timings for every
+// phase are printed so the compression-vs-I/O trade is visible.
 //
 //   ./checkpoint_pipeline [dataset] [elements] [timesteps]
 #include <cstdio>
@@ -12,43 +12,10 @@
 #include <fstream>
 #include <string>
 
-#include "bitstream/byte_io.h"
-#include "core/in_situ.h"
 #include "datasets/datasets.h"
+#include "store/checkpoint_store.h"
 #include "util/error.h"
 #include "util/timer.h"
-
-namespace {
-
-void WriteCheckpoint(const std::filesystem::path& path,
-                     const primacy::InSituResult& result) {
-  primacy::Bytes file;
-  primacy::PutVarint(file, result.shards.size());
-  for (const primacy::Bytes& shard : result.shards) {
-    primacy::PutBlock(file, shard);
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(file.data()),
-            static_cast<std::streamsize>(file.size()));
-  if (!out) throw primacy::Error("checkpoint write failed");
-}
-
-std::vector<primacy::Bytes> ReadCheckpoint(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  const std::string raw((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  const primacy::Bytes file = primacy::BytesFromString(raw);
-  primacy::ByteReader reader(file);
-  const std::uint64_t count = reader.GetVarint();
-  std::vector<primacy::Bytes> shards;
-  shards.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    shards.push_back(primacy::ToBytes(reader.GetBlock()));
-  }
-  return shards;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const std::string dataset = argc > 1 ? argv[1] : "gts_chkp_zeon";
@@ -57,9 +24,12 @@ int main(int argc, char** argv) {
   const int timesteps = argc > 3 ? std::stoi(argv[3]) : 3;
 
   const auto path = std::filesystem::temp_directory_path() /
-                    "primacy_checkpoint.bin";
-  primacy::InSituOptions options;
-  options.primacy.index_mode = primacy::IndexMode::kReuseWhenCorrelated;
+                    "primacy_checkpoint.pck";
+  // Chunk-parallel on every hardware thread; kPerChunk indexing (the
+  // default) keeps the chunks independent, so the output is byte-identical
+  // to a serial run.
+  primacy::PrimacyOptions options;
+  options.threads = 0;
 
   std::printf("Checkpoint pipeline: dataset=%s, %zu doubles, %d timesteps\n",
               dataset.c_str(), elements, timesteps);
@@ -73,19 +43,30 @@ int main(int argc, char** argv) {
     const std::vector<double> state = primacy::GenerateDataset(spec, elements);
 
     primacy::WallTimer timer;
-    const primacy::InSituResult result = InSituCompress(state, options);
+    primacy::CheckpointWriter writer(options);
+    writer.Add("state", state);
+    const primacy::Bytes checkpoint = writer.Finish();
     const double compress_s = timer.Seconds();
 
     timer.Reset();
-    WriteCheckpoint(path, result);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(checkpoint.data()),
+                static_cast<std::streamsize>(checkpoint.size()));
+      if (!out) throw primacy::Error("checkpoint write failed");
+    }
     const double write_s = timer.Seconds();
 
     timer.Reset();
-    const std::vector<primacy::Bytes> shards = ReadCheckpoint(path);
+    std::ifstream in(path, std::ios::binary);
+    const std::string raw((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    const primacy::Bytes file = primacy::BytesFromString(raw);
     const double read_s = timer.Seconds();
 
     timer.Reset();
-    const std::vector<double> restored = InSituDecompress(shards, options);
+    const primacy::CheckpointReader reader(file, options);
+    const std::vector<double> restored = reader.ReadDoubles("state");
     const double restore_s = timer.Seconds();
 
     if (restored != state) {
@@ -94,7 +75,7 @@ int main(int argc, char** argv) {
     }
     std::printf("%-10d %12.3f %12.3f %12.3f %12.3f %10.3f\n", step,
                 compress_s, write_s, read_s, restore_s,
-                result.totals.CompressionRatio());
+                reader.Find("state").CompressionRatio());
   }
   std::filesystem::remove(path);
   std::printf("\nAll restarts verified bit-exact.\n");

@@ -14,9 +14,9 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 # Concurrency-heavy suites: the pool itself, parallel encode/decode (groups,
-# range reads), shard-parallel in-situ, the variable-parallel store, and the
-# TSan-targeted stress tests (registry registration races, concurrent
-# range reads sharing one reader).
+# range reads), the variable-parallel store, and the TSan-targeted stress
+# tests (registry registration races, concurrent range reads sharing one
+# reader).
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-  -R 'ThreadPool|ParallelDecode|StreamV2|DecompressRange|InSitu|CheckpointStore|Stress|MetricsRegistry'
+  -R 'ThreadPool|ParallelDecode|StreamV2|DecompressRange|CheckpointStore|Stress|MetricsRegistry'
 echo "TSan pass complete."

@@ -19,6 +19,9 @@ namespace primacy {
 namespace {
 
 constexpr std::size_t kHighWidth = 2;
+/// Frequency-vector correlation above which kReuseWhenCorrelated keeps the
+/// previous chunk's index.
+constexpr double kIndexReuseCorrelation = 0.95;
 
 /// Registry handles for the encode/decode pipelines, resolved once. The
 /// per-stage histograms are StageTimer's (telemetry/stage_stack.h).
@@ -102,8 +105,7 @@ ChunkRecordStats ChunkEncoder::EncodeChunk(ByteSpan chunk, Bytes& out) {
   std::vector<std::uint16_t> delta;
   if (options_.index_mode == IndexMode::kReuseWhenCorrelated &&
       prev_index_.has_value() && prev_freq_.has_value() &&
-      FrequencyCorrelation(*prev_freq_, freq) >=
-          options_.index_reuse_correlation) {
+      FrequencyCorrelation(*prev_freq_, freq) >= kIndexReuseCorrelation) {
     delta = prev_index_->MissingSequences(freq);
     if (delta.empty()) {
       action = IndexAction::kReuse;

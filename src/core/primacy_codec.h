@@ -118,9 +118,6 @@ struct PrimacyOptions {
   std::string solver = "deflate";
   Linearization linearization = Linearization::kColumn;
   IndexMode index_mode = IndexMode::kPerChunk;
-  /// Frequency-vector correlation above which kReuseWhenCorrelated keeps the
-  /// previous chunk's index.
-  double index_reuse_correlation = 0.95;
   Precision precision = Precision::kDouble;
   /// Worker threads for chunk-parallel compression and decompression
   /// (0 = hardware concurrency, 1 = serial). Work runs on the process-wide

@@ -8,6 +8,15 @@
 namespace primacy::transport {
 namespace {
 
+/// Budget for connecting to the daemon's socket.
+constexpr std::uint64_t kConnectTimeoutNs = 5'000'000'000ull;
+/// Budget for a reply to start arriving and for the frame to complete.
+constexpr std::uint64_t kReadDeadlineNs = 60'000'000'000ull;
+/// Budget for writing one request frame.
+constexpr std::uint64_t kWriteDeadlineNs = 30'000'000'000ull;
+/// Seed of the SplitMix64 stream behind the retry jitter.
+constexpr std::uint64_t kJitterSeed = 0x9E3779B97F4A7C15ull;
+
 bool IsIdempotent(Op op) {
   switch (op) {
     case Op::kCompress:
@@ -49,7 +58,7 @@ std::uint64_t SplitMix64(std::uint64_t& state) {
 
 TransportClient::TransportClient(TransportClientOptions options)
     : options_(std::move(options)),
-      jitter_state_(options_.retry.jitter_seed) {
+      jitter_state_(kJitterSeed) {
   clock_ = options_.clock != nullptr ? options_.clock
                                      : &service::SystemServiceClock::Instance();
   clock_->RegisterWaiter(&mu_, &cv_);
@@ -164,7 +173,7 @@ TransportClient::AttemptOutcome TransportClient::ExecuteOnce(
   outcome.sent = true;  // conservative: a partial send still counts
   const IoStatus send_status =
       SendFrame(fd.get(), ByteSpan(encoded),
-                IoDeadline::After(*clock_, options_.write_deadline_ns));
+                IoDeadline::After(*clock_, kWriteDeadlineNs));
   if (send_status != IoStatus::kOk) {
     outcome.transport_failure = true;
     outcome.result.status = WireStatus::kError;
@@ -174,8 +183,8 @@ TransportClient::AttemptOutcome TransportClient::ExecuteOnce(
   }
   Bytes reply;
   const IoStatus recv_status =
-      RecvFrame(fd.get(), &reply, kMaxFrameBytes, *clock_,
-                options_.read_deadline_ns, options_.read_deadline_ns);
+      RecvFrame(fd.get(), &reply, kMaxFrameBytes, *clock_, kReadDeadlineNs,
+                kReadDeadlineNs);
   if (recv_status != IoStatus::kOk) {
     outcome.transport_failure = true;
     outcome.result.status = WireStatus::kError;
@@ -243,8 +252,7 @@ int TransportClient::CheckoutConnection(std::string* error) {
   }
   connects_.fetch_add(1);
   return ConnectUnixSocket(options_.socket_path,
-                           IoDeadline::After(*clock_,
-                                             options_.connect_timeout_ns),
+                           IoDeadline::After(*clock_, kConnectTimeoutNs),
                            error);
 }
 

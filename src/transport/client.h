@@ -47,20 +47,15 @@ struct RetryPolicy {
   double backoff_multiplier = 2.0;
   std::uint64_t max_backoff_ns = 1'000'000'000;  // 1 s
   /// Each wait is base * (1 + jitter_fraction * u) with u in [0, 1) drawn
-  /// from a SplitMix64 stream seeded below — deterministic for tests, no
-  /// global RNG state. 0 disables jitter.
+  /// from a SplitMix64 stream with a fixed seed — deterministic for tests,
+  /// no global RNG state. 0 disables jitter.
   double jitter_fraction = 0.25;
-  std::uint64_t jitter_seed = 0x9E3779B97F4A7C15ull;
 };
 
 struct TransportClientOptions {
   std::string socket_path;
   /// Idle connections kept for reuse; beyond this, returns close instead.
   std::size_t max_pooled_connections = 4;
-  std::uint64_t connect_timeout_ns = 5'000'000'000ull;
-  /// Budget for a reply to start arriving and for the frame to complete.
-  std::uint64_t read_deadline_ns = 60'000'000'000ull;
-  std::uint64_t write_deadline_ns = 30'000'000'000ull;
   RetryPolicy retry;
   /// Time source for deadlines and backoff waits; null = system clock.
   service::ServiceClock* clock = nullptr;

@@ -18,6 +18,12 @@ namespace {
 constexpr std::array<double, 9> kLatencySecondsBounds = {
     0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0};
 
+/// Budget for the remainder of a frame once its first byte arrived
+/// (slow-loris guard).
+constexpr std::uint64_t kFrameReadDeadlineNs = 30'000'000'000ull;
+/// Budget for writing one reply frame.
+constexpr std::uint64_t kWriteDeadlineNs = 30'000'000'000ull;
+
 std::string OpLabel(Op op) {
   return std::string("op=\"") + OpName(op) + "\"";
 }
@@ -151,7 +157,7 @@ void TransportServer::AcceptLoop() {
                        std::to_string(options_.max_connections) + ") reached";
       // Best-effort courtesy reply; the close is the real answer.
       SendFrame(conn_fd.get(), EncodeErrorFrame(reject),
-                IoDeadline::After(*clock_, options_.write_deadline_ns));
+                IoDeadline::After(*clock_, kWriteDeadlineNs));
       continue;
     }
     auto conn = std::make_unique<Connection>(conn_fd.Release());
@@ -192,7 +198,7 @@ void TransportServer::ReaderLoop(Connection& conn) {
     Bytes frame;
     const IoStatus status =
         RecvFrame(conn.fd.get(), &frame, kMaxFrameBytes, *clock_,
-                  service::kNoDeadlineNs, options_.frame_read_deadline_ns,
+                  service::kNoDeadlineNs, kFrameReadDeadlineNs,
                   conn.stop.read_fd());
     if (status == IoStatus::kOk) {
       reg.GetCounter("primacy_transport_bytes_read_total")
@@ -395,7 +401,7 @@ void TransportServer::WriterLoop(Connection& conn) {
     }
     const IoStatus status =
         SendFrame(conn.fd.get(), ByteSpan(encoded),
-                  IoDeadline::After(*clock_, options_.write_deadline_ns));
+                  IoDeadline::After(*clock_, kWriteDeadlineNs));
     if (status != IoStatus::kOk) {
       errors_.fetch_add(1);
       CountError(status == IoStatus::kTimeout ? "write_timeout" : "write");

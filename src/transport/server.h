@@ -59,11 +59,6 @@ struct TransportServerOptions {
   std::size_t max_connections = 64;
   /// Queued-but-unwritten replies per connection before the reader pauses.
   std::size_t max_pipelined_requests = 128;
-  /// Budget for the remainder of a frame once its first byte arrived
-  /// (slow-loris guard). kNoDeadlineNs disables.
-  std::uint64_t frame_read_deadline_ns = 30'000'000'000ull;
-  /// Budget for writing one reply frame. kNoDeadlineNs disables.
-  std::uint64_t write_deadline_ns = 30'000'000'000ull;
   /// Hint returned with kTooManyConnections rejections.
   std::uint64_t reject_retry_after_ns = 50'000'000ull;
   /// Time source for deadlines; null uses the service's clock (and the

@@ -12,6 +12,7 @@
 #include <cstring>
 
 #include "bitstream/byte_io.h"
+#include "telemetry/metrics.h"
 
 namespace primacy::transport {
 namespace {
@@ -20,6 +21,12 @@ namespace {
 // the ServiceClock between slices, so a VirtualClock expiry is observed
 // within one slice even though poll itself waits in wall time.
 constexpr int kPollSliceMs = 100;
+
+// Back-off after accept() fails for want of a descriptor. The pending
+// connection stays queued and the listen socket stays readable, so polling
+// it again at once would spin; the wait watches only the wake pipe, so a
+// stop stays immediate.
+constexpr int kAcceptExhaustedBackoffMs = 10;
 
 std::string ErrnoMessage(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
@@ -263,6 +270,18 @@ IoStatus AcceptWithWake(int listen_fd, int wake_fd, int* conn_fd) {
     if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
         errno == ECONNABORTED) {
       continue;  // Raced with a disconnect or a signal; wait again.
+    }
+    if (errno == EMFILE || errno == ENFILE) {
+      // Out of descriptors: transient, since closing connections free them.
+      telemetry::MetricsRegistry::Global()
+          .GetCounter("primacy_transport_errors_total",
+                      "kind=\"accept_exhausted\"")
+          .Increment();
+      pollfd wake{wake_fd, POLLIN, 0};
+      const int rc = ::poll(&wake, wake_fd >= 0 ? 1 : 0,
+                            kAcceptExhaustedBackoffMs);
+      if (rc > 0) return IoStatus::kStopped;
+      continue;
     }
     return IoStatus::kError;
   }

@@ -139,6 +139,9 @@ int ListenTcpLoopback(int port, int* bound_port, std::string* error);
 /// Waits for a connection on `listen_fd` or a byte on `wake_fd` (pass -1
 /// for no wake). Returns kOk with `*conn_fd` set (non-blocking,
 /// close-on-exec), kStopped if the wake pipe fired first, kError otherwise.
+/// Running out of descriptors (EMFILE/ENFILE) is not an error: each such
+/// failure counts in primacy_transport_errors_total{kind="accept_exhausted"}
+/// and the accept is retried after a 10 ms wait on the wake pipe.
 IoStatus AcceptWithWake(int listen_fd, int wake_fd, int* conn_fd);
 
 /// Writes all of `data`, retrying EINTR and short writes, polling for

@@ -17,7 +17,7 @@ namespace internal {
 /// Per-pool-name metrics, resolved once per name. Utilization = busy_ns /
 /// (workers * wall); wait = enqueue-to-start latency (scheduling delay +
 /// queueing). Series carry a `pool="<name>"` label so concurrent pools
-/// (shared + nested in-situ) never collapse into one series.
+/// (shared + nested) never collapse into one series.
 struct PoolMetrics {
   telemetry::Gauge& workers;
   telemetry::Gauge& queue_depth;

@@ -1,4 +1,4 @@
-// Fixed-size worker pool used by the in-situ compression driver.
+// Fixed-size worker pool behind chunk-parallel compression and decoding.
 //
 // The paper runs PRIMACY on every compute node of a bulk-synchronous
 // application; within one node we parallelize across chunks. The pool is a
@@ -29,7 +29,7 @@ class ThreadPool {
  public:
   /// Creates `num_threads` workers; 0 means std::thread::hardware_concurrency
   /// (minimum 1). `name` labels this pool's telemetry series
-  /// (`primacy_pool_*{pool="<name>"}`) so nested in-situ pools stay
+  /// (`primacy_pool_*{pool="<name>"}`) so nested pools stay
   /// distinguishable; it must match [A-Za-z0-9_.-]+. Pools sharing a name
   /// share series.
   explicit ThreadPool(std::size_t num_threads = 0,

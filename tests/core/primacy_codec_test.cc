@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <limits>
+#include <span>
 #include <tuple>
+#include <vector>
 
 #include "datasets/datasets.h"
 #include "util/error.h"
@@ -81,6 +84,65 @@ TEST(PrimacyCodecTest, StatsAccountForAllStages) {
   EXPECT_GT(stats.id_compressed_bytes, 0u);
   EXPECT_GT(stats.mantissa_stream_bytes, 0u);
   EXPECT_GT(stats.CompressionRatio(), 1.0);
+}
+
+TEST(PrimacyCodecTest, AccumulateWeightsMeansByChunkCount) {
+  // Two calls of unequal chunk counts: 3 smooth chunks, then 1 noise chunk.
+  // Their chunk records match one call over all four, so the folded totals
+  // must too, and the means are per chunk, not per call.
+  constexpr std::size_t kChunkElements = 1024;
+  std::vector<double> mixed(4 * kChunkElements);
+  Rng rng(41);
+  for (std::size_t i = 0; i < mixed.size(); ++i) {
+    mixed[i] = i < 3 * kChunkElements
+                   ? std::sin(static_cast<double>(i) * 1e-3)
+                   : rng.NextGaussian() * 1e3;
+  }
+  PrimacyOptions options;
+  options.chunk_bytes = kChunkElements * sizeof(double);
+  const PrimacyCompressor compressor(options);
+  const std::span<const double> all(mixed);
+  PrimacyStats smooth;
+  PrimacyStats noise;
+  compressor.Compress(all.first(3 * kChunkElements), &smooth);
+  compressor.Compress(all.subspan(3 * kChunkElements), &noise);
+  PrimacyStats totals;
+  totals.Accumulate(smooth);
+  totals.Accumulate(noise);
+  PrimacyStats one_call;
+  compressor.Compress(mixed, &one_call);
+
+  ASSERT_EQ(totals.chunks, 4u);
+  EXPECT_EQ(totals.chunks, one_call.chunks);
+  EXPECT_EQ(totals.input_bytes, one_call.input_bytes);
+  EXPECT_EQ(totals.indexes_emitted, one_call.indexes_emitted);
+  EXPECT_EQ(totals.index_bytes, one_call.index_bytes);
+  EXPECT_EQ(totals.id_compressed_bytes, one_call.id_compressed_bytes);
+  EXPECT_EQ(totals.mantissa_stream_bytes, one_call.mantissa_stream_bytes);
+  EXPECT_EQ(totals.mantissa_raw_bytes, one_call.mantissa_raw_bytes);
+  EXPECT_NEAR(totals.mean_compressible_fraction,
+              one_call.mean_compressible_fraction, 1e-12);
+  EXPECT_NEAR(totals.top_byte_frequency_before,
+              one_call.top_byte_frequency_before, 1e-12);
+  EXPECT_NEAR(totals.top_byte_frequency_after,
+              one_call.top_byte_frequency_after, 1e-12);
+  // Compress folds its own chunks through Accumulate too, so check the
+  // weights directly as well: a per-call mean would read (smooth + noise) / 2.
+  const auto by_chunk = [](double three_chunks, double one_chunk) {
+    return (3 * three_chunks + one_chunk) / 4;
+  };
+  EXPECT_NEAR(totals.mean_compressible_fraction,
+              by_chunk(smooth.mean_compressible_fraction,
+                       noise.mean_compressible_fraction),
+              1e-12);
+  EXPECT_NEAR(totals.top_byte_frequency_before,
+              by_chunk(smooth.top_byte_frequency_before,
+                       noise.top_byte_frequency_before),
+              1e-12);
+  EXPECT_NEAR(totals.top_byte_frequency_after,
+              by_chunk(smooth.top_byte_frequency_after,
+                       noise.top_byte_frequency_after),
+              1e-12);
 }
 
 TEST(PrimacyCodecTest, IdMappingRaisesRepeatability) {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "bitstream/byte_io.h"
-#include "core/in_situ.h"
 #include "core/primacy_codec.h"
 #include "core/stream_format.h"
 #include "core/streaming.h"
@@ -308,19 +307,6 @@ TEST(StreamV3Test, StreamReaderVerifiesOneShotV3Streams) {
           << e.what();
     }
   }
-}
-
-TEST(StreamV3Test, InSituRoundTripAggregatesVerifiedChunks) {
-  const auto values = GenerateDatasetByName("obs_temp", 50000);
-  InSituOptions options;
-  options.primacy.chunk_bytes = 64 * 1024;
-  options.shard_elements = 16384;  // 2 chunks per shard, 4 shards
-  const InSituResult compressed = InSituCompress(values, options);
-  const InSituDecodeResult decoded =
-      InSituDecompressWithStats(compressed.shards, options);
-  EXPECT_EQ(decoded.values, values);
-  EXPECT_EQ(decoded.totals.chunks_verified, decoded.totals.chunks_decoded);
-  EXPECT_GT(decoded.totals.chunks_verified, 0u);
 }
 
 TEST(StreamV3Test, VerifyStreamReportsHealthWithoutThrowing) {

@@ -1,13 +1,16 @@
 // TransportServer integration tests over real Unix-domain sockets: client
 // byte-identity with direct library calls, pipelined multi-in-flight
-// requests, connection limits, protocol-violation handling over a live
-// connection, and graceful drain delivering in-flight replies.
+// requests, connection limits, descriptor exhaustion at accept,
+// protocol-violation handling over a live connection, and graceful drain
+// delivering in-flight replies.
 //
 // Raw-frame tests speak to the server through the transport/socket_io.h
 // helpers (never raw syscalls — the transport-containment rule's point is
 // that nobody outside src/transport needs them, this suite included).
 #include "transport/server.h"
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -20,6 +23,7 @@
 #include "bitstream/byte_io.h"
 #include "core/primacy_codec.h"
 #include "service/service.h"
+#include "telemetry/metrics.h"
 #include "transport/client.h"
 #include "transport/socket_io.h"
 #include "transport/wire.h"
@@ -359,6 +363,109 @@ TEST(TransportServerLimit, ExcessConnectionRefusedWithRetryAfter) {
   ASSERT_EQ(first.Send(PingFrame(2)), IoStatus::kOk);
   ASSERT_EQ(first.Recv(&pong), IoStatus::kOk);
   EXPECT_EQ(fx.server().Stats().connections_rejected, 1u);
+}
+
+/// Lowers this process's soft descriptor limit to `headroom` above the
+/// lowest free descriptor and fills every free slot below it with
+/// /dev/null. Release() (or the destructor) closes the fillers and
+/// restores the limit.
+class DescriptorExhaustion {
+ public:
+  explicit DescriptorExhaustion(int headroom) {
+    const int lowest_free = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+    EXPECT_GE(lowest_free, 0);
+    ::close(lowest_free);
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = static_cast<rlim_t>(lowest_free + headroom);
+    lowered_ = ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+    if (!lowered_) {
+      // Without the lowered limit the fill would run to the full table.
+      ADD_FAILURE() << "setrlimit(RLIMIT_NOFILE) failed";
+      return;
+    }
+    for (;;) {
+      const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+      if (fd < 0) break;
+      fillers_.push_back(fd);
+    }
+  }
+  ~DescriptorExhaustion() { Release(); }
+
+  DescriptorExhaustion(const DescriptorExhaustion&) = delete;
+  DescriptorExhaustion& operator=(const DescriptorExhaustion&) = delete;
+
+  /// Closes one filler, leaving exactly one free slot.
+  void FreeOneSlot() {
+    ASSERT_FALSE(fillers_.empty());
+    ::close(fillers_.back());
+    fillers_.pop_back();
+  }
+
+  void Release() {
+    for (const int fd : fillers_) ::close(fd);
+    fillers_.clear();
+    if (lowered_) {
+      EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &saved_), 0);
+      lowered_ = false;
+    }
+  }
+
+ private:
+  rlimit saved_{};
+  bool lowered_ = false;
+  std::vector<int> fillers_;
+};
+
+/// Pings over `fd` with a 5 s budget each way; true on a matching pong.
+bool PingWithin5s(int fd, std::uint64_t id) {
+  auto& clock = service::SystemServiceClock::Instance();
+  constexpr std::uint64_t kBudgetNs = 5'000'000'000ull;
+  if (SendFrame(fd, ByteSpan(PingFrame(id)),
+                IoDeadline::After(clock, kBudgetNs)) != IoStatus::kOk) {
+    return false;
+  }
+  Bytes reply;
+  if (RecvFrame(fd, &reply, kMaxFrameBytes, clock, kBudgetNs, kBudgetNs) !=
+      IoStatus::kOk) {
+    return false;
+  }
+  const DecodedFrame decoded = DecodeFrame(ByteSpan(reply));
+  return decoded.kind == FrameKind::kResponse &&
+         decoded.response.request_id == id;
+}
+
+TEST(TransportServerLimit, AcceptSurvivesDescriptorExhaustion) {
+  ServerFixture fx;
+  telemetry::Counter& exhausted =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "primacy_transport_errors_total", "kind=\"accept_exhausted\"");
+  const std::uint64_t exhausted_before = exhausted.Value();
+  auto& clock = service::SystemServiceClock::Instance();
+
+  // With the table full, the client's socket takes the one freed slot and
+  // the server's accept() then fails with EMFILE.
+  DescriptorExhaustion exhaustion(64);
+  exhaustion.FreeOneSlot();
+  std::string error;
+  UniqueFd starved(ConnectUnixSocket(
+      fx.socket_path(), IoDeadline::After(clock, 5'000'000'000ull), &error));
+  ASSERT_TRUE(starved.valid()) << error;
+  const IoDeadline wait = IoDeadline::After(clock, 5'000'000'000ull);
+  while (exhausted.Value() == exhausted_before && !wait.Expired()) {
+    std::this_thread::yield();
+  }
+  EXPECT_GT(exhausted.Value(), exhausted_before);
+  exhaustion.Release();
+
+  // Descriptors are back: the queued connection is accepted and served,
+  // and so is a new one.
+  EXPECT_TRUE(PingWithin5s(starved.get(), 1));
+  UniqueFd fresh(ConnectUnixSocket(
+      fx.socket_path(), IoDeadline::After(clock, 5'000'000'000ull), &error));
+  ASSERT_TRUE(fresh.valid()) << error;
+  EXPECT_TRUE(PingWithin5s(fresh.get(), 2));
+  EXPECT_EQ(fx.server().Stats().connections_accepted, 2u);
 }
 
 TEST(TransportServerDrain, ShutdownDeliversInFlightReplies) {
