@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   for (const DatasetSpec& spec : AllDatasets()) {
     const auto& values = bench::DatasetValues(spec.name);
     const Bytes rows = DoublesToBigEndianRows(values);
-    const SplitBytes split = SplitHighLow(rows, 8, 2);
+    const SplitBytes split = SplitHighLow(rows, 8);
     const PairFrequency freq = AnalyzePairFrequency(split.high);
 
     // Frequency-ranked index (PRIMACY) vs identity-order index (sequences
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
         MapToIds(split.high, freq_index, Linearization::kColumn);
     const Bytes ident_ids =
         MapToIds(split.high, ident_index, Linearization::kColumn);
-    const Bytes raw_cols = RowToColumn(split.high, 2);
+    const Bytes raw_cols = RowToColumn(split.high);
 
     const double raw_top = TopByteFrequency(raw_cols);
     const double ident_top = TopByteFrequency(ident_ids);

@@ -66,7 +66,7 @@ void RunKernelSection(BenchReport& report) {
   const std::vector<double>& values = DatasetValues("num_plasma");
   const std::size_t n = values.size();
   const Bytes rows = DoublesToBigEndianRows(values);
-  const SplitBytes split = SplitHighLow(rows, 8, 2);
+  const SplitBytes split = SplitHighLow(rows, 8);
   const IdIndex index =
       IdIndex::FromFrequency(AnalyzePairFrequency(split.high));
   const Bytes id_bytes = MapToIds(split.high, index, Linearization::kRow);
@@ -78,13 +78,9 @@ void RunKernelSection(BenchReport& report) {
   // average ~11 distinct pairs per 16, so it shows the mixed-data floor.
   const std::vector<double>& brain = DatasetValues("num_brain");
   const std::size_t brain_n = std::min(brain.size(), n);
-  const SplitBytes brain_split =
-      SplitHighLow(DoublesToBigEndianRows(
-                       std::vector<double>(brain.begin(),
-                                           brain.begin() +
-                                               static_cast<std::ptrdiff_t>(
-                                                   brain_n))),
-                   8, 2);
+  const SplitBytes brain_split = SplitHighLow(
+      DoublesToBigEndianRows(std::span<const double>(brain).first(brain_n)),
+      8);
 
   Bytes high_buf(n * 2), low_buf(n * 6), wide_buf(n * 8), pair_buf(n * 2);
   std::vector<std::uint32_t> counts(65536, 0);
@@ -108,14 +104,6 @@ void RunKernelSection(BenchReport& report) {
       {"col_to_row_w2", n * 2,
        [&](const KernelTable& k) {
          k.col_to_row_w2(id_bytes.data(), n, pair_buf.data());
-       }},
-      {"row_to_col_w8", n * 8,
-       [&](const KernelTable& k) {
-         k.row_to_col_w8(rows.data(), n, wide_buf.data());
-       }},
-      {"col_to_row_w8", n * 8,
-       [&](const KernelTable& k) {
-         k.col_to_row_w8(rows.data(), n, wide_buf.data());
        }},
       {"count_pairs", brain_n * 2,
        [&](const KernelTable& k) {

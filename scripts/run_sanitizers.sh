@@ -38,7 +38,7 @@ NAMED_PASSES=(
   "Concurrency stress tests" "Stress|MetricsRegistry"
   "Service suite" "Service"
   "Decode paths" "DecompressRange|ParallelDecode|StreamV2|StreamV3|CacheDecode|BlockCache|SinglePrecision|Streaming|GoldenCorpus"
-  "Kernel identity suite" "KernelIdentity|KernelDispatch|DecodesUnderEveryKernelIsa"
+  "Kernel identity suite" "KernelIdentity|KernelDispatch|DecodesUnderEveryKernelIsa|SplitHighLowTest|MergeHighLowTest|LinearizationTest|DoubleConversionTest|FloatConversionTest|SwapBigEndianRowsTest"
   "Observability exporter suite" "Exporter|StageStack"
   "Transport suite" "Transport"
 )

@@ -1,7 +1,5 @@
 #include "core/chunk_pipeline.h"
 
-#include <bit>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -52,12 +50,6 @@ struct PipelineMetrics {
   }
 };
 
-Bytes ToBigEndianRows(ByteSpan chunk, std::size_t width) {
-  if (width == 8) return DoublesToBigEndianRows(FromBytes<double>(chunk));
-  PRIMACY_CHECK(width == 4);
-  return FloatsToBigEndianRows(FromBytes<float>(chunk));
-}
-
 double FrequencyCorrelation(const PairFrequency& a, const PairFrequency& b) {
   std::vector<std::uint64_t> va(a.counts.begin(), a.counts.end());
   std::vector<std::uint64_t> vb(b.counts.begin(), b.counts.end());
@@ -89,8 +81,9 @@ ChunkRecordStats ChunkEncoder::EncodeChunk(ByteSpan chunk, Bytes& out) {
                               "elements", static_cast<std::uint64_t>(count));
 
   // 1. Big-endian byte significance, then the high/low split.
-  const Bytes rows = ToBigEndianRows(chunk, width);
-  const SplitBytes split = SplitHighLow(rows, width, kHighWidth);
+  Bytes rows = ToBytes(chunk);
+  SwapBigEndianRows(rows, width);
+  const SplitBytes split = SplitHighLow(rows, width);
   timer.Lap(telemetry::Stage::kFrequency);
 
   // 2. Frequency analysis + index selection. Under kReuseWhenCorrelated, a
@@ -218,8 +211,8 @@ void ChunkDecoder::DecodeChunkInto(ByteReader& reader, std::uint64_t count,
     throw CorruptStreamError("primacy: bad chunk element count");
   }
   // Division, not multiplication: `count` comes off the wire, and a wrapped
-  // count * width_ could alias a small buffer while the merge loop below
-  // iterates the unwrapped count.
+  // count * width_ could match a small buffer. Past this check every byte
+  // count derived from `count` below fits in size_t.
   if (out.size() % width_ != 0 || out.size() / width_ != count) {
     throw CorruptStreamError("primacy: chunk element count mismatch");
   }
@@ -249,39 +242,13 @@ void ChunkDecoder::DecodeChunkInto(ByteReader& reader, std::uint64_t count,
   timer.Lap(telemetry::Stage::kIsobar);
   const Bytes low = IsobarDecompress(reader.GetBlock(), solver_);
   timer.Lap(telemetry::Stage::kMerge);
-  const std::size_t low_width = width_ - kHighWidth;
-  if (low.size() != count * low_width) {
+  if (low.size() != count * (width_ - kHighWidth)) {
     throw CorruptStreamError("primacy: mantissa byte count mismatch");
   }
-  // Fused high/low merge + big-endian-rows -> native conversion, writing
-  // each element once. The old path materialized the merged row matrix, a
-  // native value vector, and a byte copy of it before appending — three
-  // full-size temporaries per chunk that this loop eliminates.
-  const std::size_t n = static_cast<std::size_t>(count);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::byte* hi = high.data() + i * kHighWidth;
-    const std::byte* lo = low.data() + i * low_width;
-    std::byte* dst = out.data() + i * width_;
-    if (width_ == 8) {
-      std::uint64_t bits = 0;
-      bits = (bits << 8) | static_cast<std::uint64_t>(hi[0]);
-      bits = (bits << 8) | static_cast<std::uint64_t>(hi[1]);
-      for (std::size_t b = 0; b < 6; ++b) {
-        bits = (bits << 8) | static_cast<std::uint64_t>(lo[b]);
-      }
-      const double value = std::bit_cast<double>(bits);
-      std::memcpy(dst, &value, 8);
-    } else {
-      std::uint32_t bits = 0;
-      bits = (bits << 8) | static_cast<std::uint32_t>(hi[0]);
-      bits = (bits << 8) | static_cast<std::uint32_t>(hi[1]);
-      for (std::size_t b = 0; b < low_width; ++b) {
-        bits = (bits << 8) | static_cast<std::uint32_t>(lo[b]);
-      }
-      const float value = std::bit_cast<float>(bits);
-      std::memcpy(dst, &value, 4);
-    }
-  }
+  // The merge writes big-endian rows straight into `out`; one in-place swap
+  // turns them into native elements.
+  MergeHighLow(high, low, width_, out);
+  SwapBigEndianRows(out, width_);
   stage_.Accumulate(timer.Commit());
 
   PipelineMetrics& metrics = PipelineMetrics::Get();

@@ -21,7 +21,7 @@ Bytes MapToIds(ByteSpan high_bytes, const IdIndex& index,
     throw InvalidArgumentError("MapToIds: sequence not in index");
   }
   if (linearization == Linearization::kColumn) {
-    return RowToColumn(ids, 2);
+    return RowToColumn(ids);
   }
   return ids;
 }
@@ -32,7 +32,7 @@ Bytes MapFromIds(ByteSpan id_bytes, const IdIndex& index,
     throw CorruptStreamError("MapFromIds: odd byte count");
   }
   Bytes rows = linearization == Linearization::kColumn
-                   ? ColumnToRow(id_bytes, 2)
+                   ? ColumnToRow(id_bytes)
                    : ToBytes(id_bytes);
   // In place: the kernel contract allows out == in (each block is fully
   // loaded before it is stored).

@@ -1,11 +1,9 @@
 // AVX2 kernel variants. Compiled with -mavx2 for this translation unit only;
 // dispatch.cc guarantees these run only after __builtin_cpu_supports("avx2").
 //
-// The transposes are radix-2 networks: one pass of DeInterleave64 separates
-// even/odd byte columns of a 64-byte block, and width-4/8 transposes are 2/3
-// such passes held in registers across a 32-row tile. Every kernel hands its
-// sub-vector remainder to the scalar reference (scalar_impl.h), so outputs
-// are byte-identical to scalar at every length.
+// Every kernel hands its sub-vector remainder to the scalar reference
+// (scalar_impl.h) or to the same per-element loop, so outputs are
+// byte-identical to scalar at every length.
 #include "kernels/tables.h"
 
 #if PRIMACY_SIMD_ENABLED
@@ -32,19 +30,7 @@ inline void Store128(std::byte* p, __m128i v) {
   _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
 }
 
-/// 64 consecutive bytes (a ++ b) -> 32 even-index bytes and 32 odd-index
-/// bytes, in order. The packus lane fix is the 0xD8 qword permute.
-inline void DeInterleave64(__m256i a, __m256i b, __m256i& even, __m256i& odd) {
-  const __m256i mask = _mm256_set1_epi16(0x00ff);
-  even = _mm256_permute4x64_epi64(
-      _mm256_packus_epi16(_mm256_and_si256(a, mask), _mm256_and_si256(b, mask)),
-      0xD8);
-  odd = _mm256_permute4x64_epi64(
-      _mm256_packus_epi16(_mm256_srli_epi16(a, 8), _mm256_srli_epi16(b, 8)),
-      0xD8);
-}
-
-/// Inverse of DeInterleave64: 32 evens + 32 odds -> 64 interleaved bytes.
+/// 32 even-index bytes + 32 odd-index bytes -> 64 interleaved bytes.
 inline void Interleave64(__m256i even, __m256i odd, __m256i& out0,
                          __m256i& out1) {
   const __m256i lo = _mm256_unpacklo_epi8(even, odd);
@@ -97,103 +83,6 @@ void ColToRowW2(const std::byte* cols, std::size_t n, std::byte* out) {
   for (; i < n; ++i) {
     out[2 * i] = cols[i];
     out[2 * i + 1] = cols[n + i];
-  }
-}
-
-void RowToColW4(const std::byte* rows, std::size_t n, std::byte* out) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const std::byte* p = rows + 4 * i;
-    __m256i e0, o0, e1, o1;
-    DeInterleave64(Load(p), Load(p + 32), e0, o0);
-    DeInterleave64(Load(p + 64), Load(p + 96), e1, o1);
-    __m256i c0, c1, c2, c3;
-    DeInterleave64(e0, e1, c0, c2);
-    DeInterleave64(o0, o1, c1, c3);
-    Store(out + i, c0);
-    Store(out + n + i, c1);
-    Store(out + 2 * n + i, c2);
-    Store(out + 3 * n + i, c3);
-  }
-  for (; i < n; ++i) {
-    for (std::size_t c = 0; c < 4; ++c) out[c * n + i] = rows[4 * i + c];
-  }
-}
-
-void ColToRowW4(const std::byte* cols, std::size_t n, std::byte* out) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i c0 = Load(cols + i);
-    const __m256i c1 = Load(cols + n + i);
-    const __m256i c2 = Load(cols + 2 * n + i);
-    const __m256i c3 = Load(cols + 3 * n + i);
-    __m256i e0, e1, o0, o1;
-    Interleave64(c0, c2, e0, e1);
-    Interleave64(c1, c3, o0, o1);
-    __m256i r0, r1, r2, r3;
-    Interleave64(e0, o0, r0, r1);
-    Interleave64(e1, o1, r2, r3);
-    std::byte* q = out + 4 * i;
-    Store(q, r0);
-    Store(q + 32, r1);
-    Store(q + 64, r2);
-    Store(q + 96, r3);
-  }
-  for (; i < n; ++i) {
-    for (std::size_t c = 0; c < 4; ++c) out[4 * i + c] = cols[c * n + i];
-  }
-}
-
-void RowToColW8(const std::byte* rows, std::size_t n, std::byte* out) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const std::byte* p = rows + 8 * i;
-    __m256i e[4], o[4];
-    for (std::size_t k = 0; k < 4; ++k) {
-      DeInterleave64(Load(p + 64 * k), Load(p + 64 * k + 32), e[k], o[k]);
-    }
-    __m256i ee0, eo0, ee1, eo1, oe0, oo0, oe1, oo1;
-    DeInterleave64(e[0], e[1], ee0, eo0);
-    DeInterleave64(e[2], e[3], ee1, eo1);
-    DeInterleave64(o[0], o[1], oe0, oo0);
-    DeInterleave64(o[2], o[3], oe1, oo1);
-    __m256i c[8];
-    DeInterleave64(ee0, ee1, c[0], c[4]);
-    DeInterleave64(eo0, eo1, c[2], c[6]);
-    DeInterleave64(oe0, oe1, c[1], c[5]);
-    DeInterleave64(oo0, oo1, c[3], c[7]);
-    for (std::size_t col = 0; col < 8; ++col) Store(out + col * n + i, c[col]);
-  }
-  for (; i < n; ++i) {
-    for (std::size_t c = 0; c < 8; ++c) out[c * n + i] = rows[8 * i + c];
-  }
-}
-
-void ColToRowW8(const std::byte* cols, std::size_t n, std::byte* out) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    __m256i c[8];
-    for (std::size_t col = 0; col < 8; ++col) c[col] = Load(cols + col * n + i);
-    __m256i x[8];
-    Interleave64(c[0], c[4], x[0], x[1]);
-    Interleave64(c[2], c[6], x[2], x[3]);
-    Interleave64(c[1], c[5], x[4], x[5]);
-    Interleave64(c[3], c[7], x[6], x[7]);
-    __m256i y[4], z[4];
-    Interleave64(x[0], x[2], y[0], y[1]);
-    Interleave64(x[1], x[3], y[2], y[3]);
-    Interleave64(x[4], x[6], z[0], z[1]);
-    Interleave64(x[5], x[7], z[2], z[3]);
-    std::byte* q = out + 8 * i;
-    for (std::size_t k = 0; k < 4; ++k) {
-      __m256i r0, r1;
-      Interleave64(y[k], z[k], r0, r1);
-      Store(q + 64 * k, r0);
-      Store(q + 64 * k + 32, r1);
-    }
-  }
-  for (; i < n; ++i) {
-    for (std::size_t c = 0; c < 8; ++c) out[8 * i + c] = cols[c * n + i];
   }
 }
 
@@ -377,9 +266,8 @@ void HistogramStride(const std::byte* p, std::size_t count,
 }
 
 constexpr KernelTable kAvx2Table = {
-    SplitW8H2,  MergeW8H2,  SplitW4H2,  MergeW4H2,  RowToColW2,
-    ColToRowW2, RowToColW4, ColToRowW4, RowToColW8, ColToRowW8,
-    CountPairs, MapIds16,   UnmapIds16, HistogramStride,
+    SplitW8H2,  MergeW8H2,  SplitW4H2, MergeW4H2,  RowToColW2,
+    ColToRowW2, CountPairs, MapIds16,  UnmapIds16, HistogramStride,
 };
 
 }  // namespace

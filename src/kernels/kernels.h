@@ -1,11 +1,12 @@
 // Runtime-dispatched SIMD kernel layer for the byte-matrix hot paths.
 //
-// Every PRIMACY transform stage — high/low byte split, row<->column
-// transpose, 16-bit pair-frequency counting, ID map/unmap, and the ISOBAR
-// column histograms — reduces to one of the narrow kernels below. Each
-// kernel has a portable scalar implementation (the semantic reference) plus
-// an AVX2 variant selected once at startup from CPUID; callers go through
-// the function-pointer table returned by Active() and never name an ISA.
+// Every PRIMACY transform stage — high/low byte split and merge, the ID
+// matrix's row<->column transpose, 16-bit pair-frequency counting, ID
+// map/unmap, and the ISOBAR column histograms — reduces to one of the
+// narrow kernels below. Each kernel has a portable scalar implementation
+// (the semantic reference) plus an AVX2 variant selected once at startup
+// from CPUID; callers go through the function-pointer table returned by
+// Active() and never name an ISA.
 //
 // Contract shared by every variant of a kernel:
 //   * byte-identical output to the scalar reference at every length,
@@ -62,14 +63,10 @@ struct KernelTable {
   void (*merge_w4_h2)(const std::byte* high, const std::byte* low,
                       std::size_t n, std::byte* rows);
 
-  // --- Row<->column transpose of an n x W byte matrix.
-  // row_to_col: out[c * n + i] = rows[i * W + c]; col_to_row inverts.
+  // --- Row<->column transpose of the n x 2 ID matrix.
+  // row_to_col: out[c * n + i] = rows[i * 2 + c]; col_to_row inverts.
   void (*row_to_col_w2)(const std::byte* rows, std::size_t n, std::byte* out);
   void (*col_to_row_w2)(const std::byte* cols, std::size_t n, std::byte* out);
-  void (*row_to_col_w4)(const std::byte* rows, std::size_t n, std::byte* out);
-  void (*col_to_row_w4)(const std::byte* cols, std::size_t n, std::byte* out);
-  void (*row_to_col_w8)(const std::byte* rows, std::size_t n, std::byte* out);
-  void (*col_to_row_w8)(const std::byte* cols, std::size_t n, std::byte* out);
 
   // --- 16-bit pair-frequency counting.
   // counts[(pairs[2i] << 8) | pairs[2i+1]] += 1 for i in [0, n_pairs).

@@ -5,11 +5,10 @@ namespace primacy::kernels {
 
 const KernelTable& ScalarTable() {
   static constexpr KernelTable kTable = {
-      scalar::SplitW8H2,    scalar::MergeW8H2,    scalar::SplitW4H2,
-      scalar::MergeW4H2,    scalar::RowToColW<2>, scalar::ColToRowW<2>,
-      scalar::RowToColW<4>, scalar::ColToRowW<4>, scalar::RowToColW<8>,
-      scalar::ColToRowW<8>, scalar::CountPairs,   scalar::MapIds16,
-      scalar::UnmapIds16,   scalar::HistogramStride,
+      scalar::SplitW8H2,  scalar::MergeW8H2,  scalar::SplitW4H2,
+      scalar::MergeW4H2,  scalar::RowToColW2, scalar::ColToRowW2,
+      scalar::CountPairs, scalar::MapIds16,   scalar::UnmapIds16,
+      scalar::HistogramStride,
   };
   return kTable;
 }

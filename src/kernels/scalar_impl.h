@@ -44,19 +44,17 @@ inline void MergeW4H2(const std::byte* high, const std::byte* low,
   }
 }
 
-template <std::size_t W>
-inline void RowToColW(const std::byte* rows, std::size_t n, std::byte* out) {
-  for (std::size_t c = 0; c < W; ++c) {
+inline void RowToColW2(const std::byte* rows, std::size_t n, std::byte* out) {
+  for (std::size_t c = 0; c < 2; ++c) {
     std::byte* dst = out + c * n;
-    for (std::size_t i = 0; i < n; ++i) dst[i] = rows[i * W + c];
+    for (std::size_t i = 0; i < n; ++i) dst[i] = rows[i * 2 + c];
   }
 }
 
-template <std::size_t W>
-inline void ColToRowW(const std::byte* cols, std::size_t n, std::byte* out) {
-  for (std::size_t c = 0; c < W; ++c) {
+inline void ColToRowW2(const std::byte* cols, std::size_t n, std::byte* out) {
+  for (std::size_t c = 0; c < 2; ++c) {
     const std::byte* src = cols + c * n;
-    for (std::size_t i = 0; i < n; ++i) out[i * W + c] = src[i];
+    for (std::size_t i = 0; i < n; ++i) out[i * 2 + c] = src[i];
   }
 }
 

@@ -26,7 +26,7 @@ enum class Stage : std::uint8_t {
   kSolver,      // solver codec over the ID bytes
   kIsobar,      // ISOBAR partition compress/decompress of the mantissa
   kChecksum,    // XXH64 verification (v3 decode paths)
-  kMerge,       // decode-side fused high/low merge to native layout
+  kMerge,       // decode-side merge kernel + byteswap to native layout
   kSerialize,   // record framing: varints, blocks, index serialization
 };
 inline constexpr std::size_t kStageCount = 8;

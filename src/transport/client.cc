@@ -46,6 +46,22 @@ bool IsRetryableStatus(WireStatus status) {
   }
 }
 
+/// Statuses the service returns for one request on a healthy connection
+/// (the wire block that mirrors service::ServiceStatus). Everything else is
+/// a transport-block status, sent on a connection the server then closes.
+bool IsPerRequestStatus(WireStatus status) {
+  switch (status) {
+    case WireStatus::kRejectedQuota:
+    case WireStatus::kRejectedInflight:
+    case WireStatus::kCancelled:
+    case WireStatus::kError:
+    case WireStatus::kShuttingDown:
+      return true;
+    default:
+      return false;
+  }
+}
+
 std::uint64_t SplitMix64(std::uint64_t& state) {
   state += 0x9E3779B97F4A7C15ull;
   std::uint64_t z = state;
@@ -225,14 +241,11 @@ TransportClient::AttemptOutcome TransportClient::ExecuteOnce(
     outcome.result.status = err.status;
     outcome.result.retry_after_ns = err.retry_after_ns;
     outcome.result.error = err.message;
-    // The server closes after connection-scoped errors; only per-request
-    // rejections leave the stream reusable.
-    if (IsRetryableStatus(err.status) ||
-        err.status == WireStatus::kShuttingDown ||
-        err.status == WireStatus::kError ||
-        err.status == WireStatus::kCancelled) {
-      ReturnConnection(fd.Release());
-    }
+    // The server closes after connection-scoped errors (the transport
+    // block, kTooManyConnections included); only the service's per-request
+    // statuses leave the stream reusable, so a retry after any other status
+    // dials a fresh connection.
+    if (IsPerRequestStatus(err.status)) ReturnConnection(fd.Release());
     return outcome;
   }
   outcome.transport_failure = true;

@@ -1,246 +1,106 @@
 #include "util/byte_matrix.h"
 
 #include <bit>
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <version>
 
 #include "kernels/kernels.h"
 #include "util/error.h"
 
-#if defined(__cpp_lib_byteswap) && __cpp_lib_byteswap >= 202110L
-#define PRIMACY_BSWAP64(x) std::byteswap(x)
-#define PRIMACY_BSWAP32(x) std::byteswap(x)
-#else
-#define PRIMACY_BSWAP64(x) __builtin_bswap64(x)
-#define PRIMACY_BSWAP32(x) __builtin_bswap32(x)
-#endif
-
 namespace primacy {
 
 namespace {
 
-void RequireMultiple(std::size_t size, std::size_t width, const char* what) {
-  if (width == 0) throw InvalidArgumentError("byte_matrix: width must be > 0");
-  if (size % width != 0) {
-    throw InvalidArgumentError(std::string("byte_matrix: ") + what +
-                               " size is not a multiple of the element width");
+/// Element count of `size` bytes at `width` (8 or 4: the PRIMACY shapes).
+std::size_t RowCount(std::size_t size, std::size_t width, const char* what) {
+  if (width != 8 && width != 4) {
+    throw InvalidArgumentError(std::string(what) +
+                               ": element width must be 4 or 8");
   }
+  if (size % width != 0) {
+    throw InvalidArgumentError(std::string(what) +
+                               ": size is not a multiple of the element width");
+  }
+  return size / width;
 }
 
-/// Host bits of one element <-> big-endian byte significance. On the
-/// little-endian hosts we run on this is a byteswap; a big-endian host
-/// would memcpy straight through.
-inline std::uint64_t ToBigEndian64(std::uint64_t bits) {
-  if constexpr (std::endian::native == std::endian::big) return bits;
-  return PRIMACY_BSWAP64(bits);
-}
-inline std::uint32_t ToBigEndian32(std::uint32_t bits) {
-  if constexpr (std::endian::native == std::endian::big) return bits;
-  return PRIMACY_BSWAP32(bits);
+template <typename U>
+void ByteSwapEach(MutableByteSpan data) {
+  for (std::size_t offset = 0; offset < data.size(); offset += sizeof(U)) {
+    U bits;
+    std::memcpy(&bits, data.data() + offset, sizeof(U));
+#if defined(__cpp_lib_byteswap) && __cpp_lib_byteswap >= 202110L
+    bits = std::byteswap(bits);
+#else
+    if constexpr (sizeof(U) == 8) {
+      bits = __builtin_bswap64(bits);
+    } else {
+      bits = __builtin_bswap32(bits);
+    }
+#endif
+    std::memcpy(data.data() + offset, &bits, sizeof(U));
+  }
 }
 
 }  // namespace
 
-SplitBytes SplitHighLow(ByteSpan data, std::size_t width,
-                        std::size_t high_width) {
-  RequireMultiple(data.size(), width, "input");
-  if (high_width > width) {
-    throw InvalidArgumentError("SplitHighLow: high_width exceeds width");
+void SwapBigEndianRows(MutableByteSpan data, std::size_t width) {
+  RowCount(data.size(), width, "SwapBigEndianRows");
+  if constexpr (std::endian::native == std::endian::big) return;
+  if (width == 8) {
+    ByteSwapEach<std::uint64_t>(data);
+  } else {
+    ByteSwapEach<std::uint32_t>(data);
   }
-  const std::size_t n = data.size() / width;
-  const std::size_t low_width = width - high_width;
-  SplitBytes out;
-  out.high.resize(n * high_width);
-  out.low.resize(n * low_width);
-  // high_width 2 over widths 8 and 4 are the PRIMACY shapes (doubles and
-  // floats); anything else is a generic slow path kept for API completeness.
-  if (width == 8 && high_width == 2) {
-    kernels::Active().split_w8_h2(data.data(), n, out.high.data(),
-                                  out.low.data());
-    return out;
-  }
-  if (width == 4 && high_width == 2) {
-    kernels::Active().split_w4_h2(data.data(), n, out.high.data(),
-                                  out.low.data());
-    return out;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (high_width > 0) {
-      std::memcpy(out.high.data() + i * high_width, data.data() + i * width,
-                  high_width);
-    }
-    if (low_width > 0) {
-      std::memcpy(out.low.data() + i * low_width,
-                  data.data() + i * width + high_width, low_width);
-    }
-  }
-  return out;
-}
-
-Bytes MergeHighLow(ByteSpan high, ByteSpan low, std::size_t width,
-                   std::size_t high_width) {
-  if (high_width > width) {
-    throw InvalidArgumentError("MergeHighLow: high_width exceeds width");
-  }
-  const std::size_t low_width = width - high_width;
-  if (high_width > 0) RequireMultiple(high.size(), high_width, "high");
-  if (low_width > 0) RequireMultiple(low.size(), low_width, "low");
-  const std::size_t n =
-      high_width > 0 ? high.size() / high_width : low.size() / low_width;
-  if ((high_width > 0 && n != high.size() / high_width) ||
-      (low_width > 0 && n != low.size() / low_width)) {
-    throw InvalidArgumentError("MergeHighLow: inconsistent element counts");
-  }
-  Bytes out(n * width);
-  if (width == 8 && high_width == 2) {
-    kernels::Active().merge_w8_h2(high.data(), low.data(), n, out.data());
-    return out;
-  }
-  if (width == 4 && high_width == 2) {
-    kernels::Active().merge_w4_h2(high.data(), low.data(), n, out.data());
-    return out;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (high_width > 0) {
-      std::memcpy(out.data() + i * width, high.data() + i * high_width,
-                  high_width);
-    }
-    if (low_width > 0) {
-      std::memcpy(out.data() + i * width + high_width,
-                  low.data() + i * low_width, low_width);
-    }
-  }
-  return out;
-}
-
-Bytes RowToColumn(ByteSpan rows, std::size_t width) {
-  RequireMultiple(rows.size(), width, "input");
-  const std::size_t n = rows.size() / width;
-  Bytes out(rows.size());
-  const kernels::KernelTable& k = kernels::Active();
-  switch (width) {
-    case 2:
-      k.row_to_col_w2(rows.data(), n, out.data());
-      return out;
-    case 4:
-      k.row_to_col_w4(rows.data(), n, out.data());
-      return out;
-    case 8:
-      k.row_to_col_w8(rows.data(), n, out.data());
-      return out;
-    default:
-      break;
-  }
-  for (std::size_t col = 0; col < width; ++col) {
-    std::byte* dst = out.data() + col * n;
-    for (std::size_t i = 0; i < n; ++i) dst[i] = rows[i * width + col];
-  }
-  return out;
-}
-
-Bytes ColumnToRow(ByteSpan columns, std::size_t width) {
-  RequireMultiple(columns.size(), width, "input");
-  const std::size_t n = columns.size() / width;
-  Bytes out(columns.size());
-  const kernels::KernelTable& k = kernels::Active();
-  switch (width) {
-    case 2:
-      k.col_to_row_w2(columns.data(), n, out.data());
-      return out;
-    case 4:
-      k.col_to_row_w4(columns.data(), n, out.data());
-      return out;
-    case 8:
-      k.col_to_row_w8(columns.data(), n, out.data());
-      return out;
-    default:
-      break;
-  }
-  for (std::size_t col = 0; col < width; ++col) {
-    const std::byte* src = columns.data() + col * n;
-    for (std::size_t i = 0; i < n; ++i) out[i * width + col] = src[i];
-  }
-  return out;
-}
-
-Bytes ExtractColumn(ByteSpan rows, std::size_t width, std::size_t column) {
-  RequireMultiple(rows.size(), width, "input");
-  if (column >= width) {
-    throw InvalidArgumentError("ExtractColumn: column out of range");
-  }
-  const std::size_t n = rows.size() / width;
-  Bytes out(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = rows[i * width + column];
-  return out;
 }
 
 Bytes DoublesToBigEndianRows(std::span<const double> values) {
-  Bytes out(values.size() * 8);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const auto be = ToBigEndian64(std::bit_cast<std::uint64_t>(values[i]));
-    std::memcpy(out.data() + i * 8, &be, 8);
-  }
+  Bytes rows = ToBytes(AsBytes(values));
+  SwapBigEndianRows(rows, 8);
+  return rows;
+}
+
+SplitBytes SplitHighLow(ByteSpan rows, std::size_t width) {
+  const std::size_t n = RowCount(rows.size(), width, "SplitHighLow");
+  SplitBytes out;
+  out.high.resize(n * 2);
+  out.low.resize(n * (width - 2));
+  const kernels::KernelTable& k = kernels::Active();
+  (width == 8 ? k.split_w8_h2 : k.split_w4_h2)(rows.data(), n,
+                                                out.high.data(),
+                                                out.low.data());
   return out;
 }
 
-Bytes FloatsToBigEndianRows(std::span<const float> values) {
-  Bytes out(values.size() * 4);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const auto be = ToBigEndian32(std::bit_cast<std::uint32_t>(values[i]));
-    std::memcpy(out.data() + i * 4, &be, 4);
+void MergeHighLow(ByteSpan high, ByteSpan low, std::size_t width,
+                  MutableByteSpan out) {
+  const std::size_t n = RowCount(out.size(), width, "MergeHighLow");
+  if (high.size() != n * 2 || low.size() != n * (width - 2)) {
+    throw InvalidArgumentError("MergeHighLow: inconsistent element counts");
   }
+  const kernels::KernelTable& k = kernels::Active();
+  (width == 8 ? k.merge_w8_h2 : k.merge_w4_h2)(high.data(), low.data(), n,
+                                                out.data());
+}
+
+Bytes RowToColumn(ByteSpan rows) {
+  if (rows.size() % 2 != 0) {
+    throw InvalidArgumentError("RowToColumn: odd byte count");
+  }
+  Bytes out(rows.size());
+  kernels::Active().row_to_col_w2(rows.data(), rows.size() / 2, out.data());
   return out;
 }
 
-std::vector<float> BigEndianRowsToFloats(ByteSpan rows) {
-  RequireMultiple(rows.size(), 4, "input");
-  std::vector<float> out(rows.size() / 4);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    std::uint32_t be = 0;
-    std::memcpy(&be, rows.data() + i * 4, 4);
-    out[i] = std::bit_cast<float>(ToBigEndian32(be));
+Bytes ColumnToRow(ByteSpan columns) {
+  if (columns.size() % 2 != 0) {
+    throw InvalidArgumentError("ColumnToRow: odd byte count");
   }
-  return out;
-}
-
-Bytes ReverseElementBytes(ByteSpan data, std::size_t width) {
-  RequireMultiple(data.size(), width, "input");
-  Bytes out(data.size());
-  const std::size_t n = data.size() / width;
-  if (width == 8) {
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t bits;
-      std::memcpy(&bits, data.data() + i * 8, 8);
-      bits = PRIMACY_BSWAP64(bits);
-      std::memcpy(out.data() + i * 8, &bits, 8);
-    }
-    return out;
-  }
-  if (width == 4) {
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint32_t bits;
-      std::memcpy(&bits, data.data() + i * 4, 4);
-      bits = PRIMACY_BSWAP32(bits);
-      std::memcpy(out.data() + i * 4, &bits, 4);
-    }
-    return out;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t b = 0; b < width; ++b) {
-      out[i * width + b] = data[i * width + (width - 1 - b)];
-    }
-  }
-  return out;
-}
-
-std::vector<double> BigEndianRowsToDoubles(ByteSpan rows) {
-  RequireMultiple(rows.size(), 8, "input");
-  std::vector<double> out(rows.size() / 8);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    std::uint64_t be = 0;
-    std::memcpy(&be, rows.data() + i * 8, 8);
-    out[i] = std::bit_cast<double>(ToBigEndian64(be));
-  }
+  Bytes out(columns.size());
+  kernels::Active().col_to_row_w2(columns.data(), columns.size() / 2,
+                                  out.data());
   return out;
 }
 

@@ -1,63 +1,50 @@
-// Row/column views over the N x W byte matrix of a chunk of fixed-width
-// elements (W = 8 for doubles), plus the high/low split and the row<->column
-// linearization transforms PRIMACY depends on (paper Sections II-B, II-D).
+// The byte-matrix transforms of PRIMACY's preconditioner (paper Sections
+// II-B, II-D) on the N x W byte matrix of a chunk of fixed-width elements
+// (W = 8 for doubles, 4 for floats).
 //
 // All transforms are expressed on flat byte buffers:
 //  * row linearization   : element 0 bytes, element 1 bytes, ... (memory order)
 //  * column linearization: byte-column 0 of every element, then column 1, ...
+//
+// Each one is a single call into the dispatched kernel table
+// (kernels/kernels.h) or a single in-place byteswap.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
+#include <span>
 
 #include "util/bytes.h"
 
 namespace primacy {
 
-/// Splits row-linearized `data` (N elements of `width` bytes each, big-endian
-/// byte significance: byte 0 is the most significant) into the leading
-/// `high_width` byte-columns and the remaining columns.
-///
-/// Outputs are row-linearized: `high` holds N * high_width bytes laid out as
-/// [elem0 high bytes][elem1 high bytes]..., `low` likewise.
+/// Swaps a packed array of width-4 or width-8 elements between native
+/// layout and *big-endian byte significance* rows, in place: afterwards byte
+/// 0 of each row is the sign/exponent byte, matching the paper's "first 2
+/// bytes hold the exponent" framing regardless of host endianness. The swap
+/// is its own inverse; on a big-endian host the two layouts coincide and it
+/// does nothing.
+void SwapBigEndianRows(MutableByteSpan data, std::size_t width);
+
+/// Copies native doubles into big-endian rows (SwapBigEndianRows at width 8).
+Bytes DoublesToBigEndianRows(std::span<const double> values);
+
+/// Splits big-endian rows (N elements of `width` bytes, `width` 8 or 4) into
+/// the 2-byte high pair of each element and its remaining low bytes. Both
+/// outputs are row-linearized: `high` holds N * 2 bytes laid out as
+/// [elem0 high pair][elem1 high pair]..., `low` holds N * (width - 2).
 struct SplitBytes {
   Bytes high;
   Bytes low;
 };
-SplitBytes SplitHighLow(ByteSpan data, std::size_t width,
-                        std::size_t high_width);
+SplitBytes SplitHighLow(ByteSpan rows, std::size_t width);
 
-/// Inverse of SplitHighLow.
-Bytes MergeHighLow(ByteSpan high, ByteSpan low, std::size_t width,
-                   std::size_t high_width);
+/// Inverse of SplitHighLow, written into `out` (N * width bytes).
+void MergeHighLow(ByteSpan high, ByteSpan low, std::size_t width,
+                  MutableByteSpan out);
 
-/// Transpose a row-linearized N x width matrix into column linearization
-/// (and back: the transform with swapped arguments is its own inverse).
-Bytes RowToColumn(ByteSpan rows, std::size_t width);
-Bytes ColumnToRow(ByteSpan columns, std::size_t width);
-
-/// Extract a single byte-column (0 = first byte of each element) from a
-/// row-linearized matrix.
-Bytes ExtractColumn(ByteSpan rows, std::size_t width, std::size_t column);
-
-/// Converts native doubles to a row-linearized byte matrix in *big-endian
-/// byte significance* order: byte 0 of each row is the sign/exponent byte.
-/// This matches the paper's "first 2 bytes hold the exponent" framing
-/// regardless of host endianness.
-Bytes DoublesToBigEndianRows(std::span<const double> values);
-
-/// Inverse of DoublesToBigEndianRows.
-std::vector<double> BigEndianRowsToDoubles(ByteSpan rows);
-
-/// Single-precision counterparts (width 4; byte 0 carries sign + most of the
-/// exponent).
-Bytes FloatsToBigEndianRows(std::span<const float> values);
-std::vector<float> BigEndianRowsToFloats(ByteSpan rows);
-
-/// Generic element-wise byte reversal for a packed array of fixed-width
-/// elements: converts a little-endian native layout into big-endian byte
-/// significance (and back — it is an involution). Width 8 matches
-/// DoublesToBigEndianRows; width 4 serves single-precision floats.
-Bytes ReverseElementBytes(ByteSpan data, std::size_t width);
+/// Transposes the row-linearized N x 2 ID matrix into column linearization
+/// (all first bytes, then all second bytes); ColumnToRow inverts it.
+Bytes RowToColumn(ByteSpan rows);
+Bytes ColumnToRow(ByteSpan columns);
 
 }  // namespace primacy

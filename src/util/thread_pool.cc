@@ -134,27 +134,6 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelFor(std::size_t count,
-                             const std::function<void(std::size_t)>& fn) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    futures.push_back(Submit([&fn, i] { fn(i); }));
-  }
-  // Drain EVERY future before letting an exception escape: queued tasks
-  // reference `fn`, which lives in the caller's frame — returning early
-  // would leave workers calling through a dangling reference.
-  std::exception_ptr first_error;
-  for (auto& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 bool ThreadPool::RunOneTask() {
   std::function<void()> task;
   {

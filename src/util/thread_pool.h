@@ -58,11 +58,6 @@ class ThreadPool {
     return result;
   }
 
-  /// Runs fn(i) for i in [0, count) across the pool and blocks until all
-  /// iterations finish. Rethrows the first task exception encountered.
-  void ParallelFor(std::size_t count,
-                   const std::function<void(std::size_t)>& fn);
-
   /// Runs fn(slot, i) for i in [0, count) across at most `max_slots`
   /// concurrent slots (0 = one per pool worker, plus the caller). Slot ids
   /// are dense in [0, effective_slots), so callers can keep per-slot state

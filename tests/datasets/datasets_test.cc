@@ -13,6 +13,14 @@
 namespace primacy {
 namespace {
 
+/// Byte-column `column` (0 = the sign/exponent byte) of big-endian doubles.
+Bytes ByteColumn(const std::vector<double>& values, std::size_t column) {
+  const Bytes rows = DoublesToBigEndianRows(values);
+  Bytes out(values.size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = rows[i * 8 + column];
+  return out;
+}
+
 TEST(DatasetsTest, ExactlyTwentyProfilesInTableOrder) {
   const auto& all = AllDatasets();
   ASSERT_EQ(all.size(), 20u);
@@ -78,18 +86,16 @@ TEST_P(DatasetDistribution, MantissaTailIsHighEntropy) {
     GTEST_SKIP() << "sppm is intentionally easy to compress";
   }
   const auto values = GenerateDataset(spec, 50000);
-  const Bytes rows = DoublesToBigEndianRows(values);
   // Last mantissa byte: essentially uniform noise for hard datasets.
-  const Bytes last = ExtractColumn(rows, 8, 7);
+  const Bytes last = ByteColumn(values, 7);
   EXPECT_GT(ByteEntropyBits(last), 6.0) << spec.name;
 }
 
 TEST_P(DatasetDistribution, ExponentBytesLowerEntropyThanMantissa) {
   const auto& spec = AllDatasets()[static_cast<std::size_t>(GetParam())];
   const auto values = GenerateDataset(spec, 50000);
-  const Bytes rows = DoublesToBigEndianRows(values);
-  const Bytes exponent = ExtractColumn(rows, 8, 0);
-  const Bytes deep_mantissa = ExtractColumn(rows, 8, 6);
+  const Bytes exponent = ByteColumn(values, 0);
+  const Bytes deep_mantissa = ByteColumn(values, 6);
   EXPECT_LT(ByteEntropyBits(exponent), ByteEntropyBits(deep_mantissa) + 0.5)
       << spec.name;
 }

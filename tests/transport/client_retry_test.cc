@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -136,14 +137,17 @@ TEST(TransportRetry, SingleAttemptPolicyNeverWaits) {
 }
 
 // ---------------------------------------------------------------------------
-// Idempotency discipline against a half-open peer: a fake server that reads
-// the request and closes the connection without replying, making every
-// attempt an ambiguous transport failure *after* bytes were sent.
+// Scripted peers: a fake server that accepts connections one at a time and
+// hands each to a handler; the connection closes when the handler returns.
 
-class ReadThenCloseServer {
+class FakeServer {
  public:
-  ReadThenCloseServer() {
-    path_ = "/tmp/primacy_retry_rtc_" + std::to_string(::getpid()) + "_" +
+  /// `serve(index, fd, wake_fd)` runs once per accepted connection; `index`
+  /// counts connections from 0.
+  using Handler = std::function<void(std::uint64_t index, int fd, int wake_fd)>;
+
+  explicit FakeServer(Handler serve) : serve_(std::move(serve)) {
+    path_ = "/tmp/primacy_retry_fake_" + std::to_string(::getpid()) + "_" +
             std::to_string(++instance_counter_) + ".sock";
     std::string error;
     const int fd = ListenUnixSocket(path_, 8, &error);
@@ -153,7 +157,7 @@ class ReadThenCloseServer {
     thread_ = std::thread([this] { Serve(); });
   }
 
-  ~ReadThenCloseServer() {
+  ~FakeServer() {
     wake_.Wake();
     if (thread_.joinable()) thread_.join();
   }
@@ -165,7 +169,6 @@ class ReadThenCloseServer {
 
  private:
   void Serve() {
-    auto& clock = service::SystemServiceClock::Instance();
     for (;;) {
       int conn = -1;
       if (AcceptWithWake(listen_fd_.get(), wake_.read_fd(), &conn) !=
@@ -173,16 +176,13 @@ class ReadThenCloseServer {
         return;
       }
       UniqueFd conn_fd(conn);
-      connections_.fetch_add(1, std::memory_order_relaxed);
-      Bytes frame;
-      // Read the full request so the client has definitely "sent", then
-      // close without a reply (the UniqueFd destructor).
-      RecvFrame(conn_fd.get(), &frame, kMaxFrameBytes, clock,
-                5'000'000'000ull, 5'000'000'000ull, wake_.read_fd());
+      serve_(connections_.fetch_add(1, std::memory_order_relaxed),
+             conn_fd.get(), wake_.read_fd());
     }
   }
 
   static inline std::atomic<int> instance_counter_{0};
+  Handler serve_;
   std::string path_;
   UniqueFd listen_fd_;
   WakePipe wake_;
@@ -190,8 +190,32 @@ class ReadThenCloseServer {
   std::thread thread_;
 };
 
+constexpr std::uint64_t kFakeServerBudgetNs = 5'000'000'000ull;
+
+/// Reads one request frame off `fd`; false if none arrived.
+bool ReadRequest(int fd, int wake_fd, Bytes* frame) {
+  return RecvFrame(fd, frame, kMaxFrameBytes,
+                   service::SystemServiceClock::Instance(),
+                   kFakeServerBudgetNs, kFakeServerBudgetNs,
+                   wake_fd) == IoStatus::kOk;
+}
+
+void Reply(int fd, const Bytes& frame) {
+  SendFrame(fd, ByteSpan(frame),
+            IoDeadline::After(service::SystemServiceClock::Instance(),
+                              kFakeServerBudgetNs));
+}
+
+// Idempotency discipline against a half-open peer: the server reads the
+// request and closes the connection without replying, making every attempt
+// an ambiguous transport failure *after* bytes were sent.
+void ReadThenClose(std::uint64_t, int fd, int wake_fd) {
+  Bytes frame;
+  ReadRequest(fd, wake_fd, &frame);
+}
+
 TEST(TransportRetry, CompressIsNotRetriedAfterAmbiguousFailure) {
-  ReadThenCloseServer server;
+  FakeServer server(ReadThenClose);
   RecordingClock clock;
   TransportClient client(BaseOptions(clock, server.path()));
 
@@ -206,7 +230,7 @@ TEST(TransportRetry, CompressIsNotRetriedAfterAmbiguousFailure) {
 }
 
 TEST(TransportRetry, DecompressIsRetriedAfterAmbiguousFailure) {
-  ReadThenCloseServer server;
+  FakeServer server(ReadThenClose);
   RecordingClock clock;
   TransportClient client(BaseOptions(clock, server.path()));
 
@@ -217,6 +241,43 @@ TEST(TransportRetry, DecompressIsRetriedAfterAmbiguousFailure) {
   EXPECT_EQ(result.attempts, 4u);
   EXPECT_EQ(clock.waits_ns.size(), 3u);
   EXPECT_EQ(server.connections(), 4u);
+}
+
+TEST(TransportRetry, ConnectionLimitRefusalRetriesOnAFreshConnection) {
+  // The first connection is refused the way TransportServer refuses one
+  // past its cap: a connection-scoped kTooManyConnections error frame
+  // (request id 0), then a close. Later connections echo the payload back.
+  FakeServer server([](std::uint64_t index, int fd, int wake_fd) {
+    Bytes frame;
+    if (!ReadRequest(fd, wake_fd, &frame)) return;
+    if (index == 0) {
+      ErrorFrame refusal;
+      refusal.status = WireStatus::kTooManyConnections;
+      refusal.message = "connection limit reached";
+      Reply(fd, EncodeErrorFrame(refusal));
+      return;
+    }
+    const RequestFrame request = DecodeFrame(ByteSpan(frame)).request;
+    ResponseFrame response;
+    response.request_id = request.request_id;
+    response.op = request.op;
+    response.payload = request.payload;
+    Reply(fd, EncodeResponseFrame(response));
+  });
+  RecordingClock clock;
+  TransportClientOptions options = BaseOptions(clock, server.path());
+  options.retry.max_attempts = 2;
+  TransportClient client(std::move(options));
+
+  // The refusal asserts the request never ran, so even Compress retries, and
+  // the retry must dial a new connection: the refused one is closed.
+  const Bytes payload = BytesFromString("refused once, then served");
+  const TransportResult result = client.Compress("default", ByteSpan(payload));
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(result.attempts, 2u);
+  EXPECT_EQ(result.payload, payload);
+  EXPECT_EQ(client.ClientStats().connects, 2u);
+  EXPECT_EQ(server.connections(), 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -19,10 +20,10 @@ Bytes RandomBytes(std::size_t n, std::uint64_t seed) {
 }
 
 TEST(SplitHighLowTest, SplitsExpectedColumns) {
-  // Two elements of width 4: [0 1 2 3] [4 5 6 7], high width 2.
+  // Two elements of width 4: [0 1 2 3] [4 5 6 7].
   Bytes data(8);
   for (std::size_t i = 0; i < 8; ++i) data[i] = static_cast<std::byte>(i);
-  const SplitBytes split = SplitHighLow(data, 4, 2);
+  const SplitBytes split = SplitHighLow(data, 4);
   ASSERT_EQ(split.high.size(), 4u);
   ASSERT_EQ(split.low.size(), 4u);
   EXPECT_EQ(split.high, (Bytes{0_b, 1_b, 4_b, 5_b}));
@@ -30,51 +31,59 @@ TEST(SplitHighLowTest, SplitsExpectedColumns) {
 }
 
 TEST(SplitHighLowTest, MergeInvertsSplit) {
-  const Bytes data = RandomBytes(8 * 257, 1);
-  for (std::size_t high_width : {0u, 1u, 2u, 4u, 7u, 8u}) {
-    const SplitBytes split = SplitHighLow(data, 8, high_width);
-    EXPECT_EQ(MergeHighLow(split.high, split.low, 8, high_width), data)
-        << "high_width=" << high_width;
+  for (const std::size_t width : {4u, 8u}) {
+    for (const std::size_t n : {0u, 1u, 7u, 257u}) {
+      const Bytes data = RandomBytes(width * n, width + n);
+      const SplitBytes split = SplitHighLow(data, width);
+      ASSERT_EQ(split.high.size(), n * 2);
+      ASSERT_EQ(split.low.size(), n * (width - 2));
+      Bytes merged(data.size());
+      MergeHighLow(split.high, split.low, width, merged);
+      EXPECT_EQ(merged, data) << "width=" << width << " n=" << n;
+    }
   }
 }
 
 TEST(SplitHighLowTest, RejectsBadArguments) {
   const Bytes data = RandomBytes(16, 2);
-  EXPECT_THROW(SplitHighLow(data, 0, 0), InvalidArgumentError);
-  EXPECT_THROW(SplitHighLow(data, 5, 2), InvalidArgumentError);  // 16 % 5 != 0
-  EXPECT_THROW(SplitHighLow(data, 8, 9), InvalidArgumentError);
+  EXPECT_THROW(SplitHighLow(data, 0), InvalidArgumentError);
+  EXPECT_THROW(SplitHighLow(data, 2), InvalidArgumentError);
+  EXPECT_THROW(SplitHighLow(data, 16), InvalidArgumentError);
+  EXPECT_THROW(SplitHighLow(ByteSpan(data).first(12), 8),
+               InvalidArgumentError);  // 12 % 8 != 0
 }
 
 TEST(MergeHighLowTest, RejectsInconsistentCounts) {
   const Bytes high = RandomBytes(4, 3);  // 2 elements at width 2
   const Bytes low = RandomBytes(18, 4);  // 3 elements at width 6
-  EXPECT_THROW(MergeHighLow(high, low, 8, 2), InvalidArgumentError);
+  Bytes out(16);
+  EXPECT_THROW(MergeHighLow(high, low, 8, out), InvalidArgumentError);
+  out.resize(24);
+  EXPECT_THROW(MergeHighLow(high, low, 8, out), InvalidArgumentError);
+  EXPECT_THROW(MergeHighLow(high, ByteSpan(low).first(12), 6, out),
+               InvalidArgumentError);  // width 6 is not a PRIMACY shape
 }
 
 TEST(LinearizationTest, RowToColumnSmallExample) {
-  // Rows: [a b c] [d e f] -> Columns: [a d] [b e] [c f]
-  const Bytes rows{10_b, 11_b, 12_b, 20_b, 21_b, 22_b};
-  const Bytes expected{10_b, 20_b, 11_b, 21_b, 12_b, 22_b};
-  EXPECT_EQ(RowToColumn(rows, 3), expected);
+  // Rows: [a b] [c d] [e f] -> Columns: [a c e] [b d f]
+  const Bytes rows{10_b, 11_b, 20_b, 21_b, 30_b, 31_b};
+  const Bytes expected{10_b, 20_b, 30_b, 11_b, 21_b, 31_b};
+  EXPECT_EQ(RowToColumn(rows), expected);
+  EXPECT_EQ(ColumnToRow(expected), rows);
 }
 
 TEST(LinearizationTest, ColumnToRowInvertsRowToColumn) {
-  for (std::size_t width : {1u, 2u, 3u, 8u}) {
-    const Bytes rows = RandomBytes(width * 1000, width);
-    EXPECT_EQ(ColumnToRow(RowToColumn(rows, width), width), rows);
+  for (const std::size_t n : {1u, 31u, 1000u}) {
+    const Bytes rows = RandomBytes(2 * n, n);
+    EXPECT_EQ(ColumnToRow(RowToColumn(rows)), rows) << "n=" << n;
   }
+  EXPECT_THROW(RowToColumn(Bytes(3)), InvalidArgumentError);
+  EXPECT_THROW(ColumnToRow(Bytes(3)), InvalidArgumentError);
 }
 
 TEST(LinearizationTest, EmptyInputAllowed) {
-  EXPECT_TRUE(RowToColumn({}, 8).empty());
-  EXPECT_TRUE(ColumnToRow({}, 8).empty());
-}
-
-TEST(ExtractColumnTest, PullsSingleColumn) {
-  const Bytes rows{1_b, 2_b, 3_b, 4_b, 5_b, 6_b};
-  EXPECT_EQ(ExtractColumn(rows, 2, 0), (Bytes{1_b, 3_b, 5_b}));
-  EXPECT_EQ(ExtractColumn(rows, 2, 1), (Bytes{2_b, 4_b, 6_b}));
-  EXPECT_THROW(ExtractColumn(rows, 2, 2), InvalidArgumentError);
+  EXPECT_TRUE(RowToColumn({}).empty());
+  EXPECT_TRUE(ColumnToRow({}).empty());
 }
 
 TEST(DoubleConversionTest, BigEndianRowsPutExponentFirst) {
@@ -100,8 +109,9 @@ TEST(DoubleConversionTest, RoundTripsArbitraryDoubles) {
   values[4] = std::numeric_limits<double>::denorm_min();
   values[5] = std::numeric_limits<double>::max();
 
-  const Bytes rows = DoublesToBigEndianRows(values);
-  const std::vector<double> restored = BigEndianRowsToDoubles(rows);
+  Bytes rows = DoublesToBigEndianRows(values);
+  SwapBigEndianRows(rows, 8);
+  const std::vector<double> restored = FromBytes<double>(rows);
   ASSERT_EQ(restored.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(restored[i]),
@@ -113,13 +123,16 @@ TEST(DoubleConversionTest, RoundTripsArbitraryDoubles) {
 TEST(DoubleConversionTest, NaNPayloadPreservedBitExactly) {
   const auto nan_bits = std::uint64_t{0x7ff8dead0000beefULL};
   const std::vector<double> values{std::bit_cast<double>(nan_bits)};
-  const auto restored =
-      BigEndianRowsToDoubles(DoublesToBigEndianRows(values));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(restored[0]), nan_bits);
+  Bytes rows = DoublesToBigEndianRows(values);
+  SwapBigEndianRows(rows, 8);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(FromBytes<double>(rows)[0]),
+            nan_bits);
 }
 
 TEST(DoubleConversionTest, RejectsUnalignedInput) {
-  EXPECT_THROW(BigEndianRowsToDoubles(Bytes(7)), InvalidArgumentError);
+  Bytes rows(7);
+  EXPECT_THROW(SwapBigEndianRows(rows, 8), InvalidArgumentError);
+  EXPECT_THROW(SwapBigEndianRows(rows, 7), InvalidArgumentError);
 }
 
 }  // namespace

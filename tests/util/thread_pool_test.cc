@@ -77,28 +77,6 @@ TEST(ThreadPoolTest, ExceptionsPropagateThroughFuture) {
   EXPECT_THROW(future.get(), std::runtime_error);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(500);
-  pool.ParallelFor(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForZeroIterationsIsNoop) {
-  ThreadPool pool(2);
-  pool.ParallelFor(0, [](std::size_t) { FAIL() << "must not be called"; });
-}
-
-TEST(ThreadPoolTest, ParallelForPropagatesFirstException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.ParallelFor(10,
-                       [](std::size_t i) {
-                         if (i == 3) throw std::runtime_error("bad index");
-                       }),
-      std::runtime_error);
-}
-
 TEST(ThreadPoolTest, ParallelForSlotsCoversEveryIndexExactlyOnce) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(500);
