@@ -1,7 +1,9 @@
 // Kernel-layer bench: per-kernel GB/s for the scalar reference vs the AVX2
 // table where this machine can run it, plus the end-to-end per-stage encode
-// breakdown (StageTimer) with kernels forced to scalar vs dispatched.
+// breakdown (StageTimer) with kernels forced to scalar vs dispatched, as the
+// median and range of repeated passes in alternating order.
 // Emits BENCH_kernels.json.
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -160,53 +162,117 @@ void RunKernelSection(BenchReport& report) {
   }
 }
 
+/// Median and range of one quantity over repeated passes.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread SpreadOf(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const std::size_t mid = samples.size() / 2;
+  const double median = samples.size() % 2 == 1
+                            ? samples[mid]
+                            : (samples[mid - 1] + samples[mid]) / 2.0;
+  return {median, samples.front(), samples.back()};
+}
+
+/// `field` of every pass, as a Spread.
+Spread Over(const std::vector<PrimacyMeasurement>& passes,
+            const std::function<double(const PrimacyMeasurement&)>& field) {
+  std::vector<double> samples;
+  for (const PrimacyMeasurement& m : passes) samples.push_back(field(m));
+  return SpreadOf(std::move(samples));
+}
+
+/// Sets `key` to the median and `key`_min / `key`_max to the range.
+void SetSpread(BenchReport::Entry& entry, const std::string& key,
+               const Spread& spread) {
+  entry.Set(key, spread.median);
+  entry.Set(key + "_min", spread.min);
+  entry.Set(key + "_max", spread.max);
+}
+
 void RunStageSection(BenchReport& report) {
   // End-to-end encode with the same options the paper benches use; the
   // StageTimer breakdown inside the chunk pipeline attributes the win to
   // the stages the kernels rewired (split, frequency, id_map, isobar).
+  // Passes alternate the order (scalar, dispatched, dispatched, scalar,
+  // ...) so a slow stretch of the host falls on both sides, and each
+  // figure is the median over the passes with its min-max: one slow run
+  // must not read as an ISA effect.
   const std::vector<double>& values = DatasetValues("num_plasma");
-
-  if (!kernels::ForceIsa(Isa::kScalar)) {
-    throw InternalError("kernel_bench: cannot force scalar");
+  const int passes = Quick() ? 2 : 5;
+  std::vector<PrimacyMeasurement> scalar;
+  std::vector<PrimacyMeasurement> dispatched;
+  const auto measure = [&values](Isa isa,
+                                 std::vector<PrimacyMeasurement>& into) {
+    if (!kernels::ForceIsa(isa)) {
+      throw InternalError("kernel_bench: cannot force an ISA");
+    }
+    into.push_back(MeasurePrimacy(values));
+  };
+  for (int pass = 0; pass < passes; ++pass) {
+    if (pass % 2 == 0) {
+      measure(Isa::kScalar, scalar);
+      measure(BestIsa(), dispatched);
+    } else {
+      measure(BestIsa(), dispatched);
+      measure(Isa::kScalar, scalar);
+    }
   }
-  const PrimacyMeasurement before = MeasurePrimacy(values);
-  if (!kernels::ForceIsa(BestIsa())) {
-    throw InternalError("kernel_bench: cannot force best ISA");
-  }
-  const PrimacyMeasurement after = MeasurePrimacy(values);
 
-  std::printf("\n%-22s %14s %14s %10s   (encode stages, %s vs scalar)\n",
+  std::printf("\n%-12s %24s %24s %9s   (encode stages, %s vs scalar, "
+              "median [min-max] of %d passes)\n",
               "stage", "scalar ms", "dispatched ms", "speedup",
-              kernels::IsaName(BestIsa()));
+              kernels::IsaName(BestIsa()), passes);
   PrintRule();
   // Encode laps every stage but checksum and merge, which run on decode.
   using telemetry::Stage;
   for (const Stage stage : {Stage::kSplit, Stage::kFrequency, Stage::kIdMap,
                             Stage::kSolver, Stage::kIsobar,
                             Stage::kSerialize}) {
-    const double b = before.stats.stage.Seconds(stage);
-    const double a = after.stats.stage.Seconds(stage);
+    const auto seconds = [stage](const PrimacyMeasurement& m) {
+      return m.stats.stage.Seconds(stage);
+    };
+    const Spread b = Over(scalar, seconds);
+    const Spread a = Over(dispatched, seconds);
     BenchReport::Entry& entry =
         report.AddEntry(std::string("stage_") +
                         std::string(telemetry::StageName(stage)));
-    entry.Set("scalar_seconds", b);
-    entry.Set("dispatched_seconds", a);
-    entry.Set("speedup", a > 0.0 ? b / a : 0.0);
-    std::printf("%-22s %14.3f %14.3f %9.2fx\n",
-                std::string(telemetry::StageName(stage)).c_str(), b * 1e3,
-                a * 1e3, a > 0.0 ? b / a : 0.0);
+    SetSpread(entry, "scalar_seconds", b);
+    SetSpread(entry, "dispatched_seconds", a);
+    entry.Set("speedup", a.median > 0.0 ? b.median / a.median : 0.0);
+    entry.Set("passes", passes);
+    std::printf("%-12s %8.3f [%6.3f-%6.3f] %8.3f [%6.3f-%6.3f] %8.2fx\n",
+                std::string(telemetry::StageName(stage)).c_str(),
+                b.median * 1e3, b.min * 1e3, b.max * 1e3, a.median * 1e3,
+                a.min * 1e3, a.max * 1e3,
+                a.median > 0.0 ? b.median / a.median : 0.0);
   }
 
+  const auto compress = [](const PrimacyMeasurement& m) {
+    return m.CompressMBps();
+  };
+  const auto decompress = [](const PrimacyMeasurement& m) {
+    return m.DecompressMBps();
+  };
+  const Spread scalar_c = Over(scalar, compress);
+  const Spread dispatched_c = Over(dispatched, compress);
+  const Spread scalar_d = Over(scalar, decompress);
+  const Spread dispatched_d = Over(dispatched, decompress);
   BenchReport::Entry& totals = report.AddEntry("end_to_end");
-  totals.Set("scalar_compress_mbps", before.CompressMBps());
-  totals.Set("dispatched_compress_mbps", after.CompressMBps());
-  totals.Set("scalar_decompress_mbps", before.DecompressMBps());
-  totals.Set("dispatched_decompress_mbps", after.DecompressMBps());
+  SetSpread(totals, "scalar_compress_mbps", scalar_c);
+  SetSpread(totals, "dispatched_compress_mbps", dispatched_c);
+  SetSpread(totals, "scalar_decompress_mbps", scalar_d);
+  SetSpread(totals, "dispatched_decompress_mbps", dispatched_d);
   totals.Set("dispatched_isa", kernels::IsaName(BestIsa()));
-  std::printf("\nend-to-end compress  %8.1f -> %8.1f MB/s\n",
-              before.CompressMBps(), after.CompressMBps());
-  std::printf("end-to-end decompress %7.1f -> %8.1f MB/s\n",
-              before.DecompressMBps(), after.DecompressMBps());
+  totals.Set("passes", passes);
+  std::printf("\nend-to-end compress   %8.1f -> %8.1f MB/s (medians)\n",
+              scalar_c.median, dispatched_c.median);
+  std::printf("end-to-end decompress %8.1f -> %8.1f MB/s (medians)\n",
+              scalar_d.median, dispatched_d.median);
 }
 
 int Main(int argc, char** argv) {

@@ -2,7 +2,7 @@
 // lossless byte compressor. PRIMACY is a *preconditioner* — it rewrites data
 // so that any Codec implementing this interface compresses it better
 // (paper Section II-E). The pipeline calls CompressAdaptive, so a codec may
-// fit its parse to each call; Compress is the vanilla codec.
+// fit its parse to each byte column of a call; Compress is the vanilla codec.
 #pragma once
 
 #include <memory>
@@ -29,11 +29,16 @@ class Codec {
   virtual Bytes Compress(ByteSpan data) const = 0;
 
   /// Compresses `data` for one of PRIMACY's solver calls (the ID bytes and
-  /// ISOBAR's compressible columns). A codec may choose its strategy per
-  /// call from the data here, so the bytes may differ from Compress's;
-  /// Compress stays a fixed function of the codec's settings, which is what
-  /// the comparator rows measure. Decompress inverts both. Default: Compress.
-  virtual Bytes CompressAdaptive(ByteSpan data) const { return Compress(data); }
+  /// ISOBAR's compressible columns). `data` is a run of byte columns of
+  /// `column_bytes` each (0: one column), and a codec may choose its
+  /// strategy per column from the data here, so the bytes may differ from
+  /// Compress's; Compress stays a fixed function of the codec's settings,
+  /// which is what the comparator rows measure. Decompress inverts both.
+  /// Default: Compress, whatever the column length.
+  virtual Bytes CompressAdaptive(ByteSpan data,
+                                 std::size_t /*column_bytes*/) const {
+    return Compress(data);
+  }
 
   /// Exact inverse of Compress.
   virtual Bytes Decompress(ByteSpan data) const = 0;

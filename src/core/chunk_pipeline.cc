@@ -1,6 +1,10 @@
 #include "core/chunk_pipeline.h"
 
+#include <algorithm>
+#include <array>
 #include <limits>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bitstream/byte_io.h"
@@ -54,6 +58,30 @@ double FrequencyCorrelation(const PairFrequency& a, const PairFrequency& b) {
   std::vector<std::uint64_t> va(a.counts.begin(), a.counts.end());
   std::vector<std::uint64_t> vb(b.counts.begin(), b.counts.end());
   return PearsonCorrelation(va, vb);
+}
+
+/// TopByteFrequency of a chunk's high bytes and of its ID bytes, from its
+/// pair counts instead of two passes over the bytes: each sequence that
+/// occurs counts toward both of its bytes, and toward both bytes of its ID.
+/// The index maps every sequence that occurs, so its ID list covers them.
+std::pair<double, double> TopByteFrequencies(const PairFrequency& freq,
+                                             const IdIndex& index,
+                                             std::size_t elements) {
+  std::array<std::uint64_t, 256> before{};
+  std::array<std::uint64_t, 256> after{};
+  for (std::size_t id = 0; id < index.size(); ++id) {
+    const std::uint16_t sequence = index.SequenceOf(id);
+    const std::uint64_t n = freq.counts[sequence];
+    before[sequence >> 8] += n;
+    before[sequence & 0xff] += n;
+    after[id >> 8] += n;
+    after[id & 0xff] += n;
+  }
+  const auto top = [elements](const std::array<std::uint64_t, 256>& bins) {
+    return static_cast<double>(*std::max_element(bins.begin(), bins.end())) /
+           static_cast<double>(elements * kHighWidth);
+  };
+  return {top(before), top(after)};
 }
 
 }  // namespace
@@ -117,12 +145,17 @@ ChunkRecordStats ChunkEncoder::EncodeChunk(ByteSpan chunk, Bytes& out) {
   if (!prev_freq_.has_value()) prev_freq_.emplace();
   std::swap(prev_freq_->counts, freq_scratch_.counts);
   const IdIndex& index = *prev_index_;
+  std::tie(stats.top_byte_frequency_before, stats.top_byte_frequency_after) =
+      TopByteFrequencies(*prev_freq_, index, count);
   timer.Lap(telemetry::Stage::kIdMap);
 
   // 3-4. ID mapping, linearization, solver compression.
   const Bytes id_bytes = MapToIds(split.high, index, options_.linearization);
   timer.Lap(telemetry::Stage::kSolver);
-  const Bytes id_compressed = solver_.CompressAdaptive(id_bytes);
+  // Column linearization hands the solver two columns: the high ID bytes,
+  // then the low ones.
+  const Bytes id_compressed = solver_.CompressAdaptive(
+      id_bytes, options_.linearization == Linearization::kColumn ? count : 0);
   timer.Lap(telemetry::Stage::kIsobar);
 
   // 5. ISOBAR on the mantissa matrix.
@@ -161,8 +194,6 @@ ChunkRecordStats ChunkEncoder::EncodeChunk(ByteSpan chunk, Bytes& out) {
   stats.mantissa_stream_bytes = mantissa.stream.size();
   stats.mantissa_raw_bytes = mantissa.raw_bytes;
   stats.compressible_fraction = mantissa.plan.CompressibleFraction();
-  stats.top_byte_frequency_before = TopByteFrequency(split.high);
-  stats.top_byte_frequency_after = TopByteFrequency(id_bytes);
   stats.stage = timer.Commit();
 
   PipelineMetrics& metrics = PipelineMetrics::Get();

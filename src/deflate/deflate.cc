@@ -151,23 +151,52 @@ Bytes StoredIfExpanded(Bytes out, ByteSpan data) {
   return stored;
 }
 
-Bytes CompressLz(ByteSpan data, const LzParams& params) {
-  Bytes out;
-  PutVarint(out, data.size());
-  if (data.empty()) return out;
-
-  const std::vector<LzToken> tokens = LzParse(data, params);
+/// Appends the blocks of an LZ parse of data[start, end), with
+/// data[0, start) as the match history, kTokensPerBlock tokens per block.
+void PutLzBlocks(Bytes& out, ByteSpan data, std::size_t start,
+                 const LzParams& params) {
+  const std::vector<LzToken> tokens = LzParse(data, params, start);
   for (std::size_t begin = 0; begin < tokens.size();
        begin += kTokensPerBlock) {
     const std::size_t count =
         std::min(kTokensPerBlock, tokens.size() - begin);
     EncodeBlock(out, std::span(tokens).subspan(begin, count));
   }
+}
+
+/// Appends literal-only blocks coding `data`, zlib's Z_HUFFMAN_ONLY. The
+/// parse of LzParams{0, 3, false} is all literals, so each block codes
+/// kTokensPerBlock bytes; this goes from each block's byte histogram to code
+/// lengths to bits, with no parse and no token vector.
+void PutLiteralBlocks(Bytes& out, ByteSpan data) {
+  const std::vector<std::uint8_t> no_distances(kNumDistCodes, 0);
+  for (std::size_t begin = 0; begin < data.size(); begin += kTokensPerBlock) {
+    const ByteSpan block =
+        data.subspan(begin, std::min(kTokensPerBlock, data.size() - begin));
+    std::vector<std::uint64_t> freq(kLitLenAlphabet, 0);
+    for (const std::byte b : block) ++freq[std::to_integer<std::size_t>(b)];
+    const auto lengths = BuildCodeLengths(freq);
+    const HuffmanEncoder encoder(lengths);
+    BitWriter writer;
+    for (const std::byte b : block) {
+      encoder.Encode(writer, std::to_integer<std::size_t>(b));
+    }
+    PutHuffmanBlock(out, block.size(), lengths, no_distances,
+                    writer.Finish());
+  }
+}
+
+Bytes CompressLz(ByteSpan data, const LzParams& params) {
+  Bytes out;
+  PutVarint(out, data.size());
+  PutLzBlocks(out, data, 0, params);
   return StoredIfExpanded(std::move(out), data);
 }
 
-/// Sample the LZ-or-literal probe reads: up to kProbeWindows evenly spaced
-/// windows of kProbeWindow bytes, or the whole input when it fits in them.
+/// Sample the LZ-or-literal probe reads of a range: up to kProbeWindows
+/// evenly spaced windows of kProbeWindow bytes, or the whole range when it
+/// fits in them. A column gets a probe of its own only when it fills at
+/// least one window.
 constexpr std::size_t kProbeWindow = 16 * 1024;
 constexpr std::size_t kProbeWindows = 4;
 
@@ -179,14 +208,15 @@ std::uint64_t CodedBits(std::span<const std::uint64_t> freq) {
   return bits;
 }
 
-/// Whether an LZ parse codes `data` in fewer payload bits than literal-only
-/// Huffman, estimated on the probe sample: each window gets an
-/// LzParams::Fast() parse and a byte histogram, each priced by its own
-/// symbol statistics, as the encoder codes each block with its own tables.
-/// The parse sees up to kLzWindowSize bytes before its window as history, so
-/// it can reach every repeat the full parse can. The fast parse finds fewer
-/// matches than the full one, and a tie goes to literals, the cheaper path.
-bool LzPays(ByteSpan data) {
+/// Whether an LZ parse codes data[first, first + count) in fewer payload
+/// bits than literal-only Huffman, estimated on the probe sample of that
+/// range: each window gets an LzParams::Fast() parse and a byte histogram,
+/// each priced by its own symbol statistics, as the encoder codes each block
+/// with its own tables. The parse sees up to kLzWindowSize bytes before its
+/// window as history, earlier columns included, so it can reach every repeat
+/// the full parse can. The fast parse finds fewer matches than the full one,
+/// and a tie goes to literals, the cheaper path.
+bool LzPays(ByteSpan data, std::size_t first, std::size_t count) {
   std::uint64_t lz_bits = 0;
   std::uint64_t literal_bits = 0;
   const auto price = [&](std::size_t begin, std::size_t size) {
@@ -201,13 +231,12 @@ bool LzPays(ByteSpan data) {
                    LzParams::Fast(), history));
     lz_bits += CodedBits(lz.litlen) + CodedBits(lz.dist) + lz.extra_bits;
   };
-  if (data.size() <= kProbeWindows * kProbeWindow) {
-    price(0, data.size());
+  if (count <= kProbeWindows * kProbeWindow) {
+    price(first, count);
   } else {
-    const std::size_t stride =
-        (data.size() - kProbeWindow) / (kProbeWindows - 1);
+    const std::size_t stride = (count - kProbeWindow) / (kProbeWindows - 1);
     for (std::size_t i = 0; i < kProbeWindows; ++i) {
-      price(i * stride, kProbeWindow);
+      price(first + i * stride, kProbeWindow);
     }
   }
   return lz_bits < literal_bits;
@@ -218,7 +247,6 @@ Bytes DecompressImpl(ByteSpan data) {
   const std::uint64_t original_size = reader.GetVarint();
   Bytes out;
   out.reserve(std::min<std::uint64_t>(original_size, 1u << 26));
-  std::vector<LzToken> tokens;
 
   while (out.size() < original_size) {
     if (reader.AtEnd()) {
@@ -297,31 +325,47 @@ Bytes DeflateCodec::Compress(ByteSpan data) const {
   return CompressLz(data, params_);
 }
 
-Bytes DeflateCodec::CompressAdaptive(ByteSpan data) const {
-  return LzPays(data) ? CompressLz(data, params_) : CompressLiterals(data);
+Bytes DeflateCodec::CompressAdaptive(ByteSpan data,
+                                     std::size_t column_bytes) const {
+  if (column_bytes != 0 && data.size() % column_bytes != 0) {
+    throw InvalidArgumentError(
+        "DeflateCodec: column_bytes does not divide the input");
+  }
+  // A column shorter than one probe window gets no decision of its own: its
+  // blocks would each pay their own code-length tables, where one whole-call
+  // LZ parse shares them.
+  const std::size_t column =
+      column_bytes < kProbeWindow ? data.size() : column_bytes;
+  std::vector<bool> lz;
+  for (std::size_t first = 0; first < data.size(); first += column) {
+    lz.push_back(LzPays(data, first, column));
+  }
+
+  // Each run of columns that made the same choice is one parse or one block
+  // run, so a call whose columns agree writes its whole-call path's bytes.
+  Bytes out;
+  PutVarint(out, data.size());
+  for (std::size_t c = 0; c < lz.size();) {
+    std::size_t end = c + 1;
+    while (end < lz.size() && lz[end] == lz[c]) ++end;
+    const std::size_t begin = c * column;
+    const std::size_t size = (end - c) * column;
+    if (lz[c]) {
+      const std::size_t history = std::min(begin, kLzWindowSize);
+      PutLzBlocks(out, data.subspan(begin - history, history + size), history,
+                  params_);
+    } else {
+      PutLiteralBlocks(out, data.subspan(begin, size));
+    }
+    c = end;
+  }
+  return StoredIfExpanded(std::move(out), data);
 }
 
-// zlib's Z_HUFFMAN_ONLY. The parse of LzParams{0, 3, false} is all literals,
-// so each block codes kTokensPerBlock bytes; this goes from each block's
-// byte histogram to code lengths to bits, with no parse and no token vector.
 Bytes DeflateCodec::CompressLiterals(ByteSpan data) {
   Bytes out;
   PutVarint(out, data.size());
-  const std::vector<std::uint8_t> no_distances(kNumDistCodes, 0);
-  for (std::size_t begin = 0; begin < data.size(); begin += kTokensPerBlock) {
-    const ByteSpan block =
-        data.subspan(begin, std::min(kTokensPerBlock, data.size() - begin));
-    std::vector<std::uint64_t> freq(kLitLenAlphabet, 0);
-    for (const std::byte b : block) ++freq[std::to_integer<std::size_t>(b)];
-    const auto lengths = BuildCodeLengths(freq);
-    const HuffmanEncoder encoder(lengths);
-    BitWriter writer;
-    for (const std::byte b : block) {
-      encoder.Encode(writer, std::to_integer<std::size_t>(b));
-    }
-    PutHuffmanBlock(out, block.size(), lengths, no_distances,
-                    writer.Finish());
-  }
+  PutLiteralBlocks(out, data);
   return StoredIfExpanded(std::move(out), data);
 }
 

@@ -5,10 +5,13 @@
 //
 // Compress always runs the LZ parse of the codec's LzParams: it is the
 // vanilla comparator (zlib -6 for the defaults). DeflateCodec's
-// CompressAdaptive, which PRIMACY's solver calls use, first probes a sample
-// and takes literal-only Huffman (zlib's Z_HUFFMAN_ONLY) where the parse
-// would not pay, as on noisy mantissa columns. Both write the same
-// container, and Decompress reads either.
+// CompressAdaptive, which PRIMACY's solver calls use, probes a sample of each
+// byte column and takes literal-only Huffman (zlib's Z_HUFFMAN_ONLY) where
+// the parse would not pay, as on noisy mantissa columns and the rank column
+// of the ID bytes. Where columns disagree, one call's blocks switch between
+// the two at column boundaries, and an LZ column's matches may reach back
+// into the columns before it. Both write the same container, and Decompress
+// reads either.
 //
 // The container format is our own (not RFC 1950/1951 compatible):
 //   varint original_size, then blocks:
@@ -38,7 +41,13 @@ class DeflateCodec final : public Codec {
 
   std::string_view name() const override { return name_; }
   Bytes Compress(ByteSpan data) const override;
-  Bytes CompressAdaptive(ByteSpan data) const override;
+  /// One decision per column of at least 16 KiB (one probe window); a call
+  /// with shorter columns, or with `column_bytes` 0, decides once. Columns
+  /// that all agree give the whole-call bytes of Compress or
+  /// CompressLiterals. Throws InvalidArgumentError if a nonzero
+  /// `column_bytes` does not divide `data.size()`.
+  Bytes CompressAdaptive(ByteSpan data,
+                         std::size_t column_bytes) const override;
   Bytes Decompress(ByteSpan data) const override;
 
   /// Literal-only Huffman, the path CompressAdaptive takes where LZ does

@@ -16,20 +16,23 @@ IsobarCompressed IsobarCompress(ByteSpan rows, std::size_t width,
     throw InvalidArgumentError("IsobarCompress: bad matrix shape");
   }
 
-  // Gather compressible columns (column-linearized) and raw columns.
-  Bytes compressible;
-  Bytes raw;
-  for (const ColumnAnalysis& col : plan.columns) {
-    Bytes column(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      column[i] = rows[i * width + col.column];
+  // Gather compressible columns (column-linearized) and raw columns, each
+  // column straight into its place: the inverse of the decoder's scatter.
+  const auto gather = [&](const std::vector<std::size_t>& columns) {
+    Bytes out(columns.size() * n);
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      for (std::size_t i = 0; i < n; ++i) {
+        out[c * n + i] = rows[i * width + columns[c]];
+      }
     }
-    AppendBytes(col.compressible ? compressible : raw, column);
-  }
+    return out;
+  };
+  const Bytes compressible = gather(plan.CompressibleColumns());
+  const Bytes raw = gather(plan.IncompressibleColumns());
 
   IsobarCompressed result;
   result.plan = plan;
-  const Bytes solved = solver.CompressAdaptive(compressible);
+  const Bytes solved = solver.CompressAdaptive(compressible, n);
   result.compressed_bytes = solved.size();
   result.raw_bytes = raw.size();
 

@@ -20,8 +20,9 @@ struct IsobarCompressed {
 };
 
 /// Compresses a row-linearized `width`-byte element matrix under `plan`
-/// using `solver`'s CompressAdaptive. The returned stream is
-/// self-describing.
+/// using `solver`'s CompressAdaptive, which gets the compressible columns
+/// one after another and the element count as their column length. The
+/// returned stream is self-describing.
 IsobarCompressed IsobarCompress(ByteSpan rows, std::size_t width,
                                 const IsobarPlan& plan, const Codec& solver);
 

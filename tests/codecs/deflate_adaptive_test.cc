@@ -1,10 +1,12 @@
 // The deflate codecs' two compress paths. Compress is the vanilla codec,
 // the comparator of Table III and Figure 4, so its bytes are pinned to
 // digests recorded before CompressAdaptive existed. CompressAdaptive, which
-// PRIMACY's solver calls use, picks LZ or literal-only Huffman per call;
+// PRIMACY's solver calls use, picks LZ or literal-only Huffman per byte
+// column of at least one 16 KiB probe window, and once per call below that;
 // both write the one container Decompress reads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "datasets/datasets.h"
 #include "deflate/deflate.h"
 #include "util/checksum.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace primacy {
@@ -180,45 +183,79 @@ TEST(DeflateLiteralTest, IncompressibleInputFallsBackToStored) {
 }
 
 /// Records the inputs of PRIMACY's solver calls: the ID bytes, then the
-/// compressible mantissa columns, of each chunk.
+/// compressible mantissa columns, of each chunk, each with the column length
+/// its caller passed.
+struct SolverCall {
+  Bytes data;
+  std::size_t column_bytes = 0;
+};
+
 class RecordingSolver final : public Codec {
  public:
   std::string_view name() const override { return "deflate"; }
   Bytes Compress(ByteSpan data) const override { return inner_.Compress(data); }
-  Bytes CompressAdaptive(ByteSpan data) const override {
-    calls_.push_back(ToBytes(data));
-    return inner_.CompressAdaptive(data);
+  Bytes CompressAdaptive(ByteSpan data,
+                         std::size_t column_bytes) const override {
+    calls_.push_back({ToBytes(data), column_bytes});
+    return inner_.CompressAdaptive(data, column_bytes);
   }
   Bytes Decompress(ByteSpan data) const override {
     return inner_.Decompress(data);
   }
-  const std::vector<Bytes>& calls() const { return calls_; }
+  const std::vector<SolverCall>& calls() const { return calls_; }
 
  private:
   DeflateCodec inner_;
-  mutable std::vector<Bytes> calls_;
+  mutable std::vector<SolverCall> calls_;
 };
 
 /// {ID bytes, mantissa columns} of one 64 Ki-element chunk of `dataset`.
-std::vector<Bytes> SolverCalls(const std::string& dataset) {
+std::vector<SolverCall> SolverCalls(const std::string& dataset,
+                                    const PrimacyOptions& options = {}) {
   const std::vector<double> values = GenerateDatasetByName(dataset, 1u << 16);
   RecordingSolver solver;
-  ChunkEncoder encoder(PrimacyOptions{}, solver);
+  ChunkEncoder encoder(options, solver);
   Bytes record;
   encoder.EncodeChunk(AsBytes(values), record);
   return solver.calls();
 }
 
+TEST(DeflateColumnTest, CallersPassTheirColumnLength) {
+  constexpr std::size_t kElements = 1u << 16;
+  for (const Linearization linearization :
+       {Linearization::kColumn, Linearization::kRow}) {
+    PrimacyOptions options;
+    options.linearization = linearization;
+    const std::vector<SolverCall> calls = SolverCalls("num_plasma", options);
+    ASSERT_EQ(calls.size(), 2u);
+    // The ID bytes: two columns of one byte per element, or one row-major
+    // call that decides once.
+    EXPECT_EQ(calls[0].data.size(), 2 * kElements);
+    EXPECT_EQ(calls[0].column_bytes,
+              linearization == Linearization::kColumn ? kElements : 0u);
+    // ISOBAR's compressible columns hold one byte per element.
+    EXPECT_EQ(calls[1].column_bytes, kElements);
+    EXPECT_EQ(calls[1].data.size() % kElements, 0u);
+  }
+}
+
+/// `encoded` without its leading original-size varint: its blocks.
+ByteSpan Blocks(const Bytes& encoded) {
+  ByteReader reader(encoded);
+  reader.GetVarint();
+  return ByteSpan(encoded).subspan(reader.Offset());
+}
+
 enum class Parse { kLz, kLiteral };
 
-/// Which parse CompressAdaptive took on `input`, checking that its output
-/// is exactly that path's and round-trips.
-Parse ChosenParse(ByteSpan input) {
+/// Which parse CompressAdaptive took for every column of `call`, checking
+/// that its output is exactly that whole-call path's and round-trips.
+Parse ChosenParse(const SolverCall& call) {
   const DeflateCodec codec;
-  const Bytes adaptive = codec.CompressAdaptive(input);
-  EXPECT_EQ(codec.Decompress(adaptive), ToBytes(input));
-  const Bytes lz = codec.Compress(input);
-  const Bytes literal = DeflateCodec::CompressLiterals(input);
+  const Bytes adaptive = codec.CompressAdaptive(call.data, call.column_bytes);
+  EXPECT_EQ(codec.Decompress(adaptive), call.data);
+  const Bytes lz = codec.Compress(call.data);
+  const Bytes literal = DeflateCodec::CompressLiterals(call.data);
   EXPECT_NE(lz, literal);
   EXPECT_TRUE(adaptive == lz || adaptive == literal);
   // The probe's pick is the smaller output on these inputs.
@@ -226,15 +263,31 @@ Parse ChosenParse(ByteSpan input) {
   return adaptive == lz ? Parse::kLz : Parse::kLiteral;
 }
 
-TEST(DeflateChoiceTest, NoisyMantissaColumnsGoLiteralIdBytesKeepLz) {
-  const std::vector<Bytes> calls = SolverCalls("num_plasma");
+TEST(DeflateChoiceTest, NoisyColumnsGoLiteralHighIdColumnKeepsLz) {
+  const std::vector<SolverCall> calls = SolverCalls("num_plasma");
   ASSERT_EQ(calls.size(), 2u);
-  EXPECT_EQ(ChosenParse(calls[0]), Parse::kLz);
+  // The ID call's near-constant high column takes LZ and its rank column
+  // literal-only Huffman, so its blocks switch at the column boundary.
+  const SolverCall& ids = calls[0];
+  const std::size_t n = ids.column_bytes;
+  ASSERT_EQ(ids.data.size(), 2 * n);
+  const DeflateCodec codec;
+  const Bytes mixed = codec.CompressAdaptive(ids.data, n);
+  Bytes expected;
+  PutVarint(expected, ids.data.size());
+  AppendBytes(expected, Blocks(codec.Compress(ByteSpan(ids.data).first(n))));
+  AppendBytes(expected, Blocks(DeflateCodec::CompressLiterals(
+                            ByteSpan(ids.data).subspan(n))));
+  EXPECT_EQ(mixed, expected);
+  EXPECT_LT(mixed.size(), codec.Compress(ids.data).size());
+  EXPECT_LT(mixed.size(), DeflateCodec::CompressLiterals(ids.data).size());
+  EXPECT_EQ(codec.Decompress(mixed), ids.data);
+  // Every noisy mantissa column goes literal.
   EXPECT_EQ(ChosenParse(calls[1]), Parse::kLiteral);
 }
 
 TEST(DeflateChoiceTest, RepetitiveColumnsKeepLz) {
-  const std::vector<Bytes> calls = SolverCalls("num_brain");
+  const std::vector<SolverCall> calls = SolverCalls("num_brain");
   ASSERT_EQ(calls.size(), 2u);
   EXPECT_EQ(ChosenParse(calls[0]), Parse::kLz);
   EXPECT_EQ(ChosenParse(calls[1]), Parse::kLz);
@@ -251,7 +304,7 @@ TEST(DeflateChoiceTest, RepeatsBeyondAProbeWindowKeepLz) {
   Bytes input;
   for (int i = 0; i < 16; ++i) AppendBytes(input, block);
   const DeflateCodec codec;
-  const Bytes adaptive = codec.CompressAdaptive(input);
+  const Bytes adaptive = codec.CompressAdaptive(input, 0);
   EXPECT_EQ(adaptive, codec.Compress(input));
   EXPECT_LT(adaptive.size(), 2 * block.size());
   EXPECT_EQ(codec.Decompress(adaptive), input);
@@ -265,10 +318,107 @@ TEST(DeflateChoiceTest, EveryGeneratorRoundTrips) {
     for (const std::size_t size :
          {0u, 1u, 7u, 4096u, 65536u, 65537u, 300000u}) {
       const Bytes input = generator.make(size, 5);
-      EXPECT_EQ(codec.Decompress(codec.CompressAdaptive(input)), input)
+      EXPECT_EQ(codec.Decompress(codec.CompressAdaptive(input, 0)), input)
           << generator.label << " " << size;
     }
   }
+}
+
+/// `columns` columns of `column` bytes, column i from generator
+/// (first + i) mod the generator count, so neighbours differ in kind.
+Bytes MixedColumns(std::size_t column, std::size_t columns,
+                   std::size_t first) {
+  const auto generators = AllInputGenerators();
+  Bytes out;
+  for (std::size_t i = 0; i < columns; ++i) {
+    AppendBytes(out, generators[(first + i) % generators.size()].make(
+                         column, 100 + i));
+  }
+  return out;
+}
+
+TEST(DeflateColumnTest, ColumnsBelowAProbeWindowShareOneDecision) {
+  const DeflateCodec codec;
+  const auto generators = AllInputGenerators();
+  for (std::size_t g = 0; g < generators.size(); ++g) {
+    for (const std::size_t column : {1u, 7u, 512u, 8192u, 16383u}) {
+      for (const std::size_t columns : {1u, 2u, 6u}) {
+        for (const Bytes& input :
+             {generators[g].make(column * columns, 9),
+              MixedColumns(column, columns, g)}) {
+          EXPECT_EQ(codec.CompressAdaptive(input, column),
+                    codec.CompressAdaptive(input, 0))
+              << generators[g].label << " " << column << " x " << columns;
+        }
+      }
+    }
+  }
+}
+
+TEST(DeflateColumnTest, ColumnsThatAgreeGiveTheWholeCallBytes) {
+  const DeflateCodec codec;
+  const auto generators = AllInputGenerators();
+  for (const std::size_t column : {16384u, 20000u, 100000u}) {
+    // Repeated phrases pay for the parse in every column, and random bytes
+    // in none.
+    const Bytes phrases = generators[4].make(4 * column, 3);
+    EXPECT_EQ(codec.CompressAdaptive(phrases, column), codec.Compress(phrases))
+        << column;
+    const Bytes random = generators[2].make(4 * column, 3);
+    EXPECT_EQ(codec.CompressAdaptive(random, column),
+              DeflateCodec::CompressLiterals(random))
+        << column;
+  }
+}
+
+TEST(DeflateColumnTest, MixedColumnsRoundTrip) {
+  // 1-6 columns, each from a different generator, at lengths on both sides
+  // of the 16 KiB floor and of a 2^16-token block.
+  const DeflateCodec codec;
+  std::size_t mixed = 0;
+  for (std::size_t columns = 1; columns <= 6; ++columns) {
+    for (const std::size_t column : {100u, 16383u, 16384u, 65536u, 65537u}) {
+      const Bytes input = MixedColumns(column, columns, columns);
+      const Bytes adaptive = codec.CompressAdaptive(input, column);
+      EXPECT_EQ(codec.Decompress(adaptive), input)
+          << column << " x " << columns;
+      mixed += adaptive != codec.Compress(input) &&
+               adaptive != DeflateCodec::CompressLiterals(input);
+    }
+  }
+  // The sweep means something only if some calls took the mixed path.
+  EXPECT_GT(mixed, 0u);
+}
+
+TEST(DeflateColumnTest, LzColumnMatchesReachIntoTheColumnBefore) {
+  // Skewed noise, then the same 20 KiB again. The first column goes
+  // literal; the second takes LZ, and costs next to nothing, only because
+  // its parse sees the first column as history, 20 KiB back.
+  const Bytes noise = AllInputGenerators()[3].make(20000, 13);
+  Bytes input = noise;
+  AppendBytes(input, noise);
+  const DeflateCodec codec;
+  const Bytes adaptive = codec.CompressAdaptive(input, noise.size());
+  EXPECT_EQ(codec.Decompress(adaptive), input);
+  // The first column's literal-only blocks, then the second column's.
+  const Bytes literal = DeflateCodec::CompressLiterals(noise);
+  Bytes prefix;
+  PutVarint(prefix, input.size());
+  AppendBytes(prefix, Blocks(literal));
+  ASSERT_GT(adaptive.size(), prefix.size());
+  EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), adaptive.begin()));
+  EXPECT_LT(adaptive.size(), prefix.size() + 256);
+  EXPECT_LT(adaptive.size(), codec.Compress(input).size());
+  EXPECT_LT(adaptive.size(), DeflateCodec::CompressLiterals(input).size());
+}
+
+TEST(DeflateColumnTest, ColumnLengthMustDivideTheInput) {
+  const DeflateCodec codec;
+  const Bytes input(100, std::byte{1});
+  EXPECT_THROW(codec.CompressAdaptive(input, 3), InvalidArgumentError);
+  EXPECT_THROW(codec.CompressAdaptive(input, 101), InvalidArgumentError);
+  EXPECT_EQ(codec.Decompress(codec.CompressAdaptive(input, 50)), input);
+  EXPECT_EQ(codec.Decompress(codec.CompressAdaptive({}, 7)), Bytes{});
 }
 
 }  // namespace

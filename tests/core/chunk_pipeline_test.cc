@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
+#include "core/id_mapper.h"
 #include "datasets/datasets.h"
 #include "deflate/deflate.h"
+#include "util/byte_matrix.h"
 #include "util/error.h"
+#include "util/stats.h"
 
 namespace primacy {
 namespace {
@@ -60,6 +66,73 @@ TEST(ChunkPipelineTest, ResetDropsIndexState) {
   encoder.Reset();
   const auto third = encoder.EncodeChunk(chunk, third_record);
   EXPECT_TRUE(third.emitted_full_index);
+}
+
+/// Chunks of one base pattern plus a few values the base never produces, so
+/// kReuseWhenCorrelated reuses the first chunk's index where a chunk adds
+/// nothing (chunk 1) and extends it where it does (chunks 2 and 3).
+std::vector<std::vector<double>> ChainedChunks() {
+  const std::vector<double> base = GenerateDatasetByName("obs_temp", 4096);
+  std::vector<std::vector<double>> chunks(4, base);
+  for (std::size_t c = 2; c < chunks.size(); ++c) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      chunks[c][17 * (i + 1)] = 1.0e30 * static_cast<double>(c * 4 + i + 1);
+    }
+  }
+  return chunks;
+}
+
+template <typename T>
+Bytes ChunkBytes(const std::vector<double>& values) {
+  const std::vector<T> converted(values.begin(), values.end());
+  return ToBytes(AsBytes(std::span(converted)));
+}
+
+TEST(ChunkPipelineTest, RecordStatsMatchTheBytesTheyDescribe) {
+  const DeflateCodec solver;
+  for (const Precision precision : {Precision::kDouble, Precision::kSingle}) {
+    for (const Linearization linearization :
+         {Linearization::kRow, Linearization::kColumn}) {
+      for (const IndexMode mode :
+           {IndexMode::kPerChunk, IndexMode::kReuseWhenCorrelated}) {
+        PrimacyOptions options;
+        options.precision = precision;
+        options.linearization = linearization;
+        options.index_mode = mode;
+        const std::size_t width = ElementWidth(precision);
+        ChunkEncoder encoder(options, solver);
+        std::optional<IdIndex> index;
+        std::vector<std::uint8_t> flags;
+        for (const std::vector<double>& values : ChainedChunks()) {
+          const Bytes chunk = precision == Precision::kDouble
+                                  ? ChunkBytes<double>(values)
+                                  : ChunkBytes<float>(values);
+          Bytes record;
+          const ChunkRecordStats stats = encoder.EncodeChunk(chunk, record);
+
+          // The index the record carries or keeps, read back from it.
+          ByteReader reader(record);
+          reader.GetVarint();
+          flags.push_back(reader.GetU8());
+          if (flags.back() == 1) {
+            index = DeserializeIndex(reader.GetBlock());
+          } else if (flags.back() == 2) {
+            index = index->Extended(DeserializeSequenceList(reader.GetBlock()));
+          }
+          Bytes rows = chunk;
+          SwapBigEndianRows(rows, width);
+          const Bytes high = SplitHighLow(rows, width).high;
+          EXPECT_EQ(stats.top_byte_frequency_before, TopByteFrequency(high));
+          EXPECT_EQ(stats.top_byte_frequency_after,
+                    TopByteFrequency(MapToIds(high, *index, linearization)));
+        }
+        const std::vector<std::uint8_t> expected =
+            mode == IndexMode::kPerChunk ? std::vector<std::uint8_t>{1, 1, 1, 1}
+                                         : std::vector<std::uint8_t>{1, 0, 2, 2};
+        EXPECT_EQ(flags, expected);
+      }
+    }
+  }
 }
 
 TEST(ChunkPipelineTest, DecoderRejectsZeroCount) {

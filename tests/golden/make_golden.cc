@@ -57,11 +57,19 @@ Bytes GoldenLiteralInput() {
   return ToBytes(AsBytes(GenerateDatasetByName("num_plasma", 4096)));
 }
 
-// Every option the literal stream's bytes depend on, set explicitly so a
-// change of a library default cannot move the file.
-PrimacyOptions GoldenLiteralOptions() {
+// 16,384 num_plasma doubles in one chunk, the fewest whose two ID columns
+// each fill one 16 KiB probe window: the near-constant high ID column takes
+// the LZ parse and the rank column literal-only Huffman, so the ID call's
+// blocks switch between the two at the column boundary.
+Bytes GoldenMixedInput() {
+  return ToBytes(AsBytes(GenerateDatasetByName("num_plasma", 16384)));
+}
+
+// Every option the literal and mixed streams' bytes depend on, set
+// explicitly so a change of a library default cannot move the files.
+PrimacyOptions GoldenOneChunkOptions() {
   PrimacyOptions options;
-  options.chunk_bytes = 3 * 1024 * 1024;  // the 32 KiB input is one chunk
+  options.chunk_bytes = 3 * 1024 * 1024;  // each input is one chunk
   options.solver = "deflate";
   options.linearization = Linearization::kColumn;
   options.index_mode = IndexMode::kPerChunk;
@@ -186,8 +194,14 @@ int main(int argc, char** argv) {
   const Bytes literal_input = GoldenLiteralInput();
   WriteFile(dir + "/literal_input.bin", literal_input);
   WriteFile(dir + "/stream_v3_literal.bin",
-            PrimacyCompressor(GoldenLiteralOptions())
+            PrimacyCompressor(GoldenOneChunkOptions())
                 .CompressBytes(literal_input));
+
+  const Bytes mixed_input = GoldenMixedInput();
+  WriteFile(dir + "/mixed_input.bin", mixed_input);
+  WriteFile(dir + "/stream_v3_mixed.bin",
+            PrimacyCompressor(GoldenOneChunkOptions())
+                .CompressBytes(mixed_input));
 
   const Bytes noise = GoldenNoise();
   WriteFile(dir + "/noise.bin", noise);
