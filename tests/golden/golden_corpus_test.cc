@@ -141,6 +141,9 @@ TEST_P(GoldenCorpusTest, CachedDecodeMatchesUncachedByteForByte) {
   }
 }
 
+// GoogleTest prints a GoldenStream as its raw bytes, pointers included, and
+// the listed test names carry that print: append new entries at the end so
+// the earlier entries' string literals, and so their names, stay put.
 INSTANTIATE_TEST_SUITE_P(
     AllVersions, GoldenCorpusTest,
     ::testing::Values(
@@ -150,8 +153,8 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenStream{"stream_v3.bin", "input.bin", 3, false},
         GoldenStream{"stream_v3_streamed.bin", "input.bin", 3, false},
         GoldenStream{"stream_v3_literal.bin", "literal_input.bin", 3, false},
-        GoldenStream{"stream_v3_mixed.bin", "mixed_input.bin", 3, false},
-        GoldenStream{"stored_v3.bin", "noise.bin", 3, true}),
+        GoldenStream{"stored_v3.bin", "noise.bin", 3, true},
+        GoldenStream{"stream_v3_mixed.bin", "mixed_input.bin", 3, false}),
     [](const ::testing::TestParamInfo<GoldenStream>& param_info) {
       std::string name = param_info.param.file;
       name.resize(name.size() - 4);  // drop ".bin"
