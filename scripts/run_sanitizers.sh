@@ -31,7 +31,10 @@ export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 
-# CI step name, then its ctest regex.
+# CI step name, then its ctest regex. "Codec core" covers the compress paths
+# and the deflate decoder (word-buffered bit reads, bulk literal decode,
+# pointer-written matches); its regex selects the DeflateSweep, hand-built
+# container and bulk-decode tests by their Deflate/Huffman/BitIo names.
 NAMED_PASSES=(
   "Corruption harness" "CorruptionFuzz"
   "Codec core" "Deflate|BuildCodeLengths|CodeLengthSerialization|PackageMerge|Huffman|Lz|BitIo|CodecRoundTrip|CodecCorruption|Isobar|Analyzer|PlanSerialization"

@@ -32,53 +32,13 @@ Bytes BitWriter::Finish() {
   return std::move(buffer_);
 }
 
-void BitReader::Refill() {
-  while (available_bits_ <= 56 && next_byte_ < data_.size()) {
-    accumulator_ |= static_cast<std::uint64_t>(data_[next_byte_++])
-                    << available_bits_;
-    available_bits_ += 8;
-  }
-}
-
-std::uint64_t BitReader::ReadBits(unsigned count) {
-  if (count > 57) throw InvalidArgumentError("BitReader: count > 57");
-  Refill();
-  if (available_bits_ < count) {
-    throw CorruptStreamError("BitReader: stream exhausted");
-  }
-  const std::uint64_t value = accumulator_ & ((1ULL << count) - 1);
-  accumulator_ >>= count;
-  available_bits_ -= count;
-  bits_consumed_ += count;
-  return value;
-}
-
-std::uint64_t BitReader::PeekBits(unsigned count) {
-  if (count > 57) throw InvalidArgumentError("BitReader: count > 57");
-  Refill();
-  return accumulator_ & ((1ULL << count) - 1);
-}
-
-void BitReader::SkipBits(unsigned count) {
-  // Same ceiling as ReadBits: without it a count >= 64 reaches the
-  // accumulator shift below, which is undefined for a 64-bit operand.
-  if (count > 57) throw InvalidArgumentError("BitReader: count > 57");
-  Refill();
-  if (available_bits_ < count) {
-    throw CorruptStreamError("BitReader::SkipBits: stream exhausted");
-  }
-  accumulator_ >>= count;
-  available_bits_ -= count;
-  bits_consumed_ += count;
-}
-
 void BitReader::AlignToByte() {
-  const unsigned remainder = bits_consumed_ % 8;
-  if (remainder != 0) SkipBits(8 - static_cast<unsigned>(remainder));
+  const auto remainder = static_cast<unsigned>(BitsConsumed() % 8);
+  if (remainder != 0) SkipBits(8 - remainder);
 }
 
 Bytes BitReader::ReadBytes(std::size_t count) {
-  if (bits_consumed_ % 8 != 0) {
+  if (BitsConsumed() % 8 != 0) {
     throw InvalidArgumentError("BitReader::ReadBytes: not byte-aligned");
   }
   // The accumulator may hold already-buffered whole bytes; read through it.
@@ -88,14 +48,6 @@ Bytes BitReader::ReadBytes(std::size_t count) {
     out.push_back(static_cast<std::byte>(ReadBits(8)));
   }
   return out;
-}
-
-bool BitReader::AtEnd() const {
-  const std::uint64_t total_bits = 8 * static_cast<std::uint64_t>(data_.size());
-  // All bytes pulled into the accumulator and fewer than 8 buffered bits left
-  // means only final-byte padding can remain.
-  return next_byte_ == data_.size() && available_bits_ < 8 &&
-         bits_consumed_ + available_bits_ == total_bits;
 }
 
 }  // namespace primacy

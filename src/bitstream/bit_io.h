@@ -4,10 +4,18 @@
 // the first output byte (deflate convention). WriteBits emits the low `count`
 // bits of `value` LSB-first; Huffman codes are therefore stored bit-reversed
 // by the encoder so the decoder can peek a machine word and index a table.
+//
+// The reader is the decoders' hot path, so its reads are inline: it buffers
+// 56 to 63 bits from one 8-byte little-endian load while at least 8 bytes
+// remain, and byte by byte near the end, and refills only when a read needs
+// more bits than it holds. HuffmanDecoder's bulk decode works on the same
+// buffer.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "util/bytes.h"
 #include "util/error.h"
@@ -68,14 +76,28 @@ class BitReader {
 
   /// Reads `count` (<= 57) bits, LSB first. Throws CorruptStreamError when
   /// the stream is exhausted.
-  std::uint64_t ReadBits(unsigned count);
+  std::uint64_t ReadBits(unsigned count) {
+    const std::uint64_t value = PeekBits(count);
+    Consume(count, "BitReader: stream exhausted");
+    return value;
+  }
 
   /// Returns up to 57 upcoming bits without consuming them; missing bits past
   /// the end of the stream read as zero (standard deflate-style peeking).
-  std::uint64_t PeekBits(unsigned count);
+  std::uint64_t PeekBits(unsigned count) {
+    if (count > 57) throw InvalidArgumentError("BitReader: count > 57");
+    if (available_bits_ < count) Refill(count);
+    return accumulator_ & ((1ULL << count) - 1);
+  }
 
   /// Consumes `count` (<= 57) bits previously observed via PeekBits.
-  void SkipBits(unsigned count);
+  void SkipBits(unsigned count) {
+    // Same ceiling as ReadBits: without it a count >= 64 reaches the
+    // accumulator shift below, which is undefined for a 64-bit operand.
+    if (count > 57) throw InvalidArgumentError("BitReader: count > 57");
+    if (available_bits_ < count) Refill(count);
+    Consume(count, "BitReader::SkipBits: stream exhausted");
+  }
 
   /// Discards bits up to the next byte boundary.
   void AlignToByte();
@@ -84,20 +106,60 @@ class BitReader {
   Bytes ReadBytes(std::size_t count);
 
   /// Total bits consumed.
-  std::uint64_t BitsConsumed() const { return bits_consumed_; }
+  std::uint64_t BitsConsumed() const {
+    return 8 * static_cast<std::uint64_t>(next_byte_) - available_bits_;
+  }
 
   /// True when every payload bit has been consumed (trailing padding bits in
   /// the final partial byte are allowed).
-  bool AtEnd() const;
+  bool AtEnd() const {
+    return next_byte_ == data_.size() && available_bits_ < 8;
+  }
 
  private:
-  void Refill();
+  friend class HuffmanDecoder;  // its bulk decode runs on this buffer
+
+  /// Tops the buffer up to at least `count` (<= 57) bits, or to every bit
+  /// left: a word load while 8 bytes remain, then single bytes. A 57-bit
+  /// read after a word load that left 56 bits takes one more byte.
+  void Refill(unsigned count) {
+    if (data_.size() - next_byte_ >= 8) RefillWord();
+    while (available_bits_ < count && next_byte_ < data_.size()) {
+      accumulator_ |= std::uint64_t{std::to_integer<std::uint8_t>(
+                          data_[next_byte_++])}
+                      << available_bits_;
+      available_bits_ += 8;
+    }
+  }
+
+  /// Loads the next 8 bytes as a little-endian word, leaving 56 to 63 bits
+  /// buffered: the whole bytes that fit, plus the low bits of the next byte,
+  /// which the next refill loads again. Needs 8 bytes left and at most 56
+  /// bits buffered.
+  void RefillWord() {
+    std::uint64_t word;
+    std::memcpy(&word, data_.data() + next_byte_, sizeof(word));
+    if constexpr (std::endian::native == std::endian::big) {
+      word = __builtin_bswap64(word);
+    }
+    accumulator_ |= word << available_bits_;
+    next_byte_ += (63 - available_bits_) >> 3;
+    available_bits_ |= 56;
+  }
+
+  void Consume(unsigned count, const char* exhausted) {
+    if (available_bits_ < count) throw CorruptStreamError(exhausted);
+    // count <= 57 < 64, so the shift is defined.
+    accumulator_ >>= count;
+    available_bits_ -= count;
+  }
 
   ByteSpan data_;
-  std::size_t next_byte_ = 0;      // next unread byte in data_
-  std::uint64_t accumulator_ = 0;  // buffered bits, LSB-first
+  std::size_t next_byte_ = 0;      // next byte not yet loaded in full
+  // Buffered bits, LSB-first; bits above available_bits_ are zero or the
+  // stream's own next bits.
+  std::uint64_t accumulator_ = 0;
   unsigned available_bits_ = 0;
-  std::uint64_t bits_consumed_ = 0;
 };
 
 }  // namespace primacy

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <optional>
 #include <vector>
 
@@ -242,13 +243,38 @@ bool LzPays(ByteSpan data, std::size_t first, std::size_t count) {
   return lz_bits < literal_bits;
 }
 
+/// Copies a match of `length` bytes from `distance` back, inside `out`'s
+/// buffer of `capacity` bytes. The bytes it writes may lie past `at` by
+/// less than 8 when distance and slack allow 8-byte steps.
+void CopyMatch(std::byte* out, std::size_t at, std::size_t length,
+               std::size_t distance, std::size_t capacity) {
+  std::byte* dst = out + at;
+  const std::byte* src = dst - distance;
+  if (distance >= 8 && capacity - at >= length + 8) {
+    // Each step reads 8 bytes that lie wholly before the ones it writes.
+    for (std::byte* const end = dst + length; dst < end; dst += 8, src += 8) {
+      std::memcpy(dst, src, 8);
+    }
+  } else if (distance == 1) {
+    std::memset(dst, std::to_integer<int>(*src), length);
+  } else {
+    for (std::size_t j = 0; j < length; ++j) dst[j] = src[j];
+  }
+}
+
 Bytes DecompressImpl(ByteSpan data) {
   ByteReader reader(data);
   const std::uint64_t original_size = reader.GetVarint();
+  // `out` grows block by block to what each block can write; `size` counts
+  // the bytes decoded, and the buffer is trimmed to it at the end.
   Bytes out;
   out.reserve(std::min<std::uint64_t>(original_size, 1u << 26));
+  std::size_t size = 0;
+  const auto grow_to = [&](std::size_t capacity) {
+    if (out.size() < capacity) out.resize(capacity);
+  };
 
-  while (out.size() < original_size) {
+  while (size < original_size) {
     if (reader.AtEnd()) {
       throw CorruptStreamError("deflate: stream ended before payload");
     }
@@ -256,7 +282,9 @@ Bytes DecompressImpl(ByteSpan data) {
     if (type == kBlockStored) {
       const std::uint64_t count = reader.GetVarint();
       const ByteSpan raw = reader.GetRaw(count);
-      AppendBytes(out, raw);
+      grow_to(size + raw.size());
+      std::copy(raw.begin(), raw.end(), out.data() + size);
+      size += raw.size();
       continue;
     }
     if (type != kBlockHuffman) {
@@ -275,20 +303,39 @@ Bytes DecompressImpl(ByteSpan data) {
     }
 
     const HuffmanDecoder litlen_decoder(litlen_lengths);
-    const bool has_dist =
-        std::any_of(dist_lengths.begin(), dist_lengths.end(),
-                    [](std::uint8_t l) { return l != 0; });
+    const auto any_code = [](std::span<const std::uint8_t> lengths) {
+      return std::any_of(lengths.begin(), lengths.end(),
+                         [](std::uint8_t l) { return l != 0; });
+    };
+    const bool has_dist = any_code(dist_lengths);
     std::optional<HuffmanDecoder> dist_decoder;
     if (has_dist) dist_decoder.emplace(dist_lengths);
-
+    const std::uint64_t remaining = original_size - size;
     BitReader bits(payload);
+
+    // A block that codes no length symbol and no distance writes one byte
+    // per token.
+    if (!has_dist && !any_code(std::span(litlen_lengths).subspan(256))) {
+      if (token_count > remaining) {
+        throw CorruptStreamError("deflate: output overrun");
+      }
+      grow_to(size + token_count);
+      litlen_decoder.DecodeBytes(bits,
+                                 std::span(out).subspan(size, token_count));
+      size += token_count;
+      continue;
+    }
+
+    // No token writes more than kLzMaxMatch bytes.
+    const std::size_t end =
+        size + std::min<std::uint64_t>(remaining, token_count * kLzMaxMatch);
+    grow_to(end);
+    std::byte* const base = out.data();
     for (std::uint64_t i = 0; i < token_count; ++i) {
       const std::size_t symbol = litlen_decoder.Decode(bits);
       if (symbol < 256) {
-        if (out.size() >= original_size) {
-          throw CorruptStreamError("deflate: output overrun");
-        }
-        out.push_back(static_cast<std::byte>(symbol));
+        if (size == end) throw CorruptStreamError("deflate: output overrun");
+        base[size++] = static_cast<std::byte>(symbol);
         continue;
       }
       const std::size_t lcode = symbol - 256;
@@ -303,19 +350,20 @@ Bytes DecompressImpl(ByteSpan data) {
       const std::size_t dcode = dist_decoder->Decode(bits);
       const std::size_t distance =
           kDistBase[dcode] + bits.ReadBits(kDistExtra[dcode]);
-      if (distance == 0 || distance > out.size()) {
+      if (distance > size) {
         throw CorruptStreamError("deflate: distance exceeds output");
       }
-      if (out.size() + length > original_size) {
+      if (length > end - size) {
         throw CorruptStreamError("deflate: output overrun");
       }
-      const std::size_t src = out.size() - distance;
-      for (std::size_t j = 0; j < length; ++j) out.push_back(out[src + j]);
+      CopyMatch(base, size, length, distance, out.size());
+      size += length;
     }
   }
-  if (out.size() != original_size) {
+  if (size != original_size) {
     throw CorruptStreamError("deflate: size mismatch");
   }
+  out.resize(size);
   return out;
 }
 

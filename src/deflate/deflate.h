@@ -13,6 +13,13 @@
 // into the columns before it. Both write the same container, and Decompress
 // reads either.
 //
+// Decompress sizes its output per block and writes through a pointer. A
+// Huffman block that codes no length symbol and no distance is literal-only:
+// it writes exactly its token count, checked once against the declared size,
+// through HuffmanDecoder::DecodeBytes. Other blocks resolve tokens one by
+// one and copy a match with memset at distance 1, in 8-byte steps at
+// distance 8 or more, and byte by byte otherwise.
+//
 // The container format is our own (not RFC 1950/1951 compatible):
 //   varint original_size, then blocks:
 //     u8 block_type (0 = stored, 1 = huffman)

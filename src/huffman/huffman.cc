@@ -142,10 +142,10 @@ HuffmanEncoder::HuffmanEncoder(std::span<const std::uint8_t> lengths)
 }
 
 HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
-  // Table entries store the symbol as u16; a larger alphabet would decode
-  // to silently-truncated symbols. The lengths come off the wire, so this
-  // is a stream-validity error, not a programming error.
-  if (lengths.size() > std::numeric_limits<std::uint16_t>::max() + 1u) {
+  // Table entries store the symbol in 12 bits; a larger alphabet would
+  // decode to silently-truncated symbols. The lengths come off the wire, so
+  // this is a stream-validity error, not a programming error.
+  if (lengths.size() > kMaxAlphabet) {
     throw CorruptStreamError("HuffmanDecoder: alphabet too large");
   }
   for (const std::uint8_t len : lengths) {
@@ -157,10 +157,7 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
   if (max_length_ == 0) {
     throw CorruptStreamError("HuffmanDecoder: empty code");
   }
-  table_.assign(1ULL << max_length_, Entry{});
-
-  // Recompute canonical codes exactly as the encoder does, then stamp every
-  // window whose low `len` bits equal the (bit-reversed) code.
+  // Recompute canonical codes exactly as the encoder does.
   std::array<std::uint32_t, kMaxHuffmanCodeLength + 1> count{};
   for (const std::uint8_t len : lengths) ++count[len];
   count[0] = 0;
@@ -170,6 +167,7 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
     code = (code + count[len - 1]) << 1;
     next_code[len] = code;
   }
+  std::vector<std::uint16_t> reversed(lengths.size());
   for (std::size_t symbol = 0; symbol < lengths.size(); ++symbol) {
     const unsigned len = lengths[symbol];
     if (len == 0) continue;
@@ -177,25 +175,57 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
     if (canonical >= (1ULL << len)) {
       throw CorruptStreamError("HuffmanDecoder: oversubscribed lengths");
     }
-    const std::uint16_t reversed =
-        ReverseBits(static_cast<std::uint16_t>(canonical), len);
-    const std::size_t stride = 1ULL << len;
-    for (std::size_t window = reversed; window < table_.size();
-         window += stride) {
-      table_[window] =
-          Entry{static_cast<std::uint16_t>(symbol), static_cast<std::uint8_t>(len)};
+    max_symbol_ = symbol;
+    reversed[symbol] = ReverseBits(static_cast<std::uint16_t>(canonical), len);
+  }
+
+  // A code of length `len` owns every window whose low `len` bits equal its
+  // bit-reversed form. Shortest codes first: once the length-`len` codes
+  // are stamped, the first 2^len windows are final, and doubling that
+  // prefix carries every code so far to the longer windows.
+  table_.assign(1ULL << max_length_, 0);
+  for (unsigned len = 1; len <= max_length_; ++len) {
+    const std::size_t half = std::size_t{1} << (len - 1);
+    std::copy_n(table_.data(), half, table_.data() + half);
+    if (count[len] == 0) continue;
+    for (std::size_t symbol = 0; symbol < lengths.size(); ++symbol) {
+      if (lengths[symbol] != len) continue;
+      table_[reversed[symbol]] =
+          static_cast<std::uint16_t>(symbol << kSymbolShift | len);
     }
   }
 }
 
-std::size_t HuffmanDecoder::Decode(BitReader& reader) const {
-  const std::uint64_t window = reader.PeekBits(max_length_);
-  const Entry entry = table_[window];
-  if (entry.length == 0) {
-    throw CorruptStreamError("HuffmanDecoder: invalid code word");
+void HuffmanDecoder::DecodeBytes(BitReader& reader,
+                                 std::span<std::byte> out) const {
+  PRIMACY_CHECK(max_symbol_ < 256);
+  // The loop runs on a copy of the reader that the compiler can keep in
+  // registers. While 8 payload bytes remain, a refill leaves at least 56
+  // real bits, so three codes of at most 15 bits cannot run past the
+  // payload and only the code word needs a check; the last symbols go
+  // through Decode, which checks both.
+  static_assert(3 * kMaxHuffmanCodeLength <= 56);
+  const std::uint16_t* const table = table_.data();
+  const std::uint64_t mask = (1ULL << max_length_) - 1;
+  BitReader bits = reader;
+  std::byte* dst = out.data();
+  std::byte* const end = dst + out.size();
+  while (end - dst >= 3 && bits.data_.size() - bits.next_byte_ >= 8) {
+    // A 57-bit peek can leave 64 bits, more than a word load may top up.
+    if (bits.available_bits_ <= 56) bits.RefillWord();
+    for (int k = 0; k < 3; ++k) {
+      const std::uint16_t entry = table[bits.accumulator_ & mask];
+      const unsigned length = entry & kLengthMask;
+      if (length == 0) {
+        throw CorruptStreamError("HuffmanDecoder: invalid code word");
+      }
+      *dst++ = static_cast<std::byte>(entry >> kSymbolShift);
+      bits.accumulator_ >>= length;
+      bits.available_bits_ -= length;
+    }
   }
-  reader.SkipBits(entry.length);
-  return entry.symbol;
+  reader = bits;
+  for (; dst < end; ++dst) *dst = static_cast<std::byte>(Decode(reader));
 }
 
 Bytes SerializeCodeLengths(std::span<const std::uint8_t> lengths) {

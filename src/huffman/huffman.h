@@ -7,9 +7,12 @@
 // so only the length vector needs to be serialized. Encoded bits are written
 // bit-reversed through the LSB-first BitWriter so the decoder can peek a
 // window and index a flat table — the same layout deflate decoders use.
+// Decoding is inline, one symbol per Decode or a run of byte symbols per
+// DecodeBytes, which takes three codes per refill of the reader's buffer.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bitstream/bit_io.h"
@@ -62,16 +65,35 @@ class HuffmanDecoder {
   /// malformed ones throw CorruptStreamError.
   explicit HuffmanDecoder(std::span<const std::uint8_t> lengths);
 
-  /// Decodes one symbol. Throws CorruptStreamError on an invalid code word.
-  std::size_t Decode(BitReader& reader) const;
+  /// Decodes one symbol. Throws CorruptStreamError on an invalid code word
+  /// and on a code longer than the bits left.
+  std::size_t Decode(BitReader& reader) const {
+    const std::uint16_t entry = table_[reader.PeekBits(max_length_)];
+    if ((entry & kLengthMask) == 0) {
+      throw CorruptStreamError("HuffmanDecoder: invalid code word");
+    }
+    reader.SkipBits(entry & kLengthMask);
+    return entry >> kSymbolShift;
+  }
+
+  /// Decodes `out.size()` symbols into `out`, with the checks of Decode.
+  /// Every coded symbol must be a byte value (below 256).
+  void DecodeBytes(BitReader& reader, std::span<std::byte> out) const;
+
+  /// Alphabets up to this size fit the table's entries.
+  static constexpr std::size_t kMaxAlphabet = 4096;
 
  private:
-  struct Entry {
-    std::uint16_t symbol = 0;
-    std::uint8_t length = 0;  // 0 marks an invalid window
-  };
-  std::vector<Entry> table_;  // indexed by max_length_ peeked bits
+  // An entry packs the symbol above its code length (0 marks an invalid
+  // window): two bytes, so a 15-bit table takes 64 KiB.
+  static constexpr unsigned kSymbolShift = 4;
+  static constexpr std::uint16_t kLengthMask = (1u << kSymbolShift) - 1;
+  static_assert(kMaxHuffmanCodeLength <= kLengthMask);
+  static_assert(kMaxAlphabet << kSymbolShift == 1u << 16);
+
+  std::vector<std::uint16_t> table_;  // indexed by max_length_ peeked bits
   unsigned max_length_ = 0;
+  std::size_t max_symbol_ = 0;  // largest symbol with a code
 };
 
 /// Serializes a code-length vector compactly (run-length coded, deflate

@@ -45,8 +45,8 @@ struct LzParams {
 std::vector<LzToken> LzParse(ByteSpan data, const LzParams& params,
                              std::size_t start = 0);
 
-/// Expands a token stream back into bytes (reference decoder used by tests
-/// and by the Deflate decompressor).
+/// Expands a token stream back into bytes: the tests' reference expander.
+/// The Deflate decompressor resolves its tokens on its own.
 Bytes LzExpand(std::span<const LzToken> tokens, std::size_t expected_size);
 
 }  // namespace primacy

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <vector>
@@ -110,9 +111,9 @@ TEST(BuildCodeLengthsTest, AlphabetTooLargeForMaxLengthThrows) {
 }
 
 TEST(HuffmanDecoderTest, OversizedWireAlphabetRejected) {
-  // Table entries hold u16 symbols; a 2^16+1 length vector off the wire
+  // Table entries hold 12-bit symbols; a longer length vector off the wire
   // must be rejected rather than decoded with truncated symbol ids.
-  std::vector<std::uint8_t> lengths(65537, 0);
+  std::vector<std::uint8_t> lengths(HuffmanDecoder::kMaxAlphabet + 1, 0);
   lengths[0] = 1;
   lengths[1] = 1;
   EXPECT_THROW(HuffmanDecoder{lengths}, CorruptStreamError);
@@ -191,6 +192,77 @@ TEST(HuffmanDecoderTest, IncompleteCodeInvalidWindowThrows) {
   const Bytes data{0xff_b};
   BitReader reader(data);
   EXPECT_THROW(decoder.Decode(reader), CorruptStreamError);
+}
+
+TEST(HuffmanRoundTripTest, BulkDecodeMatchesDecode) {
+  // DecodeBytes takes three codes per refill while 8 payload bytes remain
+  // and the rest through Decode. From any bit offset, for any count, and
+  // after a 57-bit peek has filled the reader's buffer, it must give
+  // Decode's symbols and leave the reader where Decode would.
+  Rng rng(6);
+  std::vector<std::uint64_t> freq(256, 0);
+  std::vector<std::size_t> symbols;
+  for (int i = 0; i < 3000; ++i) {
+    symbols.push_back(rng.NextSkewed(256, 0.9));
+    ++freq[symbols.back()];
+  }
+  const auto lengths = BuildCodeLengths(freq);
+  const HuffmanEncoder encoder(lengths);
+  const HuffmanDecoder decoder(lengths);
+  for (const unsigned lead : {0u, 3u, 13u}) {
+    BitWriter writer;
+    writer.WriteBits(0, lead);
+    for (const auto s : symbols) encoder.Encode(writer, s);
+    const Bytes data = writer.Finish();
+    for (const bool peek : {false, true}) {
+      for (const std::size_t count :
+           {0u, 1u, 2u, 3u, 4u, 5u, 8u, 33u, 1000u, 2999u, 3000u}) {
+        BitReader reader(data);
+        if (peek) reader.PeekBits(57);
+        reader.ReadBits(lead);
+        Bytes out(count);
+        decoder.DecodeBytes(reader, out);
+        for (std::size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(std::to_integer<std::size_t>(out[i]), symbols[i])
+              << "lead " << lead << " count " << count << " at " << i;
+        }
+        if (count < symbols.size()) {
+          EXPECT_EQ(decoder.Decode(reader), symbols[count]);
+        } else {
+          EXPECT_TRUE(reader.AtEnd());
+        }
+      }
+    }
+  }
+}
+
+TEST(HuffmanDecoderTest, BulkDecodeRejectsInvalidCodeWord) {
+  // Lengths {2, 2}: symbol 0 is 00 and a window with its low bit set is
+  // invalid. Two zero bytes decode to 8 symbols, then 0xff: in the
+  // three-per-refill loop (16-byte payload) and in the tail (3 bytes). The
+  // decode stops there: nothing past the 8 symbols is written.
+  const std::vector<std::uint8_t> lengths{2, 2};
+  const HuffmanDecoder decoder(lengths);
+  for (const std::size_t size : {16u, 3u}) {
+    Bytes data(size, 0_b);
+    data[2] = 0xff_b;
+    BitReader reader(data);
+    Bytes out(4 * size, 0xab_b);
+    EXPECT_THROW(decoder.DecodeBytes(reader, out), CorruptStreamError);
+    EXPECT_EQ(std::count(out.begin(), out.end(), 0_b), 8) << size;
+    EXPECT_EQ(out[8], 0xab_b) << size;
+  }
+}
+
+TEST(HuffmanDecoderTest, BulkDecodeRejectsTruncatedPayload) {
+  // 16 bytes of two-bit codes hold 64 symbols; asking for 65 runs past the
+  // payload, whose zero-padded peek would otherwise decode a symbol.
+  const std::vector<std::uint8_t> lengths{2, 2, 2, 2};
+  const HuffmanDecoder decoder(lengths);
+  const Bytes data(16, 0_b);
+  BitReader reader(data);
+  Bytes out(65);
+  EXPECT_THROW(decoder.DecodeBytes(reader, out), CorruptStreamError);
 }
 
 TEST(CodeLengthSerializationTest, RoundTripsTypicalVectors) {
