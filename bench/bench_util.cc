@@ -139,7 +139,8 @@ PrimacyMeasurement MeasurePrimacy(std::span<const double> values,
 
   const PrimacyDecompressor decompressor(options);
   timer.Reset();
-  const std::vector<double> restored = decompressor.Decompress(stream);
+  const std::vector<double> restored =
+      decompressor.Decompress(stream, &m.decode_stats);
   m.decompress_seconds = timer.Seconds();
   if (restored.size() != values.size() ||
       !std::equal(restored.begin(), restored.end(), values.begin())) {

@@ -38,6 +38,7 @@ ByteSpan DatasetBytes(const std::string& name);
 /// One measured PRIMACY run: stream stats plus wall-clock timings.
 struct PrimacyMeasurement {
   PrimacyStats stats;
+  PrimacyDecodeStats decode_stats;
   double compress_seconds = 0.0;
   double decompress_seconds = 0.0;
   std::size_t compressed_bytes = 0;

@@ -1,9 +1,11 @@
 // Kernel-layer bench: per-kernel GB/s for the scalar reference vs the AVX2
 // table where this machine can run it, plus the end-to-end per-stage encode
-// breakdown (StageTimer) with kernels forced to scalar vs dispatched, as the
-// median and range of repeated passes in alternating order.
+// and decode breakdown (StageTimer) with kernels forced to scalar vs
+// dispatched, as the median and range of repeated passes in alternating
+// order.
 // Emits BENCH_kernels.json.
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -72,6 +74,17 @@ void RunKernelSection(BenchReport& report) {
   const IdIndex index =
       IdIndex::FromFrequency(AnalyzePairFrequency(split.high));
   const Bytes id_bytes = MapToIds(split.high, index, Linearization::kRow);
+  // The decoder's view of the same chunk: column-linearized ID planes and
+  // the six mantissa planes (the first two serve the width-4 kernel).
+  const Bytes id_planes = MapToIds(split.high, index, Linearization::kColumn);
+  Bytes low_planes(n * 6);
+  std::array<const std::byte*, 6> low_ptrs{};
+  for (std::size_t c = 0; c < 6; ++c) {
+    for (std::size_t i = 0; i < n; ++i) {
+      low_planes[c * n + i] = split.low[i * 6 + c];
+    }
+    low_ptrs[c] = low_planes.data() + c * n;
+  }
 
   // Second payload for count_pairs: num_brain's high bytes are long runs of
   // one exponent pair (the skew Fig. 1 of the paper is about), which is both
@@ -103,10 +116,6 @@ void RunKernelSection(BenchReport& report) {
        [&](const KernelTable& k) {
          k.row_to_col_w2(id_bytes.data(), n, pair_buf.data());
        }},
-      {"col_to_row_w2", n * 2,
-       [&](const KernelTable& k) {
-         k.col_to_row_w2(id_bytes.data(), n, pair_buf.data());
-       }},
       {"count_pairs", brain_n * 2,
        [&](const KernelTable& k) {
          k.count_pairs(brain_split.high.data(), brain_n, counts.data());
@@ -127,6 +136,22 @@ void RunKernelSection(BenchReport& report) {
          if (!k.unmap_ids16(id_bytes.data(), n, index.sequences_u32().data(),
                             table_size, pair_buf.data())) {
            throw InternalError("kernel_bench: unmap failed");
+         }
+       }},
+      {"assemble_w8", n * 8,
+       [&](const KernelTable& k) {
+         if (!k.assemble_w8(id_planes.data(), id_planes.data() + n, 1,
+                            low_ptrs.data(), n, index.sequences_u32().data(),
+                            table_size, wide_buf.data())) {
+           throw InternalError("kernel_bench: assemble failed");
+         }
+       }},
+      {"assemble_w4", n * 4,
+       [&](const KernelTable& k) {
+         if (!k.assemble_w4(id_planes.data(), id_planes.data() + n, 1,
+                            low_ptrs.data(), n, index.sequences_u32().data(),
+                            table_size, wide_buf.data())) {
+           throw InternalError("kernel_bench: assemble failed");
          }
        }},
       {"histogram_stride_w8", n,
@@ -195,9 +220,10 @@ void SetSpread(BenchReport::Entry& entry, const std::string& key,
 }
 
 void RunStageSection(BenchReport& report) {
-  // End-to-end encode with the same options the paper benches use; the
-  // StageTimer breakdown inside the chunk pipeline attributes the win to
-  // the stages the kernels rewired (split, frequency, id_map, isobar).
+  // End-to-end encode and decode with the same options the paper benches
+  // use; the StageTimer breakdown inside the chunk pipeline attributes the
+  // win to the stages the kernels rewired (split, frequency, id_map and
+  // isobar on encode, merge on decode).
   // Passes alternate the order (scalar, dispatched, dispatched, scalar,
   // ...) so a slow stretch of the host falls on both sides, and each
   // figure is the median over the passes with its min-max: one slow run
@@ -223,34 +249,50 @@ void RunStageSection(BenchReport& report) {
     }
   }
 
-  std::printf("\n%-12s %24s %24s %9s   (encode stages, %s vs scalar, "
-              "median [min-max] of %d passes)\n",
-              "stage", "scalar ms", "dispatched ms", "speedup",
-              kernels::IsaName(BestIsa()), passes);
-  PrintRule();
-  // Encode laps every stage but checksum and merge, which run on decode.
+  // Encode laps every stage but checksum and merge, which run on decode;
+  // decode laps checksum (record verification), frequency (index restore),
+  // solver, isobar and merge.
   using telemetry::Stage;
-  for (const Stage stage : {Stage::kSplit, Stage::kFrequency, Stage::kIdMap,
-                            Stage::kSolver, Stage::kIsobar,
-                            Stage::kSerialize}) {
-    const auto seconds = [stage](const PrimacyMeasurement& m) {
-      return m.stats.stage.Seconds(stage);
-    };
-    const Spread b = Over(scalar, seconds);
-    const Spread a = Over(dispatched, seconds);
-    BenchReport::Entry& entry =
-        report.AddEntry(std::string("stage_") +
-                        std::string(telemetry::StageName(stage)));
-    SetSpread(entry, "scalar_seconds", b);
-    SetSpread(entry, "dispatched_seconds", a);
-    entry.Set("speedup", a.median > 0.0 ? b.median / a.median : 0.0);
-    entry.Set("passes", passes);
-    std::printf("%-12s %8.3f [%6.3f-%6.3f] %8.3f [%6.3f-%6.3f] %8.2fx\n",
-                std::string(telemetry::StageName(stage)).c_str(),
-                b.median * 1e3, b.min * 1e3, b.max * 1e3, a.median * 1e3,
-                a.min * 1e3, a.max * 1e3,
-                a.median > 0.0 ? b.median / a.median : 0.0);
-  }
+  const auto report_stages = [&](const char* pipeline,
+                                 const std::string& entry_prefix,
+                                 std::initializer_list<Stage> stages,
+                                 const auto& breakdown) {
+    std::printf("\n%-12s %24s %24s %9s   (%s stages, %s vs scalar, "
+                "median [min-max] of %d passes)\n",
+                "stage", "scalar ms", "dispatched ms", "speedup", pipeline,
+                kernels::IsaName(BestIsa()), passes);
+    PrintRule();
+    for (const Stage stage : stages) {
+      const auto seconds = [&breakdown, stage](const PrimacyMeasurement& m) {
+        return breakdown(m).Seconds(stage);
+      };
+      const Spread b = Over(scalar, seconds);
+      const Spread a = Over(dispatched, seconds);
+      BenchReport::Entry& entry = report.AddEntry(
+          entry_prefix + std::string(telemetry::StageName(stage)));
+      SetSpread(entry, "scalar_seconds", b);
+      SetSpread(entry, "dispatched_seconds", a);
+      entry.Set("speedup", a.median > 0.0 ? b.median / a.median : 0.0);
+      entry.Set("passes", passes);
+      std::printf("%-12s %8.3f [%6.3f-%6.3f] %8.3f [%6.3f-%6.3f] %8.2fx\n",
+                  std::string(telemetry::StageName(stage)).c_str(),
+                  b.median * 1e3, b.min * 1e3, b.max * 1e3, a.median * 1e3,
+                  a.min * 1e3, a.max * 1e3,
+                  a.median > 0.0 ? b.median / a.median : 0.0);
+    }
+  };
+  report_stages("encode", "stage_",
+                {Stage::kSplit, Stage::kFrequency, Stage::kIdMap,
+                 Stage::kSolver, Stage::kIsobar, Stage::kSerialize},
+                [](const PrimacyMeasurement& m) -> const auto& {
+                  return m.stats.stage;
+                });
+  report_stages("decode", "decode_stage_",
+                {Stage::kChecksum, Stage::kFrequency, Stage::kSolver,
+                 Stage::kIsobar, Stage::kMerge},
+                [](const PrimacyMeasurement& m) -> const auto& {
+                  return m.decode_stats.stage;
+                });
 
   const auto compress = [](const PrimacyMeasurement& m) {
     return m.CompressMBps();

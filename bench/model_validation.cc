@@ -69,8 +69,8 @@ double DecodeDecompSeconds(const StageBreakdown& s) {
   return s.Seconds(Stage::kSolver) + s.Seconds(Stage::kIsobar);
 }
 double DecodePostSeconds(const StageBreakdown& s) {
-  return s.Seconds(Stage::kFrequency) + s.Seconds(Stage::kIdMap) +
-         s.Seconds(Stage::kMerge) + s.Seconds(Stage::kChecksum);
+  return s.Seconds(Stage::kFrequency) + s.Seconds(Stage::kMerge) +
+         s.Seconds(Stage::kChecksum);
 }
 
 /// Inverts the model's stage-time formulas: given the bytes the model says a

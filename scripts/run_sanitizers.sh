@@ -40,8 +40,8 @@ NAMED_PASSES=(
   "Codec core" "Deflate|BuildCodeLengths|CodeLengthSerialization|PackageMerge|Huffman|Lz|BitIo|CodecRoundTrip|CodecCorruption|Isobar|Analyzer|PlanSerialization"
   "Concurrency stress tests" "Stress|MetricsRegistry"
   "Service suite" "Service"
-  "Decode paths" "DecompressRange|ParallelDecode|StreamV2|StreamV3|CacheDecode|BlockCache|SinglePrecision|Streaming|GoldenCorpus"
-  "Kernel identity suite" "KernelIdentity|KernelDispatch|DecodesUnderEveryKernelIsa|SplitHighLowTest|MergeHighLowTest|LinearizationTest|DoubleConversionTest|FloatConversionTest|SwapBigEndianRowsTest"
+  "Decode paths" "DecompressRange|ParallelDecode|StreamV2|StreamV3|CacheDecode|BlockCache|SinglePrecision|Streaming|GoldenCorpus|ChunkDecoder"
+  "Kernel identity suite" "KernelIdentity|KernelDispatch|DecodesUnderEveryKernelIsa|IdMapper|SplitHighLowTest|LinearizationTest|DoubleConversionTest|FloatConversionTest|SwapBigEndianRowsTest"
   "Observability exporter suite" "Exporter|StageStack"
   "Transport suite" "Transport"
 )

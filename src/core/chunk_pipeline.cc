@@ -10,6 +10,7 @@
 #include "bitstream/byte_io.h"
 #include "core/id_mapper.h"
 #include "isobar/partitioned_codec.h"
+#include "kernels/kernels.h"
 #include "telemetry/metrics.h"
 #include "telemetry/stage_stack.h"
 #include "util/byte_matrix.h"
@@ -224,7 +225,7 @@ void ChunkDecoder::DecodeChunk(ByteReader& reader, std::uint64_t count,
     throw CorruptStreamError("primacy: chunk element count overflows");
   }
   out.resize(old_size + static_cast<std::size_t>(count) * width_);
-  DecodeChunkInto(reader, count, MutableByteSpan(out).subspan(old_size));
+  DecodeChunkInto(reader, count, 0, MutableByteSpan(out).subspan(old_size));
 }
 
 bool ChunkDecoder::VerifyRecord(ByteSpan record, std::uint64_t expected) {
@@ -237,14 +238,15 @@ bool ChunkDecoder::VerifyRecord(ByteSpan record, std::uint64_t expected) {
 }
 
 void ChunkDecoder::DecodeChunkInto(ByteReader& reader, std::uint64_t count,
-                                   MutableByteSpan out) {
+                                   std::uint64_t first, MutableByteSpan out) {
   if (count == 0) {
     throw CorruptStreamError("primacy: bad chunk element count");
   }
   // Division, not multiplication: `count` comes off the wire, and a wrapped
-  // count * width_ could match a small buffer. Past this check every byte
-  // count derived from `count` below fits in size_t.
-  if (out.size() % width_ != 0 || out.size() / width_ != count) {
+  // count * width_ could match a small buffer. The window starts at an
+  // element of the chunk.
+  const std::size_t window = out.size() / width_;
+  if (out.size() % width_ != 0 || first >= count || window > count - first) {
     throw CorruptStreamError("primacy: chunk element count mismatch");
   }
   telemetry::StageTimer timer(telemetry::Pipeline::kDecode,
@@ -265,26 +267,44 @@ void ChunkDecoder::DecodeChunkInto(ByteReader& reader, std::uint64_t count,
   // charged to the frequency stage (its encode-side dual).
   timer.Lap(telemetry::Stage::kSolver);
   const Bytes id_bytes = solver_.Decompress(reader.GetBlock());
-  timer.Lap(telemetry::Stage::kIdMap);
-  if (id_bytes.size() != count * kHighWidth) {
+  timer.Lap(telemetry::Stage::kIsobar);
+  if (id_bytes.size() % kHighWidth != 0 ||
+      id_bytes.size() / kHighWidth != count) {
     throw CorruptStreamError("primacy: ID byte count mismatch");
   }
-  const Bytes high = MapFromIds(id_bytes, *index_, linearization_);
-  timer.Lap(telemetry::Stage::kIsobar);
-  const Bytes low = IsobarDecompress(reader.GetBlock(), solver_);
-  timer.Lap(telemetry::Stage::kMerge);
-  if (low.size() != count * (width_ - kHighWidth)) {
+  const IsobarPlanes low = IsobarDecompress(reader.GetBlock(), solver_);
+  if (low.elements != count || low.plan.width != width_ - kHighWidth) {
     throw CorruptStreamError("primacy: mantissa byte count mismatch");
   }
-  // The merge writes big-endian rows straight into `out`; one in-place swap
-  // turns them into native elements.
-  MergeHighLow(high, low, width_, out);
-  SwapBigEndianRows(out, width_);
+  timer.Lap(telemetry::Stage::kMerge);
+
+  // One kernel call unmaps the window's IDs and interleaves them with its
+  // mantissa planes into native elements. Past the checks above, every
+  // plane holds `count` bytes and every offset below fits in size_t.
+  const auto n = static_cast<std::size_t>(count);
+  const auto skip = static_cast<std::size_t>(first);
+  const bool columns = linearization_ == Linearization::kColumn;
+  const std::size_t stride = columns ? 1 : kHighWidth;
+  const std::byte* hi = id_bytes.data() + skip * stride;
+  const std::byte* lo = hi + (columns ? n : 1);
+  std::array<const std::byte*, 6> planes{};
+  for (std::size_t c = 0; c < width_ - kHighWidth; ++c) {
+    planes[c] = low.columns[c] + skip;
+  }
+  const kernels::KernelTable& k = kernels::Active();
+  if (!(width_ == 8 ? k.assemble_w8 : k.assemble_w4)(
+          hi, lo, stride, planes.data(), window,
+          index_->sequences_u32().data(),
+          static_cast<std::uint32_t>(index_->size()), out.data())) {
+    throw CorruptStreamError("MapFromIds: ID beyond index");
+  }
   stage_.Accumulate(timer.Commit());
 
+  // The chunk's whole extent, window or not: the inflate stages decoded all
+  // of it, and the per-KiB stage figures divide by this counter.
   PipelineMetrics& metrics = PipelineMetrics::Get();
   metrics.decode_chunks.Increment();
-  metrics.decode_output_bytes.Increment(out.size());
+  metrics.decode_output_bytes.Increment(n * width_);
 }
 
 }  // namespace primacy

@@ -72,13 +72,17 @@ class ChunkDecoder {
   /// to `out`.
   void DecodeChunk(ByteReader& reader, std::uint64_t count, Bytes& out);
 
-  /// Same, but writes the restored bytes straight into `out`, which must be
-  /// exactly count * element_width bytes. This is the parallel-decode path:
-  /// each chunk's output position is known from the v2 directory, so workers
-  /// decode into disjoint slices of one preallocated buffer with no
-  /// intermediate append/copy.
+  /// Same, but writes the restored elements [first, first + out.size() /
+  /// element_width) of the chunk straight into `out`, where `first` <
+  /// count; `first` = 0 with `out` of count * element_width bytes is the
+  /// whole chunk. The whole
+  /// record is inflated and its planes checked, but only the window is
+  /// assembled. This is the directory decoder's path: each chunk's output
+  /// position is known from the v2 directory, so workers decode into
+  /// disjoint slices of one preallocated buffer, and an uncached range read
+  /// assembles its edge chunks' windows straight into the caller's output.
   void DecodeChunkInto(ByteReader& reader, std::uint64_t count,
-                       MutableByteSpan out);
+                       std::uint64_t first, MutableByteSpan out);
 
   /// Seeds the cross-chunk index state. Range reads resolve the index chain
   /// (nearest full index plus deltas) out-of-band and prime the decoder with

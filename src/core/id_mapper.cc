@@ -6,9 +6,9 @@
 
 namespace primacy {
 
-// Both directions run through the dispatched lookup kernels, which are
-// noexcept and signal a bad value by returning false; the throw sites below
-// re-derive the precise error so the exception contract is unchanged.
+// The mapping runs through the dispatched lookup kernel, which is noexcept
+// and signals a bad value by returning false; the throw site below
+// re-derives the precise error so the exception contract is unchanged.
 
 Bytes MapToIds(ByteSpan high_bytes, const IdIndex& index,
                Linearization linearization) {
@@ -24,24 +24,6 @@ Bytes MapToIds(ByteSpan high_bytes, const IdIndex& index,
     return RowToColumn(ids);
   }
   return ids;
-}
-
-Bytes MapFromIds(ByteSpan id_bytes, const IdIndex& index,
-                 Linearization linearization) {
-  if (id_bytes.size() % 2 != 0) {
-    throw CorruptStreamError("MapFromIds: odd byte count");
-  }
-  Bytes rows = linearization == Linearization::kColumn
-                   ? ColumnToRow(id_bytes)
-                   : ToBytes(id_bytes);
-  // In place: the kernel contract allows out == in (each block is fully
-  // loaded before it is stored).
-  if (!kernels::Active().unmap_ids16(
-          rows.data(), rows.size() / 2, index.sequences_u32().data(),
-          static_cast<std::uint32_t>(index.size()), rows.data())) {
-    throw CorruptStreamError("MapFromIds: ID beyond index");
-  }
-  return rows;
 }
 
 }  // namespace primacy

@@ -18,11 +18,9 @@ enum class Linearization {
 /// laid out per `linearization`. Big-endian ID bytes: the high byte of the
 /// ID — overwhelmingly 0x00 after frequency ranking — comes first.
 /// Throws InvalidArgumentError if a byte pair is absent from the index.
+/// The decoder inverts it inside the assembly kernel (kernels.h), which
+/// looks each ID up in the index's sequences_u32() table.
 Bytes MapToIds(ByteSpan high_bytes, const IdIndex& index,
                Linearization linearization);
-
-/// Exact inverse of MapToIds.
-Bytes MapFromIds(ByteSpan id_bytes, const IdIndex& index,
-                 Linearization linearization);
 
 }  // namespace primacy

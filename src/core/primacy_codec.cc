@@ -108,11 +108,12 @@ struct CachedChunkReader {
   std::uint64_t stream_id;
   std::size_t state_for = kNoIndexState;  // chunk the index state decodes
 
-  /// Decodes chunk `c` into `out`, which must be exactly the chunk's
-  /// decoded extent. A cache hit never re-enters the decoder, so it is
+  /// Decodes chunk `c`'s elements from `first` on into `out`. A cached
+  /// chunk is stored whole, so with a cache `out` must be the chunk's whole
+  /// extent (`first` = 0). A cache hit never re-enters the decoder, so it is
   /// neither decoded nor verified.
-  void DecodeChunk(std::size_t c, ChunkDecoder& decoder, MutableByteSpan out,
-                   PrimacyDecodeStats& accounting) {
+  void DecodeChunk(std::size_t c, ChunkDecoder& decoder, std::uint64_t first,
+                   MutableByteSpan out, PrimacyDecodeStats& accounting) {
     const internal::ChunkDirectoryEntry& entry = opened.directory->chunks[c];
     if (cache != nullptr) {
       if (DecodedBlockCache::Handle handle = cache->Lookup(stream_id, c)) {
@@ -138,7 +139,8 @@ struct CachedChunkReader {
       PrimeDecoderIndex(opened, c, decoder, accounting);
     }
     accounting.chunks_verified += internal::DecodeChunkRecord(
-        decoder, opened.Record(c), c, entry, opened.verify_records, out);
+        decoder, opened.Record(c), c, entry, opened.verify_records, first,
+        out);
     state_for = c + 1;
     ++accounting.chunks_decoded;
     if (cache != nullptr) cache->Insert(stream_id, c, ToBytes(ByteSpan(out)));
@@ -169,10 +171,12 @@ std::vector<std::pair<std::size_t, std::size_t>> IndexGroups(
 /// (exactly count elements). Only the covering chunks are decoded, as index
 /// groups — in parallel when `options.threads` allows, with one solver and
 /// one decoder per slot. Chunks wholly inside the range decode straight
-/// into `out`; a range read's partial edge chunks go through a scratch
-/// buffer. Chunks read through options.block_cache only when the directory
-/// carries record checksums (v3): a v2 directory holds only structure, so
-/// it cannot tell two streams' records apart.
+/// into `out`, and so do the windows of a range read's partial edge chunks
+/// when no cache serves the stream; a cached edge chunk is decoded whole
+/// into a scratch buffer and its window copied out. Chunks read through
+/// options.block_cache only when the directory carries record checksums
+/// (v3): a v2 directory holds only structure, so it cannot tell two
+/// streams' records apart.
 void DecodeElements(const internal::OpenedStream& opened, std::uint64_t first,
                     std::uint64_t count, const PrimacyOptions& options,
                     MutableByteSpan out, PrimacyDecodeStats& accounting) {
@@ -210,12 +214,12 @@ void DecodeElements(const internal::OpenedStream& opened, std::uint64_t first,
       const MutableByteSpan dest =
           out.subspan(static_cast<std::size_t>((lo - first) * width),
                       static_cast<std::size_t>((hi - lo) * width));
-      if (hi - lo == chunks[c].elements) {
-        reader.DecodeChunk(c, decoder, dest, per_group[g]);
+      if (hi - lo == chunks[c].elements || cache == nullptr) {
+        reader.DecodeChunk(c, decoder, lo - chunk_first, dest, per_group[g]);
         continue;
       }
       scratch.resize(static_cast<std::size_t>(chunks[c].elements * width));
-      reader.DecodeChunk(c, decoder, scratch, per_group[g]);
+      reader.DecodeChunk(c, decoder, 0, scratch, per_group[g]);
       std::memcpy(dest.data(),
                   scratch.data() + (lo - chunk_first) * width, dest.size());
     }

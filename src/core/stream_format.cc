@@ -336,7 +336,8 @@ void ThrowChunkError(std::size_t chunk, std::uint64_t offset,
 
 bool DecodeChunkRecord(ChunkDecoder& decoder, ByteSpan record,
                        std::size_t chunk, const ChunkDirectoryEntry& entry,
-                       bool verify, MutableByteSpan out) {
+                       bool verify, std::uint64_t first,
+                       MutableByteSpan out) {
   if (verify && !decoder.VerifyRecord(record, entry.checksum)) {
     ThrowChunkError(chunk, entry.offset, "checksum mismatch");
   }
@@ -345,7 +346,7 @@ bool DecodeChunkRecord(ChunkDecoder& decoder, ByteSpan record,
     if (reader.GetVarint() != entry.elements) {
       throw CorruptStreamError("primacy: directory element count mismatch");
     }
-    decoder.DecodeChunkInto(reader, entry.elements, out);
+    decoder.DecodeChunkInto(reader, entry.elements, first, out);
   });
   return verify;
 }

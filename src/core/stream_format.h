@@ -236,14 +236,15 @@ decltype(auto) WithChunkContext(std::size_t chunk, std::uint64_t offset,
   }
 }
 
-/// Decodes one directory chunk record into `out` (exactly the chunk's
-/// extent): the record checksum first (when `verify`), then its element
-/// count against the directory entry, then the payload. Every failure is
-/// rethrown with the chunk's context. Returns whether the checksum was
-/// verified.
+/// Decodes one directory chunk record into `out`, which holds the chunk's
+/// elements from `first` on (`first` = 0 and the chunk's whole extent for a
+/// whole chunk): the whole record's checksum first (when `verify`), then
+/// its element count against the directory entry, then the payload. Every
+/// failure is rethrown with the chunk's context. Returns whether the
+/// checksum was verified.
 bool DecodeChunkRecord(ChunkDecoder& decoder, ByteSpan record,
                        std::size_t chunk, const ChunkDirectoryEntry& entry,
-                       bool verify, MutableByteSpan out);
+                       bool verify, std::uint64_t first, MutableByteSpan out);
 
 /// Registers builtin codecs and instantiates the named solver.
 std::shared_ptr<const Codec> ResolveSolver(const std::string& name);

@@ -106,7 +106,7 @@ bool PrimacyStreamReader::NextChunk(Bytes& out) {
                static_cast<std::size_t>(entry.elements * header.width));
     internal::DecodeChunkRecord(*decoder_, opened_.Record(chunk_index_),
                                 chunk_index_, entry, opened_.verify_records,
-                                MutableByteSpan(out).subspan(old_size));
+                                0, MutableByteSpan(out).subspan(old_size));
     ++chunk_index_;
     return true;
   }

@@ -1,7 +1,6 @@
 #include "isobar/partitioned_codec.h"
 
 #include "bitstream/byte_io.h"
-#include "util/byte_matrix.h"
 #include "util/error.h"
 
 namespace primacy {
@@ -51,42 +50,44 @@ IsobarCompressed IsobarCompress(ByteSpan rows, std::size_t width,
                         solver);
 }
 
-Bytes IsobarDecompress(ByteSpan stream, const Codec& solver) {
+IsobarPlanes IsobarDecompress(ByteSpan stream, const Codec& solver) {
   ByteReader reader(stream);
+  IsobarPlanes planes;
   const std::uint64_t n = reader.GetVarint();
-  const IsobarPlan plan = DeserializePlan(reader.GetBlock());
-  const Bytes compressible = solver.Decompress(reader.GetBlock());
-  const ByteSpan raw = reader.GetBlock();
+  planes.plan = DeserializePlan(reader.GetBlock());
+  planes.compressible = solver.Decompress(reader.GetBlock());
+  planes.raw = reader.GetBlock();
+  const IsobarPlan& plan = planes.plan;
 
   const auto comp_cols = plan.CompressibleColumns();
   const auto raw_cols = plan.IncompressibleColumns();
   // Overflow-safe consistency checks: division instead of multiplication,
-  // since n comes from an untrusted varint.
+  // since n comes from an untrusted varint. Every column of the width needs
+  // a plane.
   const auto column_count_matches = [n](std::size_t bytes,
                                         std::size_t columns) {
     if (columns == 0) return bytes == 0;
     return bytes % columns == 0 && bytes / columns == n;
   };
-  if (!column_count_matches(compressible.size(), comp_cols.size()) ||
-      !column_count_matches(raw.size(), raw_cols.size())) {
+  if (!column_count_matches(planes.compressible.size(), comp_cols.size()) ||
+      !column_count_matches(planes.raw.size(), raw_cols.size()) ||
+      plan.columns.size() != plan.width) {
     throw CorruptStreamError("IsobarDecompress: column sizes inconsistent");
   }
-  if (plan.width != 0 && n > (compressible.size() + raw.size())) {
+  if (plan.width != 0 &&
+      n > planes.compressible.size() + planes.raw.size()) {
     throw CorruptStreamError("IsobarDecompress: element count inconsistent");
   }
 
-  Bytes rows(n * plan.width);
+  planes.elements = static_cast<std::size_t>(n);
+  planes.columns.resize(plan.width);
   for (std::size_t c = 0; c < comp_cols.size(); ++c) {
-    for (std::size_t i = 0; i < n; ++i) {
-      rows[i * plan.width + comp_cols[c]] = compressible[c * n + i];
-    }
+    planes.columns[comp_cols[c]] = planes.compressible.data() + c * n;
   }
   for (std::size_t c = 0; c < raw_cols.size(); ++c) {
-    for (std::size_t i = 0; i < n; ++i) {
-      rows[i * plan.width + raw_cols[c]] = raw[c * n + i];
-    }
+    planes.columns[raw_cols[c]] = planes.raw.data() + c * n;
   }
-  return rows;
+  return planes;
 }
 
 }  // namespace primacy

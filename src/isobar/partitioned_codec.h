@@ -6,6 +6,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "compress/codec.h"
 #include "isobar/analyzer.h"
@@ -31,7 +32,26 @@ IsobarCompressed IsobarCompress(ByteSpan rows, std::size_t width,
                                 const Codec& solver,
                                 const IsobarOptions& options = {});
 
-/// Inverse of IsobarCompress.
-Bytes IsobarDecompress(ByteSpan stream, const Codec& solver);
+/// A decoded ISOBAR stream as byte planes: column c of the element matrix
+/// is the `elements` bytes at columns[c], inside `compressible` or `raw`.
+/// Move-only, since the column pointers point into `compressible`.
+struct IsobarPlanes {
+  IsobarPlanes() = default;
+  IsobarPlanes(IsobarPlanes&&) = default;
+  IsobarPlanes& operator=(IsobarPlanes&&) = default;
+  IsobarPlanes(const IsobarPlanes&) = delete;
+  IsobarPlanes& operator=(const IsobarPlanes&) = delete;
+
+  std::size_t elements = 0;
+  IsobarPlan plan;
+  Bytes compressible;  // the inflated compressible columns, one after another
+  ByteSpan raw;        // the stream's raw block, borrowed from the stream
+  std::vector<const std::byte*> columns;  // plan.width entries
+};
+
+/// Inverse of IsobarCompress, without the scatter back to rows: inflates the
+/// compressible columns and points each column at its plane. `stream` must
+/// outlive the result.
+IsobarPlanes IsobarDecompress(ByteSpan stream, const Codec& solver);
 
 }  // namespace primacy

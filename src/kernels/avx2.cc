@@ -30,15 +30,6 @@ inline void Store128(std::byte* p, __m128i v) {
   _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
 }
 
-/// 32 even-index bytes + 32 odd-index bytes -> 64 interleaved bytes.
-inline void Interleave64(__m256i even, __m256i odd, __m256i& out0,
-                         __m256i& out1) {
-  const __m256i lo = _mm256_unpacklo_epi8(even, odd);
-  const __m256i hi = _mm256_unpackhi_epi8(even, odd);
-  out0 = _mm256_permute2x128_si256(lo, hi, 0x20);
-  out1 = _mm256_permute2x128_si256(lo, hi, 0x31);
-}
-
 void RowToColW2(const std::byte* rows, std::size_t n, std::byte* out) {
   // Two passes (all evens, then all odds) rather than one combined pass:
   // each pass runs one load stream against one store stream, which the
@@ -70,20 +61,6 @@ void RowToColW2(const std::byte* rows, std::size_t n, std::byte* out) {
                                       _mm_srli_epi16(b, 8)));
   }
   for (; i < n; ++i) out[n + i] = rows[2 * i + 1];
-}
-
-void ColToRowW2(const std::byte* cols, std::size_t n, std::byte* out) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    __m256i r0, r1;
-    Interleave64(Load(cols + i), Load(cols + n + i), r0, r1);
-    Store(out + 2 * i, r0);
-    Store(out + 2 * i + 32, r1);
-  }
-  for (; i < n; ++i) {
-    out[2 * i] = cols[i];
-    out[2 * i + 1] = cols[n + i];
-  }
 }
 
 void SplitW8H2(const std::byte* rows, std::size_t n, std::byte* high,
@@ -149,18 +126,6 @@ void SplitW4H2(const std::byte* rows, std::size_t n, std::byte* high,
     Store128(low + 2 * i, _mm256_extracti128_si256(v, 1));
   }
   scalar::SplitW4H2(rows + 4 * i, n - i, high + 2 * i, low + 2 * i);
-}
-
-void MergeW4H2(const std::byte* high, const std::byte* low, std::size_t n,
-               std::byte* rows) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i h = Load128(high + 2 * i);
-    const __m128i l = Load128(low + 2 * i);
-    Store128(rows + 4 * i, _mm_unpacklo_epi16(h, l));
-    Store128(rows + 4 * i + 16, _mm_unpackhi_epi16(h, l));
-  }
-  scalar::MergeW4H2(high + 2 * i, low + 2 * i, n - i, rows + 4 * i);
 }
 
 void CountPairs(const std::byte* pairs, std::size_t n_pairs,
@@ -239,6 +204,95 @@ bool UnmapIds16(const std::byte* ids_bytes, std::size_t n_pairs,
                             table_size, out + 2 * i);
 }
 
+inline __m128i Load64(const std::byte* p) {
+  return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
+}
+
+/// Loads 8 IDs, hi[k * kStride] << 8 | lo[k * kStride] for k in [0, 8), as
+/// u32 lanes. At stride 2 each pointer gets a 16-byte load, which reads one
+/// byte past its eighth ID byte.
+template <std::size_t kStride>
+inline __m256i LoadIds(const std::byte* hi, const std::byte* lo) {
+  if constexpr (kStride == 1) {
+    return _mm256_cvtepu16_epi32(_mm_unpacklo_epi8(Load64(lo), Load64(hi)));
+  } else {
+    const __m128i mask = _mm_set1_epi16(0x00ff);
+    const __m128i h = _mm_and_si128(Load128(hi), mask);
+    const __m128i l = _mm_and_si128(Load128(lo), mask);
+    return _mm256_cvtepu16_epi32(_mm_or_si128(_mm_slli_epi16(h, 8), l));
+  }
+}
+
+/// The assembly kernels, 8 elements per step: range-check the IDs and
+/// gather their sequences as UnmapIds16 does, then interleave the sequence
+/// and mantissa bytes into little-endian elements with unpacks, as a byte
+/// transpose. Element i's memory bytes run low[W-3][i] ... low[0][i], then
+/// the sequence's low byte and its high byte.
+template <typename Element, std::size_t kStride>
+bool Assemble(const std::byte* hi, const std::byte* lo,
+              const std::byte* const* low, std::size_t n,
+              const std::uint32_t* sequences, std::uint32_t table_size,
+              std::byte* out) {
+  constexpr std::size_t kWidth = sizeof(Element);
+  // limit = table_size - 1 wraps to -1 for an empty table, which flags
+  // every ID as out of range.
+  const __m256i limit =
+      _mm256_set1_epi32(static_cast<std::int32_t>(table_size) - 1);
+  // A stride-2 step's loads reach one byte past its last ID byte, which
+  // the next element's ID byte covers.
+  constexpr std::size_t kReach = kStride == 1 ? 8 : 9;
+  std::size_t i = 0;
+  for (; i + kReach <= n; i += 8) {
+    const __m256i ids = LoadIds<kStride>(hi + i * kStride, lo + i * kStride);
+    if (_mm256_movemask_epi8(_mm256_cmpgt_epi32(ids, limit)) != 0) {
+      return false;
+    }
+    const __m256i g = _mm256_i32gather_epi32(
+        reinterpret_cast<const int*>(sequences), ids, 4);
+    // Sequences are below 65536, so the unsigned pack is exact.
+    const __m128i seq = _mm_packus_epi32(_mm256_castsi256_si128(g),
+                                         _mm256_extracti128_si256(g, 1));
+    std::byte* dst = out + i * kWidth;
+    if constexpr (kWidth == 8) {
+      const __m128i l54 = _mm_unpacklo_epi8(Load64(low[5] + i),
+                                            Load64(low[4] + i));
+      const __m128i l32 = _mm_unpacklo_epi8(Load64(low[3] + i),
+                                            Load64(low[2] + i));
+      const __m128i l10 = _mm_unpacklo_epi8(Load64(low[1] + i),
+                                            Load64(low[0] + i));
+      const __m128i lower0 = _mm_unpacklo_epi16(l54, l32);
+      const __m128i lower1 = _mm_unpackhi_epi16(l54, l32);
+      const __m128i upper0 = _mm_unpacklo_epi16(l10, seq);
+      const __m128i upper1 = _mm_unpackhi_epi16(l10, seq);
+      Store128(dst, _mm_unpacklo_epi32(lower0, upper0));
+      Store128(dst + 16, _mm_unpackhi_epi32(lower0, upper0));
+      Store128(dst + 32, _mm_unpacklo_epi32(lower1, upper1));
+      Store128(dst + 48, _mm_unpackhi_epi32(lower1, upper1));
+    } else {
+      const __m128i l10 = _mm_unpacklo_epi8(Load64(low[1] + i),
+                                            Load64(low[0] + i));
+      Store128(dst, _mm_unpacklo_epi16(l10, seq));
+      Store128(dst + 16, _mm_unpackhi_epi16(l10, seq));
+    }
+  }
+  const std::byte* tail_low[kWidth - 2];
+  for (std::size_t c = 0; c < kWidth - 2; ++c) tail_low[c] = low[c] + i;
+  return scalar::Assemble<Element>(hi + i * kStride, lo + i * kStride,
+                                   kStride, tail_low, n - i, sequences,
+                                   table_size, out + i * kWidth);
+}
+
+template <typename Element>
+bool AssembleEitherStride(const std::byte* hi, const std::byte* lo,
+                          std::size_t id_stride, const std::byte* const* low,
+                          std::size_t n, const std::uint32_t* sequences,
+                          std::uint32_t table_size, std::byte* out) {
+  return id_stride == 1
+             ? Assemble<Element, 1>(hi, lo, low, n, sequences, table_size, out)
+             : Assemble<Element, 2>(hi, lo, low, n, sequences, table_size,
+                                    out);
+}
+
 // A byte histogram does not vectorize (the increments scatter), but the
 // scalar loop's real cost on the skewed columns ISOBAR samples is the
 // store-to-load forwarding stall when consecutive samples hit the same
@@ -266,8 +320,16 @@ void HistogramStride(const std::byte* p, std::size_t count,
 }
 
 constexpr KernelTable kAvx2Table = {
-    SplitW8H2,  MergeW8H2,  SplitW4H2, MergeW4H2,  RowToColW2,
-    ColToRowW2, CountPairs, MapIds16,  UnmapIds16, HistogramStride,
+    SplitW8H2,
+    MergeW8H2,
+    SplitW4H2,
+    RowToColW2,
+    CountPairs,
+    MapIds16,
+    UnmapIds16,
+    AssembleEitherStride<std::uint64_t>,
+    AssembleEitherStride<std::uint32_t>,
+    HistogramStride,
 };
 
 }  // namespace

@@ -1,12 +1,12 @@
 // Runtime-dispatched SIMD kernel layer for the byte-matrix hot paths.
 //
-// Every PRIMACY transform stage — high/low byte split and merge, the ID
-// matrix's row<->column transpose, 16-bit pair-frequency counting, ID
-// map/unmap, and the ISOBAR column histograms — reduces to one of the
-// narrow kernels below. Each kernel has a portable scalar implementation
-// (the semantic reference) plus an AVX2 variant selected once at startup
-// from CPUID; callers go through the function-pointer table returned by
-// Active() and never name an ISA.
+// Every PRIMACY transform stage — the high/low byte split, the ID matrix's
+// row-to-column transpose, 16-bit pair-frequency counting, ID mapping, the
+// ISOBAR column histograms and, on decode, the assembly of native elements
+// from byte planes — reduces to one of the narrow kernels below. Each
+// kernel has a portable scalar implementation (the semantic reference) plus
+// an AVX2 variant selected once at startup from CPUID; callers go through
+// the function-pointer table returned by Active() and never name an ISA.
 //
 // Contract shared by every variant of a kernel:
 //   * byte-identical output to the scalar reference at every length,
@@ -16,6 +16,11 @@
 //     returning false and the caller re-derives the precise error;
 //   * in-place operation is allowed where noted (unmap/map may have
 //     out == in; each block is fully loaded before it is stored).
+//
+// merge_w8_h2 and unmap_ids16 have no caller in the library since the
+// decoder assembles elements from planes; they stay because primacy_bench's
+// kernel section times them, and go when its kernel keys move to the
+// assembly kernel.
 //
 // Dispatch:
 //   * Active() resolves once: AVX2 when the CPU supports it, else scalar;
@@ -53,20 +58,17 @@ inline constexpr std::uint32_t kUnmapped16 = 0xffffffffu;
 struct KernelTable {
   // --- High/low split (width 8 and 4, high width 2: the PRIMACY shapes).
   // split: rows (n x W) -> high (n x 2) + low (n x (W-2)), row-linearized.
-  // merge is the exact inverse.
+  // merge_w8_h2 is the exact inverse at width 8.
   void (*split_w8_h2)(const std::byte* rows, std::size_t n, std::byte* high,
                       std::byte* low);
   void (*merge_w8_h2)(const std::byte* high, const std::byte* low,
                       std::size_t n, std::byte* rows);
   void (*split_w4_h2)(const std::byte* rows, std::size_t n, std::byte* high,
                       std::byte* low);
-  void (*merge_w4_h2)(const std::byte* high, const std::byte* low,
-                      std::size_t n, std::byte* rows);
 
-  // --- Row<->column transpose of the n x 2 ID matrix.
-  // row_to_col: out[c * n + i] = rows[i * 2 + c]; col_to_row inverts.
+  // --- Row-to-column transpose of the n x 2 ID matrix:
+  // out[c * n + i] = rows[i * 2 + c].
   void (*row_to_col_w2)(const std::byte* rows, std::size_t n, std::byte* out);
-  void (*col_to_row_w2)(const std::byte* cols, std::size_t n, std::byte* out);
 
   // --- 16-bit pair-frequency counting.
   // counts[(pairs[2i] << 8) | pairs[2i+1]] += 1 for i in [0, n_pairs).
@@ -80,12 +82,30 @@ struct KernelTable {
   bool (*map_ids16)(const std::byte* pairs, std::size_t n_pairs,
                     const std::uint32_t* ids, std::byte* out);
 
-  // --- ID unmapping (decode): big-endian ID -> big-endian sequence through
+  // --- ID unmapping: big-endian ID -> big-endian sequence through
   // sequences[table_size] (u32-widened); an ID >= table_size aborts with
   // false. out may alias ids_bytes.
   bool (*unmap_ids16)(const std::byte* ids_bytes, std::size_t n_pairs,
                       const std::uint32_t* sequences, std::uint32_t table_size,
                       std::byte* out);
+
+  // --- Assembly (decode): byte planes -> n native elements of width W
+  // (8 or 4). Element i's big-endian bytes are sequences[id] >> 8, then
+  // sequences[id] & 0xff, then low[0][i] ... low[W-3][i], where
+  // id = hi[i * id_stride] << 8 | lo[i * id_stride]: id_stride is 1 for
+  // column-linearized ID bytes (two planes) or 2 for row-linearized ones
+  // (lo = hi + 1), and no other value. The element is written in host byte
+  // order to out + i * W. An ID >= table_size aborts with false (out is
+  // unspecified then). Only hi[k * id_stride], lo[k * id_stride] and
+  // low[c][k] for k < n are read.
+  bool (*assemble_w8)(const std::byte* hi, const std::byte* lo,
+                      std::size_t id_stride, const std::byte* const* low,
+                      std::size_t n, const std::uint32_t* sequences,
+                      std::uint32_t table_size, std::byte* out);
+  bool (*assemble_w4)(const std::byte* hi, const std::byte* lo,
+                      std::size_t id_stride, const std::byte* const* low,
+                      std::size_t n, const std::uint32_t* sequences,
+                      std::uint32_t table_size, std::byte* out);
 
   // --- ISOBAR column histogram accumulate:
   // hist[p[k * stride_bytes]] += 1 for k in [0, count); hist has 256

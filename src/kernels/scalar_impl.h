@@ -36,25 +36,10 @@ inline void SplitW4H2(const std::byte* rows, std::size_t n, std::byte* high,
   }
 }
 
-inline void MergeW4H2(const std::byte* high, const std::byte* low,
-                      std::size_t n, std::byte* rows) {
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memcpy(rows + i * 4, high + i * 2, 2);
-    std::memcpy(rows + i * 4 + 2, low + i * 2, 2);
-  }
-}
-
 inline void RowToColW2(const std::byte* rows, std::size_t n, std::byte* out) {
   for (std::size_t c = 0; c < 2; ++c) {
     std::byte* dst = out + c * n;
     for (std::size_t i = 0; i < n; ++i) dst[i] = rows[i * 2 + c];
-  }
-}
-
-inline void ColToRowW2(const std::byte* cols, std::size_t n, std::byte* out) {
-  for (std::size_t c = 0; c < 2; ++c) {
-    const std::byte* src = cols + c * n;
-    for (std::size_t i = 0; i < n; ++i) out[i * 2 + c] = src[i];
   }
 }
 
@@ -90,6 +75,30 @@ inline bool UnmapIds16(const std::byte* ids_bytes, std::size_t n_pairs,
     const std::uint32_t sequence = sequences[id];
     out[2 * i] = static_cast<std::byte>(sequence >> 8);
     out[2 * i + 1] = static_cast<std::byte>(sequence & 0xff);
+  }
+  return true;
+}
+
+/// The assembly kernels' reference: each element's bit pattern is built as
+/// an integer from its big-endian bytes and stored with memcpy, which writes
+/// the native element on either host byte order.
+template <typename Element>
+bool Assemble(const std::byte* hi, const std::byte* lo, std::size_t id_stride,
+              const std::byte* const* low, std::size_t n,
+              const std::uint32_t* sequences, std::uint32_t table_size,
+              std::byte* out) {
+  constexpr std::size_t kLowWidth = sizeof(Element) - 2;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto id = (static_cast<std::uint32_t>(hi[i * id_stride]) << 8) |
+                    static_cast<std::uint32_t>(lo[i * id_stride]);
+    if (id >= table_size) return false;
+    auto bits = static_cast<Element>(static_cast<Element>(sequences[id])
+                                     << (8 * kLowWidth));
+    for (std::size_t c = 0; c < kLowWidth; ++c) {
+      bits |= static_cast<Element>(static_cast<Element>(low[c][i])
+                                   << (8 * (kLowWidth - 1 - c)));
+    }
+    std::memcpy(out + i * sizeof(Element), &bits, sizeof(Element));
   }
   return true;
 }

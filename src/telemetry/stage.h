@@ -5,7 +5,7 @@
 // (Section III): split + frequency + id_map + serialize make up the
 // preconditioner (T_prec, Eqs. 7-8), solver + isobar the solver passes
 // (T_comp, Eqs. 9-10); on the read path solver + isobar are T_decomp and
-// frequency (index restore) + id_map + merge the inverse preconditioner.
+// frequency (index restore) + merge the inverse preconditioner.
 // checksum is the v3 integrity pass, outside the paper's model.
 //
 // StageBreakdown is plain data; StageTimer (stage_stack.h) is the
@@ -22,11 +22,12 @@ namespace primacy::telemetry {
 enum class Stage : std::uint8_t {
   kSplit = 0,   // big-endian rows + high/low byte split (encode only)
   kFrequency,   // pair-frequency analysis + index build/extend/deserialize
-  kIdMap,       // MapToIds / MapFromIds, including linearization
+  kIdMap,       // MapToIds, including linearization (encode only)
   kSolver,      // solver codec over the ID bytes
-  kIsobar,      // ISOBAR partition compress/decompress of the mantissa
+  kIsobar,      // ISOBAR partition compress, or inflate + plane setup
   kChecksum,    // XXH64 verification (v3 decode paths)
-  kMerge,       // decode-side merge kernel + byteswap to native layout
+  kMerge,       // assembly kernel: ID unmap + planes to native elements
+                // (decode only)
   kSerialize,   // record framing: varints, blocks, index serialization
 };
 inline constexpr std::size_t kStageCount = 8;

@@ -74,33 +74,12 @@ SplitBytes SplitHighLow(ByteSpan rows, std::size_t width) {
   return out;
 }
 
-void MergeHighLow(ByteSpan high, ByteSpan low, std::size_t width,
-                  MutableByteSpan out) {
-  const std::size_t n = RowCount(out.size(), width, "MergeHighLow");
-  if (high.size() != n * 2 || low.size() != n * (width - 2)) {
-    throw InvalidArgumentError("MergeHighLow: inconsistent element counts");
-  }
-  const kernels::KernelTable& k = kernels::Active();
-  (width == 8 ? k.merge_w8_h2 : k.merge_w4_h2)(high.data(), low.data(), n,
-                                                out.data());
-}
-
 Bytes RowToColumn(ByteSpan rows) {
   if (rows.size() % 2 != 0) {
     throw InvalidArgumentError("RowToColumn: odd byte count");
   }
   Bytes out(rows.size());
   kernels::Active().row_to_col_w2(rows.data(), rows.size() / 2, out.data());
-  return out;
-}
-
-Bytes ColumnToRow(ByteSpan columns) {
-  if (columns.size() % 2 != 0) {
-    throw InvalidArgumentError("ColumnToRow: odd byte count");
-  }
-  Bytes out(columns.size());
-  kernels::Active().col_to_row_w2(columns.data(), columns.size() / 2,
-                                  out.data());
   return out;
 }
 

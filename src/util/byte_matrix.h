@@ -7,7 +7,9 @@
 //  * column linearization: byte-column 0 of every element, then column 1, ...
 //
 // Each one is a single call into the dispatched kernel table
-// (kernels/kernels.h) or a single in-place byteswap.
+// (kernels/kernels.h) or a single in-place byteswap. They run on encode;
+// the decoder undoes all of them at once with the assembly kernel, which
+// writes native elements from the ID and mantissa byte planes.
 #pragma once
 
 #include <cstddef>
@@ -38,13 +40,8 @@ struct SplitBytes {
 };
 SplitBytes SplitHighLow(ByteSpan rows, std::size_t width);
 
-/// Inverse of SplitHighLow, written into `out` (N * width bytes).
-void MergeHighLow(ByteSpan high, ByteSpan low, std::size_t width,
-                  MutableByteSpan out);
-
 /// Transposes the row-linearized N x 2 ID matrix into column linearization
-/// (all first bytes, then all second bytes); ColumnToRow inverts it.
+/// (all first bytes, then all second bytes).
 Bytes RowToColumn(ByteSpan rows);
-Bytes ColumnToRow(ByteSpan columns);
 
 }  // namespace primacy

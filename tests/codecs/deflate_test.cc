@@ -31,12 +31,14 @@ constexpr std::size_t kDistance1 = 0;  // distance code 0: distance 1
 
 /// A hand-built Huffman block: the two code-length tables, and the tokens
 /// coded under them. A token is a literal byte, or a length symbol with no
-/// extra bits followed by distance code 0 (distance 1).
+/// extra bits followed by `distance_code` (distance code 0, distance 1,
+/// unless set; codes 0-3 are distances 1-4 with no extra bits).
 struct HandBlock {
   std::vector<std::uint8_t> litlen =
       std::vector<std::uint8_t>(kLitLenAlphabet);
   std::vector<std::uint8_t> dist = std::vector<std::uint8_t>(kDistAlphabet);
   std::vector<std::size_t> symbols;
+  std::size_t distance_code = kDistance1;
 
   /// The block as the container lays it out, declaring `token_count`
   /// tokens (the coded count unless given) and dropping the payload's last
@@ -45,12 +47,12 @@ struct HandBlock {
                 std::optional<std::uint64_t> token_count = {}) const {
     const HuffmanEncoder litlen_encoder(litlen);
     std::optional<HuffmanEncoder> dist_encoder;
-    if (dist[kDistance1] != 0) dist_encoder.emplace(dist);
+    if (dist[distance_code] != 0) dist_encoder.emplace(dist);
     BitWriter writer;
     for (const std::size_t symbol : symbols) {
       litlen_encoder.Encode(writer, symbol);
       if (symbol >= 256 && dist_encoder) {
-        dist_encoder->Encode(writer, kDistance1);
+        dist_encoder->Encode(writer, distance_code);
       }
     }
     Bytes payload = writer.Finish();
@@ -181,22 +183,34 @@ TEST(DeflateTest, BadBlockTypeRejected) {
   EXPECT_THROW(codec.Decompress(stream), CorruptStreamError);
 }
 
+/// Literals 'a', 'b', 'c', then a length-4 match at distance code
+/// `distance_code`.
+HandBlock MatchAfterThreeLiterals(std::size_t distance_code) {
+  HandBlock block;
+  block.litlen['a'] = 2;
+  block.litlen['b'] = 2;
+  block.litlen['c'] = 2;
+  block.litlen[kLength4] = 2;
+  block.dist[distance_code] = 1;
+  block.distance_code = distance_code;
+  block.symbols = {'a', 'b', 'c', kLength4};
+  return block;
+}
+
 TEST(DeflateTest, DistanceBeyondOutputRejected) {
-  // Hand-craft: original size 4 but the first token is a match — no output
-  // yet, so any distance is invalid. Easiest via corrupting a real stream is
-  // flaky; instead check the empty-output+match path through a stored-size
-  // lie: declared size smaller than actual expansion.
-  const DeflateCodec codec;
-  const Bytes input(1000, 1_b);
-  Bytes compressed = codec.Compress(input);
-  // Shrink the declared original size (first varint byte(s)).
-  // 1000 encodes as 0xE8 0x07; rewrite to 10 (0x0A) and pad to keep parsing.
-  ASSERT_EQ(static_cast<unsigned>(compressed[0]), 0xE8u);
-  ASSERT_EQ(static_cast<unsigned>(compressed[1]), 0x07u);
-  Bytes lied;
-  lied.push_back(0x0a_b);
-  AppendBytes(lied, ByteSpan(compressed).subspan(2));
-  EXPECT_THROW(codec.Decompress(lied), CorruptStreamError);
+  // After three bytes of output, a match at distance 4 reaches one byte
+  // before the output. The declared size holds the whole match, so no
+  // overrun check fires first. MatchBeforeAnyOutputRejected covers a match
+  // with no output at all.
+  Bytes body;
+  MatchAfterThreeLiterals(3).AppendTo(body);
+  ExpectCorrupt(Container(7, body), "distance exceeds output");
+
+  // Distance 3 reaches the first byte: the same block shape decodes.
+  Bytes fits;
+  MatchAfterThreeLiterals(2).AppendTo(fits);
+  EXPECT_EQ(StringFromBytes(DeflateCodec().Decompress(Container(7, fits))),
+            "abcabca");
 }
 
 TEST(DeflateTest, HandBuiltBlocksDecode) {

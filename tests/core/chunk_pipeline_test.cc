@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/id_mapper.h"
 #include "datasets/datasets.h"
 #include "deflate/deflate.h"
+#include "isobar/partitioned_codec.h"
+#include "kernels/kernels.h"
 #include "util/byte_matrix.h"
 #include "util/error.h"
 #include "util/stats.h"
@@ -147,6 +151,150 @@ TEST(ChunkPipelineTest, DecoderRejectsBadWidth) {
   const DeflateCodec solver;
   EXPECT_THROW(ChunkDecoder(solver, Linearization::kColumn, 5),
                InvalidArgumentError);
+}
+
+/// A hand-built chunk record: the element count, a full index, the ID
+/// bytes as given (deflated), and an ISOBAR stream of zero mantissa bytes.
+Bytes HandBuiltRecord(const IdIndex& index, const Bytes& id_bytes,
+                      std::size_t width, const Codec& solver) {
+  const std::size_t count = id_bytes.size() / 2;
+  Bytes record;
+  PutVarint(record, count);
+  PutU8(record, 1);
+  PutBlock(record, SerializeIndex(index));
+  PutBlock(record, solver.Compress(id_bytes));
+  PutBlock(record, IsobarCompress(Bytes(count * (width - 2)), width - 2,
+                                  solver)
+                       .stream);
+  return record;
+}
+
+/// ID bytes for `ids` laid out per `linearization`.
+Bytes IdBytes(const std::vector<std::uint16_t>& ids,
+              Linearization linearization) {
+  const std::size_t n = ids.size();
+  Bytes out(n * 2);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto hi = static_cast<std::byte>(ids[i] >> 8);
+    const auto lo = static_cast<std::byte>(ids[i] & 0xff);
+    if (linearization == Linearization::kColumn) {
+      out[i] = hi;
+      out[n + i] = lo;
+    } else {
+      out[2 * i] = hi;
+      out[2 * i + 1] = lo;
+    }
+  }
+  return out;
+}
+
+/// Decodes `record` whole (first = 0) or from element `first` into `out`.
+void DecodeRecord(ChunkDecoder& decoder, const Bytes& record,
+                  std::uint64_t first, MutableByteSpan out) {
+  ByteReader reader(record);
+  const std::uint64_t count = reader.GetVarint();
+  decoder.DecodeChunkInto(reader, count, first, out);
+}
+
+TEST(ChunkDecoderTest, IdBeyondIndexRejected) {
+  // The index has IDs 0 and 1; one element's ID is 2 (the first one past
+  // it) or 0x0100 (high byte set): first, mid-chunk and last, under every
+  // kernel ISA, both widths and both linearizations. The same record with
+  // that ID in range decodes to the index's sequences.
+  const DeflateCodec solver;
+  const IdIndex index = IdIndex::FromSequences({0x3ff0, 0xc001});
+  constexpr std::size_t kCount = 1000;
+  const kernels::Isa active = kernels::ActiveIsa();
+  for (const kernels::Isa isa : kernels::kAllIsas) {
+    if (!kernels::ForceIsa(isa)) continue;
+    for (const std::size_t width : {std::size_t{8}, std::size_t{4}}) {
+      for (const Linearization linearization :
+           {Linearization::kColumn, Linearization::kRow}) {
+        ChunkDecoder decoder(solver, linearization, width);
+        Bytes out(kCount * width);
+        for (const std::size_t bad : {std::size_t{0}, kCount / 2,
+                                      kCount - 1}) {
+          for (const std::uint16_t bad_id : {std::uint16_t{2},
+                                             std::uint16_t{0x0100}}) {
+            std::vector<std::uint16_t> ids(kCount);
+            for (std::size_t i = 0; i < kCount; ++i) {
+              ids[i] = static_cast<std::uint16_t>(i % 2);
+            }
+            ids[bad] = bad_id;
+            const Bytes record = HandBuiltRecord(
+                index, IdBytes(ids, linearization), width, solver);
+            try {
+              DecodeRecord(decoder, record, 0, out);
+              ADD_FAILURE() << kernels::IsaName(isa) << " width=" << width
+                            << " bad=" << bad << " id=" << bad_id
+                            << ": no error";
+            } catch (const CorruptStreamError& e) {
+              EXPECT_NE(std::string(e.what()).find("ID beyond index"),
+                        std::string::npos)
+                  << e.what();
+            }
+            // A window holding the bad element rejects it too.
+            const std::size_t first = bad >= 9 ? bad - 9 : 0;
+            EXPECT_THROW(DecodeRecord(decoder, record, first,
+                                      MutableByteSpan(out).first(10 * width)),
+                         CorruptStreamError);
+            ids[bad] = 1;
+            DecodeRecord(decoder,
+                         HandBuiltRecord(index, IdBytes(ids, linearization),
+                                         width, solver),
+                         0, out);
+            // The element's top 16 bits are ID 1's sequence.
+            std::uint64_t element = 0;
+            std::memcpy(&element, out.data() + bad * width, width);
+            EXPECT_EQ(element >> (8 * (width - 2)), 0xc001u);
+          }
+        }
+      }
+    }
+  }
+  kernels::ForceIsa(active);
+}
+
+TEST(ChunkDecoderTest, WindowsMatchTheWholeChunk) {
+  // Every window start and length around the kernels' 8-element steps and
+  // the chunk's ends equals the same slice of the whole chunk, at both
+  // widths and both linearizations.
+  const DeflateCodec solver;
+  constexpr std::size_t kCount = 100;
+  for (const Precision precision : {Precision::kDouble, Precision::kSingle}) {
+    for (const Linearization linearization :
+         {Linearization::kColumn, Linearization::kRow}) {
+      PrimacyOptions options;
+      options.precision = precision;
+      options.linearization = linearization;
+      const std::size_t width = ElementWidth(precision);
+      const auto values = GenerateDatasetByName("num_plasma", kCount);
+      const std::vector<float> floats(values.begin(), values.end());
+      const Bytes chunk =
+          width == 8 ? NativeBytes(values) : ToBytes(AsBytes(floats));
+      Bytes record;
+      ChunkEncoder(options, solver).EncodeChunk(chunk, record);
+      ChunkDecoder decoder(solver, linearization, width);
+      for (std::size_t first = 0; first < kCount; ++first) {
+        for (std::size_t length = 0; first + length <= kCount; ++length) {
+          Bytes out(length * width);
+          DecodeRecord(decoder, record, first, out);
+          ASSERT_TRUE(std::equal(out.begin(), out.end(),
+                                 chunk.begin() + static_cast<std::ptrdiff_t>(
+                                                     first * width)))
+              << "width=" << width << " first=" << first
+              << " length=" << length;
+        }
+      }
+      // A window reaching past the chunk's last element is damage, not a
+      // short read.
+      Bytes out(2 * width);
+      EXPECT_THROW(DecodeRecord(decoder, record, kCount - 1, out),
+                   CorruptStreamError);
+      EXPECT_THROW(DecodeRecord(decoder, record, kCount, {}),
+                   CorruptStreamError);
+    }
+  }
 }
 
 TEST(ParallelCompressionTest, OutputIdenticalToSerial) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -263,6 +264,72 @@ TEST(DecompressRangeChainTest, ReuseWhenCorrelatedResolvesIndexChain) {
     const auto slice = decompressor.DecompressRange(stream, first, 64);
     EXPECT_EQ(slice, Slice(values, first, 64)) << "chunk " << c;
   }
+}
+
+/// Range reads whose windows start and end at, just before and just after
+/// every chunk edge (the stream's ends included), with lengths around the
+/// assembly kernels' 8-element steps, compared against the same slice of a
+/// full decode, at both widths and both linearizations.
+template <typename T>
+void ExpectWindowsAtEveryChunkEdgeMatch(bool cached) {
+  constexpr std::size_t kEdgeChunk = 4096;
+  PrimacyOptions options;
+  options.precision =
+      sizeof(T) == 8 ? Precision::kDouble : Precision::kSingle;
+  options.chunk_bytes = kEdgeChunk * sizeof(T);
+  const auto doubles = GenerateDatasetByName("num_plasma", 4 * kEdgeChunk + 777);
+  const std::vector<T> values(doubles.begin(), doubles.end());
+  for (const Linearization linearization :
+       {Linearization::kColumn, Linearization::kRow}) {
+    options.linearization = linearization;
+    const Bytes stream = PrimacyCompressor(options).Compress(values);
+    PrimacyOptions read_options = options;
+    if (cached) {
+      read_options.block_cache =
+          std::make_shared<DecodedBlockCache>(16 * 1024 * 1024);
+    }
+    const PrimacyDecompressor decompressor(read_options);
+    const std::vector<T> full = PrimacyDecompressor(options).Decompress<T>(
+        stream);
+    ASSERT_EQ(full, values);
+    for (std::size_t edge = 0; edge <= values.size(); edge += kEdgeChunk) {
+      for (const std::ptrdiff_t shift : {-9, -8, -1, 0, 1, 7, 8, 9}) {
+        for (const std::size_t length : {1u, 7u, 8u, 9u, 17u, 100u}) {
+          for (const bool ends_at_edge : {false, true}) {
+            const std::ptrdiff_t start =
+                static_cast<std::ptrdiff_t>(edge) + shift -
+                (ends_at_edge ? static_cast<std::ptrdiff_t>(length) : 0);
+            if (start < 0 ||
+                static_cast<std::size_t>(start) + length > values.size()) {
+              continue;
+            }
+            const auto first = static_cast<std::size_t>(start);
+            PrimacyDecodeStats stats;
+            EXPECT_EQ(decompressor.DecompressRange<T>(stream, first, length,
+                                                      &stats),
+                      std::vector<T>(full.begin() + start,
+                                     full.begin() + start +
+                                         static_cast<std::ptrdiff_t>(length)))
+                << "first=" << first << " length=" << length
+                << " width=" << sizeof(T) << " cached=" << cached;
+            const std::size_t covering =
+                (first + length - 1) / kEdgeChunk - first / kEdgeChunk + 1;
+            EXPECT_EQ(stats.chunks_decoded + stats.cache_hits, covering);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DecompressRangeWindowTest, UncachedWindowsAtEveryChunkEdge) {
+  ExpectWindowsAtEveryChunkEdgeMatch<double>(false);
+  ExpectWindowsAtEveryChunkEdgeMatch<float>(false);
+}
+
+TEST(DecompressRangeWindowTest, CachedWindowsAtEveryChunkEdge) {
+  ExpectWindowsAtEveryChunkEdgeMatch<double>(true);
+  ExpectWindowsAtEveryChunkEdgeMatch<float>(true);
 }
 
 TEST(DecompressRangeFloatTest, SinglePrecisionRangeRoundTrips) {

@@ -88,6 +88,32 @@ TEST(SinglePrecisionTest, RoundTripsFloatDatasetBitExactly) {
   }
 }
 
+TEST(SinglePrecisionTest, BothLinearizationsRoundTripBitExactly) {
+  // Every float element is assembled from its two ID bytes and two
+  // mantissa planes, whichever way the ID bytes are laid out; specials
+  // and odd chunk tails included.
+  auto values = FloatDataset("num_plasma", 50001);
+  values[0] = -0.0f;
+  values[1] = std::numeric_limits<float>::infinity();
+  values[2] = std::numeric_limits<float>::denorm_min();
+  values[3] = std::bit_cast<float>(std::uint32_t{0x7fc0beef});
+  for (const Linearization linearization :
+       {Linearization::kColumn, Linearization::kRow}) {
+    PrimacyOptions options = SingleOptions();
+    options.linearization = linearization;
+    options.chunk_bytes = 4099 * 4;
+    const Bytes stream = PrimacyCompressor(options).Compress(values);
+    const auto restored = PrimacyDecompressor(options).Decompress<float>(
+        stream);
+    ASSERT_EQ(restored.size(), values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(restored[i]),
+                std::bit_cast<std::uint32_t>(values[i]))
+          << "element " << i;
+    }
+  }
+}
+
 TEST(SinglePrecisionTest, CompressesFloatData) {
   // Float: the 2 high-order bytes cover sign + exponent + 7 mantissa bits —
   // half the element. The mapping should again beat the vanilla solver.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bitstream/byte_io.h"
 #include "deflate/deflate.h"
 #include "lzfast/lzfast.h"
 #include "util/error.h"
@@ -24,11 +25,23 @@ Bytes MixedMatrix(std::size_t n, std::uint64_t seed) {
   return rows;
 }
 
+/// The decoded planes scattered back into a row-linearized matrix.
+Bytes Rows(const IsobarPlanes& planes) {
+  const std::size_t width = planes.columns.size();
+  Bytes rows(planes.elements * width);
+  for (std::size_t c = 0; c < width; ++c) {
+    for (std::size_t i = 0; i < planes.elements; ++i) {
+      rows[i * width + c] = planes.columns[c][i];
+    }
+  }
+  return rows;
+}
+
 TEST(IsobarPartitionedTest, RoundTripsMixedMatrix) {
   const Bytes rows = MixedMatrix(20000, 1);
   const DeflateCodec solver;
   const IsobarCompressed compressed = IsobarCompress(rows, 6, solver);
-  EXPECT_EQ(IsobarDecompress(compressed.stream, solver), rows);
+  EXPECT_EQ(Rows(IsobarDecompress(compressed.stream, solver)), rows);
 }
 
 TEST(IsobarPartitionedTest, OnlyCompressibleColumnsGoThroughSolver) {
@@ -61,7 +74,7 @@ TEST(IsobarPartitionedTest, AllRandomMatrixStoredNearlyRaw) {
   const IsobarCompressed compressed = IsobarCompress(rows, 6, solver);
   EXPECT_EQ(compressed.plan.CompressibleColumns().size(), 0u);
   EXPECT_LE(compressed.stream.size(), rows.size() + 64);
-  EXPECT_EQ(IsobarDecompress(compressed.stream, solver), rows);
+  EXPECT_EQ(Rows(IsobarDecompress(compressed.stream, solver)), rows);
 }
 
 TEST(IsobarPartitionedTest, AllConstantMatrixFullyCompressed) {
@@ -71,14 +84,14 @@ TEST(IsobarPartitionedTest, AllConstantMatrixFullyCompressed) {
   EXPECT_EQ(compressed.plan.CompressibleColumns().size(), 6u);
   EXPECT_EQ(compressed.raw_bytes, 0u);
   EXPECT_LT(compressed.stream.size(), 1000u);
-  EXPECT_EQ(IsobarDecompress(compressed.stream, solver), rows);
+  EXPECT_EQ(Rows(IsobarDecompress(compressed.stream, solver)), rows);
 }
 
 TEST(IsobarPartitionedTest, WorksWithDifferentSolvers) {
   const Bytes rows = MixedMatrix(10000, 5);
   const LzFastCodec solver;
   const IsobarCompressed compressed = IsobarCompress(rows, 6, solver);
-  EXPECT_EQ(IsobarDecompress(compressed.stream, solver), rows);
+  EXPECT_EQ(Rows(IsobarDecompress(compressed.stream, solver)), rows);
 }
 
 TEST(IsobarPartitionedTest, ExplicitPlanIsHonored) {
@@ -89,7 +102,7 @@ TEST(IsobarPartitionedTest, ExplicitPlanIsHonored) {
   for (auto& col : plan.columns) col.compressible = false;
   const IsobarCompressed compressed = IsobarCompress(rows, 6, plan, solver);
   EXPECT_EQ(compressed.raw_bytes, rows.size());
-  EXPECT_EQ(IsobarDecompress(compressed.stream, solver), rows);
+  EXPECT_EQ(Rows(IsobarDecompress(compressed.stream, solver)), rows);
 }
 
 TEST(IsobarPartitionedTest, PlanWidthMismatchRejected) {
@@ -102,7 +115,9 @@ TEST(IsobarPartitionedTest, PlanWidthMismatchRejected) {
 TEST(IsobarPartitionedTest, EmptyMatrixRoundTrips) {
   const DeflateCodec solver;
   const IsobarCompressed compressed = IsobarCompress({}, 6, solver);
-  EXPECT_TRUE(IsobarDecompress(compressed.stream, solver).empty());
+  const IsobarPlanes planes = IsobarDecompress(compressed.stream, solver);
+  EXPECT_EQ(planes.elements, 0u);
+  EXPECT_EQ(planes.columns.size(), 6u);
 }
 
 TEST(IsobarPartitionedTest, CorruptStreamDetected) {
@@ -112,6 +127,37 @@ TEST(IsobarPartitionedTest, CorruptStreamDetected) {
   compressed.stream.resize(compressed.stream.size() / 3);
   EXPECT_THROW(IsobarDecompress(compressed.stream, solver),
                CorruptStreamError);
+}
+
+TEST(IsobarPartitionedTest, RawColumnsArePlanesOfTheStream) {
+  // Incompressible columns are not copied: their planes lie in the stream.
+  const Bytes rows = MixedMatrix(20000, 9);
+  const DeflateCodec solver;
+  const IsobarCompressed compressed = IsobarCompress(rows, 6, solver);
+  const IsobarPlanes planes = IsobarDecompress(compressed.stream, solver);
+  const std::byte* begin = compressed.stream.data();
+  const std::byte* end = begin + compressed.stream.size();
+  for (const std::size_t c : planes.plan.IncompressibleColumns()) {
+    EXPECT_GE(planes.columns[c], begin) << c;
+    EXPECT_LE(planes.columns[c] + planes.elements, end) << c;
+  }
+  EXPECT_EQ(planes.raw.size(),
+            planes.plan.IncompressibleColumns().size() * 20000u);
+}
+
+TEST(IsobarPartitionedTest, PlanWithoutEveryColumnRejected) {
+  // A plan of width 6 that lists 5 columns leaves one column without a
+  // plane; no encoder writes it.
+  IsobarPlan plan;
+  plan.width = 6;
+  plan.columns.resize(5);
+  const DeflateCodec solver;
+  Bytes stream;
+  PutVarint(stream, 100);
+  PutBlock(stream, SerializePlan(plan));
+  PutBlock(stream, solver.Compress({}));
+  PutBlock(stream, Bytes(5 * 100));
+  EXPECT_THROW(IsobarDecompress(stream, solver), CorruptStreamError);
 }
 
 }  // namespace

@@ -165,6 +165,25 @@ TEST(PipelineMetricsTest, TraceSpansEqualTheChunkStageLaps) {
   EXPECT_EQ(durations, expected_ns);
 }
 
+TEST(PipelineMetricsTest, RangeReadCountsItsChunksWholeExtent) {
+  // A range read assembles only its window, but inflates the whole chunk,
+  // and the per-KiB decode stage figures divide by this counter: it grows
+  // by the chunk's extent, as a full decode of that chunk would.
+  const std::vector<double> values = TestValues();
+  const Bytes stream = PrimacyCompressor(SmallChunkOptions()).Compress(values);
+  const std::uint64_t bytes0 =
+      CounterValue("primacy_decode_output_bytes_total");
+  PrimacyDecodeStats stats;
+  const auto window =
+      PrimacyDecompressor(SmallChunkOptions())
+          .DecompressRange(stream, 10000, 100, &stats);
+  EXPECT_EQ(window, std::vector<double>(values.begin() + 10000,
+                                        values.begin() + 10100));
+  ASSERT_EQ(stats.chunks_decoded, 1u);
+  EXPECT_EQ(CounterValue("primacy_decode_output_bytes_total") - bytes0,
+            SmallChunkOptions().chunk_bytes);
+}
+
 TEST(PipelineMetricsTest, SerialAndParallelDecodeIdenticalStatsAndMetrics) {
   const std::vector<double> values = TestValues();
   const Bytes stream = PrimacyCompressor(SmallChunkOptions()).Compress(values);
