@@ -152,6 +152,19 @@ const SolverCall& ChunkSolverCall(const std::string& dataset,
   return cache.back().second.at(index);
 }
 
+/// Names the path a solver call's blocks take and its ratio, and counts the
+/// call's whole input as the bytes each iteration processes.
+void ReportSolverCall(benchmark::State& state, const SolverCall& call) {
+  state.SetBytesProcessed(static_cast<std::int64_t>(call.data.size()) *
+                          state.iterations());
+  const bool literal =
+      call.encoded == DeflateCodec::CompressLiterals(call.data);
+  const bool lz = call.encoded == DeflateCodec().Compress(call.data);
+  state.SetLabel(literal ? "literal" : lz ? "lz" : "mixed");
+  state.counters["ratio"] = static_cast<double>(call.data.size()) /
+                            static_cast<double>(call.encoded.size());
+}
+
 /// The decoder's single-thread speed on one solver call. The label says
 /// which path the call's blocks take: literal-only, LZ, or mixed per column.
 void BM_SolverDecode(benchmark::State& state, const char* dataset,
@@ -166,14 +179,36 @@ void BM_SolverDecode(benchmark::State& state, const char* dataset,
     const Bytes restored = codec.Decompress(call.encoded);
     benchmark::DoNotOptimize(restored.data());
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(call.data.size()) *
-                          state.iterations());
-  const bool literal =
-      call.encoded == DeflateCodec::CompressLiterals(call.data);
-  const bool lz = call.encoded == codec.Compress(call.data);
-  state.SetLabel(literal ? "literal" : lz ? "lz" : "mixed");
-  state.counters["ratio"] = static_cast<double>(call.data.size()) /
-                            static_cast<double>(call.encoded.size());
+  ReportSolverCall(state, call);
+}
+
+/// The same call inflated for a 1,024-element window in the middle of each
+/// column, as ChunkDecoder asks for it on an uncached range read. The bytes
+/// processed are still the whole call's, so the rate compares with
+/// BM_SolverDecode's.
+void BM_SolverDecodeWindow(benchmark::State& state, const char* dataset,
+                           std::size_t index) {
+  constexpr std::size_t kWindow = 1024;
+  const SolverCall& call = ChunkSolverCall(dataset, index);
+  const DeflateCodec codec;
+  const std::size_t column =
+      call.column_bytes == 0 ? call.data.size() : call.column_bytes;
+  const std::size_t first = column / 2 - kWindow / 2;
+  const Bytes window =
+      codec.DecompressWindow(call.encoded, call.column_bytes, first, kWindow);
+  for (std::size_t at = first; at < call.data.size(); at += column) {
+    if (window.size() != call.data.size() ||
+        std::memcmp(window.data() + at, call.data.data() + at, kWindow) != 0) {
+      state.SkipWithError("solver call window does not round-trip");
+      return;
+    }
+  }
+  for (auto _ : state) {
+    const Bytes restored =
+        codec.DecompressWindow(call.encoded, call.column_bytes, first, kWindow);
+    benchmark::DoNotOptimize(restored.data());
+  }
+  ReportSolverCall(state, call);
 }
 
 #ifdef PRIMACY_BENCH_ZLIB
@@ -276,14 +311,23 @@ BENCHMARK(BM_PrimacyRangeRead)
     ->Unit(benchmark::kMicrosecond);
 // The decode side of ROADMAP's "inflate at zlib speed": num_plasma's ISOBAR
 // call is literal-only and its ID call mixes LZ (high column) with literal
-// (rank column) blocks; both num_brain calls are LZ.
+// (rank column) blocks; both num_brain calls are LZ. Each case's window
+// twin decodes only what a 1,024-element range read needs.
 BENCHMARK_CAPTURE(BM_SolverDecode, num_plasma_isobar, "num_plasma", 1)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SolverDecodeWindow, num_plasma_isobar, "num_plasma", 1)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SolverDecode, num_plasma_ids, "num_plasma", 0)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SolverDecodeWindow, num_plasma_ids, "num_plasma", 0)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SolverDecode, num_brain_ids, "num_brain", 0)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SolverDecodeWindow, num_brain_ids, "num_brain", 0)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SolverDecode, num_brain_isobar, "num_brain", 1)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SolverDecodeWindow, num_brain_isobar, "num_brain", 1)
     ->Unit(benchmark::kMillisecond);
 #ifdef PRIMACY_BENCH_ZLIB
 BENCHMARK_CAPTURE(BM_SolverDecodeZlib, num_plasma_isobar, "num_plasma", 1)

@@ -3,6 +3,8 @@
 // so that any Codec implementing this interface compresses it better
 // (paper Section II-E). The pipeline calls CompressAdaptive, so a codec may
 // fit its parse to each byte column of a call; Compress is the vanilla codec.
+// On the way back, DecompressWindow lets a range read ask for only the part
+// of each column it returns.
 #pragma once
 
 #include <memory>
@@ -42,6 +44,20 @@ class Codec {
 
   /// Exact inverse of Compress.
   virtual Bytes Decompress(ByteSpan data) const = 0;
+
+  /// Inflates `data` for a read that needs only a window of each byte
+  /// column, the decode twin of CompressAdaptive. The result has
+  /// Decompress's size and equals it inside [c·column_bytes + first,
+  /// c·column_bytes + first + count) of every column c (column_bytes 0: the
+  /// one window [first, first + count)). Its other bytes are unspecified,
+  /// and a codec may leave out the work only they need: malformed input
+  /// throws CorruptStreamError as in Decompress, unless the damage lies
+  /// only in data left unread. Default: Decompress.
+  virtual Bytes DecompressWindow(ByteSpan data, std::size_t /*column_bytes*/,
+                                 std::size_t /*first*/,
+                                 std::size_t /*count*/) const {
+    return Decompress(data);
+  }
 };
 
 /// Measured single-shot codec performance; feeds the Section III model

@@ -266,13 +266,25 @@ void ChunkDecoder::DecodeChunkInto(ByteReader& reader, std::uint64_t count,
   // Index deserialization restores the frequency-ranked ID table, so it is
   // charged to the frequency stage (its encode-side dual).
   timer.Lap(telemetry::Stage::kSolver);
-  const Bytes id_bytes = solver_.Decompress(reader.GetBlock());
+  // Both inflates get the window, so a solver may leave out the bytes
+  // outside it: under kColumn the IDs are two columns of `count` bytes,
+  // under kRow one run of ID pairs; ISOBAR's planes are columns of `count`.
+  // A count too large for these offsets fails the ID byte count check.
+  const auto n = static_cast<std::size_t>(count);
+  const auto skip = static_cast<std::size_t>(first);
+  const bool columns = linearization_ == Linearization::kColumn;
+  const Bytes id_bytes =
+      columns ? solver_.DecompressWindow(reader.GetBlock(), n, skip, window)
+              : solver_.DecompressWindow(reader.GetBlock(), 0,
+                                         kHighWidth * skip,
+                                         kHighWidth * window);
   timer.Lap(telemetry::Stage::kIsobar);
   if (id_bytes.size() % kHighWidth != 0 ||
       id_bytes.size() / kHighWidth != count) {
     throw CorruptStreamError("primacy: ID byte count mismatch");
   }
-  const IsobarPlanes low = IsobarDecompress(reader.GetBlock(), solver_);
+  const IsobarPlanes low =
+      IsobarDecompress(reader.GetBlock(), solver_, skip, window);
   if (low.elements != count || low.plan.width != width_ - kHighWidth) {
     throw CorruptStreamError("primacy: mantissa byte count mismatch");
   }
@@ -280,10 +292,7 @@ void ChunkDecoder::DecodeChunkInto(ByteReader& reader, std::uint64_t count,
 
   // One kernel call unmaps the window's IDs and interleaves them with its
   // mantissa planes into native elements. Past the checks above, every
-  // plane holds `count` bytes and every offset below fits in size_t.
-  const auto n = static_cast<std::size_t>(count);
-  const auto skip = static_cast<std::size_t>(first);
-  const bool columns = linearization_ == Linearization::kColumn;
+  // plane holds `count` bytes.
   const std::size_t stride = columns ? 1 : kHighWidth;
   const std::byte* hi = id_bytes.data() + skip * stride;
   const std::byte* lo = hi + (columns ? n : 1);

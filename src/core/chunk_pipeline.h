@@ -75,12 +75,13 @@ class ChunkDecoder {
   /// Same, but writes the restored elements [first, first + out.size() /
   /// element_width) of the chunk straight into `out`, where `first` <
   /// count; `first` = 0 with `out` of count * element_width bytes is the
-  /// whole chunk. The whole
-  /// record is inflated and its planes checked, but only the window is
+  /// whole chunk. The whole record is read and its planes checked, but the
+  /// solver's two inflates get the window (Codec::DecompressWindow), so
+  /// they may leave out the bytes outside it, and only the window is
   /// assembled. This is the directory decoder's path: each chunk's output
   /// position is known from the v2 directory, so workers decode into
   /// disjoint slices of one preallocated buffer, and an uncached range read
-  /// assembles its edge chunks' windows straight into the caller's output.
+  /// decodes its edge chunks' windows straight into the caller's output.
   void DecodeChunkInto(ByteReader& reader, std::uint64_t count,
                        std::uint64_t first, MutableByteSpan out);
 

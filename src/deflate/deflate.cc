@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -262,7 +263,44 @@ void CopyMatch(std::byte* out, std::size_t at, std::size_t length,
   }
 }
 
-Bytes DecompressImpl(ByteSpan data) {
+/// The output bytes a read needs: `count` bytes from `first` on in every
+/// period of `column` bytes, or the one run [first, first + count) for
+/// `column` 0. The default is the whole output.
+struct Window {
+  std::size_t column = 0;
+  std::size_t first = 0;
+  std::size_t count = std::numeric_limits<std::size_t>::max();
+
+  /// Whether output bytes [begin, end) hold a byte of the window.
+  bool Meets(std::size_t begin, std::size_t end) const {
+    if (count == 0) return false;
+    if (begin < first) return first < end;
+    const std::size_t offset = begin - first;
+    if (column == 0) return offset < count;
+    // `begin` lies `phase` bytes past the start of a window; the next one
+    // starts column - phase bytes after it.
+    const std::size_t phase = offset % column;
+    return phase < count || column - phase < end - begin;
+  }
+};
+
+/// A literal-only block the window does not meet, left undecoded: where its
+/// bytes go, its code and its payload.
+struct SkippedBlock {
+  std::size_t at = 0;
+  std::size_t size = 0;
+  HuffmanDecoder decoder;
+  ByteSpan payload;
+};
+
+/// The one inflate loop: Decompress is the whole window. A literal-only
+/// block's token count is its output size, so one that the window does not
+/// meet passes every check but the decoding of its code words and is left
+/// out, unless a later LZ block starts within kLzWindowSize of its end: a
+/// match there may copy from it, so that block decodes it first. Stored and
+/// LZ blocks are always processed, since an LZ block's size is known only
+/// once it is decoded.
+Bytes DecompressImpl(ByteSpan data, const Window& window) {
   ByteReader reader(data);
   const std::uint64_t original_size = reader.GetVarint();
   // `out` grows block by block to what each block can write; `size` counts
@@ -272,6 +310,10 @@ Bytes DecompressImpl(ByteSpan data) {
   std::size_t size = 0;
   const auto grow_to = [&](std::size_t capacity) {
     if (out.size() < capacity) out.resize(capacity);
+  };
+  std::vector<SkippedBlock> skipped;
+  const auto out_of_reach = [&](const SkippedBlock& block) {
+    return size - (block.at + block.size) >= kLzWindowSize;
   };
 
   while (size < original_size) {
@@ -302,7 +344,7 @@ Bytes DecompressImpl(ByteSpan data) {
       throw CorruptStreamError("deflate: token count exceeds payload bits");
     }
 
-    const HuffmanDecoder litlen_decoder(litlen_lengths);
+    HuffmanDecoder litlen_decoder(litlen_lengths);
     const auto any_code = [](std::span<const std::uint8_t> lengths) {
       return std::any_of(lengths.begin(), lengths.end(),
                          [](std::uint8_t l) { return l != 0; });
@@ -320,11 +362,24 @@ Bytes DecompressImpl(ByteSpan data) {
         throw CorruptStreamError("deflate: output overrun");
       }
       grow_to(size + token_count);
-      litlen_decoder.DecodeBytes(bits,
-                                 std::span(out).subspan(size, token_count));
+      if (window.Meets(size, size + token_count)) {
+        litlen_decoder.DecodeBytes(bits,
+                                   std::span(out).subspan(size, token_count));
+      } else {
+        skipped.push_back(
+            {size, token_count, std::move(litlen_decoder), payload});
+      }
       size += token_count;
+      std::erase_if(skipped, out_of_reach);
       continue;
     }
+    for (const SkippedBlock& block : skipped) {
+      if (out_of_reach(block)) continue;
+      BitReader block_bits(block.payload);
+      block.decoder.DecodeBytes(block_bits,
+                                std::span(out).subspan(block.at, block.size));
+    }
+    skipped.clear();
 
     // No token writes more than kLzMaxMatch bytes.
     const std::size_t end =
@@ -418,7 +473,13 @@ Bytes DeflateCodec::CompressLiterals(ByteSpan data) {
 }
 
 Bytes DeflateCodec::Decompress(ByteSpan data) const {
-  return DecompressImpl(data);
+  return DecompressImpl(data, {});
+}
+
+Bytes DeflateCodec::DecompressWindow(ByteSpan data, std::size_t column_bytes,
+                                     std::size_t first,
+                                     std::size_t count) const {
+  return DecompressImpl(data, {column_bytes, first, count});
 }
 
 }  // namespace primacy

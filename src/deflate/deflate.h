@@ -20,6 +20,13 @@
 // one and copy a match with memset at distance 1, in 8-byte steps at
 // distance 8 or more, and byte by byte otherwise.
 //
+// DecompressWindow runs the same loop for a read that needs only a window of
+// each column. Since a literal-only block's header gives its output size, a
+// block wholly outside the window is checked but not Huffman-decoded, unless
+// it ends within the 32 KiB match window before a later LZ block, which then
+// decodes it first. Stored and LZ blocks are always processed: an LZ block's
+// header does not give its output size. Decompress is the whole window.
+//
 // The container format is our own (not RFC 1950/1951 compatible):
 //   varint original_size, then blocks:
 //     u8 block_type (0 = stored, 1 = huffman)
@@ -56,6 +63,9 @@ class DeflateCodec final : public Codec {
   Bytes CompressAdaptive(ByteSpan data,
                          std::size_t column_bytes) const override;
   Bytes Decompress(ByteSpan data) const override;
+  Bytes DecompressWindow(ByteSpan data, std::size_t column_bytes,
+                         std::size_t first,
+                         std::size_t count) const override;
 
   /// Literal-only Huffman, the path CompressAdaptive takes where LZ does
   /// not pay: the bytes DeflateCodec(LzParams{0, 3, false}).Compress

@@ -50,12 +50,16 @@ IsobarCompressed IsobarCompress(ByteSpan rows, std::size_t width,
                         solver);
 }
 
-IsobarPlanes IsobarDecompress(ByteSpan stream, const Codec& solver) {
+IsobarPlanes IsobarDecompress(ByteSpan stream, const Codec& solver,
+                              std::size_t first, std::size_t count) {
   ByteReader reader(stream);
   IsobarPlanes planes;
   const std::uint64_t n = reader.GetVarint();
   planes.plan = DeserializePlan(reader.GetBlock());
-  planes.compressible = solver.Decompress(reader.GetBlock());
+  // The encoder passed n as the column length; the checks below reject a
+  // stream whose n is not the planes' length.
+  planes.compressible = solver.DecompressWindow(
+      reader.GetBlock(), static_cast<std::size_t>(n), first, count);
   planes.raw = reader.GetBlock();
   const IsobarPlan& plan = planes.plan;
 

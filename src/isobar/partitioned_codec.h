@@ -2,9 +2,12 @@
 // stream — compressible byte-columns are column-linearized and fed to the
 // solver codec, incompressible columns are stored verbatim. This is the
 // "ISOBAR-COMPRESS" step of the paper's Algorithm 1, applied in PRIMACY to
-// the six low-order mantissa bytes of each double.
+// the six low-order mantissa bytes of each double. The decoder hands the
+// solver the element window a read needs, with the column length the
+// encoder passed, so a range read inflates only that part of each column.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -51,7 +54,12 @@ struct IsobarPlanes {
 
 /// Inverse of IsobarCompress, without the scatter back to rows: inflates the
 /// compressible columns and points each column at its plane. `stream` must
-/// outlive the result.
-IsobarPlanes IsobarDecompress(ByteSpan stream, const Codec& solver);
+/// outlive the result. The compressible planes are exact for the elements
+/// [first, first + count) the caller reads (the default is all of them):
+/// they go to the solver's DecompressWindow, which may leave the rest of
+/// each plane undecoded. The raw planes are always whole.
+IsobarPlanes IsobarDecompress(
+    ByteSpan stream, const Codec& solver, std::size_t first = 0,
+    std::size_t count = std::numeric_limits<std::size_t>::max());
 
 }  // namespace primacy

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -296,28 +297,138 @@ TEST(DeflateTest, StoredBlockPastDeclaredSizeRejected) {
   ExpectCorrupt(Container(5, body), "size mismatch");
 }
 
-/// The kinds of block `encoded` holds: 's' stored, 'l' literal-only, 'z'
-/// LZ (a distance table).
+/// One block of a container: its kind ('s' stored, 'l' literal-only, 'z'
+/// LZ), where its payload lies in the container and, when its header and
+/// place tell, where its bytes lie in the output. A stored or literal-only
+/// header gives the block's output size and an LZ header does not, so output
+/// extents are known before the first LZ block (counted from the front), the
+/// first LZ block's start included, and after the last one (counted back
+/// from the declared size).
+struct BlockExtent {
+  char kind = 's';
+  std::size_t payload_begin = 0;
+  std::size_t payload_end = 0;
+  std::size_t out_size = 0;  // 0 for an LZ block
+  std::optional<std::size_t> out_begin;
+};
+
+std::vector<BlockExtent> Layout(const Bytes& encoded) {
+  std::vector<BlockExtent> blocks;
+  ByteReader reader(encoded);
+  const std::uint64_t declared = reader.GetVarint();
+  const auto at = [&](ByteSpan span) {
+    return static_cast<std::size_t>(span.data() - encoded.data());
+  };
+  while (!reader.AtEnd()) {
+    BlockExtent block;
+    if (reader.GetU8() == 0) {
+      const ByteSpan raw = reader.GetRaw(reader.GetVarint());
+      block.payload_begin = at(raw);
+      block.payload_end = at(raw) + raw.size();
+      block.out_size = raw.size();
+    } else {
+      const std::uint64_t tokens = reader.GetVarint();
+      const auto litlen =
+          DeserializeCodeLengths(reader.GetBlock(), kLitLenAlphabet);
+      const auto dist =
+          DeserializeCodeLengths(reader.GetBlock(), kDistAlphabet);
+      const ByteSpan payload = reader.GetBlock();
+      const auto any = [](auto first, auto last) {
+        return std::any_of(first, last, [](auto l) { return l != 0; });
+      };
+      const bool lz = any(dist.begin(), dist.end()) ||
+                      any(litlen.begin() + 256, litlen.end());
+      block.kind = lz ? 'z' : 'l';
+      block.payload_begin = at(payload);
+      block.payload_end = at(payload) + payload.size();
+      block.out_size = lz ? 0 : static_cast<std::size_t>(tokens);
+    }
+    blocks.push_back(block);
+  }
+  std::size_t front = 0;
+  for (BlockExtent& block : blocks) {
+    block.out_begin = front;
+    if (block.kind == 'z') break;
+    front += block.out_size;
+  }
+  std::size_t back = static_cast<std::size_t>(declared);
+  for (auto block = blocks.rbegin();
+       block != blocks.rend() && block->kind != 'z'; ++block) {
+    back -= block->out_size;
+    block->out_begin = back;
+  }
+  return blocks;
+}
+
+/// The kinds of block `encoded` holds.
 std::set<char> BlockKinds(const Bytes& encoded) {
   std::set<char> kinds;
-  ByteReader reader(encoded);
-  reader.GetVarint();
-  while (!reader.AtEnd()) {
-    if (reader.GetU8() == 0) {
-      reader.GetRaw(reader.GetVarint());
-      kinds.insert('s');
-      continue;
-    }
-    reader.GetVarint();
-    reader.GetBlock();
-    const auto dist =
-        DeserializeCodeLengths(reader.GetBlock(), kDistAlphabet);
-    reader.GetBlock();
-    const bool lz =
-        std::any_of(dist.begin(), dist.end(), [](auto l) { return l != 0; });
-    kinds.insert(lz ? 'z' : 'l');
-  }
+  for (const BlockExtent& block : Layout(encoded)) kinds.insert(block.kind);
   return kinds;
+}
+
+/// A read window as DecompressWindow takes it.
+struct Window {
+  std::size_t column = 0;
+  std::size_t first = 0;
+  std::size_t count = 0;
+
+  /// Whether output byte `i` lies in [c·column + first, c·column + first +
+  /// count) for some column c.
+  bool Holds(std::size_t i) const {
+    if (i < first) return false;
+    const std::size_t offset = i - first;
+    return column == 0 ? offset < count : offset % column < count;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const Window& w) {
+  return os << "window(column " << w.column << ", first " << w.first
+            << ", count " << w.count << ")";
+}
+
+Bytes DecodeThrough(const Bytes& stream, const Window& w) {
+  return DeflateCodec().DecompressWindow(stream, w.column, w.first, w.count);
+}
+
+/// `got` has `full`'s size and matches it at every byte of `w`.
+::testing::AssertionResult ExactInside(const Bytes& got, const Bytes& full,
+                                       const Window& w) {
+  if (got.size() != full.size()) {
+    return ::testing::AssertionFailure()
+           << w << ": " << got.size() << " bytes, not " << full.size();
+  }
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    if (w.Holds(i) && got[i] != full[i]) {
+      return ::testing::AssertionFailure() << w << ": byte " << i << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The container byte ranges of the payloads a decode through `w` cannot
+/// need: literal-only blocks with a known output extent that holds no byte
+/// of `w` and ends at least kLzWindowSize before the next LZ block (or has
+/// none after it). Literal-only blocks whose extent is unknown are left out.
+std::vector<std::pair<std::size_t, std::size_t>> UnneededPayloads(
+    const std::vector<BlockExtent>& blocks, const Window& w) {
+  std::vector<std::pair<std::size_t, std::size_t>> payloads;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const BlockExtent& block = blocks[b];
+    if (block.kind != 'l' || !block.out_begin) continue;
+    const std::size_t begin = *block.out_begin;
+    const std::size_t end = begin + block.out_size;
+    bool needed = false;
+    for (std::size_t i = begin; i < end && !needed; ++i) needed = w.Holds(i);
+    for (std::size_t next = b + 1; next < blocks.size(); ++next) {
+      if (blocks[next].kind != 'z') continue;
+      needed = needed || !blocks[next].out_begin ||
+               *blocks[next].out_begin - end < kLzWindowSize;
+      break;
+    }
+    if (!needed) payloads.emplace_back(block.payload_begin, block.payload_end);
+  }
+  return payloads;
 }
 
 /// Whether the parse Compress codes `data` with has a match at a distance
@@ -329,12 +440,14 @@ bool HasMatchAt(ByteSpan data, std::size_t low, std::size_t high) {
   });
 }
 
-/// Decoding `stream` throws CorruptStreamError or returns exactly the bytes
-/// it declares; any other exception escapes and fails the test.
-bool DecodesOrRejects(const Bytes& stream) {
+/// Decoding `stream`, whole or through `w`, throws CorruptStreamError or
+/// returns exactly the bytes it declares; any other exception escapes and
+/// fails the test.
+bool DecodesOrRejects(const Bytes& stream,
+                      const std::optional<Window>& w = {}) {
   Bytes out;
   try {
-    out = DeflateCodec().Decompress(stream);
+    out = w ? DecodeThrough(stream, *w) : DeflateCodec().Decompress(stream);
   } catch (const CorruptStreamError&) {
     return true;
   }
@@ -343,13 +456,32 @@ bool DecodesOrRejects(const Bytes& stream) {
 }
 
 /// Every truncation of `encoded`, and every change of one byte to each of
-/// `values(original)`, decodes or is rejected.
+/// `values(original)`, decodes or is rejected, whole and through each of
+/// `windows`. A change inside the payload of a block that a window cannot
+/// need leaves that window's bytes as they were.
 template <typename Values>
-void SweepTruncationsAndByteChanges(const Bytes& encoded, Values values) {
+void SweepTruncationsAndByteChanges(const Bytes& encoded, Values values,
+                                    const std::vector<Window>& windows) {
+  const Bytes full = DeflateCodec().Decompress(encoded);
+  const std::vector<BlockExtent> blocks = Layout(encoded);
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> unneeded;
+  for (const Window& w : windows) {
+    unneeded.push_back(UnneededPayloads(blocks, w));
+  }
+  const auto in_unneeded_payload = [&](std::size_t w, std::size_t at) {
+    return std::any_of(unneeded[w].begin(), unneeded[w].end(),
+                       [at](const auto& p) {
+                         return at >= p.first && at < p.second;
+                       });
+  };
   for (std::size_t size = 0; size < encoded.size(); ++size) {
     const Bytes cut(encoded.begin(),
                     encoded.begin() + static_cast<std::ptrdiff_t>(size));
     ASSERT_TRUE(DecodesOrRejects(cut)) << "truncated to " << size;
+    for (const Window& w : windows) {
+      ASSERT_TRUE(DecodesOrRejects(cut, w)) << "truncated to " << size
+                                            << ", " << w;
+    }
   }
   for (std::size_t at = 0; at < encoded.size(); ++at) {
     Bytes changed = encoded;
@@ -358,6 +490,20 @@ void SweepTruncationsAndByteChanges(const Bytes& encoded, Values values) {
       changed[at] = std::byte{value};
       ASSERT_TRUE(DecodesOrRejects(changed))
           << "byte " << at << " set to " << unsigned{value};
+      for (std::size_t w = 0; w < windows.size(); ++w) {
+        if (!in_unneeded_payload(w, at)) {
+          ASSERT_TRUE(DecodesOrRejects(changed, windows[w]))
+              << "byte " << at << " set to " << unsigned{value} << ", "
+              << windows[w];
+          continue;
+        }
+        Bytes got;
+        ASSERT_NO_THROW(got = DecodeThrough(changed, windows[w]))
+            << "byte " << at << " set to " << unsigned{value} << ", "
+            << windows[w];
+        ASSERT_TRUE(ExactInside(got, full, windows[w]))
+            << "byte " << at << " set to " << unsigned{value};
+      }
     }
   }
 }
@@ -405,9 +551,12 @@ TEST(DeflateSweepTest, EveryBlockKindDecodesOrRejectsEveryDamage) {
       {codec.Compress(short_period), {'z'}},
       {codec.Compress(long_period), {'z'}},
   };
+  // An empty window needs no literal-only block, and the second byte
+  // needs every block here.
+  const std::vector<Window> windows = {{0, 0, 0}, {0, 1, 1}};
   for (const auto& [encoded, kinds] : containers) {
     ASSERT_EQ(BlockKinds(encoded), kinds);
-    SweepTruncationsAndByteChanges(encoded, AllOtherValues);
+    SweepTruncationsAndByteChanges(encoded, AllOtherValues, windows);
   }
 }
 
@@ -423,14 +572,180 @@ TEST(DeflateSweepTest, MixedColumnCallDecodesOrRejectsEveryDamage) {
   const Bytes encoded = DeflateCodec().CompressAdaptive(data, 16384);
   ASSERT_EQ(BlockKinds(encoded), (std::set<char>{'l', 'z'}));
   ASSERT_EQ(DeflateCodec().Decompress(encoded), data);
-  SweepTruncationsAndByteChanges(encoded, [](std::uint8_t original) {
-    std::vector<std::uint8_t> values{0x00, 0xff};
-    for (unsigned bit = 0; bit < 8; ++bit) {
-      values.push_back(static_cast<std::uint8_t>(original ^ (1u << bit)));
+  // The LZ column alone, which leaves the literal column's block out, and
+  // 16 bytes of each column, which needs both.
+  const std::vector<Window> windows = {{0, 0, 16384}, {16384, 8000, 16}};
+  SweepTruncationsAndByteChanges(
+      encoded,
+      [](std::uint8_t original) {
+        std::vector<std::uint8_t> values{0x00, 0xff};
+        for (unsigned bit = 0; bit < 8; ++bit) {
+          values.push_back(static_cast<std::uint8_t>(original ^ (1u << bit)));
+        }
+        std::erase(values, original);
+        return values;
+      },
+      windows);
+}
+
+/// Windows whose ends fall at, one byte before and one byte after every
+/// position of `edges`, 1 or `length` bytes long, inside [0, limit).
+std::vector<std::pair<std::size_t, std::size_t>> WindowsAround(
+    const std::set<std::size_t>& edges, std::size_t length,
+    std::size_t limit) {
+  std::vector<std::pair<std::size_t, std::size_t>> windows;
+  for (const std::size_t edge : edges) {
+    for (const std::size_t end : {edge - 1, edge, edge + 1}) {
+      for (const std::size_t count : {std::size_t{1}, length}) {
+        if (end <= limit && end >= count) {
+          windows.emplace_back(end - count, count);  // ends at `end`
+        }
+        if (end + count <= limit) windows.emplace_back(end, count);
+      }
     }
-    std::erase(values, original);
-    return values;
-  });
+  }
+  return windows;
+}
+
+/// Every window around every 64 KiB block edge and every column edge of
+/// `data`'s `columns` columns, as one column and as `columns` columns,
+/// decodes `encoded` exactly inside itself and to the declared size.
+void ExpectExactAroundEveryEdge(const Bytes& encoded, const Bytes& data,
+                                std::size_t columns) {
+  ASSERT_EQ(DeflateCodec().Decompress(encoded), data);
+  const std::size_t column = data.size() / columns;
+  std::set<std::size_t> edges;
+  for (std::size_t c = 0; c <= columns; ++c) {
+    for (std::size_t at = c * column; at <= data.size(); at += 1u << 16) {
+      edges.insert(at);
+    }
+  }
+  for (const auto& [first, count] : WindowsAround(edges, 300, data.size())) {
+    const Window w{0, first, count};
+    ASSERT_TRUE(ExactInside(DecodeThrough(encoded, w), data, w));
+  }
+  std::set<std::size_t> in_column;
+  for (const std::size_t edge : edges) {
+    in_column.insert(edge % column == 0 && edge > 0 ? column : edge % column);
+  }
+  for (const auto& [first, count] : WindowsAround(in_column, 300, column)) {
+    const Window w{column, first, count};
+    ASSERT_TRUE(ExactInside(DecodeThrough(encoded, w), data, w));
+  }
+}
+
+// Three columns of 65,553 bytes: block edges fall inside the columns.
+constexpr std::size_t kWindowColumn = 65536 + 17;
+
+TEST(DeflateWindowTest, StoredContainerIsExactInEveryWindow) {
+  const Bytes data = AllInputGenerators()[2].make(3 * kWindowColumn, 31);
+  const Bytes encoded = DeflateCodec().Compress(data);
+  ASSERT_EQ(BlockKinds(encoded), std::set<char>{'s'});
+  ExpectExactAroundEveryEdge(encoded, data, 3);
+}
+
+TEST(DeflateWindowTest, MultiBlockLiteralContainerIsExactInEveryWindow) {
+  const Bytes data = AllInputGenerators()[3].make(3 * kWindowColumn, 32);
+  const Bytes encoded = DeflateCodec::CompressLiterals(data);
+  ASSERT_EQ(BlockKinds(encoded), std::set<char>{'l'});
+  ASSERT_EQ(Layout(encoded).size(), 4u);
+  ExpectExactAroundEveryEdge(encoded, data, 3);
+}
+
+TEST(DeflateWindowTest, LzContainerIsExactInEveryWindow) {
+  // Skewed noise parses to about one token per byte, with short matches:
+  // several LZ blocks.
+  const Bytes data = AllInputGenerators()[3].make(3 * kWindowColumn, 33);
+  const Bytes encoded = DeflateCodec().Compress(data);
+  ASSERT_EQ(BlockKinds(encoded), std::set<char>{'z'});
+  ASSERT_GT(Layout(encoded).size(), 1u);
+  ExpectExactAroundEveryEdge(encoded, data, 3);
+}
+
+TEST(DeflateWindowTest, MixedContainerIsExactInEveryWindow) {
+  // DeflateColumnTest.LzColumnMatchesReachIntoTheColumnBefore's input: a
+  // literal column, then an LZ column whose matches copy from it 20 KiB
+  // back. A window in the LZ column alone needs the literal block too.
+  const Bytes noise = AllInputGenerators()[3].make(20000, 13);
+  Bytes data = noise;
+  AppendBytes(data, noise);
+  const Bytes encoded = DeflateCodec().CompressAdaptive(data, noise.size());
+  ASSERT_EQ(Layout(encoded).front().kind, 'l');
+  ASSERT_EQ(Layout(encoded).back().kind, 'z');
+  ExpectExactAroundEveryEdge(encoded, data, 2);
+
+  // The same shape across two literal blocks: the LZ column repeats the
+  // literal column's last 30,000 bytes, which straddle its block edge, and
+  // then its own first 30,000.
+  const Bytes wide = AllInputGenerators()[3].make(70000, 14);
+  Bytes repeats = wide;
+  for (std::size_t i = 0; i < wide.size(); ++i) {
+    repeats.push_back(wide[40000 + i % 30000]);
+  }
+  const Bytes wide_encoded =
+      DeflateCodec().CompressAdaptive(repeats, wide.size());
+  const std::vector<BlockExtent> blocks = Layout(wide_encoded);
+  ASSERT_EQ(blocks.size(), 3u);
+  ASSERT_EQ(blocks[0].kind, 'l');
+  ASSERT_EQ(blocks[1].kind, 'l');
+  ASSERT_EQ(blocks[2].kind, 'z');
+  ExpectExactAroundEveryEdge(wide_encoded, repeats, 2);
+}
+
+TEST(DeflateWindowTest, BlocksOutsideTheWindowAreNotDecoded) {
+  // The middle block declares 32 tokens, which its 32 payload bits admit,
+  // but codes them in 2 bits each: decoding it runs out of bits. A window
+  // that holds none of its bytes [100, 132) decodes. Columns of 91 bytes
+  // put window edges at 91 and 182 as well.
+  Bytes body;
+  LiteralBlock(100).AppendTo(body);
+  LiteralBlock(16, 2).AppendTo(body, 0, 32);
+  LiteralBlock(50).AppendTo(body);
+  const Bytes stream = Container(182, body);
+  ExpectCorrupt(stream, "stream exhausted");
+  Bytes outer;
+  LiteralBlock(100).AppendTo(outer);
+  LiteralBlock(32, 2).AppendTo(outer);
+  LiteralBlock(50).AppendTo(outer);
+  const Bytes full = DeflateCodec().Decompress(Container(182, outer));
+  for (const Window w : {Window{0, 0, 100}, Window{0, 99, 1},
+                         Window{0, 132, 50}, Window{0, 150, 0},
+                         Window{91, 0, 9}, Window{91, 82, 9},
+                         Window{100, 32, 68}, Window{0, 0, 0}}) {
+    Bytes got;
+    ASSERT_NO_THROW(got = DecodeThrough(stream, w)) << w;
+    EXPECT_TRUE(ExactInside(got, full, w));
+  }
+  for (const Window w : {Window{0, 0, 101}, Window{0, 131, 1},
+                         Window{0, 99, 2}, Window{0, 110, 1},
+                         Window{91, 0, 10}, Window{91, 40, 1},
+                         Window{100, 31, 69}, Window{0, 0, 182}}) {
+    EXPECT_THROW(DecodeThrough(stream, w), CorruptStreamError) << w;
+  }
+}
+
+TEST(DeflateWindowTest, LzBlockDecodesTheSkippedBlocksItCanReach) {
+  // The undecodable block of BlocksOutsideTheWindowAreNotDecoded ends
+  // `gap` bytes, all stored, before an LZ block ("a" then "aaaab"), and the
+  // window holds only the LZ block's bytes. A match may reach 32 KiB back,
+  // so that block needs the undecodable one at 32,767 bytes, not at 32,768.
+  for (const std::size_t gap : {kLzWindowSize - 1, kLzWindowSize}) {
+    Bytes body;
+    LiteralBlock(16, 2).AppendTo(body, 0, 32);
+    PutU8(body, 0);
+    PutVarint(body, gap);
+    AppendBytes(body, Bytes(gap, 0x5a_b));
+    LzBlock(1).AppendTo(body);
+    const Bytes stream = Container(32 + gap + 6, body);
+    const Window w{0, 32 + gap, 6};
+    if (gap < kLzWindowSize) {
+      EXPECT_THROW(DecodeThrough(stream, w), CorruptStreamError);
+      continue;
+    }
+    const Bytes got = DecodeThrough(stream, w);
+    ASSERT_EQ(got.size(), 32 + gap + 6);
+    EXPECT_EQ(StringFromBytes(Bytes(got.end() - 6, got.end())), "aaaaab");
+  }
 }
 
 TEST(DeflateTest, EmptyInputProducesDecodableStream) {

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <optional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/id_mapper.h"
@@ -293,6 +296,98 @@ TEST(ChunkDecoderTest, WindowsMatchTheWholeChunk) {
                    CorruptStreamError);
       EXPECT_THROW(DecodeRecord(decoder, record, kCount, {}),
                    CorruptStreamError);
+    }
+  }
+}
+
+/// DeflateCodec, recording the window of every DecompressWindow call as
+/// (column_bytes, first, count).
+class WindowRecordingSolver final : public Codec {
+ public:
+  std::string_view name() const override { return "deflate"; }
+  Bytes Compress(ByteSpan data) const override {
+    return inner_.Compress(data);
+  }
+  Bytes CompressAdaptive(ByteSpan data,
+                         std::size_t column_bytes) const override {
+    return inner_.CompressAdaptive(data, column_bytes);
+  }
+  Bytes Decompress(ByteSpan data) const override {
+    windows.push_back({0, 0, 0});  // marks a whole-data decode
+    return inner_.Decompress(data);
+  }
+  Bytes DecompressWindow(ByteSpan data, std::size_t column_bytes,
+                         std::size_t first,
+                         std::size_t count) const override {
+    windows.push_back({column_bytes, first, count});
+    return inner_.DecompressWindow(data, column_bytes, first, count);
+  }
+
+  mutable std::vector<std::array<std::size_t, 3>> windows;
+
+ private:
+  DeflateCodec inner_;
+};
+
+TEST(ChunkDecoderTest, MultiBlockWindowsMatchTheWholeChunk) {
+  // 3 x 65,536 + 17 elements: num_plasma's rank column and literal ISOBAR
+  // columns each span four 64 KiB literal blocks, so windows near a block
+  // edge need one or two of them. The edges, as element positions: 64 KiB
+  // steps from a column's start, 64 KiB steps from the start of a call
+  // whose columns all take literals (these fall inside the next column),
+  // and 32 Ki-element steps for kRow's ID pairs. Each window starts or ends
+  // at, one before or one after an edge, is 1 or 1,024 elements long, and
+  // equals the same slice of the whole chunk, at both widths and both
+  // linearizations; both inflates get the window.
+  constexpr std::size_t kCount = 3 * 65536 + 17;
+  std::set<std::size_t> edges = {kCount};
+  for (std::size_t at = 0; at <= 2 * kCount; at += 65536) {
+    edges.insert(at % kCount);
+  }
+  for (std::size_t at = 0; at <= kCount; at += 32768) edges.insert(at);
+  const auto doubles = GenerateDatasetByName("num_plasma", kCount);
+  const std::vector<float> floats(doubles.begin(), doubles.end());
+  for (const Precision precision : {Precision::kDouble, Precision::kSingle}) {
+    for (const Linearization linearization :
+         {Linearization::kColumn, Linearization::kRow}) {
+      PrimacyOptions options;
+      options.precision = precision;
+      options.linearization = linearization;
+      const std::size_t width = ElementWidth(precision);
+      const Bytes chunk =
+          width == 8 ? NativeBytes(doubles) : ToBytes(AsBytes(floats));
+      const WindowRecordingSolver solver;
+      Bytes record;
+      ChunkEncoder(options, solver).EncodeChunk(chunk, record);
+      ChunkDecoder decoder(solver, linearization, width);
+      Bytes whole(chunk.size());
+      DecodeRecord(decoder, record, 0, whole);
+      ASSERT_EQ(whole, chunk);
+      for (const std::size_t edge : edges) {
+        for (const std::size_t at : {edge - 1, edge, edge + 1}) {
+          for (const std::size_t length : {std::size_t{1}, std::size_t{1024}}) {
+            for (const std::size_t first : {at, at - length}) {
+              if (first >= kCount || length > kCount - first) continue;
+              Bytes out(length * width);
+              solver.windows.clear();
+              DecodeRecord(decoder, record, first, out);
+              ASSERT_TRUE(std::equal(out.begin(), out.end(),
+                                     chunk.begin() +
+                                         static_cast<std::ptrdiff_t>(
+                                             first * width)))
+                  << "width=" << width << " first=" << first
+                  << " length=" << length;
+              const std::array<std::size_t, 3> ids =
+                  linearization == Linearization::kColumn
+                      ? std::array<std::size_t, 3>{kCount, first, length}
+                      : std::array<std::size_t, 3>{0, 2 * first, 2 * length};
+              const std::array<std::size_t, 3> isobar{kCount, first, length};
+              ASSERT_EQ(solver.windows,
+                        (std::vector<std::array<std::size_t, 3>>{ids, isobar}));
+            }
+          }
+        }
+      }
     }
   }
 }

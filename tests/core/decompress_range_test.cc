@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -330,6 +331,74 @@ TEST(DecompressRangeWindowTest, UncachedWindowsAtEveryChunkEdge) {
 TEST(DecompressRangeWindowTest, CachedWindowsAtEveryChunkEdge) {
   ExpectWindowsAtEveryChunkEdgeMatch<double>(true);
   ExpectWindowsAtEveryChunkEdgeMatch<float>(true);
+}
+
+/// Range reads inside the middle one of three chunks of 3 x 65,536 + 17
+/// elements, whose rank column and literal ISOBAR columns each span four
+/// 64 KiB literal blocks. Each window starts or ends at, one before or one
+/// after an element position where a block edge falls (64 KiB steps from a
+/// column's start, 64 KiB steps from the start of a call whose columns all
+/// take literals, 32 Ki-element steps for kRow's ID pairs), is 1 or 1,024
+/// elements long, and equals the same slice of a full decode, at both
+/// widths and both linearizations.
+template <typename T>
+void ExpectWindowsAroundEveryBlockEdgeMatch(bool cached) {
+  constexpr std::size_t kBig = 3 * 65536 + 17;
+  std::set<std::size_t> edges = {kBig};
+  for (std::size_t at = 0; at <= 2 * kBig; at += 65536) {
+    edges.insert(at % kBig);
+  }
+  for (std::size_t at = 0; at <= kBig; at += 32768) edges.insert(at);
+  PrimacyOptions options;
+  options.precision =
+      sizeof(T) == 8 ? Precision::kDouble : Precision::kSingle;
+  options.chunk_bytes = kBig * sizeof(T);
+  const auto doubles = GenerateDatasetByName("num_plasma", 2 * kBig + 777);
+  const std::vector<T> values(doubles.begin(), doubles.end());
+  for (const Linearization linearization :
+       {Linearization::kColumn, Linearization::kRow}) {
+    options.linearization = linearization;
+    const Bytes stream = PrimacyCompressor(options).Compress(values);
+    PrimacyOptions read_options = options;
+    if (cached) {
+      read_options.block_cache =
+          std::make_shared<DecodedBlockCache>(64 * 1024 * 1024);
+    }
+    const PrimacyDecompressor decompressor(read_options);
+    const std::vector<T> full =
+        PrimacyDecompressor(options).Decompress<T>(stream);
+    ASSERT_EQ(full, values);
+    for (const std::size_t edge : edges) {
+      for (const std::size_t at : {edge - 1, edge, edge + 1}) {
+        for (const std::size_t length : {std::size_t{1}, std::size_t{1024}}) {
+          for (const std::size_t offset : {at, at - length}) {
+            if (offset >= kBig || length > kBig - offset) continue;
+            const std::size_t first = kBig + offset;
+            PrimacyDecodeStats stats;
+            ASSERT_EQ(decompressor.DecompressRange<T>(stream, first, length,
+                                                      &stats),
+                      std::vector<T>(
+                          full.begin() + static_cast<std::ptrdiff_t>(first),
+                          full.begin() +
+                              static_cast<std::ptrdiff_t>(first + length)))
+                << "first=" << first << " length=" << length
+                << " width=" << sizeof(T) << " cached=" << cached;
+            EXPECT_EQ(stats.chunks_decoded + stats.cache_hits, 1u);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DecompressRangeWindowTest, UncachedWindowsAroundEveryBlockEdge) {
+  ExpectWindowsAroundEveryBlockEdgeMatch<double>(false);
+  ExpectWindowsAroundEveryBlockEdgeMatch<float>(false);
+}
+
+TEST(DecompressRangeWindowTest, CachedWindowsAroundEveryBlockEdge) {
+  ExpectWindowsAroundEveryBlockEdgeMatch<double>(true);
+  ExpectWindowsAroundEveryBlockEdgeMatch<float>(true);
 }
 
 TEST(DecompressRangeFloatTest, SinglePrecisionRangeRoundTrips) {
