@@ -309,8 +309,9 @@ void ChunkDecoder::DecodeChunkInto(ByteReader& reader, std::uint64_t count,
   }
   stage_.Accumulate(timer.Commit());
 
-  // The chunk's whole extent, window or not: the inflate stages decoded all
-  // of it, and the per-KiB stage figures divide by this counter.
+  // The chunk's whole extent, window or not: the per-KiB stage figures
+  // divide by this counter, so a window that leaves blocks out reads as
+  // fewer ns per KiB of the chunks it touched.
   PipelineMetrics& metrics = PipelineMetrics::Get();
   metrics.decode_chunks.Increment();
   metrics.decode_output_bytes.Increment(n * width_);
