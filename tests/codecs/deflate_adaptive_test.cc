@@ -373,7 +373,8 @@ TEST(DeflateColumnTest, ColumnsThatAgreeGiveTheWholeCallBytes) {
 
 TEST(DeflateColumnTest, MixedColumnsRoundTrip) {
   // 1-6 columns, each from a different generator, at lengths on both sides
-  // of the 16 KiB floor and of a 2^16-token block.
+  // of the 16 KiB floor and of a 2^16-token block. A windowed decode of one
+  // byte at the start, middle or end of every column is exact there.
   const DeflateCodec codec;
   std::size_t mixed = 0;
   for (std::size_t columns = 1; columns <= 6; ++columns) {
@@ -382,6 +383,14 @@ TEST(DeflateColumnTest, MixedColumnsRoundTrip) {
       const Bytes adaptive = codec.CompressAdaptive(input, column);
       EXPECT_EQ(codec.Decompress(adaptive), input)
           << column << " x " << columns;
+      for (const std::size_t first : {std::size_t{0}, column / 2, column - 1}) {
+        const Bytes window = codec.DecompressWindow(adaptive, column, first, 1);
+        ASSERT_EQ(window.size(), input.size());
+        for (std::size_t at = first; at < input.size(); at += column) {
+          ASSERT_EQ(window[at], input[at])
+              << column << " x " << columns << " at " << at;
+        }
+      }
       mixed += adaptive != codec.Compress(input) &&
                adaptive != DeflateCodec::CompressLiterals(input);
     }
