@@ -20,23 +20,37 @@
 //                     batch coalescing.
 //   service_batched   the real configuration: requests coalesce into
 //                     batches executed by reusable worker contexts.
+//   transport_uds     service_batched's service behind a TransportServer
+//                     on a Unix domain socket: each tenant's window is
+//                     kWindow synchronous callers sharing one pooled
+//                     TransportClient (wire encode + checksum + two socket
+//                     hops per request) — the cost of the process boundary.
 //
-// Emits BENCH_service.json (including per-mode cache/memo hit counts so the
-// source of any speedup is visible); exits nonzero if any response failed
+// Emits BENCH_service.json with per-mode cache/memo hit counts (so the
+// source of any speedup is visible), per-stage p50/p95/p99 latencies, and
+// the transport floor: transport_uds must hold at least half of
+// service_batched's requests/s on this ~4 KiB mix (`target_met`), or the
+// boundary is eating the service. Exits nonzero if any response failed
 // verification.
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <future>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "bench_util.h"
 #include "service/service.h"
 #include "telemetry/metrics.h"
 #include "telemetry/stage_stack.h"
+#include "transport/client.h"
+#include "transport/server.h"
 #include "util/checksum.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -122,40 +136,29 @@ struct ModeResult {
   }
 };
 
-// Baseline: every request is its own pool task constructing fresh codec
-// state — what per-request dispatch without the service costs.
-ModeResult RunDirectDispatch(const std::vector<TenantWorkload>& workloads) {
+bool Verified(const Request& request, const Bytes& response) {
+  return Xxh64(ByteSpan(response)) == request.expected_hash;
+}
+bool Verified(const Request& request,
+              const service::ServiceResponse& response) {
+  return response.ok() && Verified(request, response.payload);
+}
+bool Verified(const Request& request,
+              const transport::TransportResult& response) {
+  return response.ok() && Verified(request, response.payload);
+}
+
+/// Runs `drive(workload)` on one thread per tenant, each returning its
+/// tenant's mismatch count, and times the whole closed loop.
+template <typename Drive>
+ModeResult RunTenants(const std::vector<TenantWorkload>& workloads,
+                      Drive drive) {
   ModeResult result;
+  std::vector<std::uint64_t> mismatches(workloads.size(), 0);
   WallTimer timer;
   std::vector<std::thread> drivers;
-  std::vector<std::uint64_t> mismatches(workloads.size(), 0);
   for (std::size_t t = 0; t < workloads.size(); ++t) {
-    drivers.emplace_back([&, t] {
-      ThreadPool& pool = SharedThreadPool();
-      const TenantWorkload& workload = workloads[t];
-      std::deque<std::pair<const Request*, std::future<Bytes>>> window;
-      auto drain_one = [&] {
-        auto [request, future] = std::move(window.front());
-        window.pop_front();
-        const Bytes response = future.get();
-        if (Xxh64(ByteSpan(response)) != request->expected_hash) {
-          ++mismatches[t];
-        }
-      };
-      for (const Request& request : workload.requests) {
-        window.emplace_back(&request, pool.Submit([&request]() -> Bytes {
-          PrimacyOptions options;
-          options.threads = 1;
-          if (request.decompress) {
-            return PrimacyDecompressor(options).DecompressBytes(
-                request.payload);
-          }
-          return PrimacyCompressor(options).CompressBytes(request.payload);
-        }));
-        if (window.size() >= kWindow) drain_one();
-      }
-      while (!window.empty()) drain_one();
-    });
+    drivers.emplace_back([&, t] { mismatches[t] = drive(workloads[t]); });
   }
   for (auto& driver : drivers) driver.join();
   result.seconds = timer.Seconds();
@@ -167,10 +170,87 @@ ModeResult RunDirectDispatch(const std::vector<TenantWorkload>& workloads) {
   return result;
 }
 
+/// One tenant's closed loop over futures: `submit(request)` returns a
+/// future, and once kWindow are outstanding the oldest is awaited and
+/// verified before the next submit. Returns the mismatch count.
+template <typename Submit>
+std::uint64_t DriveWindow(const TenantWorkload& workload, Submit submit) {
+  using Future = std::invoke_result_t<Submit, const Request&>;
+  std::deque<std::pair<const Request*, Future>> window;
+  std::uint64_t mismatches = 0;
+  auto drain_one = [&] {
+    auto [request, future] = std::move(window.front());
+    window.pop_front();
+    if (!Verified(*request, future.get())) ++mismatches;
+  };
+  for (const Request& request : workload.requests) {
+    window.emplace_back(&request, submit(request));
+    if (window.size() >= kWindow) drain_one();
+  }
+  while (!window.empty()) drain_one();
+  return mismatches;
+}
+
+// Baseline: every request is its own pool task constructing fresh codec
+// state — what per-request dispatch without the service costs.
+ModeResult RunDirectDispatch(const std::vector<TenantWorkload>& workloads) {
+  return RunTenants(workloads, [](const TenantWorkload& workload) {
+    return DriveWindow(workload, [](const Request& request) {
+      return SharedThreadPool().Submit([&request]() -> Bytes {
+        PrimacyOptions options;
+        options.threads = 1;
+        if (request.decompress) {
+          return PrimacyDecompressor(options).DecompressBytes(
+              request.payload);
+        }
+        return PrimacyCompressor(options).CompressBytes(request.payload);
+      });
+    });
+  });
+}
+
+/// Counters a service mode reports beside its throughput.
+struct ServiceCounts {
+  std::uint64_t cache_hits = 0;
+  std::uint64_t memo_hits = 0;
+  std::uint64_t server_requests = 0;
+  std::uint64_t server_connections = 0;
+};
+
+/// One tenant's window over the socket: kWindow synchronous callers share
+/// one pooled client, the same kWindow-outstanding closed loop as the
+/// in-process futures.
+std::uint64_t DriveOverUds(const TenantWorkload& workload,
+                           const std::string& socket_path) {
+  transport::TransportClientOptions client_options;
+  client_options.socket_path = socket_path;
+  client_options.max_pooled_connections = kWindow;
+  transport::TransportClient client(std::move(client_options));
+  std::atomic<std::uint64_t> mismatches{0};
+  std::vector<std::thread> slots;
+  for (std::size_t w = 0; w < kWindow; ++w) {
+    slots.emplace_back([&, w] {
+      for (std::size_t r = w; r < workload.requests.size(); r += kWindow) {
+        const Request& request = workload.requests[r];
+        const ByteSpan payload(request.payload);
+        const transport::TransportResult response =
+            request.decompress ? client.Decompress(workload.tenant, payload)
+                               : client.Compress(workload.tenant, payload);
+        if (!Verified(request, response)) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& slot : slots) slot.join();
+  return mismatches.load();
+}
+
+/// Runs the workloads through a service batching by `batch`: in process
+/// through Submit* futures, or, with `over_uds`, behind a TransportServer.
 ModeResult RunService(const std::vector<TenantWorkload>& workloads,
-                      const service::BatchOptions& batch,
-                      std::uint64_t* cache_hits_out = nullptr,
-                      std::uint64_t* memo_hits_out = nullptr) {
+                      const service::BatchOptions& batch, bool over_uds,
+                      ServiceCounts& counts) {
   service::ServiceOptions options;
   options.batch = batch;
   options.cache_capacity_bytes = 64ull << 20;  // split across the tenants
@@ -183,45 +263,39 @@ ModeResult RunService(const std::vector<TenantWorkload>& workloads,
     svc.AddTenant(config);
   }
   ModeResult result;
-  WallTimer timer;
-  std::vector<std::thread> drivers;
-  std::vector<std::uint64_t> mismatches(workloads.size(), 0);
-  for (std::size_t t = 0; t < workloads.size(); ++t) {
-    drivers.emplace_back([&, t] {
-      const TenantWorkload& workload = workloads[t];
-      std::deque<std::pair<const Request*, std::future<service::ServiceResponse>>>
-          window;
-      auto drain_one = [&] {
-        auto [request, future] = std::move(window.front());
-        window.pop_front();
-        const service::ServiceResponse response = future.get();
-        if (!response.ok() ||
-            Xxh64(ByteSpan(response.payload)) != request->expected_hash) {
-          ++mismatches[t];
-        }
-      };
-      for (const Request& request : workload.requests) {
-        auto future = request.decompress
-                          ? svc.SubmitDecompress(workload.tenant,
-                                                 request.payload)
-                          : svc.SubmitCompress(workload.tenant,
-                                               request.payload);
-        window.emplace_back(&request, std::move(future));
-        if (window.size() >= kWindow) drain_one();
-      }
-      while (!window.empty()) drain_one();
+  if (over_uds) {
+    transport::TransportServerOptions server_options;
+    server_options.socket_path =
+        "/tmp/primacy_service_load_" + std::to_string(::getpid()) + ".sock";
+    server_options.max_connections = workloads.size() * kWindow + 4;
+    transport::TransportServer server(svc, server_options);
+    std::string error;
+    if (!server.Start(&error)) {
+      std::fprintf(stderr, "service_load: server start failed: %s\n",
+                   error.c_str());
+      std::exit(1);
+    }
+    result = RunTenants(workloads, [&](const TenantWorkload& workload) {
+      return DriveOverUds(workload, server_options.socket_path);
+    });
+    const transport::TransportServerStats stats = server.Stats();
+    counts.server_requests = stats.requests;
+    counts.server_connections = stats.connections_accepted;
+    server.Shutdown();
+  } else {
+    result = RunTenants(workloads, [&](const TenantWorkload& workload) {
+      return DriveWindow(workload, [&](const Request& request) {
+        return request.decompress
+                   ? svc.SubmitDecompress(workload.tenant, request.payload)
+                   : svc.SubmitCompress(workload.tenant, request.payload);
+      });
     });
   }
-  for (auto& driver : drivers) driver.join();
-  result.seconds = timer.Seconds();
   for (const TenantWorkload& workload : workloads) {
-    result.requests += workload.requests.size();
-    result.payload_bytes += workload.total_bytes;
     const service::TenantStatsSnapshot stats = svc.TenantStats(workload.tenant);
-    if (cache_hits_out != nullptr) *cache_hits_out += stats.cache_hits;
-    if (memo_hits_out != nullptr) *memo_hits_out += stats.memo_hits;
+    counts.cache_hits += stats.cache_hits;
+    counts.memo_hits += stats.memo_hits;
   }
-  for (const std::uint64_t m : mismatches) result.mismatches += m;
   return result;
 }
 
@@ -284,7 +358,8 @@ int main(int argc, char** argv) {
   using namespace primacy::bench;
   Init(argc, argv);
   PrintHeader("Multi-tenant service throughput (closed-loop, hash-verified)",
-              "service layer; batching vs per-request dispatch");
+              "service layer; batching vs per-request dispatch vs the UDS "
+              "daemon");
 
   const std::size_t requests_per_tenant = Quick() ? 256 : 2048;
   const auto workloads = BuildWorkloads(requests_per_tenant);
@@ -301,10 +376,9 @@ int main(int argc, char** argv) {
 
   primacy::service::BatchOptions unbatched;
   unbatched.flush_timeout_ns = 0;  // flush on every push: no coalescing
-  std::uint64_t unbatched_cache_hits = 0;
-  std::uint64_t unbatched_memo_hits = 0;
-  const ModeResult service_unbatched = RunService(
-      workloads, unbatched, &unbatched_cache_hits, &unbatched_memo_hits);
+  ServiceCounts unbatched_counts;
+  const ModeResult service_unbatched =
+      RunService(workloads, unbatched, /*over_uds=*/false, unbatched_counts);
   AddStagePercentiles(Report(report, "service_unbatched", service_unbatched),
                       stage_mark);
 
@@ -312,46 +386,67 @@ int main(int argc, char** argv) {
   batched.flush_bytes = 32 * 1024;     // ~8 requests
   batched.flush_requests = 8;
   batched.flush_timeout_ns = 100'000;  // 100 us tail-latency bound
-  std::uint64_t batched_cache_hits = 0;
-  std::uint64_t batched_memo_hits = 0;
+  ServiceCounts batched_counts;
   const ModeResult service_batched =
-      RunService(workloads, batched, &batched_cache_hits, &batched_memo_hits);
+      RunService(workloads, batched, /*over_uds=*/false, batched_counts);
   AddStagePercentiles(Report(report, "service_batched", service_batched),
                       stage_mark);
+
+  ServiceCounts uds_counts;
+  const ModeResult transport_uds =
+      RunService(workloads, batched, /*over_uds=*/true, uds_counts);
+  AddStagePercentiles(
+      Report(report, "transport_uds", transport_uds)
+          .Set("server_requests",
+               static_cast<std::size_t>(uds_counts.server_requests))
+          .Set("server_connections",
+               static_cast<std::size_t>(uds_counts.server_connections)),
+      stage_mark);
   std::printf("  service hit counts: unbatched cache=%llu memo=%llu | "
               "batched cache=%llu memo=%llu\n",
-              static_cast<unsigned long long>(unbatched_cache_hits),
-              static_cast<unsigned long long>(unbatched_memo_hits),
-              static_cast<unsigned long long>(batched_cache_hits),
-              static_cast<unsigned long long>(batched_memo_hits));
+              static_cast<unsigned long long>(unbatched_counts.cache_hits),
+              static_cast<unsigned long long>(unbatched_counts.memo_hits),
+              static_cast<unsigned long long>(batched_counts.cache_hits),
+              static_cast<unsigned long long>(batched_counts.memo_hits));
 
-  const double speedup_vs_direct =
-      direct.RequestsPerSec() > 0
-          ? service_batched.RequestsPerSec() / direct.RequestsPerSec()
-          : 0.0;
-  const double speedup_vs_unbatched =
-      service_unbatched.RequestsPerSec() > 0
-          ? service_batched.RequestsPerSec() / service_unbatched.RequestsPerSec()
-          : 0.0;
+  const auto ratio = [](const ModeResult& num, const ModeResult& den) {
+    return den.RequestsPerSec() > 0
+               ? num.RequestsPerSec() / den.RequestsPerSec()
+               : 0.0;
+  };
+  const double speedup_vs_direct = ratio(service_batched, direct);
+  const double speedup_vs_unbatched = ratio(service_batched, service_unbatched);
+  // The boundary budget: wire framing + checksums + two socket hops must
+  // not cost more than half the throughput on this ~4 KiB request mix.
+  constexpr double kTransportFloor = 0.5;
+  const double throughput_ratio = ratio(transport_uds, service_batched);
+  const bool target_met = throughput_ratio >= kTransportFloor;
   PrintRule();
   std::printf("batched speedup: %.2fx vs direct dispatch, %.2fx vs unbatched "
               "service\n",
               speedup_vs_direct, speedup_vs_unbatched);
+  std::printf("transport/in-process throughput ratio: %.2fx (target >= %.2fx"
+              " — %s)\n",
+              throughput_ratio, kTransportFloor,
+              target_met ? "met" : "MISSED");
 
-  const std::uint64_t total_mismatches = direct.mismatches +
-                                         service_unbatched.mismatches +
-                                         service_batched.mismatches;
+  const std::uint64_t total_mismatches =
+      direct.mismatches + service_unbatched.mismatches +
+      service_batched.mismatches + transport_uds.mismatches;
   report.AddEntry("summary")
       .Set("speedup_batched_vs_direct", speedup_vs_direct)
       .Set("speedup_batched_vs_unbatched", speedup_vs_unbatched)
       .Set("service_unbatched_cache_hits",
-           static_cast<std::size_t>(unbatched_cache_hits))
+           static_cast<std::size_t>(unbatched_counts.cache_hits))
       .Set("service_unbatched_memo_hits",
-           static_cast<std::size_t>(unbatched_memo_hits))
+           static_cast<std::size_t>(unbatched_counts.memo_hits))
       .Set("service_batched_cache_hits",
-           static_cast<std::size_t>(batched_cache_hits))
+           static_cast<std::size_t>(batched_counts.cache_hits))
       .Set("service_batched_memo_hits",
-           static_cast<std::size_t>(batched_memo_hits))
+           static_cast<std::size_t>(batched_counts.memo_hits))
+      .Set("throughput_ratio", throughput_ratio)
+      .Set("target_ratio", kTransportFloor)
+      .Set("target_met", target_met)
       .Set("verified", total_mismatches == 0);
   report.Write();
   if (total_mismatches != 0) {

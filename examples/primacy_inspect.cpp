@@ -244,8 +244,8 @@ int CacheStats(const char* path, bool use_cache) {
 /// Serves the observability endpoints over a continuously-running demo
 /// roundtrip workload, so a scrape (or a person with curl) sees live
 /// counters, stage histograms, and profiler samples. Stops on
-/// GET /quitquitquit, SIGINT, or SIGTERM — all three run the same
-/// finish-the-round-then-stop drain path.
+/// GET /quitquitquit, SIGINT, or SIGTERM — all three trip the one
+/// ShutdownSignal latch and run the same finish-the-round-then-stop path.
 int Serve(int port) {
   using namespace primacy;
   auto& shutdown_signal = transport::ShutdownSignal::Instance();
@@ -279,14 +279,13 @@ int Serve(int port) {
   const PrimacyCompressor compressor(options);
   const PrimacyDecompressor decompressor(options);
   std::uint64_t rounds = 0;
-  while (!hub.ShutdownRequested() && !shutdown_signal.Requested()) {
+  while (!shutdown_signal.Requested()) {
     const Bytes stream = compressor.Compress(values);
     decompressor.Decompress(stream);
     ++rounds;
   }
   hub.Stop();
-  std::printf("shutdown requested (%s) after %llu roundtrips\n",
-              shutdown_signal.Requested() ? "signal" : "/quitquitquit",
+  std::printf("shutdown requested after %llu roundtrips\n",
               static_cast<unsigned long long>(rounds));
   return 0;
 }

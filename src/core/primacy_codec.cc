@@ -225,40 +225,31 @@ void DecodeElements(const internal::OpenedStream& opened, std::uint64_t first,
     }
   };
 
+  // One solver + decoder (+ edge-chunk scratch) per slot, reused across
+  // that slot's groups instead of constructed per chunk. Slots never run
+  // two groups at once, so the per-slot state needs no locking; one slot
+  // runs every group in order on the calling thread.
   const std::size_t slots =
       std::min(EffectiveSlots(options.threads), groups.size());
-  if (slots > 1) {
-    // One solver + decoder (+ edge-chunk scratch) per slot, reused across
-    // that slot's groups instead of constructed per chunk. Slots never run
-    // two groups at once, so the per-slot state needs no locking.
-    struct Slot {
-      std::unique_ptr<const Codec> solver;
-      std::optional<ChunkDecoder> decoder;
-      Bytes scratch;
-    };
-    std::vector<Slot> slot_state(slots);
-    SharedThreadPool().ParallelForSlots(
-        groups.size(), options.threads, [&](std::size_t slot, std::size_t g) {
-          Slot& s = slot_state[slot];
-          if (!s.decoder) {
-            s.solver = CreateCodec(header.solver_name);
-            s.decoder.emplace(*s.solver, header.linearization, header.width);
-          }
-          decode_group(*s.decoder, s.scratch, g);
-        });
-    accounting.threads_used = slots;
-    // Stage times fold after the barrier — workers never share counters.
-    for (const Slot& s : slot_state) {
-      if (s.decoder) accounting.stage.Accumulate(s.decoder->stage_breakdown());
-    }
-  } else {
-    const auto solver = CreateCodec(header.solver_name);
-    ChunkDecoder decoder(*solver, header.linearization, header.width);
+  struct Slot {
+    std::unique_ptr<const Codec> solver;
+    std::optional<ChunkDecoder> decoder;
     Bytes scratch;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      decode_group(decoder, scratch, g);
-    }
-    accounting.stage.Accumulate(decoder.stage_breakdown());
+  };
+  std::vector<Slot> slot_state(slots);
+  SharedThreadPool().ParallelForSlots(
+      groups.size(), options.threads, [&](std::size_t slot, std::size_t g) {
+        Slot& s = slot_state[slot];
+        if (!s.decoder) {
+          s.solver = CreateCodec(header.solver_name);
+          s.decoder.emplace(*s.solver, header.linearization, header.width);
+        }
+        decode_group(*s.decoder, s.scratch, g);
+      });
+  accounting.threads_used = slots;
+  // Stage times fold after the barrier — workers never share counters.
+  for (const Slot& s : slot_state) {
+    if (s.decoder) accounting.stage.Accumulate(s.decoder->stage_breakdown());
   }
   for (const PrimacyDecodeStats& g : per_group) accounting.Accumulate(g);
 }

@@ -3,6 +3,14 @@
 
 namespace primacy::kernels {
 
+void scalar::RowToColW2(const std::byte* rows, std::size_t n,
+                        std::byte* out) {
+  for (std::size_t c = 0; c < 2; ++c) {
+    std::byte* dst = out + c * n;
+    for (std::size_t i = 0; i < n; ++i) dst[i] = rows[i * 2 + c];
+  }
+}
+
 const KernelTable& ScalarTable() {
   static constexpr KernelTable kTable = {
       scalar::SplitW8H2,

@@ -36,12 +36,10 @@ inline void SplitW4H2(const std::byte* rows, std::size_t n, std::byte* high,
   }
 }
 
-inline void RowToColW2(const std::byte* rows, std::size_t n, std::byte* out) {
-  for (std::size_t c = 0; c < 2; ++c) {
-    std::byte* dst = out + c * n;
-    for (std::size_t i = 0; i < n; ++i) dst[i] = rows[i * 2 + c];
-  }
-}
+/// Defined in scalar.cc, not inline: both tables point at it, and an inline
+/// copy emitted from avx2.cc would be built with -mavx2, so the linker could
+/// hand that copy to the scalar table.
+void RowToColW2(const std::byte* rows, std::size_t n, std::byte* out);
 
 inline void CountPairs(const std::byte* pairs, std::size_t n_pairs,
                        std::uint32_t* counts) {

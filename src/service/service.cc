@@ -733,16 +733,10 @@ void CompressionService::DispatchBatch(BatchQueue::Batch&& batch) {
 
 void CompressionService::ExecuteBatch(BatchQueue::Batch& batch) {
   const std::size_t count = batch.items.size();
-  if (count == 1) {
-    CodecContext* context = CheckOutContext();
-    batch.items[0].work(*context);
-    ReturnContext(context);
-    return;
-  }
   // Items execute in parallel across slots, one per pool worker plus the
   // caller; each slot checks out one context lazily and reuses it for every
   // item it claims, so a batch costs at most `slots` checkouts no matter
-  // how many requests it carries.
+  // how many requests it carries. A one-item batch runs on the caller.
   const std::size_t max_slots = SharedThreadPool().num_threads() + 1;
   std::vector<CodecContext*> slot_contexts(std::min(count, max_slots),
                                            nullptr);

@@ -18,7 +18,8 @@
 // Every response is byte-identical to the corresponding direct library
 // call (PrimacyCompressor::CompressBytes / PrimacyDecompressor::
 // DecompressBytes) — batching changes when and where work runs, never what
-// it produces. The service_load bench hash-verifies this on every request.
+// it produces. The service_load bench hash-verifies this on every request,
+// in process and through the UDS daemon (its transport_uds mode).
 //
 // All time flows through a ServiceClock (clock.h), so the whole layer —
 // flush timeouts, quota refill, retry-after, latency accounting — is

@@ -1,9 +1,7 @@
 #include "telemetry/exporter/http_server.h"
 
-#include <atomic>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "service/clock.h"
@@ -41,38 +39,9 @@ std::string ParseRequestPath(const std::string& request) {
   return path;
 }
 
-}  // namespace
-
-struct HttpServer::Impl {
-  transport::UniqueFd listen_fd;
-  // Self-pipe: Stop() wakes it, the accept loop polls the read end
-  // alongside the listen socket and exits — no timed polling.
-  transport::WakePipe wake;
-  int port = -1;
-  HttpHandler handler;
-  std::thread thread;
-  std::atomic<bool> stopping{false};
-
-  void AcceptLoop();
-  void ServeConnection(int fd) const;
-};
-
-void HttpServer::Impl::AcceptLoop() {
-  for (;;) {
-    int conn = -1;
-    const transport::IoStatus status =
-        transport::AcceptWithWake(listen_fd.get(), wake.read_fd(), &conn);
-    if (status != transport::IoStatus::kOk ||
-        stopping.load(std::memory_order_relaxed)) {
-      if (conn >= 0) transport::UniqueFd closer(conn);
-      return;
-    }
-    transport::UniqueFd conn_fd(conn);
-    ServeConnection(conn_fd.get());
-  }
-}
-
-void HttpServer::Impl::ServeConnection(int fd) const {
+/// Serves one request on `fd`. Every wait also watches `stop_fd`, so
+/// Stop() never waits out a stalled peer's deadlines.
+void ServeConnection(int fd, int stop_fd, const HttpHandler& handler) {
   auto& clock = service::SystemServiceClock::Instance();
   // Scrape requests are a handful of header lines; cap the head read so a
   // garbage client cannot grow the buffer unboundedly. RecvSome retries
@@ -86,7 +55,8 @@ void HttpServer::Impl::ServeConnection(int fd) const {
          request.find("\r\n\r\n") == std::string::npos) {
     std::size_t received = 0;
     const transport::IoStatus status = transport::RecvSome(
-        fd, MutableByteSpan(buffer), &received, read_deadline);
+        fd, MutableByteSpan(buffer), &received, read_deadline, stop_fd);
+    if (status == transport::IoStatus::kStopped) return;
     if (status != transport::IoStatus::kOk) break;
     request.append(StringFromBytes(ByteSpan(buffer, received)));
   }
@@ -108,12 +78,19 @@ void HttpServer::Impl::ServeConnection(int fd) const {
                 response.content_type.c_str(), response.body.size());
   std::string out = head;
   out += response.body;
-  // SendAll retries EINTR-interrupted and short writes and applies the
-  // per-connection write deadline — a /metrics page is many kilobytes, and
-  // the old single-pass loop could silently truncate it on a slow reader.
+  // SendAll retries EINTR-interrupted and short writes under the
+  // per-connection write deadline: a /metrics page is many kilobytes.
   transport::SendAll(fd, AsBytes(std::span<const char>(out.data(), out.size())),
-                     transport::IoDeadline::After(clock, kWriteDeadlineNs));
+                     transport::IoDeadline::After(clock, kWriteDeadlineNs),
+                     stop_fd);
 }
+
+}  // namespace
+
+struct HttpServer::Impl {
+  transport::Acceptor acceptor;
+  int port = -1;
+};
 
 HttpServer::HttpServer() : impl_(new Impl()) {}
 
@@ -121,35 +98,24 @@ HttpServer::~HttpServer() { Stop(); }
 
 bool HttpServer::Start(int port, HttpHandler handler) {
   Impl& state = *impl_;
-  if (state.listen_fd.valid() || port < 0 || port > 65535) return false;
-  if (!state.wake.Open(nullptr)) return false;
+  if (state.port >= 0 || port < 0 || port > 65535) return false;
   int bound_port = -1;
-  const int fd = transport::ListenTcpLoopback(port, &bound_port, nullptr);
-  if (fd < 0) {
-    state.wake.Close();
-    return false;
-  }
-  state.listen_fd.Reset(fd);
-  state.port = bound_port;
-  state.handler = std::move(handler);
-  state.stopping.store(false, std::memory_order_relaxed);
-  // Dedicated accept thread, not a pool task: it blocks in poll() for the
-  // server's whole lifetime, which would starve the shared pool (see the
-  // pool-containment allowlist note in tools/primacy_lint).
-  state.thread = std::thread([&state] { state.AcceptLoop(); });
-  return true;
+  transport::UniqueFd fd(
+      transport::ListenTcpLoopback(port, &bound_port, nullptr));
+  if (!fd.valid()) return false;
+  const bool started = state.acceptor.Start(
+      std::move(fd),
+      [handler = std::move(handler)](transport::UniqueFd conn, int stop_fd) {
+        ServeConnection(conn.get(), stop_fd, handler);
+      },
+      nullptr);
+  if (started) state.port = bound_port;
+  return started;
 }
 
 void HttpServer::Stop() {
-  Impl& state = *impl_;
-  if (!state.listen_fd.valid()) return;
-  state.stopping.store(true, std::memory_order_relaxed);
-  state.wake.Wake();
-  if (state.thread.joinable()) state.thread.join();
-  state.listen_fd.Reset();
-  state.wake.Close();
-  state.port = -1;
-  state.handler = nullptr;
+  impl_->acceptor.Stop();
+  impl_->port = -1;
 }
 
 int HttpServer::Port() const { return impl_->port; }

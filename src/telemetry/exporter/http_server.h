@@ -5,18 +5,19 @@
 // what a Prometheus scrape or a curl from CI needs, and nothing the service
 // traffic path could ever be confused with — this is not a transport.
 //
-// The accept loop runs on one dedicated thread and multiplexes the listen
-// socket against a self-pipe with poll(), so Stop() interrupts a blocked
-// accept immediately without timed waits. Request handling happens inline
-// on that thread; endpoint bodies are rendered by the caller's handler
+// Connections arrive through the tree's one accept loop, transport::Acceptor
+// (transport/socket_io.h), which owns the accept thread, the wake pipe and
+// the EMFILE back-off. Each request is served inline on that thread, and
+// its reads and writes also wait on the acceptor's stop pipe, so Stop()
+// interrupts a stalled scrape at once instead of waiting out its 5 s
+// deadlines. Endpoint bodies are rendered by the caller's handler
 // (ObservabilityHub::HandleRequest), which is also callable directly in
 // tests without any socket.
 //
-// Lock discipline: this class holds no mutex at all. The only shared state
-// is an atomic stopping flag plus the self-pipe; Start()/Stop() order with
-// the accept thread through thread creation/join. Nothing here appears in
-// the thread-safety-annotation layer (util/thread_annotations.h) because
-// there is no capability to annotate.
+// Lock discipline: this class holds no mutex at all. Start()/Stop() order
+// with the accept thread through thread creation/join, so nothing here
+// appears in the thread-safety-annotation layer
+// (util/thread_annotations.h): there is no capability to annotate.
 #pragma once
 
 #include <functional>
@@ -49,8 +50,8 @@ class HttpServer {
   /// thread started and no socket left open — if the bind fails.
   bool Start(int port, HttpHandler handler);
 
-  /// Stops accepting, joins the accept thread, closes the socket.
-  /// Idempotent.
+  /// Stops accepting, interrupts a request in progress (its peer may get no
+  /// response), joins the accept thread, closes the socket. Idempotent.
   void Stop();
 
   /// Bound port after a successful Start(); -1 otherwise.

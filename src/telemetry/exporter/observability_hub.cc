@@ -15,6 +15,7 @@
 #include "telemetry/metrics.h"
 #include "telemetry/stage_stack.h"
 #include "telemetry/trace.h"
+#include "transport/shutdown_signal.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -75,13 +76,12 @@ struct ObservabilityHub::Impl {
   // Paired with mu. Registered with the clock; only the exporter thread
   // waits on it.
   primacy::CondVar cv;
-  // Paired with mu. Progress/shutdown announcements to API callers
-  // (WaitForTicks, WaitForShutdownRequest); never used with clock->WaitUntil.
+  // Paired with mu. Progress and stop announcements to WaitForTicks; never
+  // used with clock->WaitUntil.
   primacy::CondVar state_cv;
 
   bool started PRIMACY_GUARDED_BY(mu) = false;
   bool stop PRIMACY_GUARDED_BY(mu) = false;
-  bool shutdown_requested PRIMACY_GUARDED_BY(mu) = false;
   bool tracing_was_enabled PRIMACY_GUARDED_BY(mu) = false;
   bool sampling_was_enabled PRIMACY_GUARDED_BY(mu) = false;
 
@@ -265,7 +265,6 @@ void ObservabilityHub::Start() {
     if (state.started) return;
     state.started = true;
     state.stop = false;
-    state.shutdown_requested = false;
     if (state.FlushConfigured()) {
       ::mkdir(state.options.trace_dir.c_str(), 0755);  // EEXIST is fine
       state.tracing_was_enabled = TracingEnabled();
@@ -365,11 +364,7 @@ HttpResponse ObservabilityHub::HandleRequest(const std::string& path) {
   } else if (path == "/profilez") {
     response.body = RenderCollapsedStacks();
   } else if (path == "/quitquitquit" && state.options.enable_quit_endpoint) {
-    {
-      primacy::MutexLock lock(state.mu);
-      state.shutdown_requested = true;
-      state.state_cv.NotifyAll();
-    }
+    transport::ShutdownSignal::Instance().Trigger();
     response.body = "shutting down\n";
   } else {
     response.status = 404;
@@ -394,19 +389,6 @@ void ObservabilityHub::WaitForTicks(std::uint64_t ticks) {
 std::string ObservabilityHub::RenderCollapsedStacks() const {
   primacy::MutexLock lock(impl_->mu);
   return impl_->RenderCollapsedLocked();
-}
-
-bool ObservabilityHub::ShutdownRequested() const {
-  primacy::MutexLock lock(impl_->mu);
-  return impl_->shutdown_requested;
-}
-
-void ObservabilityHub::WaitForShutdownRequest() {
-  Impl& state = *impl_;
-  primacy::MutexLock lock(state.mu);
-  while (!(state.stop || !state.started || state.shutdown_requested)) {
-    state.state_cv.Wait(state.mu);
-  }
 }
 
 ObservabilityHub* MaybeStartHubFromEnv() {

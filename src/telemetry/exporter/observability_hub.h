@@ -34,9 +34,10 @@ struct ObservabilityHubOptions {
   /// HTTP endpoint port on 127.0.0.1: -1 disables the endpoint entirely,
   /// 0 binds a kernel-assigned ephemeral port (read back with HttpPort()).
   int http_port = -1;
-  /// When true, GET /quitquitquit latches ShutdownRequested() — for CI
-  /// drivers that stop a serving process over HTTP. Off by default so a
-  /// stray scrape can never shut a production process down.
+  /// When true, GET /quitquitquit trips transport::ShutdownSignal, the
+  /// process's one stop latch (the one SIGINT/SIGTERM set) — for CI drivers
+  /// that stop a serving process over HTTP. Off by default so a stray
+  /// scrape can never shut a production process down.
   bool enable_quit_endpoint = false;
   /// Directory for rotating trace segment files; empty = no trace flushing.
   /// Created (one level) if absent. Tracing is force-enabled while the hub
@@ -114,12 +115,6 @@ class ObservabilityHub {
   /// Flamegraph collapsed-stack dump: one "stage;stage;stage count" line
   /// per distinct sampled stack (also served at /profilez).
   std::string RenderCollapsedStacks() const;
-
-  /// True once /quitquitquit was hit (enable_quit_endpoint only).
-  bool ShutdownRequested() const;
-
-  /// Blocks until ShutdownRequested() (serving tools' main loop) or Stop().
-  void WaitForShutdownRequest();
 
  private:
   struct Impl;

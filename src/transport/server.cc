@@ -7,6 +7,7 @@
 #include <exception>
 #include <future>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "telemetry/metrics.h"
@@ -90,31 +91,25 @@ bool TransportServer::Start(std::string* error) {
     if (error) *error = "TransportServer::Start called twice";
     return false;
   }
-  if (!accept_wake_.Open(error)) return false;
   const int fd = ListenUnixSocket(options_.socket_path, 128, error);
   if (fd < 0) return false;
-  listen_fd_.Reset(fd);
-  primacy::MutexLock lock(mu_);
-  accept_thread_ = std::thread(&TransportServer::AcceptLoop, this);
-  return true;
+  return acceptor_.Start(
+      UniqueFd(fd),
+      [this](UniqueFd conn_fd, int stop_fd) {
+        Accept(std::move(conn_fd), stop_fd);
+      },
+      error);
 }
 
 void TransportServer::Shutdown() {
   if (!started_.load(std::memory_order_acquire)) return;
   if (stopping_.exchange(true)) return;
-  // Stop accepting first: wake the accept loop and join it so no new
-  // connection can appear while we drain the existing ones.
-  accept_wake_.Wake();
-  std::thread accept_thread;
-  {
-    primacy::MutexLock lock(mu_);
-    accept_thread = std::move(accept_thread_);
-  }
-  if (accept_thread.joinable()) accept_thread.join();
+  // Stop accepting first, so no new connection can appear while we drain
+  // the existing ones.
+  acceptor_.Stop();
   // Drain: wake every reader (no new requests), let writers flush every
   // queued reply, then join and close.
   ReapConnections(/*all=*/true);
-  listen_fd_.Reset();
   if (!options_.socket_path.empty()) {
     ::unlink(options_.socket_path.c_str());
   }
@@ -130,55 +125,38 @@ TransportServerStats TransportServer::Stats() const {
   return stats;
 }
 
-void TransportServer::AcceptLoop() {
+void TransportServer::Accept(UniqueFd conn_fd, int stop_fd) {
   auto& reg = telemetry::MetricsRegistry::Global();
-  for (;;) {
-    int raw_fd = -1;
-    const IoStatus status =
-        AcceptWithWake(listen_fd_.get(), accept_wake_.read_fd(), &raw_fd);
-    if (status == IoStatus::kStopped) break;
-    if (status != IoStatus::kOk) {
-      if (stopping_.load(std::memory_order_acquire)) break;
-      errors_.fetch_add(1);
-      CountError("accept");
-      break;  // The listen socket is gone; spinning would burn a core.
-    }
-    UniqueFd conn_fd(raw_fd);
-    if (stopping_.load(std::memory_order_acquire)) break;
-    ReapConnections(/*all=*/false);
-    if (connections_active_.load() >= options_.max_connections) {
-      connections_rejected_.fetch_add(1);
-      reg.GetCounter("primacy_transport_connections_rejected_total")
-          .Increment();
-      ErrorFrame reject;
-      reject.status = WireStatus::kTooManyConnections;
-      reject.retry_after_ns = options_.reject_retry_after_ns;
-      reject.message = "connection limit (" +
-                       std::to_string(options_.max_connections) + ") reached";
-      // Best-effort courtesy reply; the close is the real answer.
-      SendFrame(conn_fd.get(), EncodeErrorFrame(reject),
-                IoDeadline::After(*clock_, kWriteDeadlineNs));
-      continue;
-    }
-    auto conn = std::make_unique<Connection>(conn_fd.Release());
-    std::string wake_error;
-    if (!conn->stop.Open(&wake_error)) {
-      errors_.fetch_add(1);
-      CountError("wake_pipe");
-      continue;
-    }
-    connections_accepted_.fetch_add(1);
-    connections_active_.fetch_add(1);
-    reg.GetCounter("primacy_transport_connections_total").Increment();
-    reg.GetGauge("primacy_transport_connections_active").Add(1);
-    Connection& ref = *conn;
-    ref.reader = std::thread(&TransportServer::ReaderLoop, this,
-                             std::ref(ref));
-    ref.writer = std::thread(&TransportServer::WriterLoop, this,
-                             std::ref(ref));
-    primacy::MutexLock lock(mu_);
-    connections_.push_back(std::move(conn));
+  ReapConnections(/*all=*/false);
+  if (connections_active_.load() >= options_.max_connections) {
+    connections_rejected_.fetch_add(1);
+    reg.GetCounter("primacy_transport_connections_rejected_total").Increment();
+    ErrorFrame reject;
+    reject.status = WireStatus::kTooManyConnections;
+    reject.retry_after_ns = options_.reject_retry_after_ns;
+    reject.message = "connection limit (" +
+                     std::to_string(options_.max_connections) + ") reached";
+    // Best-effort courtesy reply; the close is the real answer.
+    SendFrame(conn_fd.get(), EncodeErrorFrame(reject),
+              IoDeadline::After(*clock_, kWriteDeadlineNs), stop_fd);
+    return;
   }
+  auto conn = std::make_unique<Connection>(conn_fd.Release());
+  std::string wake_error;
+  if (!conn->stop.Open(&wake_error)) {
+    errors_.fetch_add(1);
+    CountError("wake_pipe");
+    return;
+  }
+  connections_accepted_.fetch_add(1);
+  connections_active_.fetch_add(1);
+  reg.GetCounter("primacy_transport_connections_total").Increment();
+  reg.GetGauge("primacy_transport_connections_active").Add(1);
+  Connection& ref = *conn;
+  ref.reader = std::thread(&TransportServer::ReaderLoop, this, std::ref(ref));
+  ref.writer = std::thread(&TransportServer::WriterLoop, this, std::ref(ref));
+  primacy::MutexLock lock(mu_);
+  connections_.push_back(std::move(conn));
 }
 
 void TransportServer::ReaderLoop(Connection& conn) {

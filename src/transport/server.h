@@ -1,8 +1,8 @@
 // TransportServer: the Unix-domain-socket front door of a PRIMACY daemon.
 //
-// One accept loop plus two threads per connection (reader and writer)
-// bridge the wire protocol (transport/wire.h) onto the in-process
-// CompressionService:
+// The shared accept loop (transport::Acceptor) hands each connection to
+// two threads (reader and writer), which bridge the wire protocol
+// (transport/wire.h) onto the in-process CompressionService:
 //
 //   reader:  RecvFrame -> DecodeFrame -> SubmitCompress/Decompress/Range
 //            (futures), or answers Ping/Stats inline; pushes replies-to-be
@@ -38,7 +38,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "service/clock.h"
@@ -100,23 +99,23 @@ class TransportServer {
  private:
   struct Connection;
 
-  void AcceptLoop();
+  /// The acceptor's handler: refuses a connection past the cap, else
+  /// starts its reader and writer.
+  void Accept(UniqueFd conn_fd, int stop_fd);
   void ReaderLoop(Connection& conn);
   void WriterLoop(Connection& conn);
   /// Decodes and dispatches one frame; returns false when the connection
   /// should stop reading (protocol violation or fatal submit error).
   bool HandleFrame(Connection& conn, ByteSpan frame);
   void EnqueueReady(Connection& conn, Bytes frame);
-  /// Reaps finished connections (joins their threads). Called from the
-  /// accept loop and Shutdown.
+  /// Reaps finished connections (joins their threads). Called from Accept
+  /// and Shutdown.
   void ReapConnections(bool all) PRIMACY_EXCLUDES(mu_);
 
   service::CompressionService& service_;
   const TransportServerOptions options_;
   service::ServiceClock* clock_;  // never null after construction
 
-  UniqueFd listen_fd_;
-  WakePipe accept_wake_;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
 
@@ -128,7 +127,8 @@ class TransportServer {
 
   mutable primacy::Mutex mu_;
   std::vector<std::unique_ptr<Connection>> connections_ PRIMACY_GUARDED_BY(mu_);
-  std::thread accept_thread_ PRIMACY_GUARDED_BY(mu_);
+  // Last: its thread runs Accept, which uses every member above.
+  Acceptor acceptor_;
 };
 
 }  // namespace primacy::transport

@@ -6,7 +6,9 @@
 // byte into a WakePipe — so the serving loop can observe the request either
 // by polling Requested() between work items or by including wake_fd() in a
 // poll() set, and then run the same drain path it uses for programmatic
-// shutdown (`/quitquitquit` funnels into that path too; see primacyd).
+// shutdown. It is the process's one stop latch: the observability hub's
+// opt-in `/quitquitquit` trips it too (Trigger), so primacyd and
+// `primacy_inspect --serve` wait on nothing else.
 //
 // Signal dispositions are process-global state, hence the singleton. A
 // second signal while draining keeps the flag set (idempotent); the default
@@ -39,14 +41,12 @@ class ShutdownSignal {
   /// Include in poll() sets alongside other wake sources.
   int wake_fd() const;
 
-  /// Blocks up to `timeout_ns` for a shutdown request; returns Requested().
-  /// The serving tools' drain loops call this in slices so they can
-  /// interleave other stop conditions (e.g. the observability hub's
-  /// /quitquitquit latch) without raw poll() at the call site.
+  /// Blocks up to `timeout_ns` (at most 1,000 s per call) for a shutdown
+  /// request; returns Requested(). Returns at once before Install.
   bool WaitRequested(std::uint64_t timeout_ns);
 
   /// Programmatic trigger sharing the signal path (used by tests and by
-  /// shutdown endpoints that want identical drain behavior).
+  /// the hub's /quitquitquit, for identical drain behavior).
   void Trigger();
 
  private:

@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "bitstream/byte_io.h"
 #include "telemetry/metrics.h"
@@ -79,6 +80,44 @@ IoStatus PollFor(int fd, short events, const IoDeadline& deadline,
       return IoStatus::kOk;
     }
     // rc == 0: slice elapsed; loop re-checks the deadline on the clock.
+  }
+}
+
+/// Waits for a connection on `listen_fd` or a byte on `wake_fd`. Returns
+/// kOk with `*conn_fd` set (non-blocking, close-on-exec), kStopped if the
+/// wake pipe fired first, kError otherwise; EMFILE/ENFILE back off and
+/// retry (see Acceptor).
+IoStatus AcceptWithWake(int listen_fd, int wake_fd, int* conn_fd) {
+  for (;;) {
+    const IoStatus ready =
+        PollFor(listen_fd, POLLIN, IoDeadline::None(), wake_fd);
+    if (ready != IoStatus::kOk) return ready;
+    const int conn = ::accept(listen_fd, nullptr, nullptr);
+    if (conn >= 0) {
+      if (!SetNonBlockingCloexec(conn)) {
+        ::close(conn);
+        return IoStatus::kError;
+      }
+      *conn_fd = conn;
+      return IoStatus::kOk;
+    }
+    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
+        errno == ECONNABORTED) {
+      continue;  // Raced with a disconnect or a signal; wait again.
+    }
+    if (errno == EMFILE || errno == ENFILE) {
+      // Out of descriptors: transient, since closing connections free them.
+      telemetry::MetricsRegistry::Global()
+          .GetCounter("primacy_transport_errors_total",
+                      "kind=\"accept_exhausted\"")
+          .Increment();
+      pollfd wake{wake_fd, POLLIN, 0};
+      if (::poll(&wake, 1, kAcceptExhaustedBackoffMs) > 0) {
+        return IoStatus::kStopped;
+      }
+      continue;
+    }
+    return IoStatus::kError;
   }
 }
 
@@ -253,37 +292,51 @@ int ListenTcpLoopback(int port, int* bound_port, std::string* error) {
   return fd.Release();
 }
 
-IoStatus AcceptWithWake(int listen_fd, int wake_fd, int* conn_fd) {
+bool Acceptor::Start(UniqueFd listen_fd, Handler handler,
+                     std::string* error) {
+  if (thread_.joinable()) {
+    if (error) *error = "acceptor already running";
+    return false;
+  }
+  if (!wake_.Open(error)) return false;
+  listen_fd_ = std::move(listen_fd);
+  handler_ = std::move(handler);
+  stopping_.store(false, std::memory_order_relaxed);
+  // Dedicated thread, not a pool task: it blocks in poll() for the
+  // server's whole lifetime, which would starve the shared pool (see the
+  // pool-containment allowlist note in tools/primacy_lint).
+  thread_ = std::thread(&Acceptor::Loop, this);
+  return true;
+}
+
+void Acceptor::Stop() {
+  if (thread_.joinable()) {
+    stopping_.store(true, std::memory_order_release);
+    wake_.Wake();
+    thread_.join();
+  }
+  listen_fd_.Reset();
+  wake_.Close();
+  handler_ = nullptr;
+}
+
+void Acceptor::Loop() {
   for (;;) {
-    const IoStatus ready =
-        PollFor(listen_fd, POLLIN, IoDeadline::None(), wake_fd);
-    if (ready != IoStatus::kOk) return ready;
-    const int conn = ::accept(listen_fd, nullptr, nullptr);
-    if (conn >= 0) {
-      if (!SetNonBlockingCloexec(conn)) {
-        ::close(conn);
-        return IoStatus::kError;
+    int conn = -1;
+    const IoStatus status =
+        AcceptWithWake(listen_fd_.get(), wake_.read_fd(), &conn);
+    if (status == IoStatus::kStopped) return;
+    if (status != IoStatus::kOk) {
+      if (!stopping_.load(std::memory_order_acquire)) {
+        telemetry::MetricsRegistry::Global()
+            .GetCounter("primacy_transport_errors_total", "kind=\"accept\"")
+            .Increment();
       }
-      *conn_fd = conn;
-      return IoStatus::kOk;
+      return;
     }
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
-        errno == ECONNABORTED) {
-      continue;  // Raced with a disconnect or a signal; wait again.
-    }
-    if (errno == EMFILE || errno == ENFILE) {
-      // Out of descriptors: transient, since closing connections free them.
-      telemetry::MetricsRegistry::Global()
-          .GetCounter("primacy_transport_errors_total",
-                      "kind=\"accept_exhausted\"")
-          .Increment();
-      pollfd wake{wake_fd, POLLIN, 0};
-      const int rc = ::poll(&wake, wake_fd >= 0 ? 1 : 0,
-                            kAcceptExhaustedBackoffMs);
-      if (rc > 0) return IoStatus::kStopped;
-      continue;
-    }
-    return IoStatus::kError;
+    UniqueFd conn_fd(conn);
+    if (stopping_.load(std::memory_order_acquire)) return;
+    handler_(std::move(conn_fd), wake_.read_fd());
   }
 }
 

@@ -1,5 +1,5 @@
-// Robust socket I/O shared by the transport subsystem and the telemetry
-// HTTP exporter.
+// Robust socket I/O and the one accept loop (Acceptor), shared by the
+// transport subsystem and the telemetry HTTP exporter.
 //
 // This is the only place in the tree (together with the rest of
 // src/transport/) allowed to name raw socket syscalls — the
@@ -18,9 +18,12 @@
 // sleeping.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <thread>
 
 #include "service/clock.h"
 #include "util/bytes.h"
@@ -136,13 +139,48 @@ int ConnectUnixSocket(const std::string& path, const IoDeadline& deadline,
 /// port; the bound port is returned via `*bound_port`.
 int ListenTcpLoopback(int port, int* bound_port, std::string* error);
 
-/// Waits for a connection on `listen_fd` or a byte on `wake_fd` (pass -1
-/// for no wake). Returns kOk with `*conn_fd` set (non-blocking,
-/// close-on-exec), kStopped if the wake pipe fired first, kError otherwise.
-/// Running out of descriptors (EMFILE/ENFILE) is not an error: each such
-/// failure counts in primacy_transport_errors_total{kind="accept_exhausted"}
-/// and the accept is retried after a 10 ms wait on the wake pipe.
-IoStatus AcceptWithWake(int listen_fd, int wake_fd, int* conn_fd);
+/// The one accept loop, shared by every server in the tree (the daemon's
+/// TransportServer, the metrics endpoint's HttpServer): it owns a listening
+/// socket, a wake pipe and one accept thread, and hands each connection to
+/// a handler on that thread. The thread waits on the socket and the pipe
+/// together, so Stop() interrupts it at once. Running out of descriptors
+/// (EMFILE/ENFILE) is not fatal: each such failure counts in
+/// primacy_transport_errors_total{kind="accept_exhausted"} and the accept
+/// is retried after a 10 ms wait on the wake pipe. Any other failed accept
+/// counts in {kind="accept"} and ends the loop: the listening socket is
+/// gone, and retrying would spin.
+class Acceptor {
+ public:
+  /// Runs on the accept thread once per connection (non-blocking,
+  /// close-on-exec), which it then owns; the next accept waits for it to
+  /// return. `stop_fd` becomes readable at Stop() and stays so: pass it as
+  /// the wake fd of the handler's waits, so a stalled peer cannot hold
+  /// Stop(). Must not throw.
+  using Handler = std::function<void(UniqueFd conn, int stop_fd)>;
+
+  Acceptor() = default;
+  ~Acceptor() { Stop(); }
+  Acceptor(const Acceptor&) = delete;
+  Acceptor& operator=(const Acceptor&) = delete;
+
+  /// Adopts `listen_fd` and starts the accept thread. Returns false with
+  /// `*error` set, and `listen_fd` closed, if the acceptor is already
+  /// running or the wake pipe cannot be opened.
+  bool Start(UniqueFd listen_fd, Handler handler, std::string* error);
+
+  /// Wakes the accept thread, joins it and closes the listening socket.
+  /// Idempotent; a stopped acceptor may be started again.
+  void Stop();
+
+ private:
+  void Loop();
+
+  UniqueFd listen_fd_;
+  WakePipe wake_;
+  Handler handler_;
+  std::atomic<bool> stopping_{false};
+  std::thread thread_;
+};
 
 /// Writes all of `data`, retrying EINTR and short writes, polling for
 /// POLLOUT between attempts. Returns kOk, kTimeout, kStopped, or kError.

@@ -2,17 +2,20 @@
 // behavior (trace flush, segment rotation, profiler sampling) is driven
 // through a VirtualClock, so this suite runs with zero wall-clock sleeps —
 // a test Advances time and waits on the hub's tick counter. Endpoint
-// dispatch is exercised socket-free through HandleRequest; one test opens
-// the real HTTP socket to prove a live scrape works end to end.
+// dispatch is exercised socket-free through HandleRequest; the live-socket
+// tests prove a scrape works end to end, that the endpoint keeps accepting
+// after EMFILE, and that Stop() does not wait on a silent peer.
 #include "telemetry/exporter/observability_hub.h"
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
@@ -25,6 +28,8 @@
 #include "telemetry/metrics.h"
 #include "telemetry/stage_stack.h"
 #include "telemetry/trace.h"
+#include "transport/descriptor_exhaustion.h"
+#include "transport/shutdown_signal.h"
 
 namespace primacy::telemetry {
 namespace {
@@ -235,10 +240,14 @@ TEST_F(ExporterTest, StatusSourcesRenderUnderTheirNames) {
 }
 
 TEST_F(ExporterTest, QuitEndpointRequiresOptIn) {
+  // The endpoint trips the process's one stop latch, the one SIGINT and
+  // SIGTERM set; each test runs in its own process, so it starts unset.
+  const transport::ShutdownSignal& shutdown =
+      transport::ShutdownSignal::Instance();
   ObservabilityHub hub;  // default: quit endpoint disabled
   hub.Start();
   EXPECT_EQ(hub.HandleRequest("/quitquitquit").status, 404);
-  EXPECT_FALSE(hub.ShutdownRequested());
+  EXPECT_FALSE(shutdown.Requested());
   hub.Stop();
 
   ObservabilityHubOptions options;
@@ -246,23 +255,28 @@ TEST_F(ExporterTest, QuitEndpointRequiresOptIn) {
   ObservabilityHub quittable(options);
   quittable.Start();
   EXPECT_EQ(quittable.HandleRequest("/quitquitquit").status, 200);
-  EXPECT_TRUE(quittable.ShutdownRequested());
-  quittable.WaitForShutdownRequest();  // must not block once latched
+  EXPECT_TRUE(shutdown.Requested());
   quittable.Stop();
 }
 
-/// Minimal HTTP/1.0 client for the one live-socket test.
-std::string HttpGet(int port, const std::string& path) {
+/// Blocking loopback TCP connection to `port`; -1 on failure.
+int ConnectLoopback(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (::connect(fd, (const sockaddr*)&addr, sizeof addr) != 0) {
     ::close(fd);
-    return {};
+    return -1;
   }
+  return fd;
+}
+
+/// Minimal HTTP/1.0 exchange over a connected `fd`, which it closes.
+std::string HttpExchange(int fd, const std::string& path) {
+  if (fd < 0) return {};
   const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
   std::size_t sent = 0;
   while (sent < request.size()) {
@@ -280,6 +294,10 @@ std::string HttpGet(int port, const std::string& path) {
   }
   ::close(fd);
   return response;
+}
+
+std::string HttpGet(int port, const std::string& path) {
+  return HttpExchange(ConnectLoopback(port), path);
 }
 
 TEST_F(ExporterTest, LiveHttpScrapeServesMetrics) {
@@ -303,6 +321,73 @@ TEST_F(ExporterTest, LiveHttpScrapeServesMetrics) {
             std::string::npos);
   hub.Stop();
   EXPECT_EQ(hub.HttpPort(), -1);
+}
+
+TEST_F(ExporterTest, LiveEndpointAcceptSurvivesDescriptorExhaustion) {
+  ObservabilityHubOptions options;
+  options.http_port = 0;
+  ObservabilityHub hub(options);
+  hub.Start();
+  ASSERT_GT(hub.HttpPort(), 0);
+  Counter& exhausted = MetricsRegistry::Global().GetCounter(
+      "primacy_transport_errors_total", "kind=\"accept_exhausted\"");
+  const std::uint64_t exhausted_before = exhausted.Value();
+
+  // With the table full, the scraper's socket takes the one freed slot and
+  // the endpoint's accept() then fails with EMFILE.
+  test_support::DescriptorExhaustion exhaustion(64);
+  exhaustion.FreeOneSlot();
+  const int starved = ConnectLoopback(hub.HttpPort());
+  ASSERT_GE(starved, 0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (exhausted.Value() == exhausted_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_GT(exhausted.Value(), exhausted_before);
+  exhaustion.Release();
+
+  // Descriptors are back: the queued scrape is served, and so is a new one.
+  EXPECT_NE(HttpExchange(starved, "/healthz").find("HTTP/1.0 200"),
+            std::string::npos);
+  EXPECT_NE(HttpGet(hub.HttpPort(), "/healthz").find("ok"),
+            std::string::npos);
+  hub.Stop();
+}
+
+TEST_F(ExporterTest, HttpStopDoesNotWaitOutASilentPeer) {
+  HttpServer server;
+  ASSERT_TRUE(server.Start(0, [](const std::string&) {
+    return HttpResponse{};
+  }));
+  // Descriptors are allocated lowest first, and nothing else in this
+  // process opens one meanwhile: the peer's socket takes the lowest free
+  // descriptor and the server's accept() the next one, so that one opening
+  // shows the server has taken the connection.
+  const int peer_slot = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  const int accepted_slot = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(peer_slot, 0);
+  ASSERT_GE(accepted_slot, 0);
+  ::close(peer_slot);
+  ::close(accepted_slot);
+  const int silent = ConnectLoopback(server.Port());
+  ASSERT_EQ(silent, peer_slot);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (::fcntl(accepted_slot, F_GETFD) < 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_GE(::fcntl(accepted_slot, F_GETFD), 0) << "peer never accepted";
+  // Let the accept thread reach the peer's request read. The peer sends
+  // nothing, so a read that ignored Stop() would wait out its whole 5 s
+  // deadline.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto start = std::chrono::steady_clock::now();
+  server.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  ::close(silent);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -137,8 +136,8 @@ TEST(TransportRetry, SingleAttemptPolicyNeverWaits) {
 }
 
 // ---------------------------------------------------------------------------
-// Scripted peers: a fake server that accepts connections one at a time and
-// hands each to a handler; the connection closes when the handler returns.
+// Scripted peers: a fake server whose transport::Acceptor hands each
+// connection to a handler; the connection closes when the handler returns.
 
 class FakeServer {
  public:
@@ -152,15 +151,17 @@ class FakeServer {
     std::string error;
     const int fd = ListenUnixSocket(path_, 8, &error);
     EXPECT_GE(fd, 0) << error;
-    listen_fd_.Reset(fd);
-    EXPECT_TRUE(wake_.Open(&error)) << error;
-    thread_ = std::thread([this] { Serve(); });
+    EXPECT_TRUE(acceptor_.Start(
+        UniqueFd(fd),
+        [this](UniqueFd conn, int stop_fd) {
+          serve_(connections_.fetch_add(1, std::memory_order_relaxed),
+                 conn.get(), stop_fd);
+        },
+        &error))
+        << error;
   }
 
-  ~FakeServer() {
-    wake_.Wake();
-    if (thread_.joinable()) thread_.join();
-  }
+  ~FakeServer() { ::unlink(path_.c_str()); }
 
   const std::string& path() const { return path_; }
   std::uint64_t connections() const {
@@ -168,26 +169,12 @@ class FakeServer {
   }
 
  private:
-  void Serve() {
-    for (;;) {
-      int conn = -1;
-      if (AcceptWithWake(listen_fd_.get(), wake_.read_fd(), &conn) !=
-          IoStatus::kOk) {
-        return;
-      }
-      UniqueFd conn_fd(conn);
-      serve_(connections_.fetch_add(1, std::memory_order_relaxed),
-             conn_fd.get(), wake_.read_fd());
-    }
-  }
-
   static inline std::atomic<int> instance_counter_{0};
   Handler serve_;
   std::string path_;
-  UniqueFd listen_fd_;
-  WakePipe wake_;
   std::atomic<std::uint64_t> connections_{0};
-  std::thread thread_;
+  // Last, so it stops before the members its handler uses are destroyed.
+  Acceptor acceptor_;
 };
 
 constexpr std::uint64_t kFakeServerBudgetNs = 5'000'000'000ull;

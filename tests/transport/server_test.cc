@@ -9,8 +9,6 @@
 // that nobody outside src/transport needs them, this suite included).
 #include "transport/server.h"
 
-#include <fcntl.h>
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -22,6 +20,7 @@
 
 #include "bitstream/byte_io.h"
 #include "core/primacy_codec.h"
+#include "descriptor_exhaustion.h"
 #include "service/service.h"
 #include "telemetry/metrics.h"
 #include "transport/client.h"
@@ -365,58 +364,6 @@ TEST(TransportServerLimit, ExcessConnectionRefusedWithRetryAfter) {
   EXPECT_EQ(fx.server().Stats().connections_rejected, 1u);
 }
 
-/// Lowers this process's soft descriptor limit to `headroom` above the
-/// lowest free descriptor and fills every free slot below it with
-/// /dev/null. Release() (or the destructor) closes the fillers and
-/// restores the limit.
-class DescriptorExhaustion {
- public:
-  explicit DescriptorExhaustion(int headroom) {
-    const int lowest_free = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-    EXPECT_GE(lowest_free, 0);
-    ::close(lowest_free);
-    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0);
-    rlimit lowered = saved_;
-    lowered.rlim_cur = static_cast<rlim_t>(lowest_free + headroom);
-    lowered_ = ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
-    if (!lowered_) {
-      // Without the lowered limit the fill would run to the full table.
-      ADD_FAILURE() << "setrlimit(RLIMIT_NOFILE) failed";
-      return;
-    }
-    for (;;) {
-      const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-      if (fd < 0) break;
-      fillers_.push_back(fd);
-    }
-  }
-  ~DescriptorExhaustion() { Release(); }
-
-  DescriptorExhaustion(const DescriptorExhaustion&) = delete;
-  DescriptorExhaustion& operator=(const DescriptorExhaustion&) = delete;
-
-  /// Closes one filler, leaving exactly one free slot.
-  void FreeOneSlot() {
-    ASSERT_FALSE(fillers_.empty());
-    ::close(fillers_.back());
-    fillers_.pop_back();
-  }
-
-  void Release() {
-    for (const int fd : fillers_) ::close(fd);
-    fillers_.clear();
-    if (lowered_) {
-      EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &saved_), 0);
-      lowered_ = false;
-    }
-  }
-
- private:
-  rlimit saved_{};
-  bool lowered_ = false;
-  std::vector<int> fillers_;
-};
-
 /// Pings over `fd` with a 5 s budget each way; true on a matching pong.
 bool PingWithin5s(int fd, std::uint64_t id) {
   auto& clock = service::SystemServiceClock::Instance();
@@ -445,7 +392,7 @@ TEST(TransportServerLimit, AcceptSurvivesDescriptorExhaustion) {
 
   // With the table full, the client's socket takes the one freed slot and
   // the server's accept() then fails with EMFILE.
-  DescriptorExhaustion exhaustion(64);
+  test_support::DescriptorExhaustion exhaustion(64);
   exhaustion.FreeOneSlot();
   std::string error;
   UniqueFd starved(ConnectUnixSocket(

@@ -207,8 +207,8 @@ int main(int argc, char** argv) {
   }
 
   // PRIMACY_METRICS_PORT / PRIMACY_TRACE_DIR / PRIMACY_PROFILE_HZ make the
-  // daemon scrapeable; the hub's /quitquitquit latches ShutdownRequested,
-  // observed by the drain loop below.
+  // daemon scrapeable; the hub's /quitquitquit trips the same ShutdownSignal
+  // as SIGINT and SIGTERM, which the drain loop below waits on.
   telemetry::ObservabilityHub* hub = telemetry::MaybeStartHubFromEnv();
   if (hub != nullptr) {
     hub->AddStatusSource("service",
@@ -231,16 +231,11 @@ int main(int argc, char** argv) {
   }
   std::fflush(stdout);
 
-  // Drain loop: WaitRequested blocks on the signal pipe in slices so the
-  // hub's /quitquitquit latch is also observed promptly. All three stop
-  // sources share the drain below.
-  while (!shutdown.Requested() &&
-         !(hub != nullptr && hub->ShutdownRequested())) {
-    shutdown.WaitRequested(100'000'000ull);
+  // All three stop sources trip the one latch and share the drain below.
+  while (!shutdown.WaitRequested(service::kNoDeadlineNs)) {
   }
 
-  std::printf("primacyd: draining (%s)\n",
-              shutdown.Requested() ? "signal" : "/quitquitquit");
+  std::printf("primacyd: draining\n");
   std::fflush(stdout);
   server.Shutdown();
   if (hub != nullptr) hub->Stop();
