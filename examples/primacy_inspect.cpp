@@ -3,8 +3,11 @@
 // index size, compressed ID size, and ISOBAR mantissa stream size. Useful
 // for understanding where the bytes went.
 //
-//   ./primacy_inspect <file>          inspect a stream written by pfile/
-//                                     checkpoint tools
+//   ./primacy_inspect <file>          inspect a raw stream: the chunk table
+//                                     lists the stream's directory (a v1
+//                                     stream's is indexed from its
+//                                     records), so every version of the
+//                                     same records prints the same table
 //   ./primacy_inspect --verify <file> validate stream integrity (v3:
 //                                     checksums; v1/v2: structural decode);
 //                                     exit 0 = valid, 1 = corrupt
@@ -34,7 +37,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 
@@ -59,14 +61,12 @@ primacy::Bytes ReadFile(const std::string& path) {
 
 void Inspect(primacy::ByteSpan stream) {
   using namespace primacy;
-  ByteReader reader(stream);
-  const internal::StreamHeader header = internal::ReadStreamHeader(reader);
-  const std::size_t chunks_begin = reader.Offset();
+  const internal::OpenedStream opened =
+      internal::OpenStream(stream, /*verify=*/false);
+  const internal::StreamHeader& header = opened.header;
 
   std::printf("stream: %zu bytes\n", stream.size());
-  std::printf("  format        : v%u%s\n", header.version,
-              header.version >= internal::kFormatVersion2 ? " (seekable)"
-                                                          : "");
+  std::printf("  format        : v%u\n", header.version);
   std::printf("  solver        : %s\n", header.solver_name.c_str());
   std::printf("  element width : %zu (%s precision)\n", header.width,
               header.width == 8 ? "double" : "single");
@@ -78,66 +78,40 @@ void Inspect(primacy::ByteSpan stream) {
                 static_cast<unsigned long long>(header.total_bytes));
     return;
   }
-  const bool streamed = header.total_bytes == kStreamingTotal;
-  if (streamed) {
-    std::printf("  total bytes   : (streamed; %s)\n",
-                header.version >= internal::kFormatVersion2
-                    ? "taken from the directory"
-                    : "recorded in trailer");
-  } else {
-    std::printf("  total bytes   : %llu\n",
-                static_cast<unsigned long long>(header.total_bytes));
-  }
-  // v2/v3 list the records their directory counts; v1 scans them until the
-  // header total (one-shot) or the 0-count sentinel (streamed).
-  std::optional<internal::ChunkDirectory> directory;
-  if (header.version >= internal::kFormatVersion2) {
-    directory =
-        internal::ReadChunkDirectory(stream, chunks_begin, header.version);
-  }
+  std::printf("  total bytes   : %llu%s\n",
+              static_cast<unsigned long long>(opened.total_bytes),
+              header.total_bytes == kStreamingTotal ? " (streamed)" : "");
 
+  // One row per directory entry, for every version (v1: indexed from the
+  // records at open); only each record's three block sizes are read here.
+  const internal::ChunkDirectory& directory = *opened.directory;
   std::printf("\n%6s %12s %8s %10s %12s %12s\n", "chunk", "elements", "index",
               "idx(B)", "IDs(B)", "mantissa(B)");
-  const std::uint64_t total_elements = header.total_bytes / header.width;
-  std::uint64_t decoded = 0;
-  for (std::size_t chunk_no = 0;; ++chunk_no) {
-    if (directory ? chunk_no == directory->chunks.size()
-                  : !streamed && decoded >= total_elements) {
-      break;
-    }
-    const std::uint64_t count = reader.GetVarint();
-    if (count == 0 && !directory) break;  // streamed v1 end of chunks
-    const std::uint8_t flag = reader.GetU8();
-    std::size_t index_bytes = 0;
-    const char* mode = "reuse";
-    if (flag == 1) {
-      index_bytes = reader.GetBlock().size();
-      mode = "full";
-    } else if (flag == 2) {
-      index_bytes = reader.GetBlock().size();
-      mode = "delta";
-    } else if (flag != 0) {
-      throw CorruptStreamError("inspect: bad index flag");
-    }
+  constexpr const char* kIndexModes[] = {"reuse", "full", "delta"};
+  for (std::size_t c = 0; c < directory.chunks.size(); ++c) {
+    const internal::ChunkDirectoryEntry& entry = directory.chunks[c];
+    ByteReader reader(opened.Record(c));
+    reader.GetVarint();  // element count
+    reader.GetU8();      // index flag
+    const std::size_t index_bytes =
+        entry.index_flag != 0 ? reader.GetBlock().size() : 0;
     const std::size_t id_bytes = reader.GetBlock().size();
     const std::size_t mantissa_bytes = reader.GetBlock().size();
-    std::printf("%6zu %12llu %8s %10zu %12zu %12zu\n", chunk_no,
-                static_cast<unsigned long long>(count), mode, index_bytes,
-                id_bytes, mantissa_bytes);
-    decoded += count;
+    std::printf("%6zu %12llu %8s %10zu %12zu %12zu\n", c,
+                static_cast<unsigned long long>(entry.elements),
+                kIndexModes[entry.index_flag], index_bytes, id_bytes,
+                mantissa_bytes);
   }
-  const ByteSpan tail = reader.GetBlock();
-  std::printf("\ntail bytes: %zu\n", tail.size());
-  if (streamed && !directory) {
-    std::printf("trailer total: %llu bytes\n",
-                static_cast<unsigned long long>(reader.GetVarint()));
-  }
-  if (directory) {
-    std::printf("directory: %zu entries, %zu bytes incl. footer (seekable%s)\n",
-                directory->chunks.size(),
+  std::printf("\ntail bytes: %zu\n", opened.tail.size());
+  if (header.version >= internal::kFormatVersion2) {
+    std::printf("directory: %zu entries, %zu bytes incl. footer%s\n",
+                directory.chunks.size(),
                 stream.size() -
-                    static_cast<std::size_t>(directory->directory_offset),
-                directory->has_checksums ? ", checksummed" : "");
+                    static_cast<std::size_t>(directory.directory_offset),
+                directory.has_checksums ? " (checksummed)" : "");
+  } else {
+    std::printf("directory: %zu entries, indexed from the records\n",
+                directory.chunks.size());
   }
 }
 

@@ -20,7 +20,7 @@ namespace {
 /// Per-shard-index telemetry series, resolved once per index and shared by
 /// every cache instance in the process (series aggregate across caches —
 /// the gauge is updated with deltas, never Set). Same leaked-instance idiom
-/// as PoolMetrics::ForName: registry references must outlive every cache.
+/// as PoolMetrics::Get: registry references must outlive every cache.
 struct CacheShardMetrics {
   telemetry::Counter& hits;
   telemetry::Counter& misses;

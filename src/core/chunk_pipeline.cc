@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <limits>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -211,21 +210,6 @@ ChunkDecoder::ChunkDecoder(const Codec& solver, Linearization linearization,
   if (width_ != 4 && width_ != 8) {
     throw InvalidArgumentError("ChunkDecoder: unsupported element width");
   }
-}
-
-void ChunkDecoder::DecodeChunk(ByteReader& reader, std::uint64_t count,
-                               Bytes& out) {
-  if (count == 0) {
-    throw CorruptStreamError("primacy: bad chunk element count");
-  }
-  const std::size_t old_size = out.size();
-  // Overflow-safe: a tampered count must not wrap the byte extent and
-  // shrink the buffer the decode loop then writes past.
-  if (count > (std::numeric_limits<std::size_t>::max() - old_size) / width_) {
-    throw CorruptStreamError("primacy: chunk element count overflows");
-  }
-  out.resize(old_size + static_cast<std::size_t>(count) * width_);
-  DecodeChunkInto(reader, count, 0, MutableByteSpan(out).subspan(old_size));
 }
 
 bool ChunkDecoder::VerifyRecord(ByteSpan record, std::uint64_t expected) {

@@ -66,22 +66,18 @@ class ChunkDecoder {
   ChunkDecoder(const Codec& solver, Linearization linearization,
                std::size_t element_width);
 
-  /// Decodes one chunk record body from `reader`. The caller has already
-  /// consumed the record's leading element-count varint (so it can detect
-  /// end-of-chunks sentinels); the restored native-layout bytes are appended
-  /// to `out`.
-  void DecodeChunk(ByteReader& reader, std::uint64_t count, Bytes& out);
-
-  /// Same, but writes the restored elements [first, first + out.size() /
+  /// Decodes one chunk record body of `count` elements from `reader`, whose
+  /// leading element-count varint the caller has already consumed, and
+  /// writes the restored elements [first, first + out.size() /
   /// element_width) of the chunk straight into `out`, where `first` <
   /// count; `first` = 0 with `out` of count * element_width bytes is the
   /// whole chunk. The whole record is read and its planes checked, but the
   /// solver's two inflates get the window (Codec::DecompressWindow), so
   /// they may leave out the bytes outside it, and only the window is
-  /// assembled. This is the directory decoder's path: each chunk's output
-  /// position is known from the v2 directory, so workers decode into
-  /// disjoint slices of one preallocated buffer, and an uncached range read
-  /// decodes its edge chunks' windows straight into the caller's output.
+  /// assembled. Each chunk's output position is known from the stream's
+  /// directory, so workers decode into disjoint slices of one preallocated
+  /// buffer, and an uncached range read decodes its edge chunks' windows
+  /// straight into the caller's output.
   void DecodeChunkInto(ByteReader& reader, std::uint64_t count,
                        std::uint64_t first, MutableByteSpan out);
 

@@ -10,7 +10,6 @@
 #include "core/builtin_codecs.h"
 #include "core/chunk_pipeline.h"
 #include "core/stream_format.h"
-#include "core/streaming.h"
 #include "telemetry/trace.h"
 #include "util/checksum.h"
 #include "util/error.h"
@@ -166,21 +165,20 @@ std::vector<std::pair<std::size_t, std::size_t>> IndexGroups(
   return groups;
 }
 
-/// The one directory decoder, behind full decodes and range reads alike:
-/// decodes elements [first, first + count) of a v2/v3 stream into `out`
-/// (exactly count elements). Only the covering chunks are decoded, as index
-/// groups — in parallel when `options.threads` allows, with one solver and
-/// one decoder per slot. Chunks wholly inside the range decode straight
-/// into `out`, and so do the windows of a range read's partial edge chunks
-/// when no cache serves the stream; a cached edge chunk is decoded whole
-/// into a scratch buffer and its window copied out. Chunks read through
-/// options.block_cache only when the directory carries record checksums
-/// (v3): a v2 directory holds only structure, so it cannot tell two
-/// streams' records apart.
+/// The one directory decoder, behind full decodes and range reads of every
+/// version alike: decodes elements [first, first + count) of a stream that
+/// is not stored into `out` (exactly count elements). Only the covering
+/// chunks are decoded, as index groups — in parallel when `options.threads`
+/// allows, with one solver and one decoder per slot. Chunks wholly inside
+/// the range decode straight into `out`, and so do the windows of a range
+/// read's partial edge chunks when no cache serves the stream; a cached
+/// edge chunk is decoded whole into a scratch buffer and its window copied
+/// out. Chunks read through options.block_cache only when the directory
+/// carries record checksums (v3): a v1 or v2 directory holds only
+/// structure, so it cannot tell two streams' records apart.
 void DecodeElements(const internal::OpenedStream& opened, std::uint64_t first,
                     std::uint64_t count, const PrimacyOptions& options,
                     MutableByteSpan out, PrimacyDecodeStats& accounting) {
-  accounting.used_directory = true;
   if (count == 0) return;
   const internal::StreamHeader& header = opened.header;
   const auto& chunks = opened.directory->chunks;
@@ -296,7 +294,6 @@ void PrimacyDecodeStats::Accumulate(const PrimacyDecodeStats& other) {
   chunks_decoded += other.chunks_decoded;
   index_loads += other.index_loads;
   output_bytes += other.output_bytes;
-  used_directory = used_directory || other.used_directory;
   chunks_verified += other.chunks_verified;
   cache_hits += other.cache_hits;
   cache_misses += other.cache_misses;
@@ -450,7 +447,7 @@ Bytes PrimacyDecompressor::Decode(ByteSpan stream,
                               static_cast<std::size_t>(first * width),
                               static_cast<std::size_t>(count * width))
                         : opened.stored);
-  } else if (opened.directory) {
+  } else {
     // A full decode is the element range [0, total) plus the tail block.
     out.resize(static_cast<std::size_t>(range ? count * width
                                               : opened.total_bytes));
@@ -461,19 +458,6 @@ Bytes PrimacyDecompressor::Decode(ByteSpan stream,
       std::memcpy(out.data() + elements.size(), opened.tail.data(),
                   opened.tail.size());
     }
-  } else if (range) {
-    throw InvalidArgumentError(
-        "primacy: DecompressRange requires a v2+ stream with a chunk "
-        "directory (v1 streams decode sequentially only)");
-  } else {
-    // v1, one-shot or streamed: no directory, so drain the sequential
-    // reader (a streamed total is unknown, so nothing is reserved for it).
-    PrimacyStreamReader reader(stream, options_.verify_checksums);
-    out.reserve(std::min<std::uint64_t>(opened.total_bytes, 1u << 26));
-    while (reader.NextChunk(out)) {
-    }
-    accounting.chunks_decoded = reader.chunks_decoded();
-    accounting.stage.Accumulate(reader.stage_breakdown());
   }
   if (element_size != 0 && !range && out.size() % header.width != 0) {
     throw CorruptStreamError("primacy: stream is not a whole element array");

@@ -9,8 +9,8 @@
 //      compress the compressible byte columns, store the rest raw;
 //   6. emit [header | index | compressed IDs | ISOBAR stream] per chunk.
 //
-// Stream format (v3; readers also accept v1, which stops after the tail,
-// and v2, which lacks the checksum fields):
+// Stream format (v3; readers also accept v1, which ends after the tail
+// block, and v2, which lacks the checksum fields):
 //   u32 magic "PRY1", u8 version (1, 2 or 3), u8 flags (bit 0 = column
 //   linearization, bit 1 = stored fallback), u8 element_width,
 //   block(solver name), varint byte_count (the kStreamingTotal sentinel
@@ -51,13 +51,15 @@
 // chunks it touches plus the (small) header/tail and directory.
 //
 // Versioning rules: the header magic/version are always the first 5 bytes;
-// unknown versions are rejected. v3 readers decode v1/v2 streams (v1
-// serially — no directory to parallelize over; both without checksum
-// verification — there is nothing to verify); older readers reject newer
-// versions by the version byte. Every writer, one-shot or streamed, frames
-// v3 through one assembler (internal::StreamAssembler): the directory sits
-// after the records, so a streaming writer never needs to seek back, and a
-// streamed stream differs from a one-shot one only in its header total.
+// unknown versions are rejected. v3 readers decode v1/v2 streams through
+// the same directory (a v1 stream's is indexed from its records when it is
+// opened, and the stream must end at its tail block or trailer total), in
+// parallel and by range alike, without checksum verification — there is
+// nothing to verify; older readers reject newer versions by the version
+// byte. Every writer, one-shot or streamed, frames v3 through one
+// assembler (internal::StreamAssembler): the directory sits after the
+// records, so a streaming writer never needs to seek back, and a streamed
+// stream differs from a one-shot one only in its header total.
 //
 // API shape: one byte-level core (CompressBytes, DecompressBytes,
 // DecompressBytesRange) plus thin typed templates (Compress, Decompress<T>,
@@ -125,10 +127,10 @@ struct PrimacyOptions {
   /// Compression: only kPerChunk indexing parallelizes (chunks are then
   /// independent, and the output is byte-identical to a serial run);
   /// kReuseWhenCorrelated has a serial cross-chunk dependency and ignores
-  /// this knob. Decompression: v2+ streams decode the index-chain groups a
-  /// full decode or range read covers in parallel (every chunk is its own
-  /// group under kPerChunk), byte-identical to serial; v1 streams always
-  /// decode serially.
+  /// this knob. Decompression: every stream but a stored one decodes the
+  /// index-chain groups a full decode or range read covers in parallel
+  /// (every chunk is its own group under kPerChunk), byte-identical to
+  /// serial.
   std::size_t threads = 1;
   /// Decode-side integrity knob: verify the per-chunk and header/tail
   /// checksums of v3 streams before trusting their bytes (full decodes
@@ -142,8 +144,8 @@ struct PrimacyOptions {
   /// from these options serve repeated chunk decodes of v3 streams from it;
   /// cached results are byte-identical to a cold decode. Pass one instance
   /// to several decompressors or readers to share its budget. v1, v2 and
-  /// stored streams are never cached (v1 has no chunk directory, v2 no
-  /// record checksums to key against, stored payloads are sliced directly).
+  /// stored streams are never cached (v1 and v2 have no record checksums to
+  /// key against, stored payloads are sliced directly).
   std::shared_ptr<DecodedBlockCache> block_cache;
   IsobarOptions isobar;
 };
@@ -224,7 +226,6 @@ struct PrimacyDecodeStats {
   std::size_t index_loads = 0;
   std::size_t threads_used = 1;  // decode slots actually provisioned
   std::size_t output_bytes = 0;
-  bool used_directory = false;  // v2+ directory-driven decode
   /// Chunk records whose checksum was verified before decoding (v3 streams
   /// with verify_checksums on).
   std::size_t chunks_verified = 0;
@@ -265,10 +266,10 @@ class PrimacyDecompressor {
   /// chain back to the nearest full index — counted in stats->index_loads,
   /// never decoded). It runs through the same directory decoder as a full
   /// decode, so a range spanning several index groups honours `threads`.
-  /// Requires a v2+ stream (or a stored stream, which is sliced after its
-  /// checksum is verified); v1 streams throw InvalidArgumentError. An empty
-  /// range is valid anywhere within [0, element_count]. Bytes beyond the
-  /// last whole element (the stored tail) are not element-addressable.
+  /// Any version reads by range; a stored stream is sliced after its
+  /// checksum is verified. An empty range is valid anywhere within [0,
+  /// element_count]. Bytes beyond the last whole element (the stored tail)
+  /// are not element-addressable.
   Bytes DecompressBytesRange(ByteSpan stream, std::uint64_t first_element,
                              std::uint64_t count,
                              PrimacyDecodeStats* stats = nullptr) const;

@@ -17,6 +17,52 @@ constexpr std::size_t kFooterBytesV3 = 20;
 std::size_t FooterBytes(std::uint8_t version) {
   return version >= kFormatVersion3 ? kFooterBytesV3 : kFooterBytesV2;
 }
+
+/// Indexes a v1 stream's self-delimiting records into the checksum-free
+/// directory a v2 footer would hold: each record's offset, element count
+/// and index flag, read off its framing up to `total_elements` (or,
+/// `streamed`, up to a 0 count), then the tail block and, streamed, the
+/// trailer total, which must end the stream. `total_elements` bounds the
+/// counts; a streamed total must equal what the records and tail hold.
+ChunkDirectory IndexV1Records(ByteSpan stream, std::size_t chunks_begin,
+                              std::size_t width, bool streamed,
+                              std::uint64_t total_elements) {
+  ChunkDirectory directory;
+  ByteReader reader(stream);
+  reader.GetRaw(chunks_begin);
+  std::uint64_t sum = 0;
+  while (streamed || sum < total_elements) {
+    ChunkDirectoryEntry entry;
+    entry.offset = reader.Offset();
+    entry.elements = reader.GetVarint();
+    if (entry.elements == 0 && streamed) break;
+    if (entry.elements == 0 || entry.elements > total_elements - sum) {
+      throw CorruptStreamError("primacy: bad chunk element count");
+    }
+    entry.index_flag = reader.GetU8();
+    if (entry.index_flag > 2) {
+      throw CorruptStreamError("primacy: bad index flag");
+    }
+    if (entry.index_flag != 0) reader.GetBlock();  // index or delta
+    reader.GetBlock();                             // IDs
+    reader.GetBlock();                             // ISOBAR stream
+    sum += entry.elements;
+    directory.chunks.push_back(entry);
+  }
+  if (!directory.chunks.empty() && directory.chunks.front().index_flag != 1) {
+    throw CorruptStreamError("primacy: first chunk lacks a full index");
+  }
+  directory.tail_offset = reader.Offset();
+  const std::size_t tail_bytes = reader.GetBlock().size();
+  directory.directory_offset = reader.Offset();
+  if (streamed && reader.GetVarint() != sum * width + tail_bytes) {
+    throw CorruptStreamError("primacy: trailer total mismatch");
+  }
+  if (!reader.AtEnd()) {
+    throw CorruptStreamError("primacy: bytes after the end of the stream");
+  }
+  return directory;
+}
 }  // namespace
 
 void WriteStreamHeader(Bytes& out, const PrimacyOptions& options,
@@ -220,17 +266,20 @@ OpenedStream OpenStream(ByteSpan stream, bool verify) {
   // The sentinel leaves the total to what follows the records: the v1
   // trailer, or the v3 directory. v2 writers never streamed.
   const bool streamed = header.total_bytes == kStreamingTotal;
-  if (header.version < kFormatVersion2) {
-    opened.streamed = streamed;
-    if (streamed) opened.total_bytes = 0;
-    return opened;
-  }
-  if (streamed && header.version < kFormatVersion3) {
+  if (streamed && header.version == kFormatVersion2) {
     throw CorruptStreamError("primacy: streamed total in a v2 header");
   }
+  // A streamed total is bounded only so that its byte count cannot wrap.
+  const std::uint64_t total_elements =
+      streamed ? kStreamingTotal / header.width - 1
+               : header.total_bytes / header.width;
 
+  // A v1 stream's records are its directory.
   opened.directory =
-      ReadChunkDirectory(stream, opened.chunks_begin, header.version);
+      header.version == kFormatVersion1
+          ? IndexV1Records(stream, opened.chunks_begin, header.width,
+                           streamed, total_elements)
+          : ReadChunkDirectory(stream, opened.chunks_begin, header.version);
   const ChunkDirectory& directory = *opened.directory;
   opened.verify_records = verify && directory.has_checksums;
   // The header and tail block are small; verifying them keeps every byte a
@@ -240,10 +289,6 @@ OpenedStream OpenStream(ByteSpan stream, bool verify) {
           directory.header_tail_checksum) {
     throw CorruptStreamError("primacy: header/tail checksum mismatch");
   }
-  // A streamed total is bounded only so that its byte count cannot wrap.
-  const std::uint64_t total_elements =
-      streamed ? kStreamingTotal / header.width - 1
-               : header.total_bytes / header.width;
   opened.starts.resize(directory.chunks.size());
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < directory.chunks.size(); ++i) {

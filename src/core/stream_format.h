@@ -1,10 +1,13 @@
-// PRIMACY stream framing: the header, the v2/v3 seekable chunk directory,
+// PRIMACY stream framing: the header, the seekable chunk directory,
 // StreamAssembler (the one writer, behind the one-shot codec and the
 // streaming writer), and OpenStream — everything a reader learns before it
 // touches a chunk record. Internal API (namespace primacy::internal).
 //
 // Version history:
-//   v1 — header, chunk records, tail block. Decoding is a sequential scan.
+//   v1 — header, chunk records, tail block. Each record is self-delimiting,
+//        so OpenStream indexes them into the directory a v2 footer stores;
+//        the stream ends at the tail block (streamed: at the total after
+//        it), so a v2/v3 stream whose version byte reads 1 is rejected.
 //   v2 — identical payload, then a chunk directory (per-chunk record byte
 //        offset, element count, index flag) and a fixed-size footer locating
 //        it, so a reader can jump to any chunk without scanning.
@@ -76,10 +79,11 @@ struct ChunkDirectoryEntry {
 
 struct ChunkDirectory {
   std::vector<ChunkDirectoryEntry> chunks;
-  /// Absolute offset of the tail block (= end of the last chunk record).
+  /// Absolute offset of the tail block (= end of the last chunk record; in
+  /// a streamed v1 stream, of the 0 count that ends the records).
   std::uint64_t tail_offset = 0;
   /// Absolute offset of the directory payload (= end of the tail block).
-  /// Filled by ReadChunkDirectory; ignored by AppendChunkDirectory.
+  /// Filled by the readers; ignored by AppendChunkDirectory.
   std::uint64_t directory_offset = 0;
   /// True for v3 directories: entry checksums and header_tail_checksum are
   /// populated.
@@ -145,18 +149,14 @@ struct OpenedStream {
   /// Offset of the first chunk record (= header size).
   std::size_t chunks_begin = 0;
   /// The decoded byte count: the header's total, or — under a
-  /// kStreamingTotal header — the v3 directory's (its element counts plus
-  /// the tail block). 0 for a v1 streamed stream, whose total trails its
-  /// records.
+  /// kStreamingTotal header — the directory's (its element counts plus the
+  /// tail block).
   std::uint64_t total_bytes = 0;
-  /// A v1 streamed stream: records run until a zero element count, followed
-  /// by the tail block and the real total.
-  bool streamed = false;
   /// Stored fallback: the raw payload (header.total_bytes bytes).
   ByteSpan stored;
-  /// v2/v3 streams only (unset for v1 and stored streams): the validated
-  /// directory, each chunk's first element index, and the tail block's
-  /// bytes.
+  /// Every stream but a stored one: the validated directory (v2/v3: read
+  /// from the footer; v1: indexed from the records), each chunk's first
+  /// element index, and the tail block's bytes.
   std::optional<ChunkDirectory> directory;
   std::vector<std::uint64_t> starts;
   ByteSpan tail;
@@ -169,12 +169,14 @@ struct OpenedStream {
   ByteSpan Record(std::size_t c) const;
 };
 
-/// Parses and validates everything outside the chunk records: the header,
-/// the stored payload (and, v3 with `verify`, its trailing checksum), the
-/// v2/v3 directory, the header/tail checksum (v3 with `verify`), the
-/// per-chunk element starts against the header total (or, under the
-/// kStreamingTotal sentinel, which only v1 and v3 headers may carry, the
-/// totals the directory implies), and the tail block. Throws
+/// Parses and validates everything outside the chunk records' payloads:
+/// the header, the stored payload (and, v3 with `verify`, its trailing
+/// checksum), the directory — a v2/v3 footer's, or a v1 stream's records
+/// indexed by their framing, which must end at the tail block (one-shot)
+/// or the trailer total (streamed) — the header/tail checksum (v3 with
+/// `verify`), the per-chunk element starts against the header total (or,
+/// under the kStreamingTotal sentinel, which only v1 and v3 headers may
+/// carry, the totals the directory implies), and the tail block. Throws
 /// CorruptStreamError on any inconsistency.
 OpenedStream OpenStream(ByteSpan stream, bool verify);
 

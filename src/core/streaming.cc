@@ -73,12 +73,9 @@ PrimacyStats PrimacyStreamWriter::Finish() {
 PrimacyStreamReader::PrimacyStreamReader(ByteSpan stream,
                                          bool verify_checksums)
     : opened_(internal::OpenStream(stream, verify_checksums)),
-      reader_(stream) {
-  reader_.GetRaw(opened_.chunks_begin);  // v1 records follow the header
-  solver_ = CreateCodec(opened_.header.solver_name);
-  decoder_ = std::make_unique<ChunkDecoder>(
-      *solver_, opened_.header.linearization, opened_.header.width);
-}
+      solver_(CreateCodec(opened_.header.solver_name)),
+      decoder_(std::make_unique<ChunkDecoder>(
+          *solver_, opened_.header.linearization, opened_.header.width)) {}
 
 const telemetry::StageBreakdown& PrimacyStreamReader::stage_breakdown() const {
   return decoder_->stage_breakdown();
@@ -94,57 +91,19 @@ bool PrimacyStreamReader::NextChunk(Bytes& out) {
   if (saw_trailer_) return false;
   telemetry::TraceSpan span("primacy.stream_next_chunk", "chunk",
                             static_cast<std::uint64_t>(chunk_index_));
-  const internal::StreamHeader& header = opened_.header;
-  if (header.stored) return Finish(out, opened_.stored);
-  if (opened_.directory) {
-    // v2/v3: the directory locates each record and its element count.
-    const auto& chunks = opened_.directory->chunks;
-    if (chunk_index_ == chunks.size()) return Finish(out, opened_.tail);
-    const internal::ChunkDirectoryEntry& entry = chunks[chunk_index_];
-    const std::size_t old_size = out.size();
-    out.resize(old_size +
-               static_cast<std::size_t>(entry.elements * header.width));
-    internal::DecodeChunkRecord(*decoder_, opened_.Record(chunk_index_),
-                                chunk_index_, entry, opened_.verify_records,
-                                0, MutableByteSpan(out).subspan(old_size));
-    ++chunk_index_;
-    return true;
-  }
-  // v1: records until total_bytes are produced (one-shot) or until the 0
-  // sentinel (streamed), then the tail block (and, streamed, the total).
-  const std::uint64_t total_elements = opened_.total_elements();
-  if (!opened_.streamed && decoded_bytes_ / header.width >= total_elements) {
-    const ByteSpan tail = reader_.GetBlock();
-    if (decoded_bytes_ + tail.size() != header.total_bytes) {
-      throw CorruptStreamError("primacy: tail size mismatch");
-    }
-    return Finish(out, tail);
-  }
-  const bool decoded = internal::WithChunkContext(
-      chunk_index_, reader_.Offset(), [&] {
-        const std::uint64_t count = reader_.GetVarint();
-        if (count == 0 && opened_.streamed) return false;
-        if (!opened_.streamed &&
-            (count == 0 ||
-             decoded_bytes_ / header.width + count > total_elements)) {
-          throw CorruptStreamError("primacy: bad chunk element count");
-        }
-        decoder_->DecodeChunk(reader_, count, out);
-        decoded_bytes_ += count * header.width;
-        return true;
-      });
-  if (decoded) {
-    ++chunk_index_;
-    return true;
-  }
-  // The total ends the stream: bytes after it (such as the directory of a
-  // streamed v3 stream whose version byte was rewritten to 1) are damage.
-  const ByteSpan tail = reader_.GetBlock();
-  if (reader_.GetVarint() != decoded_bytes_ + tail.size() ||
-      !reader_.AtEnd()) {
-    throw CorruptStreamError("primacy: trailer total mismatch");
-  }
-  return Finish(out, tail);
+  if (opened_.header.stored) return Finish(out, opened_.stored);
+  // The directory locates each record and its element count.
+  const auto& chunks = opened_.directory->chunks;
+  if (chunk_index_ == chunks.size()) return Finish(out, opened_.tail);
+  const internal::ChunkDirectoryEntry& entry = chunks[chunk_index_];
+  const std::size_t old_size = out.size();
+  out.resize(old_size +
+             static_cast<std::size_t>(entry.elements * opened_.header.width));
+  internal::DecodeChunkRecord(*decoder_, opened_.Record(chunk_index_),
+                              chunk_index_, entry, opened_.verify_records, 0,
+                              MutableByteSpan(out).subspan(old_size));
+  ++chunk_index_;
+  return true;
 }
 
 std::vector<double> PrimacyStreamReader::ReadAllDoubles() {

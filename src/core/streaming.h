@@ -76,10 +76,10 @@ class PrimacyStreamReader {
  public:
   /// Reads from an in-memory stream view (the common in-situ case: the
   /// staged buffer); the view must outlive the reader. The stream is opened
-  /// up front (internal::OpenStream): a v2/v3 directory is validated and
-  /// drives the chunk order, and v3 records are verified against their
-  /// checksums before decoding (disable with `verify_checksums` for raw
-  /// speed). v1 streams carry neither and are scanned sequentially.
+  /// up front (internal::OpenStream): its directory is validated (a v1
+  /// stream's is indexed from its records) and drives the chunk order, and
+  /// v3 records are verified against their checksums before decoding
+  /// (disable with `verify_checksums` for raw speed).
   explicit PrimacyStreamReader(ByteSpan stream, bool verify_checksums = true);
 
   /// Element width of the stream (4 or 8).
@@ -106,11 +106,9 @@ class PrimacyStreamReader {
   bool Finish(Bytes& out, ByteSpan last);
 
   internal::OpenedStream opened_;
-  ByteReader reader_;  // v1 record cursor
   std::unique_ptr<const Codec> solver_;
   std::unique_ptr<ChunkDecoder> decoder_;
   std::size_t chunk_index_ = 0;
-  std::uint64_t decoded_bytes_ = 0;  // v1 records decoded so far
   bool saw_trailer_ = false;
 };
 

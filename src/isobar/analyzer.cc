@@ -51,25 +51,21 @@ IsobarPlan AnalyzeColumns(ByteSpan rows, std::size_t width,
     ColumnAnalysis analysis;
     analysis.column = col;
     if (n > 0) {
-      // Strided deterministic sample of the column, accumulated by the
-      // dispatched histogram kernel. `taken` is the trip count of the
-      // historical loop: i = start, start+stride, ... while i < n, capped
-      // at `samples`.
+      // Strided deterministic sample of the column from its first element,
+      // accumulated by the dispatched histogram kernel. `taken` is the trip
+      // count of the historical loop: i = 0, stride, ... while i < n,
+      // capped at `samples`.
       const std::size_t samples = std::min(options.sample_bytes, n);
       const std::size_t stride = std::max<std::size_t>(1, n / samples);
-      const std::size_t start = options.sample_offset % stride;
-      const std::size_t taken =
-          start < n ? std::min(samples, (n - 1 - start) / stride + 1) : 0;
+      const std::size_t taken = std::min(samples, (n - 1) / stride + 1);
       std::array<std::uint64_t, 256> histogram{};
-      kernels::Active().histogram_stride(rows.data() + start * width + col,
-                                         taken, stride * width,
-                                         histogram.data());
+      kernels::Active().histogram_stride(rows.data() + col, taken,
+                                         stride * width, histogram.data());
       analysis.entropy_bits = HistogramEntropyBits(histogram);
       const std::uint64_t top =
           *std::max_element(histogram.begin(), histogram.end());
       analysis.top_frequency =
-          taken == 0 ? 0.0
-                     : static_cast<double>(top) / static_cast<double>(taken);
+          static_cast<double>(top) / static_cast<double>(taken);
     }
     analysis.compressible =
         n > 0 && (analysis.entropy_bits < options.entropy_threshold_bits ||

@@ -21,8 +21,6 @@ struct IsobarOptions {
   /// ...or its most frequent byte exceeds this fraction (strong skew can
   /// coexist with moderately high entropy).
   double top_frequency_threshold = 0.02;
-  /// Deterministic sampling stride start offset (tests fix this).
-  std::size_t sample_offset = 0;
 };
 
 /// Per-column verdict plus the evidence it was based on.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
-#include <optional>
 #include <utility>
 
 #include "cache/block_cache.h"
@@ -41,6 +40,15 @@ bool ValidTenantName(const std::string& name) {
 
 /// Shards per tenant cache partition.
 constexpr std::size_t kTenantCacheShards = 4;
+
+/// Requests are small by design (batching is the parallelism axis); the
+/// serial per-request path is also the one the reusable encoder contexts
+/// accelerate, and it keeps responses byte-identical to serial library
+/// calls trivially.
+ServiceOptions WithSerialCodec(ServiceOptions options) {
+  options.codec.threads = 1;
+  return options;
+}
 
 constexpr std::array<double, 8> kFillRatioBounds = {
     0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0};
@@ -103,13 +111,16 @@ struct MemoEntry {
 };
 
 struct Tenant {
-  Tenant(TenantConfig cfg, std::uint64_t tenant_id, std::uint64_t now_ns)
+  Tenant(TenantConfig cfg, PrimacyOptions codec, std::uint64_t now_ns)
       : config(std::move(cfg)),
-        id(tenant_id),
+        decompressor(std::move(codec)),
         bucket(config.quota_bytes_per_sec, config.quota_burst_bytes, now_ns) {}
 
   const TenantConfig config;
-  const std::uint64_t id;
+  /// Serves every decompress request of this tenant, through its private
+  /// decoded-block cache partition (decompressor.cache(); null when the
+  /// tenant has no cache share). Decode is const, so batch slots share it.
+  const PrimacyDecompressor decompressor;
   // bucket, inflight, cancel_epoch, and stats are guarded by the OWNING
   // SERVICE's mu_, not a tenant-local lock — admission decisions read
   // several tenants' state under one critical section. The analysis cannot
@@ -122,9 +133,6 @@ struct Tenant {
   /// resolves kCancelled instead of executing.
   std::uint64_t cancel_epoch = 0;
   TenantStatsSnapshot stats;
-  /// This tenant's private decoded-block cache partition (null when the
-  /// tenant has no cache share).
-  std::shared_ptr<DecodedBlockCache> cache;
   TenantMetrics metrics;
 
   /// Compress-result memo (TenantConfig::memo_bytes). Guarded by its own
@@ -190,47 +198,27 @@ struct Tenant {
 
 }  // namespace internal
 
-/// Reusable per-slot codec state: one solver + encoder + compressor, plus
-/// per-tenant decompressors (tenant cache partitions differ). Checked out
-/// of the service's freelist for the duration of one batch slot and
-/// returned after, so the 256 KiB frequency scratch, the solver's tables,
-/// and the decompressors' hoisted state persist across batches instead of
-/// being rebuilt per request — the amortization the batching exists for.
+/// Reusable per-slot encode state: one solver and the encoder over it.
+/// Checked out of the service's freelist for the duration of one batch slot
+/// and returned after, so the 256 KiB frequency scratch and the solver's
+/// tables persist across batches instead of being rebuilt per request —
+/// the amortization the batching exists for.
 struct CodecContext {
   explicit CodecContext(const PrimacyOptions& codec_options)
       : solver(primacy::internal::ResolveSolver(codec_options.solver)),
-        encoder(codec_options, *solver),
-        compressor(codec_options) {}
+        encoder(codec_options, *solver) {}
 
   std::shared_ptr<const Codec> solver;
   ChunkEncoder encoder;
-  PrimacyCompressor compressor;
-  std::unordered_map<std::uint64_t, std::unique_ptr<PrimacyDecompressor>>
-      decompressors;
-
-  PrimacyDecompressor& DecompressorFor(const internal::Tenant& tenant,
-                                       const PrimacyOptions& codec_options) {
-    std::unique_ptr<PrimacyDecompressor>& slot = decompressors[tenant.id];
-    if (slot == nullptr) {
-      PrimacyOptions options = codec_options;
-      options.block_cache = tenant.cache;
-      slot = std::make_unique<PrimacyDecompressor>(std::move(options));
-    }
-    return *slot;
-  }
 };
 
 // --- CompressionService ----------------------------------------------------
 
 CompressionService::CompressionService(ServiceOptions options)
-    : options_(std::move(options)),
+    : options_(WithSerialCodec(std::move(options))),
       clock_(options_.clock != nullptr ? options_.clock
-                                       : &SystemServiceClock::Instance()) {
-  // Requests are small by design (batching is the parallelism axis); the
-  // serial per-request path is also the one the reusable encoder contexts
-  // accelerate, and it keeps responses byte-identical to serial library
-  // calls trivially.
-  options_.codec.threads = 1;
+                                       : &SystemServiceClock::Instance()),
+      compressor_(options_.codec) {
   RegisterBuiltinCodecs();
   clock_->RegisterWaiter(&mu_, &cv_);
   queue_ = std::make_unique<BatchQueue>(
@@ -279,14 +267,15 @@ void CompressionService::AddTenant(const TenantConfig& config) {
         "CompressionService: tenant cache shares exceed the cache budget "
         "(sum > 1)");
   }
-  auto tenant = std::make_unique<internal::Tenant>(
-      config, tenants_.size(), clock_->NowNs());
+  PrimacyOptions codec = options_.codec;
   const std::size_t partition_bytes = static_cast<std::size_t>(
       config.cache_share * static_cast<double>(options_.cache_capacity_bytes));
   if (partition_bytes > 0) {
-    tenant->cache = std::make_shared<DecodedBlockCache>(partition_bytes,
-                                                        kTenantCacheShards);
+    codec.block_cache = std::make_shared<DecodedBlockCache>(
+        partition_bytes, kTenantCacheShards);
   }
+  auto tenant = std::make_unique<internal::Tenant>(config, std::move(codec),
+                                                   clock_->NowNs());
   auto& registry = telemetry::MetricsRegistry::Global();
   const std::string label = "tenant=\"" + config.name + "\"";
   tenant->metrics.admitted_bytes =
@@ -354,8 +343,8 @@ TenantStatsSnapshot CompressionService::TenantStats(
   snapshot.inflight = tenant.inflight;
   snapshot.quota_available_bytes =
       tenant.bucket.unlimited() ? ~std::uint64_t{0} : tenant.bucket.available();
-  if (tenant.cache != nullptr) {
-    const CacheStatsSnapshot cache = tenant.cache->Stats();
+  if (tenant.decompressor.cache() != nullptr) {
+    const CacheStatsSnapshot cache = tenant.decompressor.cache()->Stats();
     snapshot.cache_hits = cache.hits;
     snapshot.cache_misses = cache.misses;
   }
@@ -583,18 +572,15 @@ std::future<ServiceResponse> CompressionService::Submit(
       try {
         if (type == RequestType::kCompress) {
           if (!tenant.MemoLookup(payload, response.payload)) {
-            response.payload = context.compressor.CompressBytes(
+            response.payload = compressor_.CompressBytes(
                 payload, /*stats=*/nullptr, &context.encoder);
             tenant.MemoInsert(payload, response.payload);
           }
         } else if (type == RequestType::kDecompressRange) {
-          response.payload =
-              context.DecompressorFor(tenant, options_.codec)
-                  .DecompressBytesRange(payload, first_element, element_count);
+          response.payload = tenant.decompressor.DecompressBytesRange(
+              payload, first_element, element_count);
         } else {
-          response.payload =
-              context.DecompressorFor(tenant, options_.codec)
-                  .DecompressBytes(payload);
+          response.payload = tenant.decompressor.DecompressBytes(payload);
         }
         response.status = ServiceStatus::kOk;
       } catch (const std::exception& e) {

@@ -5,8 +5,8 @@
 // requests tagged with a tenant, an admission queue coalesces them into
 // chunk-sized batches (flush on size, count, or timeout — see
 // batch_queue.h), and batches execute on the shared thread pool through a
-// pool of reusable codec worker contexts, so per-request dispatch and
-// codec-state construction cost is amortized across the batch.
+// pool of reusable encoder contexts and one decompressor per tenant, so
+// per-request dispatch and codec-state construction cost is amortized.
 //
 // Per tenant, admission enforces a byte-rate token bucket and an in-flight
 // cap with explicit backpressure: BackpressurePolicy::kReject fails fast
@@ -210,6 +210,9 @@ class CompressionService {
 
   ServiceOptions options_;
   ServiceClock* clock_;  // options_.clock or the system clock
+  /// Encodes every compress request, through the checked-out context's
+  /// encoder: with an encoder, CompressBytes reads only these options.
+  const PrimacyCompressor compressor_;
 
   /// Service-wide admission/completion lock. Also guards, cross-object, the
   /// admission state inside each internal::Tenant (bucket, inflight,

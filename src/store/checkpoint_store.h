@@ -97,9 +97,8 @@ class CheckpointReader {
                                 PrimacyDecodeStats* stats = nullptr) const;
 
   /// Partial restore: elements [first_element, first_element + count) of one
-  /// variable, decoding only the chunks that cover the range (the variable
-  /// must have been written as a v2 stream — any stream this writer
-  /// produces — or stored).
+  /// variable, decoding only the chunks that cover the range (a stored
+  /// variable is sliced). Every stream version reads by range.
   std::vector<double> ReadDoublesRange(const std::string& name,
                                        std::uint64_t first_element,
                                        std::uint64_t count,

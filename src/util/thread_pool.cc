@@ -5,19 +5,17 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <map>
+#include <string>
 
 #include "telemetry/metrics.h"
-#include "util/error.h"
 #include "util/timer.h"
 
 namespace primacy {
 namespace internal {
 
-/// Per-pool-name metrics, resolved once per name. Utilization = busy_ns /
-/// (workers * wall); wait = enqueue-to-start latency (scheduling delay +
-/// queueing). Series carry a `pool="<name>"` label so concurrent pools
-/// (shared + nested) never collapse into one series.
+/// The pool metrics, resolved once. Utilization = busy_ns / (workers *
+/// wall); wait = enqueue-to-start latency (scheduling delay + queueing).
+/// Series carry `pool="shared"`, the process-wide pool's label.
 struct PoolMetrics {
   telemetry::Gauge& workers;
   telemetry::Gauge& queue_depth;
@@ -26,61 +24,36 @@ struct PoolMetrics {
   telemetry::Histogram& wait_us;
   telemetry::Histogram& run_us;
 
-  static PoolMetrics* ForName(const std::string& name) {
+  static PoolMetrics* Get() {
     static constexpr std::array<double, 7> kLatencyBoundsUs = {
         10.0, 100.0, 1000.0, 10000.0, 100000.0, 1e6, 1e7};
-    // One instance per distinct pool name, never destroyed: the registry
-    // references must outlive every pool, including the leaked shared one.
-    static std::mutex mutex;
-    static std::map<std::string, PoolMetrics*>* instances =
-        new std::map<std::string, PoolMetrics*>();
-    std::lock_guard<std::mutex> lock(mutex);
-    auto it = instances->find(name);
-    if (it != instances->end()) return it->second;
-    const std::string labels = "pool=\"" + name + "\"";
-    auto& registry = telemetry::MetricsRegistry::Global();
-    auto* metrics = new PoolMetrics{
-        registry.GetGauge("primacy_pool_workers", labels),
-        registry.GetGauge("primacy_pool_queue_depth", labels),
-        registry.GetCounter("primacy_pool_tasks_total", labels),
-        registry.GetCounter("primacy_pool_busy_ns_total", labels),
-        registry.GetHistogram("primacy_pool_task_wait_us", kLatencyBoundsUs,
-                              labels),
-        registry.GetHistogram("primacy_pool_task_run_us", kLatencyBoundsUs,
-                              labels),
-    };
-    instances->emplace(name, metrics);
+    // Never destroyed: the registry references must outlive every pool,
+    // including the leaked shared one.
+    static PoolMetrics* metrics = [] {
+      const std::string labels = "pool=\"shared\"";
+      auto& registry = telemetry::MetricsRegistry::Global();
+      return new PoolMetrics{
+          registry.GetGauge("primacy_pool_workers", labels),
+          registry.GetGauge("primacy_pool_queue_depth", labels),
+          registry.GetCounter("primacy_pool_tasks_total", labels),
+          registry.GetCounter("primacy_pool_busy_ns_total", labels),
+          registry.GetHistogram("primacy_pool_task_wait_us", kLatencyBoundsUs,
+                                labels),
+          registry.GetHistogram("primacy_pool_task_run_us", kLatencyBoundsUs,
+                                labels),
+      };
+    }();
     return metrics;
   }
 };
 
 }  // namespace internal
 
-namespace {
-
-bool ValidPoolName(std::string_view name) {
-  if (name.empty()) return false;
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '.' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-ThreadPool::ThreadPool(std::size_t num_threads, std::string_view name)
-    : name_(name) {
-  if (!ValidPoolName(name_)) {
-    throw InvalidArgumentError(
-        "ThreadPool: pool name must match [A-Za-z0-9_.-]+ (it becomes a "
-        "Prometheus label value)");
-  }
+ThreadPool::ThreadPool(std::size_t num_threads)
+    : metrics_(internal::PoolMetrics::Get()) {
   if (num_threads == 0) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  metrics_ = internal::PoolMetrics::ForName(name_);
   metrics_->workers.Add(static_cast<std::int64_t>(num_threads));
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
@@ -197,7 +170,7 @@ void ThreadPool::ParallelForSlots(
 ThreadPool& SharedThreadPool() {
   // Deliberately leaked: joining workers from a static destructor can race
   // the teardown of other globals the queued tasks still reference.
-  static ThreadPool* pool = new ThreadPool(0, "shared");
+  static ThreadPool* pool = new ThreadPool(0);
   return *pool;
 }
 

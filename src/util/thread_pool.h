@@ -11,8 +11,6 @@
 #include <functional>
 #include <future>
 #include <queue>
-#include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -22,18 +20,15 @@
 namespace primacy {
 
 namespace internal {
-struct PoolMetrics;  // per-pool-name telemetry series (thread_pool.cc)
+struct PoolMetrics;  // the pool telemetry series (thread_pool.cc)
 }  // namespace internal
 
 class ThreadPool {
  public:
   /// Creates `num_threads` workers; 0 means std::thread::hardware_concurrency
-  /// (minimum 1). `name` labels this pool's telemetry series
-  /// (`primacy_pool_*{pool="<name>"}`) so nested pools stay
-  /// distinguishable; it must match [A-Za-z0-9_.-]+. Pools sharing a name
-  /// share series.
-  explicit ThreadPool(std::size_t num_threads = 0,
-                      std::string_view name = "pool");
+  /// (minimum 1). Every pool reports into the `primacy_pool_*{pool="shared"}`
+  /// series; outside tests, SharedThreadPool's is the only pool.
+  explicit ThreadPool(std::size_t num_threads = 0);
 
   /// Drains the queue and joins all workers.
   ~ThreadPool();
@@ -42,9 +37,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t num_threads() const { return workers_.size(); }
-
-  /// Telemetry label for this pool's `primacy_pool_*` series.
-  const std::string& name() const { return name_; }
 
   /// Schedules `fn` and returns a future for its result. Exceptions thrown by
   /// the task are delivered through the future.
@@ -82,8 +74,7 @@ class ThreadPool {
   /// queue was empty.
   bool RunOneTask() PRIMACY_EXCLUDES(mutex_);
 
-  std::string name_;
-  internal::PoolMetrics* metrics_ = nullptr;  // per-name, process-lifetime
+  internal::PoolMetrics* metrics_;  // process-lifetime
   std::vector<std::thread> workers_;
   mutable primacy::Mutex mutex_;
   // Paired with mutex_: workers park here until a task arrives or shutdown.

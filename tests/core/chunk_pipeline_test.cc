@@ -43,8 +43,8 @@ TEST(ChunkPipelineTest, SingleChunkRoundTrip) {
   ChunkDecoder decoder(solver, options.linearization, 8);
   ByteReader reader(record);
   const std::uint64_t count = reader.GetVarint();
-  Bytes restored;
-  decoder.DecodeChunk(reader, count, restored);
+  Bytes restored(static_cast<std::size_t>(count) * 8);
+  decoder.DecodeChunkInto(reader, count, 0, restored);
   EXPECT_TRUE(reader.AtEnd());
   EXPECT_EQ(restored, NativeBytes(values));
 }
@@ -146,8 +146,9 @@ TEST(ChunkPipelineTest, DecoderRejectsZeroCount) {
   const DeflateCodec solver;
   ChunkDecoder decoder(solver, Linearization::kColumn, 8);
   Bytes out;
-  ByteReader reader(Bytes(4));
-  EXPECT_THROW(decoder.DecodeChunk(reader, 0, out), CorruptStreamError);
+  const Bytes record(4);
+  ByteReader reader(record);
+  EXPECT_THROW(decoder.DecodeChunkInto(reader, 0, 0, out), CorruptStreamError);
 }
 
 TEST(ChunkPipelineTest, DecoderRejectsBadWidth) {

@@ -100,8 +100,7 @@ TEST_F(DecodeConcurrencyStressTest,
     callers.emplace_back([this, &decompressor, &ok, t] {
       PrimacyDecodeStats stats;
       const auto decoded = decompressor.Decompress(stream_, &stats);
-      ok[t] = decoded == values_ && stats.chunks_decoded == 5 &&
-              stats.used_directory;
+      ok[t] = decoded == values_ && stats.chunks_decoded == 5;
     });
   }
   callers.emplace_back([this, &ok] {

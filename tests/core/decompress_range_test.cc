@@ -1,12 +1,14 @@
-// Random-access range reads over the v2 chunk directory: correctness at
-// chunk boundaries, covering-chunk accounting, and index-chain resolution
-// under IndexMode::kReuseWhenCorrelated.
+// Random-access range reads over the chunk directory (stored in v2/v3,
+// indexed from the records in v1): correctness at chunk boundaries,
+// covering-chunk accounting, and index-chain resolution under
+// IndexMode::kReuseWhenCorrelated.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "bitstream/byte_io.h"
@@ -54,7 +56,6 @@ TEST_F(DecompressRangeTest, FullRangeMatchesDecompress) {
       decompressor_.DecompressRange(stream_, 0, values_.size(), &stats);
   EXPECT_EQ(range, values_);
   EXPECT_EQ(stats.chunks_decoded, 5u);
-  EXPECT_TRUE(stats.used_directory);
 }
 
 TEST_F(DecompressRangeTest, MidChunkStartTouchesOnlyCoveringChunk) {
@@ -187,39 +188,98 @@ TEST_F(DecompressRangeTest, RangeReadsValidateTheTailBlock) {
   EXPECT_THROW(unverified.DecompressRange(stream, 0, 10), CorruptStreamError);
 }
 
-TEST(DecompressRangeV1Test, OneShotV1WithoutDirectoryRejected) {
-  // A one-shot v1 stream parses fine but has no directory to seek with: the
-  // contract is a typed InvalidArgumentError, not a parse failure.
-  const auto values = GenerateDatasetByName("obs_temp", 10000);
+/// Hand-assembles a one-shot v1 stream (header, chunk records, tail block,
+/// no directory), the way a pre-v2 writer laid it out.
+Bytes MakeV1(std::span<const double> values, const PrimacyOptions& options) {
   Bytes v1;
-  internal::WriteStreamHeader(v1, SmallChunks(), values.size() * 8,
+  internal::WriteStreamHeader(v1, options, values.size() * 8,
                               /*stored=*/false, internal::kFormatVersion1);
-  const auto solver = internal::ResolveSolver(SmallChunks().solver);
-  ChunkEncoder encoder(SmallChunks(), *solver);
-  const ByteSpan body = AsBytes(std::span(values));
+  const auto solver = internal::ResolveSolver(options.solver);
+  ChunkEncoder encoder(options, *solver);
+  const ByteSpan body = AsBytes(values);
   for (std::size_t first = 0; first < values.size();
        first += kChunkElements) {
-    const std::size_t count =
-        std::min(kChunkElements, values.size() - first);
+    const std::size_t count = std::min(kChunkElements, values.size() - first);
     encoder.EncodeChunk(body.subspan(first * 8, count * 8), v1);
   }
   PutBlock(v1, ByteSpan{});
-  EXPECT_THROW(PrimacyDecompressor().DecompressRange(v1, 0, 1),
-               InvalidArgumentError);
-  // Sanity: the same stream decodes sequentially.
-  EXPECT_EQ(PrimacyDecompressor().Decompress(v1), values);
+  return v1;
 }
 
-TEST(DecompressRangeV1Test, V1StreamRejected) {
-  // A streamed v1 stream (the committed pre-v3 writer output) has neither a
-  // directory nor a total up front: range reads are a typed
-  // InvalidArgumentError, as for a one-shot v1 stream.
+/// Byte range reads of `stream` inside one chunk, across each chunk edge,
+/// across three chunks and over every element equal the same slices of
+/// `input`, serially and with threads = 4.
+void ExpectRangeReadsMatchInput(const Bytes& stream, const Bytes& input,
+                                std::uint64_t chunk_elements,
+                                PrimacyOptions options) {
+  const std::uint64_t elements = input.size() / 8;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges = {
+      {0, elements}, {chunk_elements / 2, 7}, {elements - 1, 1}};
+  for (std::uint64_t edge = chunk_elements; edge < elements;
+       edge += chunk_elements) {
+    ranges.emplace_back(edge - 5, 10);
+    if (edge + chunk_elements < elements) {
+      ranges.emplace_back(edge - 3, chunk_elements + 6);
+    }
+  }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    options.threads = threads;
+    const PrimacyDecompressor decompressor(options);
+    for (const auto& [first, count] : ranges) {
+      EXPECT_EQ(decompressor.DecompressBytesRange(stream, first, count),
+                Bytes(input.begin() + static_cast<std::ptrdiff_t>(first * 8),
+                      input.begin() +
+                          static_cast<std::ptrdiff_t>((first + count) * 8)))
+          << "first=" << first << " count=" << count
+          << " threads=" << threads;
+    }
+  }
+}
+
+TEST(DecompressRangeV1Test, OneShotV1RangeReadsMatchSlices) {
+  // A one-shot v1 stream stores no directory: opening it indexes its
+  // records, so it reads by range, serially and in parallel, as v2 does.
+  const auto values = GenerateDatasetByName("obs_temp", 40000);  // 5 chunks
+  ExpectRangeReadsMatchInput(MakeV1(values, SmallChunks()),
+                             ToBytes(AsBytes(std::span(values))),
+                             kChunkElements, SmallChunks());
+}
+
+TEST(DecompressRangeV1Test, StreamedV1RangeReadsMatchSlices) {
+  // The committed pre-v3 streamed writer output (sentinel header, records
+  // ended by a 0 count, tail block, real total) in 256-element chunks.
   const Bytes streamed = ReadGolden("stream_v1_streamed.bin");
   ASSERT_FALSE(streamed.empty());
-  EXPECT_THROW(PrimacyDecompressor().DecompressRange(streamed, 0, 1),
-               InvalidArgumentError);
-  EXPECT_THROW(PrimacyDecompressor().DecompressBytesRange(streamed, 250, 12),
-               InvalidArgumentError);
+  ExpectRangeReadsMatchInput(streamed, ReadGolden("input.bin"), 256,
+                             PrimacyOptions{});
+}
+
+TEST(DecompressRangeV1Test, ReuseWhenCorrelatedV1RangeReadsResolveIndexChain) {
+  PrimacyOptions options = SmallChunks();
+  options.index_mode = IndexMode::kReuseWhenCorrelated;
+  const auto values = GenerateDatasetByName("gts_phi_l", 65536);  // 8 chunks
+  const Bytes v1 = MakeV1(values, options);
+  ExpectRangeReadsMatchInput(v1, ToBytes(AsBytes(std::span(values))),
+                             kChunkElements, options);
+
+  // A read inside the first chunk that reuses or extends an earlier index
+  // loads the chain's index blocks and decodes that one chunk.
+  const internal::OpenedStream opened =
+      internal::OpenStream(v1, /*verify=*/true);
+  ASSERT_TRUE(opened.directory.has_value());
+  const auto& chunks = opened.directory->chunks;
+  const auto chained =
+      std::find_if(chunks.begin(), chunks.end(),
+                   [](const auto& entry) { return entry.index_flag != 1; });
+  ASSERT_NE(chained, chunks.end())
+      << "dataset unexpectedly produced per-chunk indexes";
+  const std::size_t first =
+      static_cast<std::size_t>(chained - chunks.begin()) * kChunkElements + 17;
+  PrimacyDecodeStats stats;
+  EXPECT_EQ(PrimacyDecompressor(options).DecompressRange(v1, first, 64, &stats),
+            Slice(values, first, 64));
+  EXPECT_EQ(stats.chunks_decoded, 1u);
+  EXPECT_GE(stats.index_loads, 1u);
 }
 
 TEST(DecompressRangeChainTest, ReuseWhenCorrelatedResolvesIndexChain) {

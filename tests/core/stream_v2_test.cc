@@ -67,8 +67,10 @@ Bytes MakeV2Stream(std::span<const double> values,
     internal::ChunkDirectoryEntry entry;
     entry.offset = out.size();
     entry.elements = count;
-    entry.index_flag = 1;  // kPerChunk: every record carries a full index
-    encoder.EncodeChunk(body.subspan(first * 8, count * 8), out);
+    const ChunkRecordStats chunk =
+        encoder.EncodeChunk(body.subspan(first * 8, count * 8), out);
+    entry.index_flag =
+        chunk.emitted_full_index ? 1 : (chunk.emitted_delta_index ? 2 : 0);
     directory.chunks.push_back(entry);
   }
   directory.tail_offset = out.size();
@@ -95,7 +97,6 @@ TEST(StreamV2Test, V2RoundTripUsesDirectory) {
   const auto restored =
       PrimacyDecompressor(SmallChunks()).Decompress(stream, &stats);
   EXPECT_EQ(restored, values);
-  EXPECT_TRUE(stats.used_directory);
   // 50000 doubles at 8192 elements per chunk.
   EXPECT_EQ(stats.chunks_decoded, (50000 + 8191) / 8192);
   EXPECT_EQ(stats.output_bytes, values.size() * 8);
@@ -108,8 +109,73 @@ TEST(StreamV2Test, V1StreamsStillDecode) {
   PrimacyDecodeStats stats;
   const auto restored = PrimacyDecompressor().Decompress(v1, &stats);
   EXPECT_EQ(restored, values);
-  EXPECT_FALSE(stats.used_directory);
   EXPECT_EQ(stats.chunks_decoded, (30000 + 8191) / 8192);
+  // The records index into a directory, so v1 decodes chunk-parallel too.
+  PrimacyOptions parallel;
+  parallel.threads = 4;
+  EXPECT_EQ(PrimacyDecompressor(parallel).Decompress(v1, &stats), values);
+  EXPECT_EQ(stats.threads_used, 4u);
+}
+
+TEST(StreamV2Test, V1IndexMatchesTheStoredV2Directory) {
+  // v1 and v2 streams hold the same records, and a v1 stream's records
+  // index into the directory a v2 footer stores: offsets, element counts
+  // and index flags (reuse and delta ones too), and the tail block offset.
+  const auto values = GenerateDatasetByName("gts_phi_l", 65536);  // 8 chunks
+  for (const IndexMode mode :
+       {IndexMode::kPerChunk, IndexMode::kReuseWhenCorrelated}) {
+    PrimacyOptions options = SmallChunks();
+    options.index_mode = mode;
+    const Bytes v2 = MakeV2Stream(values, options);
+    ByteReader reader(v2);
+    const internal::StreamHeader header = internal::ReadStreamHeader(reader);
+    const internal::ChunkDirectory stored =
+        internal::ReadChunkDirectory(v2, reader.Offset(), header.version);
+    const Bytes v1 = MakeV1Stream(values, options);
+    const internal::OpenedStream opened =
+        internal::OpenStream(v1, /*verify=*/true);
+    ASSERT_TRUE(opened.directory.has_value());
+    const internal::ChunkDirectory& indexed = *opened.directory;
+    ASSERT_EQ(indexed.chunks.size(), stored.chunks.size());
+    for (std::size_t c = 0; c < stored.chunks.size(); ++c) {
+      EXPECT_EQ(indexed.chunks[c].offset, stored.chunks[c].offset) << c;
+      EXPECT_EQ(indexed.chunks[c].elements, stored.chunks[c].elements) << c;
+      EXPECT_EQ(indexed.chunks[c].index_flag, stored.chunks[c].index_flag)
+          << c;
+    }
+    EXPECT_EQ(indexed.tail_offset, stored.tail_offset);
+    EXPECT_FALSE(indexed.has_checksums);
+  }
+}
+
+TEST(StreamV2Test, RewrittenVersionByteRejected) {
+  // The version byte sits outside every record checksum. Rewritten to 1, a
+  // one-shot v3 stream reads as v1, which ends at its tail block: the
+  // directory after it is damage, so no reader decodes the records
+  // unverified.
+  const auto values = GenerateDatasetByName("num_plasma", 8192);
+  PrimacyOptions options;
+  options.chunk_bytes = 16 * 1024;
+  Bytes downgraded = PrimacyCompressor(options).Compress(values);
+  ASSERT_EQ(static_cast<std::uint8_t>(downgraded[4]),
+            internal::kFormatVersion3);
+  downgraded[4] = std::byte{1};
+  EXPECT_THROW(PrimacyDecompressor().Decompress(downgraded),
+               CorruptStreamError);
+  EXPECT_THROW(PrimacyStreamReader(downgraded).ReadAllDoubles(),
+               CorruptStreamError);
+  EXPECT_FALSE(VerifyStream(downgraded).ok);
+}
+
+TEST(StreamV2Test, OneShotV1WithTrailingByteRejected) {
+  // A one-shot v1 stream ends at its tail block.
+  const auto values = GenerateDatasetByName("obs_temp", 20000);
+  Bytes v1 = MakeV1Stream(values, SmallChunks());
+  ASSERT_EQ(PrimacyDecompressor().Decompress(v1), values);
+  v1.push_back(0_b);
+  EXPECT_THROW(PrimacyDecompressor().Decompress(v1), CorruptStreamError);
+  EXPECT_THROW(PrimacyStreamReader(v1).ReadAllDoubles(), CorruptStreamError);
+  EXPECT_FALSE(VerifyStream(v1).ok);
 }
 
 TEST(StreamV2Test, V2StreamsStillDecode) {
@@ -119,7 +185,6 @@ TEST(StreamV2Test, V2StreamsStillDecode) {
   PrimacyDecodeStats stats;
   const auto restored = PrimacyDecompressor().Decompress(v2, &stats);
   EXPECT_EQ(restored, values);
-  EXPECT_TRUE(stats.used_directory);
   EXPECT_EQ(stats.chunks_decoded, (30000 + 8191) / 8192);
   EXPECT_EQ(stats.chunks_verified, 0u) << "v2 carries no checksums";
   // Range reads work off the checksum-free directory too.
@@ -204,7 +269,7 @@ TEST(StreamV2Test, StoredFallbackHasNoDirectoryAndStillRangeReads) {
   PrimacyDecodeStats decode_stats;
   const auto restored = PrimacyDecompressor().Decompress(stream, &decode_stats);
   EXPECT_EQ(restored, values);
-  EXPECT_FALSE(decode_stats.used_directory);
+  EXPECT_EQ(decode_stats.chunks_decoded, 0u);
   const auto slice =
       PrimacyDecompressor().DecompressRange(stream, 100, 50, &decode_stats);
   EXPECT_EQ(slice, std::vector<double>(values.begin() + 100,

@@ -211,19 +211,15 @@ TEST(StreamingTest, ReaderAlsoReadsOneShotStreams) {
   EXPECT_EQ(reader.ReadAllDoubles(), values);
 }
 
-TEST(StreamingTest, OneShotDecompressorRejectsStreamedStream) {
-  // A v1 streamed stream (the committed pre-v3 writer output) has no
-  // directory: the one-shot decompressor rejects range reads of it and
-  // drains it sequentially for a full decode.
+TEST(StreamingTest, OneShotDecompressorReadsStreamedV1Stream) {
+  // A v1 streamed stream (the committed pre-v3 writer output) stores no
+  // directory: opening it indexes its records, so the one-shot
+  // decompressor decodes it as it decodes a streamed v3 stream.
   const Bytes stream = ReadGolden("stream_v1_streamed.bin");
   ASSERT_FALSE(stream.empty());
-  const PrimacyDecompressor decompressor;
-  EXPECT_THROW(decompressor.DecompressBytesRange(stream, 0, 1),
-               InvalidArgumentError);
   PrimacyDecodeStats stats;
-  EXPECT_EQ(decompressor.DecompressBytes(stream, &stats),
+  EXPECT_EQ(PrimacyDecompressor().DecompressBytes(stream, &stats),
             ReadGolden("input.bin"));
-  EXPECT_FALSE(stats.used_directory);
   EXPECT_EQ(stats.chunks_decoded, 3u);
 }
 
@@ -331,7 +327,6 @@ TEST(StreamingTest, StreamWriterEmitsV3Streams) {
   EXPECT_EQ(PrimacyDecompressor(parallel).DecompressBytesRange(stream, 8000,
                                                                10000, &stats),
             Bytes(raw.begin() + 8000 * 8, raw.begin() + 18000 * 8));
-  EXPECT_TRUE(stats.used_directory);
   EXPECT_EQ(stats.chunks_decoded, 3u);
   EXPECT_EQ(stats.chunks_verified, 3u);
   EXPECT_EQ(stats.threads_used, 3u);

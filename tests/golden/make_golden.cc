@@ -77,7 +77,6 @@ PrimacyOptions GoldenOneChunkOptions() {
   options.isobar.sample_bytes = 4096;
   options.isobar.entropy_threshold_bits = 7.8;
   options.isobar.top_frequency_threshold = 0.02;
-  options.isobar.sample_offset = 0;
   return options;
 }
 

@@ -452,9 +452,9 @@ TEST_P(KernelIdentityTest, PublicApiRoutesThroughForcedIsa) {
           .EncodeChunk(ByteSpan(chunk.data(), chunk.size()), record);
       ByteReader reader(record);
       const std::uint64_t count = reader.GetVarint();
-      Bytes restored;
+      Bytes restored(static_cast<std::size_t>(count) * width);
       ChunkDecoder(solver, linearization, width)
-          .DecodeChunk(reader, count, restored);
+          .DecodeChunkInto(reader, count, 0, restored);
       EXPECT_TRUE(std::equal(restored.begin(), restored.end(), chunk.begin(),
                              chunk.end()))
           << "width=" << width;

@@ -147,7 +147,6 @@ TEST(CheckpointStoreTest, RangeReadsRestorePartialVariables) {
   EXPECT_EQ(phi_slice,
             std::vector<double>(phi.begin() + 10000, phi.begin() + 15000));
   EXPECT_EQ(stats.chunks_decoded, 1u);  // [10000, 15000) sits in chunk 1
-  EXPECT_TRUE(stats.used_directory);
 
   const auto vel_slice = reader.ReadFloatsRange("velocity_x", 100, 200);
   EXPECT_EQ(vel_slice,

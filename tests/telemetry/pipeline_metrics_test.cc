@@ -216,7 +216,6 @@ TEST(PipelineMetricsTest, SerialAndParallelDecodeIdenticalStatsAndMetrics) {
   // Data-dependent stats are mode-independent.
   EXPECT_EQ(serial_stats.chunks_decoded, parallel_stats.chunks_decoded);
   EXPECT_EQ(serial_stats.output_bytes, parallel_stats.output_bytes);
-  EXPECT_EQ(serial_stats.used_directory, parallel_stats.used_directory);
   EXPECT_EQ(serial_stats.chunks_verified, parallel_stats.chunks_verified);
   EXPECT_GT(serial_stats.chunks_decoded, 1u);
 

@@ -5,10 +5,10 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "telemetry/metrics.h"
-#include "util/error.h"
 
 namespace primacy {
 namespace {
@@ -16,40 +16,6 @@ namespace {
 TEST(ThreadPoolTest, DefaultsToAtLeastOneThread) {
   ThreadPool pool;
   EXPECT_GE(pool.num_threads(), 1u);
-  EXPECT_EQ(pool.name(), "pool");
-}
-
-TEST(ThreadPoolTest, RejectsNamesThatCannotBePrometheusLabelValues) {
-  EXPECT_THROW(ThreadPool(1, ""), InvalidArgumentError);
-  EXPECT_THROW(ThreadPool(1, "has space"), InvalidArgumentError);
-  EXPECT_THROW(ThreadPool(1, "quote\"injection"), InvalidArgumentError);
-  EXPECT_NO_THROW(ThreadPool(1, "insitu-shard_0.reader"));
-}
-
-TEST(ThreadPoolTest, PerPoolMetricsAreKeyedByName) {
-  auto& registry = telemetry::MetricsRegistry::Global();
-  const auto tasks_for = [&](const std::string& pool) {
-    return registry
-        .GetCounter("primacy_pool_tasks_total", "pool=\"" + pool + "\"")
-        .Value();
-  };
-  const std::uint64_t alpha_before = tasks_for("label_alpha");
-  const std::uint64_t beta_before = tasks_for("label_beta");
-  {
-    ThreadPool alpha(2, "label_alpha");
-    ThreadPool beta(2, "label_beta");
-    for (int i = 0; i < 5; ++i) alpha.Submit([] {}).get();
-    for (int i = 0; i < 3; ++i) beta.Submit([] {}).get();
-  }
-  EXPECT_EQ(tasks_for("label_alpha") - alpha_before, 5u);
-  EXPECT_EQ(tasks_for("label_beta") - beta_before, 3u);
-  // Distinct pools with the same name share one series by design.
-  SharedThreadPool();  // ensure the shared pool's series is registered
-  const std::string rendered = registry.RenderPrometheus();
-  EXPECT_NE(rendered.find("primacy_pool_tasks_total{pool=\"label_alpha\"}"),
-            std::string::npos);
-  EXPECT_NE(rendered.find("primacy_pool_tasks_total{pool=\"shared\"}"),
-            std::string::npos);
 }
 
 TEST(ThreadPoolTest, SubmitReturnsResult) {
@@ -133,6 +99,10 @@ TEST(ThreadPoolTest, NestedParallelForSlotsOnSharedPoolDoesNotDeadlock) {
 TEST(ThreadPoolTest, SharedPoolIsAProcessSingleton) {
   EXPECT_EQ(&SharedThreadPool(), &SharedThreadPool());
   EXPECT_GE(SharedThreadPool().num_threads(), 1u);
+  // Its series carry the one pool label.
+  EXPECT_NE(telemetry::MetricsRegistry::Global().RenderPrometheus().find(
+                "primacy_pool_tasks_total{pool=\"shared\"}"),
+            std::string::npos);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueue) {
