@@ -19,7 +19,7 @@
 //                     disabled), isolating admission + caching from
 //                     batch coalescing.
 //   service_batched   the real configuration: requests coalesce into
-//                     batches executed by reusable worker contexts.
+//                     batches executed across the pool's workers.
 //   transport_uds     service_batched's service behind a TransportServer
 //                     on a Unix domain socket: each tenant's window is
 //                     kWindow synchronous callers sharing one pooled

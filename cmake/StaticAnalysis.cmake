@@ -13,7 +13,8 @@
 #   static-analysis  umbrella target running all of the above.
 #
 # `lint` is also registered as a ctest (PrimacyLint) so the invariant gate
-# runs in every tier-1 `ctest` invocation, sanitizer jobs included.
+# runs in every tier-1 `ctest` invocation, sanitizer jobs included, and so
+# is tools/check_workflows.py (CiWorkflowsParse: every CI workflow parses).
 
 find_package(Python3 COMPONENTS Interpreter QUIET)
 find_program(PRIMACY_CLANG_TIDY
@@ -76,6 +77,12 @@ if(PRIMACY_BUILD_TESTS)
     COMMAND ${Python3_EXECUTABLE} ${CMAKE_SOURCE_DIR}/tools/primacy_lint
             --self-test
     WORKING_DIRECTORY ${CMAKE_SOURCE_DIR})
+  # Every CI workflow must parse: one that does not runs no job, and
+  # nothing else in a local build notices. Skipped without PyYAML.
+  add_test(NAME CiWorkflowsParse
+    COMMAND ${Python3_EXECUTABLE} ${CMAKE_SOURCE_DIR}/tools/check_workflows.py
+    WORKING_DIRECTORY ${CMAKE_SOURCE_DIR})
+  set_tests_properties(CiWorkflowsParse PROPERTIES SKIP_RETURN_CODE 77)
   # The /metrics validator CI uses against a live scrape must itself keep
   # accepting the exporter's shapes and rejecting malformed expositions.
   add_test(NAME PromtextSelfTest

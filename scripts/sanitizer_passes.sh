@@ -18,15 +18,17 @@ pass "Corruption harness" "CorruptionFuzz" "$@"
 # truncation and byte-change sweeps of every block kind.
 pass "Codec core" "Deflate|BuildCodeLengths|CodeLengthSerialization|PackageMerge|Huffman|Lz|BitIo|CodecRoundTrip|CodecCorruption|Isobar|Analyzer|PlanSerialization" "$@"
 # TSan targets: registry registration, range reads sharing one reader,
-# parallel full decodes, cache eviction/pin churn, a tenant drained mid-run.
+# parallel full decodes, compresses sharing one compressor, cache
+# eviction/pin churn, a tenant drained mid-run.
 pass "Concurrency stress tests" "Stress|MetricsRegistry" "$@"
 # The VirtualClock service harness (batch cut races, quota edges, blocked
 # submitters): the most lock/cv traffic in the tree, and sleep-free.
 pass "Service suite" "Service" "$@"
 # Full, range and parallel decodes over the one directory and chunk decoder
-# (and the chunk pipeline called directly), the block cache, both writers'
-# framing, and every golden stream version.
-pass "Decode paths" "DecompressRange|ParallelDecode|StreamV2|StreamV3|CacheDecode|BlockCache|SinglePrecision|Streaming|GoldenCorpus|ChunkDecoder|ChunkPipeline" "$@"
+# (and the chunk pipeline called directly), chunk-parallel encodes whose
+# slots share one solver, the block cache, both writers' framing, and every
+# golden stream version.
+pass "Decode paths" "DecompressRange|ParallelDecode|ParallelCompression|StreamV2|StreamV3|CacheDecode|BlockCache|SinglePrecision|Streaming|GoldenCorpus|ChunkDecoder|ChunkPipeline" "$@"
 # Every kernel x ISA x tail length keeps its vector stores in bounds; with
 # dispatch, the corpus under every ISA, the ID mapper and conversions.
 pass "Kernel identity suite" "KernelIdentity|KernelDispatch|DecodesUnderEveryKernelIsa|IdMapper|SplitHighLowTest|LinearizationTest|DoubleConversionTest|FloatConversionTest|SwapBigEndianRowsTest" "$@"

@@ -18,7 +18,8 @@ namespace primacy {
 /// A lossless byte-stream compressor. Implementations own their container
 /// format; Decompress(Compress(x)) == x for every input x, and Decompress
 /// throws CorruptStreamError on malformed input rather than returning
-/// garbage.
+/// garbage. The const methods may run concurrently on one instance: the
+/// chunk-parallel encode and decode share one solver across their slots.
 class Codec {
  public:
   virtual ~Codec() = default;

@@ -89,11 +89,6 @@ std::pair<double, double> TopByteFrequencies(const PairFrequency& freq,
 ChunkEncoder::ChunkEncoder(const PrimacyOptions& options, const Codec& solver)
     : options_(options), solver_(solver) {}
 
-void ChunkEncoder::Reset() {
-  prev_freq_.reset();
-  prev_index_.reset();
-}
-
 ChunkRecordStats ChunkEncoder::EncodeChunk(ByteSpan chunk, Bytes& out) {
   const std::size_t width = ElementWidth(options_.precision);
   if (chunk.empty() || chunk.size() % width != 0) {

@@ -4,9 +4,10 @@
 // A ChunkEncoder carries the cross-chunk state (previous frequency vector +
 // index for IndexMode::kReuseWhenCorrelated) and turns one chunk of
 // *native-layout element bytes* into one self-delimiting chunk record; a
-// ChunkDecoder mirrors it. The surrounding stream framing (header, tail
-// block, directory, footer) and the per-stream stats fold live in
-// internal::StreamAssembler (stream_format.h).
+// ChunkDecoder mirrors it. Each serves one thread at a time; the encoders
+// and decoders of one codec call share one solver. The surrounding stream
+// framing (header, tail block, directory, footer) and the per-stream stats
+// fold live in internal::StreamAssembler (stream_format.h).
 #pragma once
 
 #include <memory>
@@ -47,15 +48,13 @@ class ChunkEncoder {
   /// precision's element width) and appends its record to `out`.
   ChunkRecordStats EncodeChunk(ByteSpan chunk, Bytes& out);
 
-  /// Drops the cross-chunk index state (a fresh index will be emitted next).
-  void Reset();
-
  private:
   const PrimacyOptions options_;
   const Codec& solver_;
   // Reused across chunks: each EncodeChunk analyzes into freq_scratch_ and
-  // then swaps it into prev_freq_, so the 256 KiB counts buffer is allocated
-  // once per encoder instead of once per chunk.
+  // then swaps its counts with prev_freq_'s, so two 256 KiB counts buffers
+  // alternate instead of one being allocated per chunk. A one-chunk encode
+  // allocates one.
   PairFrequency freq_scratch_;
   std::optional<PairFrequency> prev_freq_;
   std::optional<IdIndex> prev_index_;

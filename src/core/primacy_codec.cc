@@ -169,12 +169,12 @@ std::vector<std::pair<std::size_t, std::size_t>> IndexGroups(
 /// version alike: decodes elements [first, first + count) of a stream that
 /// is not stored into `out` (exactly count elements). Only the covering
 /// chunks are decoded, as index groups — in parallel when `options.threads`
-/// allows, with one solver and one decoder per slot. Chunks wholly inside
-/// the range decode straight into `out`, and so do the windows of a range
-/// read's partial edge chunks when no cache serves the stream; a cached
-/// edge chunk is decoded whole into a scratch buffer and its window copied
-/// out. Chunks read through options.block_cache only when the directory
-/// carries record checksums (v3): a v1 or v2 directory holds only
+/// allows, with one solver per call and one decoder per slot. Chunks wholly
+/// inside the range decode straight into `out`, and so do the windows of a
+/// range read's partial edge chunks when no cache serves the stream; a
+/// cached edge chunk is decoded whole into a scratch buffer and its window
+/// copied out. Chunks read through options.block_cache only when the
+/// directory carries record checksums (v3): a v1 or v2 directory holds only
 /// structure, so it cannot tell two streams' records apart.
 void DecodeElements(const internal::OpenedStream& opened, std::uint64_t first,
                     std::uint64_t count, const PrimacyOptions& options,
@@ -223,14 +223,15 @@ void DecodeElements(const internal::OpenedStream& opened, std::uint64_t first,
     }
   };
 
-  // One solver + decoder (+ edge-chunk scratch) per slot, reused across
-  // that slot's groups instead of constructed per chunk. Slots never run
-  // two groups at once, so the per-slot state needs no locking; one slot
-  // runs every group in order on the calling thread.
+  // One solver for the call, shared by every slot (a codec's const methods
+  // may run concurrently), and one decoder (+ edge-chunk scratch) per slot,
+  // reused across that slot's groups instead of constructed per chunk.
+  // Slots never run two groups at once, so the per-slot state needs no
+  // locking; one slot runs every group in order on the calling thread.
+  const std::unique_ptr<const Codec> solver = CreateCodec(header.solver_name);
   const std::size_t slots =
       std::min(EffectiveSlots(options.threads), groups.size());
   struct Slot {
-    std::unique_ptr<const Codec> solver;
     std::optional<ChunkDecoder> decoder;
     Bytes scratch;
   };
@@ -239,8 +240,7 @@ void DecodeElements(const internal::OpenedStream& opened, std::uint64_t first,
       groups.size(), options.threads, [&](std::size_t slot, std::size_t g) {
         Slot& s = slot_state[slot];
         if (!s.decoder) {
-          s.solver = CreateCodec(header.solver_name);
-          s.decoder.emplace(*s.solver, header.linearization, header.width);
+          s.decoder.emplace(*solver, header.linearization, header.width);
         }
         decode_group(*s.decoder, s.scratch, g);
       });
@@ -308,8 +308,8 @@ PrimacyCompressor::PrimacyCompressor(PrimacyOptions options)
   }
 }
 
-Bytes PrimacyCompressor::CompressBytes(ByteSpan data, PrimacyStats* stats,
-                                       ChunkEncoder* encoder) const {
+Bytes PrimacyCompressor::CompressBytes(ByteSpan data,
+                                       PrimacyStats* stats) const {
   telemetry::TraceSpan span("primacy.compress", "bytes",
                             static_cast<std::uint64_t>(data.size()));
   const std::size_t width = ElementWidth(options_.precision);
@@ -332,49 +332,35 @@ Bytes PrimacyCompressor::CompressBytes(ByteSpan data, PrimacyStats* stats,
       options_, data.size(),
       [&out](ByteSpan bytes) { AppendBytes(out, bytes); });
 
-  // A caller-supplied encoder pins the serial path: reuse exists to keep
-  // one worker's scratch hot, and its output must stay byte-identical to a
-  // fresh serial encode.
-  const bool parallel = encoder == nullptr && options_.threads != 1 &&
+  const bool parallel = options_.threads != 1 &&
                         options_.index_mode == IndexMode::kPerChunk &&
                         chunk_count > 1;
   if (parallel) {
     // Chunks are independent under kPerChunk indexing: encode them into
-    // per-chunk buffers across the shared pool, then append them in order.
-    // Each *slot* (not each chunk) owns a solver + encoder instance, reused
-    // for every chunk that slot claims.
+    // per-chunk buffers across the shared pool, then append them in order,
+    // so every record is held until the loop ends. Each *slot* (not each
+    // chunk) owns an encoder, reused for every chunk that slot claims.
     std::vector<Bytes> records(chunk_count);
     std::vector<ChunkRecordStats> chunk_stats(chunk_count);
-    struct Slot {
-      std::unique_ptr<const Codec> solver;
-      std::optional<ChunkEncoder> encoder;
-    };
-    std::vector<Slot> slots(
+    std::vector<std::optional<ChunkEncoder>> encoders(
         std::min(EffectiveSlots(options_.threads), chunk_count));
     SharedThreadPool().ParallelForSlots(
         chunk_count, options_.threads, [&](std::size_t slot, std::size_t i) {
-          Slot& s = slots[slot];
-          if (!s.encoder) {
-            s.solver = CreateCodec(options_.solver);
-            s.encoder.emplace(options_, *s.solver);
-          }
-          chunk_stats[i] = s.encoder->EncodeChunk(chunk(i), records[i]);
+          std::optional<ChunkEncoder>& encoder = encoders[slot];
+          if (!encoder) encoder.emplace(options_, *solver_);
+          chunk_stats[i] = encoder->EncodeChunk(chunk(i), records[i]);
         });
     for (std::size_t i = 0; i < chunk_count; ++i) {
       assembler.AppendRecord(records[i], chunk_stats[i]);
     }
   } else {
-    std::optional<ChunkEncoder> local;
-    if (encoder == nullptr) {
-      local.emplace(options_, *solver_);
-      encoder = &*local;
-    } else {
-      encoder->Reset();  // clear cross-chunk index state from prior streams
-    }
+    // Serial: each record is appended as soon as it is made, so only one
+    // record is held at a time.
+    ChunkEncoder encoder(options_, *solver_);
     Bytes record;
     for (std::size_t i = 0; i < chunk_count; ++i) {
       record.clear();
-      const ChunkRecordStats encoded = encoder->EncodeChunk(chunk(i), record);
+      const ChunkRecordStats encoded = encoder.EncodeChunk(chunk(i), record);
       assembler.AppendRecord(record, encoded);
     }
   }

@@ -82,8 +82,6 @@
 
 namespace primacy {
 
-class ChunkEncoder;  // chunk_pipeline.h
-
 /// Per-chunk index policy (paper Section II-F; kReuseWhenCorrelated is the
 /// "more intelligent indexing scheme" sketched as future work).
 enum class IndexMode {
@@ -201,13 +199,9 @@ class PrimacyCompressor {
   }
 
   /// The byte-level core: any trailing bytes beyond a whole number of
-  /// elements are stored verbatim. With `encoder` (built from the same
-  /// options), encoding reuses that caller-owned ChunkEncoder instead of
-  /// constructing one, so long-lived callers (the service's batch workers)
-  /// amortize encoder scratch across requests; the encoder is Reset() first
-  /// and the encode is serial, byte-identical to threads == 1.
-  Bytes CompressBytes(ByteSpan data, PrimacyStats* stats = nullptr,
-                      ChunkEncoder* encoder = nullptr) const;
+  /// elements are stored verbatim. A call keeps no state in the compressor,
+  /// so many threads may call it on one instance.
+  Bytes CompressBytes(ByteSpan data, PrimacyStats* stats = nullptr) const;
 
   const PrimacyOptions& options() const { return options_; }
 

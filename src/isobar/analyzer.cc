@@ -39,9 +39,6 @@ IsobarPlan AnalyzeColumns(ByteSpan rows, std::size_t width,
     throw InvalidArgumentError(
         "AnalyzeColumns: size not a multiple of width");
   }
-  if (options.sample_bytes == 0) {
-    throw InvalidArgumentError("AnalyzeColumns: sample_bytes must be > 0");
-  }
   const std::size_t n = rows.size() / width;
 
   IsobarPlan plan;
@@ -55,7 +52,7 @@ IsobarPlan AnalyzeColumns(ByteSpan rows, std::size_t width,
       // accumulated by the dispatched histogram kernel. `taken` is the trip
       // count of the historical loop: i = 0, stride, ... while i < n,
       // capped at `samples`.
-      const std::size_t samples = std::min(options.sample_bytes, n);
+      const std::size_t samples = std::min(kIsobarSampleBytes, n);
       const std::size_t stride = std::max<std::size_t>(1, n / samples);
       const std::size_t taken = std::min(samples, (n - 1) / stride + 1);
       std::array<std::uint64_t, 256> histogram{};

@@ -12,9 +12,12 @@
 
 namespace primacy {
 
+/// Bytes sampled per column, evenly strided from its first element;
+/// sampling keeps analysis O(sample) per column. A column of at most this
+/// many elements is read in full.
+inline constexpr std::size_t kIsobarSampleBytes = 4096;
+
 struct IsobarOptions {
-  /// Bytes sampled per column; sampling keeps analysis O(sample) per column.
-  std::size_t sample_bytes = 4096;
   /// A column is compressible when its sampled byte entropy is below this
   /// many bits/byte...
   double entropy_threshold_bits = 7.8;

@@ -27,8 +27,7 @@ BatchQueue::~BatchQueue() {
   clock_->UnregisterWaiter(&cv_);
 }
 
-void BatchQueue::Push(std::size_t bytes,
-                      std::function<void(CodecContext&)> work) {
+void BatchQueue::Push(std::size_t bytes, std::function<void()> work) {
   if (!work) {
     throw InvalidArgumentError("BatchQueue: null work item");
   }

@@ -1,8 +1,8 @@
 // Admission queue with flush-size / flush-timeout batching (the capuchinos
 // pattern): small compress/decompress requests coalesce into chunk-sized
 // batches before touching the thread pool, so per-request dispatch overhead
-// (a pool task, a future, codec worker-state construction) is paid once per
-// batch instead of once per request.
+// (a pool task, a future) is paid once per batch instead of once per
+// request.
 //
 // Flush triggers, checked in this order:
 //   * size   — pending payload bytes reached flush_bytes (cut on Push);
@@ -17,9 +17,9 @@
 //
 // The queue is request-type agnostic: items carry a byte size (for the
 // size trigger and fill-ratio accounting) and a closure run later by the
-// service's batch executor with a checked-out CodecContext. Only
-// src/service may touch this header (service-containment lint rule);
-// everything else goes through CompressionService.
+// service's batch executor. Only src/service may touch this header
+// (service-containment lint rule); everything else goes through
+// CompressionService.
 #pragma once
 
 #include <cstddef>
@@ -33,8 +33,6 @@
 #include "util/thread_annotations.h"
 
 namespace primacy::service {
-
-struct CodecContext;  // per-worker codec state (service.cc)
 
 struct BatchOptions {
   /// Cut a batch when pending payload bytes reach this (0 = no size cut).
@@ -55,7 +53,7 @@ class BatchQueue {
     std::uint64_t sequence = 0;    // admission order, assigned by Push
     std::size_t bytes = 0;         // request payload size
     std::uint64_t enqueue_ns = 0;  // service-clock time of admission
-    std::function<void(CodecContext&)> work;
+    std::function<void()> work;
   };
 
   struct Batch {
@@ -98,7 +96,7 @@ class BatchQueue {
   /// threshold, the batch is cut and dispatched before Push returns. After
   /// Stop, late pushes still dispatch — immediately, as single-item drain
   /// batches — so no accepted item is ever dropped.
-  void Push(std::size_t bytes, std::function<void(CodecContext&)> work);
+  void Push(std::size_t bytes, std::function<void()> work);
 
   /// Cuts and dispatches whatever is pending (trigger kDrain). No-op when
   /// empty.

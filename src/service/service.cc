@@ -6,9 +6,6 @@
 #include <utility>
 
 #include "cache/block_cache.h"
-#include "core/builtin_codecs.h"
-#include "core/chunk_pipeline.h"
-#include "core/stream_format.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/checksum.h"
@@ -41,9 +38,8 @@ bool ValidTenantName(const std::string& name) {
 /// Shards per tenant cache partition.
 constexpr std::size_t kTenantCacheShards = 4;
 
-/// Requests are small by design (batching is the parallelism axis); the
-/// serial per-request path is also the one the reusable encoder contexts
-/// accelerate, and it keeps responses byte-identical to serial library
+/// Requests are small by design (batching is the parallelism axis), and the
+/// serial per-request path keeps responses byte-identical to serial library
 /// calls trivially.
 ServiceOptions WithSerialCodec(ServiceOptions options) {
   options.codec.threads = 1;
@@ -198,20 +194,6 @@ struct Tenant {
 
 }  // namespace internal
 
-/// Reusable per-slot encode state: one solver and the encoder over it.
-/// Checked out of the service's freelist for the duration of one batch slot
-/// and returned after, so the 256 KiB frequency scratch and the solver's
-/// tables persist across batches instead of being rebuilt per request —
-/// the amortization the batching exists for.
-struct CodecContext {
-  explicit CodecContext(const PrimacyOptions& codec_options)
-      : solver(primacy::internal::ResolveSolver(codec_options.solver)),
-        encoder(codec_options, *solver) {}
-
-  std::shared_ptr<const Codec> solver;
-  ChunkEncoder encoder;
-};
-
 // --- CompressionService ----------------------------------------------------
 
 CompressionService::CompressionService(ServiceOptions options)
@@ -219,7 +201,6 @@ CompressionService::CompressionService(ServiceOptions options)
       clock_(options_.clock != nullptr ? options_.clock
                                        : &SystemServiceClock::Instance()),
       compressor_(options_.codec) {
-  RegisterBuiltinCodecs();
   clock_->RegisterWaiter(&mu_, &cv_);
   queue_ = std::make_unique<BatchQueue>(
       options_.batch, clock_,
@@ -559,7 +540,7 @@ std::future<ServiceResponse> CompressionService::Submit(
   queue_->Push(bytes, [this, &tenant, admit_epoch, admit_ns, type,
                        first_element, element_count,
                        payload = std::move(payload),
-                       promise](CodecContext& context) mutable {
+                       promise]() mutable {
     ServiceResponse response;
     bool cancelled = false;
     {
@@ -572,8 +553,7 @@ std::future<ServiceResponse> CompressionService::Submit(
       try {
         if (type == RequestType::kCompress) {
           if (!tenant.MemoLookup(payload, response.payload)) {
-            response.payload = compressor_.CompressBytes(
-                payload, /*stats=*/nullptr, &context.encoder);
+            response.payload = compressor_.CompressBytes(payload);
             tenant.MemoInsert(payload, response.payload);
           }
         } else if (type == RequestType::kDecompressRange) {
@@ -718,54 +698,12 @@ void CompressionService::DispatchBatch(BatchQueue::Batch&& batch) {
 }
 
 void CompressionService::ExecuteBatch(BatchQueue::Batch& batch) {
-  const std::size_t count = batch.items.size();
-  // Items execute in parallel across slots, one per pool worker plus the
-  // caller; each slot checks out one context lazily and reuses it for every
-  // item it claims, so a batch costs at most `slots` checkouts no matter
-  // how many requests it carries. A one-item batch runs on the caller.
-  const std::size_t max_slots = SharedThreadPool().num_threads() + 1;
-  std::vector<CodecContext*> slot_contexts(std::min(count, max_slots),
-                                           nullptr);
-  try {
-    SharedThreadPool().ParallelForSlots(
-        count, max_slots, [&](std::size_t slot, std::size_t i) {
-          if (slot_contexts[slot] == nullptr) {
-            slot_contexts[slot] = CheckOutContext();
-          }
-          batch.items[i].work(*slot_contexts[slot]);
-        });
-  } catch (...) {
-    for (CodecContext* context : slot_contexts) {
-      if (context != nullptr) ReturnContext(context);
-    }
-    throw;
-  }
-  for (CodecContext* context : slot_contexts) {
-    if (context != nullptr) ReturnContext(context);
-  }
-}
-
-CodecContext* CompressionService::CheckOutContext() {
-  {
-    primacy::MutexLock lock(context_mu_);
-    if (!free_contexts_.empty()) {
-      CodecContext* context = free_contexts_.back();
-      free_contexts_.pop_back();
-      return context;
-    }
-  }
-  // Build outside the lock (solver construction allocates); peak context
-  // count is bounded by peak concurrent batch slots, which the pool bounds.
-  auto context = std::make_unique<CodecContext>(options_.codec);
-  CodecContext* raw = context.get();
-  primacy::MutexLock lock(context_mu_);
-  contexts_.push_back(std::move(context));
-  return raw;
-}
-
-void CompressionService::ReturnContext(CodecContext* context) {
-  primacy::MutexLock lock(context_mu_);
-  free_contexts_.push_back(context);
+  // Items run in parallel across every pool worker plus the caller; a
+  // one-item batch runs on the caller. Items share no state: each compress
+  // builds its encoder in CompressBytes, over the compressor's one solver.
+  SharedThreadPool().ParallelForSlots(
+      batch.items.size(), 0,
+      [&](std::size_t, std::size_t i) { batch.items[i].work(); });
 }
 
 }  // namespace primacy::service

@@ -4,9 +4,10 @@
 // users" north star asks for: callers submit small compress/decompress
 // requests tagged with a tenant, an admission queue coalesces them into
 // chunk-sized batches (flush on size, count, or timeout — see
-// batch_queue.h), and batches execute on the shared thread pool through a
-// pool of reusable encoder contexts and one decompressor per tenant, so
-// per-request dispatch and codec-state construction cost is amortized.
+// batch_queue.h), and batches execute on the shared thread pool through the
+// service's one compressor and one decompressor per tenant, so per-request
+// dispatch cost is amortized. A request keeps no codec state between
+// calls: each compress builds its encoder over the compressor's solver.
 //
 // Per tenant, admission enforces a byte-rate token bucket and an in-flight
 // cap with explicit backpressure: BackpressurePolicy::kReject fails fast
@@ -79,8 +80,7 @@ struct ServiceResponse {
 
 struct ServiceOptions {
   /// Codec options every request is served with. `threads` is forced to 1
-  /// per request — parallelism comes from batching across requests, and the
-  /// serial path is what the reusable worker contexts accelerate.
+  /// per request — parallelism comes from batching across requests.
   PrimacyOptions codec;
   BatchOptions batch;
   /// Total decoded-block cache budget partitioned across tenants by their
@@ -205,13 +205,10 @@ class CompressionService {
   void DispatchBatch(BatchQueue::Batch&& batch) PRIMACY_EXCLUDES(mu_);
   void ExecuteBatch(BatchQueue::Batch& batch);
 
-  CodecContext* CheckOutContext() PRIMACY_EXCLUDES(context_mu_);
-  void ReturnContext(CodecContext* context) PRIMACY_EXCLUDES(context_mu_);
-
   ServiceOptions options_;
   ServiceClock* clock_;  // options_.clock or the system clock
-  /// Encodes every compress request, through the checked-out context's
-  /// encoder: with an encoder, CompressBytes reads only these options.
+  /// Encodes every compress request. CompressBytes is const, so batch
+  /// slots call it concurrently.
   const PrimacyCompressor compressor_;
 
   /// Service-wide admission/completion lock. Also guards, cross-object, the
@@ -236,14 +233,6 @@ class CompressionService {
   /// the kShuttingDown path never races member teardown.
   std::size_t active_submitters_ PRIMACY_GUARDED_BY(mu_) = 0;
   bool stopping_ PRIMACY_GUARDED_BY(mu_) = false;
-
-  /// Reusable codec worker state: checked out per batch slot, returned when
-  /// the slot finishes, so encoder scratch and solver instances persist
-  /// across batches instead of being rebuilt per request.
-  primacy::Mutex context_mu_;
-  std::vector<std::unique_ptr<CodecContext>> contexts_
-      PRIMACY_GUARDED_BY(context_mu_);
-  std::vector<CodecContext*> free_contexts_ PRIMACY_GUARDED_BY(context_mu_);
 
   /// Declared last: the queue's flusher may touch everything above.
   std::unique_ptr<BatchQueue> queue_;

@@ -53,7 +53,7 @@ class ThreadPool {
   /// Runs fn(slot, i) for i in [0, count) across at most `max_slots`
   /// concurrent slots (0 = one per pool worker, plus the caller). Slot ids
   /// are dense in [0, effective_slots), so callers can keep per-slot state
-  /// (a solver/encoder instance per worker) without locking: a slot never
+  /// (an encoder or decoder per worker) without locking: a slot never
   /// runs two iterations concurrently. Slot 0 executes on the calling
   /// thread, and while waiting for the remaining slots the caller helps
   /// drain the pool's queue — so nested ParallelForSlots calls through a

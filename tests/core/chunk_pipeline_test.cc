@@ -58,23 +58,6 @@ TEST(ChunkPipelineTest, EmptyChunkRejected) {
   EXPECT_THROW(encoder.EncodeChunk(Bytes(12), record), InvalidArgumentError);
 }
 
-TEST(ChunkPipelineTest, ResetDropsIndexState) {
-  PrimacyOptions options;
-  options.index_mode = IndexMode::kReuseWhenCorrelated;
-  const DeflateCodec solver;
-  ChunkEncoder encoder(options, solver);
-  const auto values = GenerateDatasetByName("obs_temp", 20000);
-  const Bytes chunk = NativeBytes(values);
-  Bytes first_record, second_record, third_record;
-  const auto first = encoder.EncodeChunk(chunk, first_record);
-  const auto second = encoder.EncodeChunk(chunk, second_record);
-  EXPECT_TRUE(first.emitted_full_index);
-  EXPECT_FALSE(second.emitted_full_index);  // identical chunk: pure reuse
-  encoder.Reset();
-  const auto third = encoder.EncodeChunk(chunk, third_record);
-  EXPECT_TRUE(third.emitted_full_index);
-}
-
 /// Chunks of one base pattern plus a few values the base never produces, so
 /// kReuseWhenCorrelated reuses the first chunk's index where a chunk adds
 /// nothing (chunk 1) and extends it where it does (chunks 2 and 3).

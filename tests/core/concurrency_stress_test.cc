@@ -1,16 +1,20 @@
-// TSan-targeted stress over the decode paths that share state across
+// TSan-targeted stress over the codec paths that share state across
 // threads. A PrimacyDecompressor is const and stateless between calls, so
 // many caller threads may issue DecompressRange against one decompressor and
 // one stream concurrently — each call planning chunk groups from the shared
 // directory and fanning decode work onto the process-wide SharedThreadPool.
+// A PrimacyCompressor is the same on the encode side: caller threads share
+// one compressor and its one solver, as the service's batch slots do.
 // Run under PRIMACY_SANITIZE=thread these tests catch races in the range
-// planner, the pool's queue, and the per-pool telemetry counters that the
-// functional range/parallel-decode tests (single caller thread) cannot.
+// planner, the shared solver, the pool's queue, and the per-pool telemetry
+// counters that the functional range/parallel tests (single caller thread)
+// cannot.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/primacy_codec.h"
@@ -113,6 +117,60 @@ TEST_F(DecodeConcurrencyStressTest,
   for (auto& caller : callers) caller.join();
   for (std::size_t t = 0; t < ok.size(); ++t) {
     EXPECT_TRUE(ok[t]) << "caller thread " << t;
+  }
+}
+
+TEST(EncodeConcurrencyStressTest, SharedCompressorMatchesSingleThreadStreams) {
+  // Caller threads compress through one const PrimacyCompressor: every call
+  // builds its encoders over the compressor's one solver, and a kPerChunk
+  // call with threads = 2 also encodes its chunks on the shared pool, whose
+  // slots share that solver too. Each stream must equal a single-thread
+  // compress of the same input.
+  std::vector<Bytes> inputs;
+  for (const char* dataset : {"obs_temp", "num_plasma", "flash_velx"}) {
+    inputs.push_back(
+        ToBytes(AsBytes(GenerateDatasetByName(dataset, kElements))));
+  }
+  // One chunk and a partial element: the serial path and the tail block.
+  Bytes one_chunk =
+      ToBytes(AsBytes(GenerateDatasetByName("msg_sppm", kChunkElements / 2)));
+  one_chunk.push_back(std::byte{0x5a});
+  inputs.push_back(std::move(one_chunk));
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    for (const IndexMode mode :
+         {IndexMode::kPerChunk, IndexMode::kReuseWhenCorrelated}) {
+      PrimacyOptions options = SmallChunks(threads);
+      options.index_mode = mode;
+      PrimacyOptions single = options;
+      single.threads = 1;
+      std::vector<Bytes> expected;
+      for (const Bytes& input : inputs) {
+        expected.push_back(PrimacyCompressor(single).CompressBytes(input));
+      }
+      const PrimacyCompressor compressor(options);
+      std::vector<std::thread> callers;
+      std::vector<std::string> failures(kCallerThreads);
+      callers.reserve(kCallerThreads);
+      for (std::size_t t = 0; t < kCallerThreads; ++t) {
+        callers.emplace_back([&, t] {
+          // Two inputs per caller, so each input has four callers.
+          for (std::size_t round = 0; round < 2; ++round) {
+            const std::size_t i = (t + round) % inputs.size();
+            if (compressor.CompressBytes(inputs[i]) != expected[i]) {
+              failures[t] = "input " + std::to_string(i) + " differs";
+              return;
+            }
+          }
+        });
+      }
+      for (auto& caller : callers) caller.join();
+      for (std::size_t t = 0; t < kCallerThreads; ++t) {
+        EXPECT_EQ(failures[t], "")
+            << "threads=" << threads << " reuse="
+            << (mode == IndexMode::kReuseWhenCorrelated) << " caller " << t;
+      }
+    }
   }
 }
 

@@ -74,7 +74,6 @@ PrimacyOptions GoldenOneChunkOptions() {
   options.linearization = Linearization::kColumn;
   options.index_mode = IndexMode::kPerChunk;
   options.precision = Precision::kDouble;
-  options.isobar.sample_bytes = 4096;
   options.isobar.entropy_threshold_bits = 7.8;
   options.isobar.top_frequency_threshold = 0.02;
   return options;

@@ -83,14 +83,12 @@ TEST(AnalyzerTest, EmptyMatrixYieldsIncompressibleColumns) {
 
 TEST(AnalyzerTest, SamplingMatchesFullScanOnHomogeneousData) {
   // Sampled verdicts must agree with a full scan when the column is
-  // homogeneous along its length.
+  // homogeneous along its length: 100,000 rows are sampled, and their
+  // first kIsobarSampleBytes rows are read in full.
   const Bytes rows = BuildMatrix(100000, "sr", 5);
-  IsobarOptions sampled;
-  sampled.sample_bytes = 1024;
-  IsobarOptions full;
-  full.sample_bytes = 100000;
-  const IsobarPlan plan_sampled = AnalyzeColumns(rows, 2, sampled);
-  const IsobarPlan plan_full = AnalyzeColumns(rows, 2, full);
+  const IsobarPlan plan_sampled = AnalyzeColumns(rows, 2);
+  const IsobarPlan plan_full =
+      AnalyzeColumns(ByteSpan(rows).first(kIsobarSampleBytes * 2), 2);
   for (std::size_t c = 0; c < 2; ++c) {
     EXPECT_EQ(plan_sampled.columns[c].compressible,
               plan_full.columns[c].compressible);
@@ -114,9 +112,6 @@ TEST(AnalyzerTest, ThresholdsAreRespected) {
 TEST(AnalyzerTest, ValidatesArguments) {
   EXPECT_THROW(AnalyzeColumns(Bytes(10), 0), InvalidArgumentError);
   EXPECT_THROW(AnalyzeColumns(Bytes(10), 3), InvalidArgumentError);
-  IsobarOptions bad;
-  bad.sample_bytes = 0;
-  EXPECT_THROW(AnalyzeColumns(Bytes(8), 2, bad), InvalidArgumentError);
 }
 
 TEST(PlanSerializationTest, RoundTripsVerdicts) {

@@ -49,7 +49,7 @@ class Collector {
   std::vector<BatchQueue::Batch> batches_;
 };
 
-void NoopWork(CodecContext&) {}
+void NoopWork() {}
 
 constexpr std::uint64_t kNever = 1ULL << 60;  // timeout far beyond any test
 
